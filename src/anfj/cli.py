@@ -27,7 +27,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             src = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise AnfjError(f"cannot read {path}: {err}") from err
     return load_program(src)
 

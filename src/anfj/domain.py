@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .machine import Addr, Value
+from .machine import Addr, Value, cached_hash
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -32,12 +32,14 @@ from .syntax import (
 ATime = tuple[int, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class FramePtr:
     site: Optional[int]            # None only for the entry activation
     time: ATime
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ObjPtr:
     site: int
@@ -49,6 +51,7 @@ FP0A = FramePtr(None, ())
 T0: ATime = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ControlState:
     stmt: Stmt
@@ -56,6 +59,7 @@ class ControlState:
     time: ATime
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CallFrame:
     var: str                       # caller variable receiving the result
@@ -63,6 +67,7 @@ class CallFrame:
     fp: FramePtr
 
 
+@cached_hash
 @dataclass(frozen=True)
 class HandlerFrame:
     class_name: str
@@ -140,12 +145,20 @@ AbstractStore = dict
 
 
 def store_join(a: dict, b: dict) -> dict:
-    """Pointwise union; returns a new store."""
-    out = dict(a)
+    """Pointwise union. Returns a itself when b adds nothing to it, so
+    `store_join(a, b) is a` tests growth; otherwise a new store. Neither
+    argument is modified."""
+    out = None
     for addr, vals in b.items():
-        old = out.get(addr)
-        out[addr] = vals if old is None else old | vals
-    return out
+        old = a.get(addr)
+        if old is not None:
+            if vals <= old:
+                continue
+            vals = old | vals
+        if out is None:
+            out = dict(a)
+        out[addr] = vals
+    return a if out is None else out
 
 
 def store_leq(a: dict, b: dict) -> bool:

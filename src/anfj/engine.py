@@ -18,13 +18,21 @@ that held before the push holds after the pop. Summaries feed the same
 closure, so deeper cancellations cascade.
 
 Per-node stores come in two layers. The full store is the monotone join
-of everything ever flowed into the node; growth of it (or of TF, or of
-PSF when gc is on) re-enqueues the node, and monotonicity is what makes
-the fixpoint terminate even though the graph has cycles. The visible
+of everything ever flowed into the node; growth of it, of TF, or (when
+gc is on) of the set of frame pointers of the call frames in the PSF
+re-enqueues the node, and monotonicity is what makes the fixpoint
+terminate even though the graph has cycles. Those frame pointers are
+the only GC roots a PSF contributes: handler frames and the empty-stack
+marker own no bindings, so PSF growth by them alone cannot change the
+collected store and is not worth a re-step. The visible
 store is the garbage-collected view of the full store, recomputed from
 the node's live roots and stack summary at every dequeue; it is what
 stepping, export, and metrics see. With gc off the two layers are the
 same object.
+
+DSG.stats counts steps and, under "step_causes", why each step was
+scheduled: a new node, store growth, TF growth or GC-root growth. The
+initial node is scheduled by none of them, so steps = 1 + the sum.
 """
 
 from __future__ import annotations
@@ -34,11 +42,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import (
-    BOTTOM, ControlState, Epsilon, EPSILON, Policy, Pop, Push, frame_key,
-    inject_abstract, next as abstract_next, state_key, store_join,
+    BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Pop, Push,
+    frame_key, inject_abstract, next as abstract_next, state_key, store_join,
 )
 from .gc import eagc
 from .syntax import LabeledProgram
+
+
+STEP_CAUSES = ("new_node", "store", "top_frames", "gc_roots")
 
 
 @dataclass
@@ -75,8 +86,9 @@ class IECG:
         self.pfp: dict = {}
         self.nep: dict = {}
         self.psf_deps: dict = {}
+        self.psf_roots: dict = {}      # node -> fps of the call frames in PSF
         self.dirty_tf: list = []       # nodes whose TF grew
-        self.dirty_psf: list = []      # nodes whose PSF grew
+        self.dirty_psf: list = []      # (node whose PSF grew, roots grew?)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
     def tf(self, s) -> set:
@@ -118,7 +130,13 @@ def _refresh_psf(s, iecg: IECG) -> None:
     old = iecg.psf.get(s)
     if old is None or new != old:
         iecg.psf[s] = new
-        iecg.dirty_psf.append(s)
+        roots = iecg.psf_roots.setdefault(s, set())
+        grew = False
+        for f in new if old is None else new - old:
+            if isinstance(f, CallFrame) and f.fp not in roots:
+                roots.add(f.fp)
+                grew = True
+        iecg.dirty_psf.append((s, grew))
 
 
 def propagate(s1, s2, iecg: IECG) -> IECG:
@@ -175,7 +193,8 @@ def process_pop(s1, frame, s2, iecg: IECG) -> list:
 class DSG:
     """Analysis result: the explored graph, per-node stores, the closure
     maps, and run metadata. node_stores holds the visible (collected)
-    stores; full_stores the raw monotone joins backing them."""
+    stores; full_stores the raw monotone joins backing them. Stores are
+    shared between nodes and must not be mutated."""
 
     lp: LabeledProgram
     policy: Policy
@@ -226,6 +245,7 @@ class _Engine:
         self.iecg.psf[q0] = {BOTTOM}
         self.work = deque([q0])
         self.in_work = {q0}
+        self.causes = dict.fromkeys(STEP_CAUSES, 0)
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
         self.t0 = _time.monotonic()
@@ -233,10 +253,11 @@ class _Engine:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def enqueue(self, s) -> None:
+    def enqueue(self, s, cause: str) -> None:
         if s not in self.in_work:
             self.in_work.add(s)
             self.work.append(s)
+            self.causes[cause] += 1
 
     def full_store_of(self, s) -> dict:
         if self.policy.store_mode == "global":
@@ -249,18 +270,18 @@ class _Engine:
         re-delivering, which must not count as progress)."""
         if self.policy.store_mode == "global":
             joined = store_join(self.dsg.global_store, sigma2)
-            if joined != self.dsg.global_store:
+            if joined is not self.dsg.global_store:
                 self.dsg.global_store = joined
                 for n in self.dsg.nodes:
-                    self.enqueue(n)
+                    self.enqueue(n, "store")
             return
         old = self.dsg.full_stores.get(s, {})
         joined = store_join(old, sigma2)
-        if joined != old:
+        if joined is not old:
             self.dsg.full_stores[s] = joined
             if not self.policy.gc:
                 self.dsg.node_stores[s] = joined
-            self.enqueue(s)
+            self.enqueue(s, "store")
 
     def add_node(self, s) -> None:
         if s in self.dsg.nodes:
@@ -272,7 +293,7 @@ class _Engine:
         if self.policy.store_mode != "global":
             self.dsg.node_stores.setdefault(s, {})
             self.dsg.full_stores.setdefault(s, {})
-        self.enqueue(s)
+        self.enqueue(s, "new_node")
 
     def add_edge(self, s1, act, s2, dispatch: bool = True) -> None:
         edge = (s1, act, s2)
@@ -319,14 +340,14 @@ class _Engine:
                         propagate(w, dst, iecg)
                 continue
             if iecg.dirty_tf:
-                self.enqueue(iecg.dirty_tf.pop())
+                self.enqueue(iecg.dirty_tf.pop(), "top_frames")
                 continue
             if iecg.dirty_psf:
-                s = iecg.dirty_psf.pop()
+                s, roots_grew = iecg.dirty_psf.pop()
                 for dep in sorted(iecg.psf_deps.get(s, ()), key=state_key):
                     _refresh_psf(dep, iecg)
-                if self.policy.gc:
-                    self.enqueue(s)
+                if roots_grew and self.policy.gc:
+                    self.enqueue(s, "gc_roots")
                 continue
             return
 
@@ -364,6 +385,7 @@ class _Engine:
             "nodes": len(self.dsg.nodes),
             "edges": len(self.dsg.edges),
             "seconds": self.elapsed(),
+            "step_causes": dict(self.causes),
         }
         if policy.store_mode == "global":
             for n in self.dsg.nodes:
@@ -386,6 +408,7 @@ def eval(lp, dsg, iecg, worklist, policy,
         dsg.full_stores.setdefault(n, dsg.node_stores.get(n, {}))
     eng.work = deque(worklist)
     eng.in_work = set(worklist)
+    eng.causes = dict.fromkeys(STEP_CAUSES, 0)
     eng.pop_targets = {}
     for s1, act, s2 in dsg.edges:
         if isinstance(act, Pop):

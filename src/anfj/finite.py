@@ -12,7 +12,9 @@ its try completes, and to every callee forever. That conflation is the
 point of the baseline: it is what a pushdown stack removes.
 
 All edges are epsilon. Everything else (stores, weak updates, context
-policy, gc) matches the pushdown engine.
+policy, gc) matches the pushdown engine. DSG.stats["step_causes"] says
+why each step was scheduled: a new node, store growth or growth of a
+table level the node consulted.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .domain import (
 from .gc import eagc
 from .machine import Addr
 from .syntax import LabeledProgram, PopHandler, Return, Stmt, Throw
+
+STEP_CAUSES = ("new_node", "store", "table")
 
 
 def _level(lp: LabeledProgram, stmt: Stmt, fp):
@@ -60,14 +64,16 @@ class _FiniteEngine:
         self.table_deps: dict = {}     # level -> nodes that consulted it
         self.work = deque([q0])
         self.in_work = {q0}
+        self.causes = dict.fromkeys(STEP_CAUSES, 0)
         self.t0 = _time.monotonic()
 
     # -- bookkeeping ----------------------------------------------------
 
-    def enqueue(self, s):
+    def enqueue(self, s, cause):
         if s not in self.in_work:
             self.in_work.add(s)
             self.work.append(s)
+            self.causes[cause] += 1
 
     def elapsed(self):
         return _time.monotonic() - self.t0
@@ -80,18 +86,18 @@ class _FiniteEngine:
     def join_store(self, s, sigma2):
         if self.policy.store_mode == "global":
             joined = store_join(self.dsg.global_store, sigma2)
-            if joined != self.dsg.global_store:
+            if joined is not self.dsg.global_store:
                 self.dsg.global_store = joined
                 for n in self.dsg.nodes:
-                    self.enqueue(n)
+                    self.enqueue(n, "store")
             return
         old = self.dsg.full_stores.get(s, {})
         joined = store_join(old, sigma2)
-        if joined != old:
+        if joined is not old:
             self.dsg.full_stores[s] = joined
             if not self.policy.gc:
                 self.dsg.node_stores[s] = joined
-            self.enqueue(s)
+            self.enqueue(s, "store")
 
     def add_node(self, s):
         from .engine import BudgetExceeded
@@ -104,7 +110,7 @@ class _FiniteEngine:
         if self.policy.store_mode != "global":
             self.dsg.node_stores.setdefault(s, {})
             self.dsg.full_stores.setdefault(s, {})
-        self.enqueue(s)
+        self.enqueue(s, "new_node")
 
     def add_edge(self, s1, s2):
         from .engine import BudgetExceeded
@@ -124,7 +130,7 @@ class _FiniteEngine:
             return
         have.add(entry)
         for n in self.table_deps.get(level, ()):
-            self.enqueue(n)
+            self.enqueue(n, "table")
 
     def consult(self, level, node):
         self.table_deps.setdefault(level, set()).add(node)
@@ -181,6 +187,7 @@ class _FiniteEngine:
             "nodes": len(self.dsg.nodes),
             "edges": len(self.dsg.edges),
             "seconds": self.elapsed(),
+            "step_causes": dict(self.causes),
         }
         if policy.store_mode == "global":
             for n in self.dsg.nodes:

@@ -14,17 +14,31 @@ from .domain import CallFrame, ControlState, Policy
 from .syntax import THIS, LabeledProgram
 
 
-def stack_root(frames, sigma: dict) -> set:
+def index_by_ptr(sigma: dict) -> dict:
+    """Pointer -> the store's addresses on it (an activation's variables
+    or an object's fields). One collection builds this once and derives
+    roots and closure from it."""
+    by_ptr: dict = {}
+    for addr in sigma:
+        by_ptr.setdefault(addr.ptr, []).append(addr)
+    return by_ptr
+
+
+def stack_root(frames, sigma: dict, by_ptr: dict | None = None) -> set:
     """Variable addresses owned by any call frame in frames.
 
     Handler frames (and the empty-stack marker) contribute nothing: a
     handler only names a variable it will bind later."""
-    fps = {f.fp for f in frames if isinstance(f, CallFrame)}
-    return {a for a in sigma if a.ptr in fps}
+    if by_ptr is None:
+        by_ptr = index_by_ptr(sigma)
+    out = set()
+    for fp in {f.fp for f in frames if isinstance(f, CallFrame)}:
+        out.update(by_ptr.get(fp, ()))
+    return out
 
 
 def root(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
-         policy: Policy) -> set:
+         policy: Policy, by_ptr: dict | None = None) -> set:
     """Addresses directly referenced at q: the current activation's
     variables (only the live ones when liveness pruning is on) plus the
     stack's call-frame bindings.
@@ -32,22 +46,20 @@ def root(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
     The receiver binding is always a root while its activation runs:
     it is the activation's identity, and the allocation policy may need
     it even in methods whose source never mentions it."""
-    fp = q.fp
+    if by_ptr is None:
+        by_ptr = index_by_ptr(sigma)
+    own = by_ptr.get(q.fp, ())
     if policy.liveness:
         live = lp.lives.get(q.stmt.label, frozenset())
-        own = {a for a in sigma
-               if a.ptr == fp and (a.base in live or a.base == THIS)}
-    else:
-        own = {a for a in sigma if a.ptr == fp}
-    return own | stack_root(frames, sigma)
+        own = [a for a in own if a.base in live or a.base == THIS]
+    return stack_root(frames, sigma, by_ptr).union(own)
 
 
-def reachable(roots: set, sigma: dict) -> set:
+def reachable(roots: set, sigma: dict, by_ptr: dict | None = None) -> set:
     """Closure of roots under the store's points-to edges: an address
     reaches every field address of every object it may denote."""
-    by_ptr: dict = {}
-    for addr in sigma:
-        by_ptr.setdefault(addr.ptr, []).append(addr)
+    if by_ptr is None:
+        by_ptr = index_by_ptr(sigma)
     seen = {a for a in roots if a in sigma}
     frontier = list(seen)
     while frontier:
@@ -62,10 +74,12 @@ def reachable(roots: set, sigma: dict) -> set:
 
 def eagc(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
          policy: Policy) -> dict:
-    """sigma restricted to what q can still touch; identity when off."""
+    """sigma restricted to what q can still touch; identity when off or
+    when everything is kept."""
     if not policy.gc:
         return sigma
-    keep = reachable(root(q, sigma, frames, lp, policy), sigma)
+    by_ptr = index_by_ptr(sigma)
+    keep = reachable(root(q, sigma, frames, lp, policy, by_ptr), sigma, by_ptr)
     if len(keep) == len(sigma):
         return sigma
     return {a: vals for a, vals in sigma.items() if a in keep}

@@ -15,7 +15,8 @@ failed dispatch), reported as an Outcome rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from .syntax import (
@@ -63,12 +64,41 @@ class ObjectPointer(_Pointer):
 FP0 = FramePointer(None, ())
 
 
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass used as a dict or set key
+    over and over: its hash, the same value the dataclass would compute
+    from its fields, is computed once per object and kept in an instance
+    attribute that is not a field, so repr, == and field order stay as
+    they were. The cache is dropped on pickling, because string hashes
+    differ between processes."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+    cls._hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@cached_hash
 @dataclass(frozen=True)
 class Addr:
     base: str                      # variable or field name
     ptr: FramePointer | ObjectPointer
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Value:
     class_name: str

@@ -57,24 +57,24 @@ def _mean(sizes: list) -> Optional[float]:
     return sum(sizes) / len(sizes)
 
 
+def _role_mean(union: dict, exc: set, exception_role: bool) -> Optional[float]:
+    """Mean size of the unions holding at least one class of the given
+    role (exception role: a member of exc)."""
+    sizes = [len(vals) for vals in union.values()
+             if any((v.class_name in exc) == exception_role for v in vals)]
+    return _mean(sizes)
+
+
 def metric_var_points_to(dsg: DSG) -> Optional[float]:
     """Mean points-to cardinality over addresses holding at least one
     non-exception-role class."""
-    exc = thrown_classes(dsg)
-    union = points_to_union(dsg)
-    sizes = [len(vals) for vals in union.values()
-             if any(v.class_name not in exc for v in vals)]
-    return _mean(sizes)
+    return _role_mean(points_to_union(dsg), thrown_classes(dsg), False)
 
 
 def metric_throws(dsg: DSG) -> Optional[float]:
     """Mean points-to cardinality over addresses holding at least one
     exception-role class."""
-    exc = thrown_classes(dsg)
-    union = points_to_union(dsg)
-    sizes = [len(vals) for vals in union.values()
-             if any(v.class_name in exc for v in vals)]
-    return _mean(sizes)
+    return _role_mean(points_to_union(dsg), thrown_classes(dsg), True)
 
 
 def metric_ec_links(dsg: DSG) -> tuple:
@@ -157,10 +157,11 @@ def describe_policy(policy) -> str:
 
 def report(dsg: DSG) -> MetricsReport:
     links, avg = metric_ec_links(dsg)
+    union, exc = points_to_union(dsg), thrown_classes(dsg)
     return MetricsReport(
         policy_desc=describe_policy(dsg.policy),
-        var_points_to=metric_var_points_to(dsg),
-        throws=metric_throws(dsg),
+        var_points_to=_role_mean(union, exc, False),
+        throws=_role_mean(union, exc, True),
         ec_links=sorted(links),
         ec_avg=avg,
         nodes=len(dsg.nodes),

@@ -1,0 +1,97 @@
+"""Byte identity of every analysis output across engine changes.
+
+`byte_identity.json` holds one sha256 digest per (program, policy): the
+JSON export, the DOT export and the metrics report's JSON, concatenated.
+The programs are the whole corpus plus two generated call chains; the
+policies are k in {0, 1} x gc on/off x pushdown/finite. A change that
+alters any exported byte fails here.
+
+After a deliberate change of output, regenerate the table with
+
+    PYTHONPATH=src python tests/test_byte_identity.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+from anfj.domain import Policy
+from anfj.engine import analyze
+from anfj.export import export_dsg
+from anfj.metrics import report
+from anfj.syntax import load_program
+
+from helpers import corpus_names, corpus_source
+
+TABLE = pathlib.Path(__file__).with_name("byte_identity.json")
+GEN_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "gen.py"
+CHAINS = ("chain7", "chain10")
+POLICIES = [Policy(k=k, gc=gc, mode=mode)
+            for k in (0, 1) for gc in (True, False)
+            for mode in ("pushdown", "finite")]
+
+
+def _chain_sources() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen       # dataclasses look the module up
+    spec.loader.exec_module(gen)
+    return {p.name: p.source for p in gen.generate("chain", 1)
+            if p.name in CHAINS}
+
+
+def _policy_name(policy: Policy) -> str:
+    return f"k={policy.k} gc={'on' if policy.gc else 'off'} {policy.mode}"
+
+
+def digests(source: str) -> dict:
+    """Policy name -> sha256 of the program's three outputs."""
+    lp = load_program(source)
+    out = {}
+    for policy in POLICIES:
+        dsg = analyze(lp, policy)
+        h = hashlib.sha256()
+        h.update(export_dsg(dsg, "json"))
+        h.update(export_dsg(dsg, "dot"))
+        h.update(json.dumps(report(dsg).to_dict(), sort_keys=True).encode())
+        out[_policy_name(policy)] = h.hexdigest()
+    return out
+
+
+def _sources() -> dict:
+    out = {name: corpus_source(name) for name in corpus_names()}
+    out.update(_chain_sources())
+    return out
+
+
+@pytest.fixture(scope="module")
+def table() -> dict:
+    return json.loads(TABLE.read_text())
+
+
+def test_table_covers_every_program(table):
+    assert sorted(table) == sorted(list(corpus_names()) + list(CHAINS))
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_outputs_unchanged(name, table):
+    assert digests(corpus_source(name)) == table[name]
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chain_outputs_unchanged(name, table):
+    assert digests(_chain_sources()[name]) == table[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_byte_identity.py --write")
+    result = {name: digests(src) for name, src in _sources().items()}
+    TABLE.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(result)} programs to {TABLE}")

@@ -152,6 +152,15 @@ def test_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.anfj"
+    bad.write_bytes(b"class A extends Object { A() { super(); } }\n// \xff\n")
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_parse_error_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.anfj"
     bad.write_text("class {")

@@ -1,5 +1,7 @@
 """Abstract domain: context policies, stores, and the transition rules."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -126,6 +128,36 @@ def test_store_join_lattice_laws():
         assert store_join(a, a) == a
         assert store_leq(a, store_join(a, b))
         assert store_leq(a, a)
+
+
+def test_cached_hash_is_the_field_hash_and_not_a_field():
+    lp = corpus_program("var_chain")
+    q0 = inject_abstract(lp)
+    fp = FramePtr(1, (2,))
+    op = ObjPtr(3, ())
+    for obj in [Addr("x", fp), Value("A", op), fp, op, q0,
+                CallFrame("r", lp.stmt(1), fp),
+                HandlerFrame("E", "e", lp.stmt(1), fp)]:
+        fields = dataclasses.fields(obj)
+        assert hash(obj) == hash(tuple(getattr(obj, f.name) for f in fields))
+        assert "_hash" not in {f.name for f in fields}
+        assert "_hash" not in repr(obj)
+        # string hashes differ between processes, so pickles carry no cache
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and "_hash" not in vars(clone)
+        assert hash(clone) == hash(obj)
+
+
+def test_store_join_returns_first_store_unless_it_grows():
+    rng = random.Random(12)
+    for _ in range(200):
+        a, b = _random_store(rng), _random_store(rng)
+        before = dict(a)
+        joined = store_join(a, b)
+        assert a == before
+        assert (joined is a) == store_leq(b, a)
+        assert store_join(joined, b) is joined
+        assert store_join(a, {}) is a
 
 
 def test_store_extend_is_weak():

@@ -15,7 +15,7 @@ from anfj.syntax import (
     Assign, Invoke, New, PopHandler, Return, Throw, TryCatch, VarRef,
 )
 
-from helpers import corpus_program
+from helpers import corpus_names, corpus_program
 from oracles import explore_configs, net_empty_pairs
 
 
@@ -274,6 +274,20 @@ def test_process_push_reaches_epsilon_successors_and_is_idempotent():
                     {k: set(v) for k, v in iecg.nep.items()})
 
 
+def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
+    lp = corpus_program("var_chain")
+    s1, s2 = _states(lp, 2)
+    fp1 = FramePtr(1, ())
+    iecg = IECG()
+    process_push(s1, HandlerFrame("E", "e", lp.stmt(1), fp1), s2, iecg)
+    assert iecg.dirty_psf == [(s2, False)]
+    process_push(s1, CallFrame("r", lp.stmt(1), fp1), s2, iecg)
+    assert iecg.dirty_psf[-1] == (s2, True)
+    process_push(s1, CallFrame("q", lp.stmt(2), fp1), s2, iecg)
+    assert iecg.dirty_psf[-1] == (s2, False)    # same pointer, same roots
+    assert iecg.psf_roots[s2] == {fp1}
+
+
 def test_process_pop_empty_pfp_is_inert():
     lp = corpus_program("var_chain")
     s1, s2 = _states(lp, 2)
@@ -368,6 +382,25 @@ def test_analysis_is_deterministic():
     assert a.nodes == b.nodes and a.edges == b.edges
     assert {q: a.node_store(q) for q in a.nodes} == \
            {q: b.node_store(q) for q in b.nodes}
+
+
+# -- step causes ------------------------------------------------------------------
+
+CAUSES = {"pushdown": {"new_node", "store", "top_frames", "gc_roots"},
+          "finite": {"new_node", "store", "table"}}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+@pytest.mark.parametrize("gc", [True, False], ids=["gc", "nogc"])
+def test_every_step_has_one_cause(name, mode, gc):
+    dsg = analyze(corpus_program(name), Policy(mode=mode, gc=gc))
+    causes = dsg.stats["step_causes"]
+    assert set(causes) == CAUSES[mode]
+    assert dsg.stats["steps"] == 1 + sum(causes.values())
+    assert causes["new_node"] == len(dsg.nodes) - 1
+    if mode == "pushdown" and not gc:
+        assert causes["gc_roots"] == 0
 
 
 # -- budget ---------------------------------------------------------------------
