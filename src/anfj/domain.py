@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .machine import Addr, Value, cached_hash
+from .machine import Addr, Value, cached_hash, constructor_levels
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -230,19 +230,11 @@ def _constructor_delta(lp: LabeledProgram, class_name: str, op: ObjPtr,
     """Abstract constructor chain: each field address gets the value set of
     the parameter it is initialised from."""
     delta: dict = {}
-
-    def chain(cname, argv):
-        if cname == "Object":
-            return
-        _, konst = lp.class_lookup(cname)
-        env = {name: vals for (_, name), vals in zip(konst.params, argv)}
-        chain(lp.classes[cname].parent, [env[a] for a in konst.super_args])
+    for konst, env in constructor_levels(lp, class_name, arg_sets):
         for fname, pname in konst.inits:
             addr = Addr(fname, op)
             old = delta.get(addr, frozenset())
             delta[addr] = old | env[pname]
-
-    chain(class_name, list(arg_sets))
     return delta
 
 

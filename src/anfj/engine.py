@@ -309,13 +309,21 @@ class _Engine:
     def elapsed(self) -> float:
         return _time.monotonic() - self.t0
 
+    def check_time(self) -> None:
+        if self.elapsed() > self.budget.max_seconds:
+            raise BudgetExceeded("time", len(self.dsg.nodes),
+                                 len(self.dsg.edges), self.elapsed())
+
     # -- closure maintenance --------------------------------------------
 
     def drain(self) -> None:
         """Dispatch pending edges into the closure maps and chase every
-        consequence (summaries, PSF growth, re-enqueues) to a fixpoint."""
+        consequence (summaries, PSF growth, re-enqueues) to a fixpoint.
+        The time budget is checked on every round, since one step's
+        edges can start a long chase."""
         iecg = self.iecg
         while True:
+            self.check_time()
             if self.pending_edges:
                 s1, act, s2 = self.pending_edges.popleft()
                 if isinstance(act, Epsilon):
@@ -357,9 +365,7 @@ class _Engine:
         lp, policy = self.lp, self.policy
         steps = 0
         while self.work:
-            if self.elapsed() > self.budget.max_seconds:
-                raise BudgetExceeded("time", len(self.dsg.nodes),
-                                     len(self.dsg.edges), self.elapsed())
+            self.check_time()
             s = self.work.popleft()
             self.in_work.discard(s)
             steps += 1

@@ -5,6 +5,18 @@ pointer, time), edges by (source, action, destination), store entries
 by address then value. Exporting the same graph twice yields identical
 bytes. The JSON form round-trips through dsg_from_json given the same
 program; the internal worklist bookkeeping is not serialized.
+
+The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
+":")) gives for the whole document, but it is spliced together from
+fragments rather than dumped from one nested object. Neighbouring node
+stores mostly hold the same addresses bound to the same (shared) value
+sets, so one export renders each distinct address and each distinct
+value set once: the addresses of all stores are sorted by addr_key
+once, each store's entries are ordered by that integer rank, and the
+value-set text is memoized on the frozenset. Every fragment comes from
+the encoder json.dumps uses with those settings, so string escaping is
+json's own; the splicing only adds brackets, commas and object keys,
+in sort_keys order.
 """
 
 from __future__ import annotations
@@ -57,11 +69,6 @@ def addr_to_json(a: Addr):
 
 def addr_from_json(data) -> Addr:
     return Addr(data[0], ptr_from_json(data[1]))
-
-
-def store_to_json(sigma: dict) -> list:
-    return [[addr_to_json(a), [value_to_json(v) for v in sorted_values(vals)]]
-            for a, vals in sorted(sigma.items(), key=lambda kv: addr_key(kv[0]))]
 
 
 def store_from_json(data) -> dict:
@@ -123,35 +130,84 @@ def policy_from_json(data) -> Policy:
 
 # -- whole graphs -------------------------------------------------------------
 
-def dsg_to_json_obj(dsg: DSG) -> dict:
-    """The graph as plain JSON data, stable under re-export."""
+# json.dumps(data, sort_keys=True, separators=(",", ":")) without
+# building a new encoder on every call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _object(members: dict) -> str:
+    """A JSON object from already-rendered member texts, keys in the
+    order sort_keys gives them. The texts are joined once, not copied
+    into per-member strings first: the node list is most of the
+    document."""
+    pieces = []
+    for key, text in sorted(members.items()):
+        pieces += (",", _dumps(key), ":", text)
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
+
+
+def _store_renderer(stores: list):
+    """A function rendering any one of `stores` (Addr -> value set) as
+    the JSON text of its sorted entry list. Each distinct address is
+    ranked and rendered once; each distinct value set is rendered on
+    first use."""
+    addrs = sorted(set().union(*stores), key=addr_key)
+    rank = {a: i for i, a in enumerate(addrs)}
+    entry_head = {a: "[" + _dumps(addr_to_json(a)) + "," for a in addrs}
+    vals_text: dict = {}
+
+    def render(sigma: dict) -> str:
+        parts = []
+        for a in sorted(sigma, key=rank.__getitem__):
+            vals = sigma[a]
+            text = vals_text.get(vals)
+            if text is None:
+                text = vals_text[vals] = _dumps(
+                    [value_to_json(v) for v in sorted_values(vals)])
+            parts.append(entry_head[a] + text + "]")
+        return "[" + ",".join(parts) + "]"
+
+    return render
+
+
+def dsg_to_json(dsg: DSG) -> str:
+    """The graph as canonical JSON text (no trailing newline), stable
+    under re-export."""
     nodes = sorted(dsg.nodes, key=state_key)
     ids = {q: i for i, q in enumerate(nodes)}
-    node_objs = []
     per_node = dsg.policy.store_mode != "global"
-    for i, q in enumerate(nodes):
-        obj = {"id": i, "label": q.stmt.label,
-               "fp": ptr_to_json(q.fp), "time": list(q.time)}
-        if per_node:
-            obj["store"] = store_to_json(dsg.node_stores.get(q, {}))
-        node_objs.append(obj)
+    if per_node:
+        stores = [dsg.node_stores.get(q, {}) for q in nodes]
+    else:
+        stores = [dsg.global_store]
+    render_store = _store_renderer(stores)
+
+    def node_text(i: int, q: ControlState) -> str:
+        # members in sort_keys order
+        store = f',"store":{render_store(stores[i])}' if per_node else ""
+        return (f'{{"fp":{_dumps(ptr_to_json(q.fp))},"id":{i},'
+                f'"label":{_dumps(q.stmt.label)}{store},'
+                f'"time":{_dumps(list(q.time))}}}')
+
     edges = sorted(dsg.edges,
                    key=lambda e: (ids[e[0]], action_key(e[1]), ids[e[2]]))
-    edge_objs = [[ids[s1], action_to_json(act), ids[s2]]
-                 for s1, act, s2 in edges]
     out = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "policy": policy_to_json(dsg.policy),
-        "initial": ids[dsg.initial],
-        "nodes": node_objs,
-        "edges": edge_objs,
-        "diagnostics": sorted([lbl, reason]
-                              for lbl, reason in dsg.diagnostics),
+        "format": _dumps(FORMAT_NAME),
+        "version": _dumps(FORMAT_VERSION),
+        "policy": _dumps(policy_to_json(dsg.policy)),
+        "initial": str(ids[dsg.initial]),
+        "nodes": "[" + ",".join(node_text(i, q)
+                                for i, q in enumerate(nodes)) + "]",
+        "edges": _dumps([[ids[s1], action_to_json(act), ids[s2]]
+                         for s1, act, s2 in edges]),
+        "diagnostics": _dumps(sorted([lbl, reason]
+                                     for lbl, reason in dsg.diagnostics)),
     }
     if not per_node:
-        out["globalStore"] = store_to_json(dsg.global_store)
-    return out
+        out["globalStore"] = render_store(dsg.global_store)
+    return _object(out)
 
 
 def dsg_from_json(lp: LabeledProgram, data) -> DSG:
@@ -221,9 +277,7 @@ def dsg_to_dot(dsg: DSG) -> str:
 def export_dsg(dsg: DSG, format: str = "json") -> bytes:
     """Render the graph to bytes in the named format ('json' or 'dot')."""
     if format == "json":
-        text = json.dumps(dsg_to_json_obj(dsg), sort_keys=True,
-                          separators=(",", ":"))
-        return text.encode("utf-8") + b"\n"
+        return dsg_to_json(dsg).encode("utf-8") + b"\n"
     if format == "dot":
         return dsg_to_dot(dsg).encode("utf-8")
     raise ValueError(f"unknown export format {format!r}")

@@ -247,24 +247,34 @@ def _succ(lp: LabeledProgram, s: Stmt) -> Stmt:
     return nxt
 
 
+def constructor_levels(lp: LabeledProgram, class_name: str,
+                       args: tuple) -> list:
+    """The constructors of class_name's chain as (konst, env) pairs, root
+    first: env binds each parameter to its argument, and each super call
+    forwards the arguments it names. The walk is iterative, so a chain
+    of any depth fits in the interpreter's stack."""
+    levels = []
+    cname, argv = class_name, list(args)
+    while cname != OBJECT:
+        _, konst = lp.class_lookup(cname)
+        env = {name: val for (_, name), val in zip(konst.params, argv)}
+        levels.append((konst, env))
+        cname = lp.classes[cname].parent
+        argv = [env[a] for a in konst.super_args]
+    levels.reverse()
+    return levels
+
+
 def apply_constructor(lp: LabeledProgram, class_name: str, op: ObjectPointer,
                       args: tuple[Value, ...]) -> tuple[dict[Addr, Value], ObjectPointer]:
     """Run the constructor chain for class_name against the fresh object
     pointer op: parameters bind positionally, the super call forwards its
-    parameter prefix, and each this.f = x init writes one field address.
-    Returns the store delta and op."""
+    parameter prefix, and each this.f = x init writes one field address,
+    root class first. Returns the store delta and op."""
     delta: dict[Addr, Value] = {}
-
-    def chain(cname: str, argv: list[Value]):
-        if cname == OBJECT:
-            return
-        _, konst = lp.class_lookup(cname)
-        env = {name: val for (_, name), val in zip(konst.params, argv)}
-        chain(lp.classes[cname].parent, [env[a] for a in konst.super_args])
+    for konst, env in constructor_levels(lp, class_name, args):
         for fname, pname in konst.inits:
             delta[Addr(fname, op)] = env[pname]
-
-    chain(class_name, list(args))
     return delta, op
 
 

@@ -32,12 +32,18 @@ POPULATION_NOTE = (
 
 
 def points_to_union(dsg: DSG) -> dict:
-    """Addr -> union of its value sets across every node store."""
+    """Addr -> union of its value sets across every node store.
+
+    Node stores share their value-set objects, so most sets met are the
+    union so far or a subset of it; those skip building a new set."""
     union: dict = {}
     for n in dsg.nodes:
         for a, vals in dsg.node_store(n).items():
             have = union.get(a)
-            union[a] = vals if have is None else have | vals
+            if have is None:
+                union[a] = vals
+            elif vals is not have and not vals <= have:
+                union[a] = have | vals
     return union
 
 

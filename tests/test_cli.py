@@ -176,12 +176,46 @@ def test_bad_policy_spec_is_input_error(capsys):
 def test_budget_exhaustion_exit_code(capsys):
     assert main(["analyze", MUTUAL, "--budget-nodes", "2"]) == 2
     assert "budget exceeded" in capsys.readouterr().err
+    assert main(["analyze", MUTUAL, "--budget-edges", "1"]) == 2
+    assert "budget exceeded (edges)" in capsys.readouterr().err
 
 
 def test_compare_budget_blames_side(capsys):
     assert main(["compare", MUTUAL, "--a", "k=0", "--b", "k=1",
                  "--budget-nodes", "2"]) == 2
     assert "side A" in capsys.readouterr().err
+    assert main(["compare", MUTUAL, "--a", "k=0", "--b", "k=1",
+                 "--budget-edges", "1"]) == 2
+    assert "side A" in capsys.readouterr().err
+
+
+def _deep_hierarchy(depth: int) -> str:
+    """C0 extends Object and holds one field; each Ci extends C(i-1) and
+    forwards its argument; main builds the deepest class."""
+    lines = ["class C0 extends Object {", "  Object f;",
+             "  C0(Object x) { super(); this.f = x; }", "}"]
+    for i in range(1, depth):
+        lines += [f"class C{i} extends C{i - 1} {{",
+                  f"  C{i}(Object x) {{ super(x); }}", "}"]
+    last = f"C{depth - 1}"
+    lines += ["class Main extends Object {", "  Main() { super(); }",
+              "  Object main() {", "    Object o;", f"    {last} c;",
+              "    Object g;", "    o = new Object();",
+              f"    c = new {last}(o);", "    g = c.f;", "    return g;",
+              "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_class_hierarchy_runs_and_analyzes(tmp_path, capsys):
+    src = tmp_path / "deep.anfj"
+    src.write_text(_deep_hierarchy(1500))
+    for argv, expect in ((["run"], "halted class=Object"),
+                         (["analyze"], "nodes/edges:"),
+                         (["analyze", "--mode", "finite"], "nodes/edges:")):
+        assert main([*argv, str(src)]) == 0
+        captured = capsys.readouterr()
+        assert expect in captured.out
+        assert "Traceback" not in captured.err
 
 
 # -- installed entry point ---------------------------------------------------------

@@ -7,8 +7,8 @@ from anfj.domain import (
     ObjPtr, Policy, Pop, Push, next as abstract_next,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, analyze, eval as engine_eval, process_pop,
-    process_push, propagate, step, step_ipds, update_psf,
+    Budget, BudgetExceeded, IECG, _Engine, analyze, eval as engine_eval,
+    process_pop, process_push, propagate, step, step_ipds, update_psf,
 )
 from anfj.machine import Addr, Value
 from anfj.syntax import (
@@ -423,6 +423,17 @@ def test_budget_time_exceeded():
     lp = corpus_program("receiver_split")
     with pytest.raises(BudgetExceeded) as exc:
         analyze(lp, Policy(), Budget(max_seconds=-1.0))
+    assert exc.value.what == "time"
+
+
+def test_budget_time_checked_inside_drain():
+    # edges wait for the closure maps, but the budget is already spent
+    eng = _Engine(corpus_program("receiver_split"), Policy(),
+                  Budget(max_seconds=-1.0))
+    q0 = eng.dsg.initial
+    eng.pending_edges.append((q0, EPSILON, q0))
+    with pytest.raises(BudgetExceeded) as exc:
+        eng.drain()
     assert exc.value.what == "time"
 
 

@@ -1,6 +1,7 @@
 """Canonical JSON and DOT serialization of analysis graphs."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from anfj.export import (
 )
 from anfj.syntax import TryCatch, load_program
 
-from helpers import corpus_program
+from helpers import corpus_names, corpus_program
 
 SINGLE_NODE = """
 // the graph cannot leave the entry statement: x is never bound
@@ -77,6 +78,32 @@ def test_json_round_trip(name, policy):
     assert export_dsg(back, "json") == blob
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_json_export_is_canonical_json(name):
+    # the export is spliced from fragments; it must still be exactly
+    # what one json.dumps of the whole document gives
+    lp = corpus_program(name)
+    for policy in (Policy(k=0), Policy(k=1, gc=False),
+                   Policy(k=0, store_mode="global")):
+        out = export_dsg(analyze(lp, policy), "json")
+        canon = json.dumps(json.loads(out), sort_keys=True,
+                           separators=(",", ":"))
+        assert out == canon.encode("utf-8") + b"\n"
+
+
+def test_json_round_trip_with_shared_value_sets():
+    lp = corpus_program("field_kept_alive")
+    dsg = analyze(lp, Policy(k=1, gc=False))
+    uses = Counter(id(vals) for store in dsg.node_stores.values()
+                   for vals in store.values())
+    assert max(uses.values()) > 1    # one value-set object, many stores
+    blob = export_dsg(dsg, "json")
+    back = dsg_from_json(lp, json.loads(blob))
+    assert back.node_stores == dsg.node_stores
+    # the rebuilt stores hold equal but distinct value-set objects
+    assert export_dsg(back, "json") == blob
+
+
 def test_json_is_byte_identical_across_runs():
     lp = corpus_program("nested_complete")
     a = export_dsg(analyze(lp, Policy(k=0)), "json")
@@ -102,6 +129,7 @@ def test_global_store_mode_serializes_one_store():
     back = dsg_from_json(lp, doc)
     assert back.global_store == dsg.global_store
     assert back.node_store(back.initial) == dsg.global_store
+    assert export_dsg(back, "json") == export_dsg(dsg, "json")
 
 
 def test_object_pointer_receiver_survives_round_trip():
