@@ -85,8 +85,6 @@ def _budget_from_flags(args) -> Budget:
     b = Budget()
     if args.budget_nodes is not None:
         b.max_nodes = args.budget_nodes
-    if args.budget_edges is not None:
-        b.max_edges = args.budget_edges
     if args.budget_seconds is not None:
         b.max_seconds = args.budget_seconds
     return b
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     anp.add_argument("--report-json", action="store_true",
                      help="print the metrics report as JSON")
     anp.add_argument("--budget-nodes", type=int, default=None)
-    anp.add_argument("--budget-edges", type=int, default=None)
     anp.add_argument("--budget-seconds", type=float, default=None)
     anp.set_defaults(fn=cmd_analyze)
 
@@ -204,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmpp.add_argument("--json", action="store_true",
                       help="print both reports and ratios as JSON")
     cmpp.add_argument("--budget-nodes", type=int, default=None)
-    cmpp.add_argument("--budget-edges", type=int, default=None)
     cmpp.add_argument("--budget-seconds", type=float, default=None)
     cmpp.set_defaults(fn=cmd_compare)
     return ap

@@ -16,7 +16,8 @@ once, each store's entries are ordered by that integer rank, and the
 value-set text is memoized on the frozenset. Every fragment comes from
 the encoder json.dumps uses with those settings, so string escaping is
 json's own; the splicing only adds brackets, commas and object keys,
-in sort_keys order.
+and one routine (_object) orders every object's keys as sort_keys
+does.
 """
 
 from __future__ import annotations
@@ -185,11 +186,12 @@ def dsg_to_json(dsg: DSG) -> str:
     render_store = _store_renderer(stores)
 
     def node_text(i: int, q: ControlState) -> str:
-        # members in sort_keys order
-        store = f',"store":{render_store(stores[i])}' if per_node else ""
-        return (f'{{"fp":{_dumps(ptr_to_json(q.fp))},"id":{i},'
-                f'"label":{_dumps(q.stmt.label)}{store},'
-                f'"time":{_dumps(list(q.time))}}}')
+        members = {"fp": _dumps(ptr_to_json(q.fp)), "id": str(i),
+                   "label": _dumps(q.stmt.label),
+                   "time": _dumps(list(q.time))}
+        if per_node:
+            members["store"] = render_store(stores[i])
+        return _object(members)
 
     edges = sorted(dsg.edges,
                    key=lambda e: (ids[e[0]], action_key(e[1]), ids[e[2]]))

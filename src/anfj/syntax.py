@@ -684,27 +684,33 @@ class _Elaborator:
         resolved: dict[str, tuple[str, ...]] = {OBJECT: ()}
         fclasses: dict[str, dict[str, str]] = {OBJECT: {}}
 
-        def resolve(name: str, trail: tuple[str, ...]) -> tuple[str, ...]:
-            if name in resolved:
-                return resolved[name]
-            if name in trail:
-                raise ElaborationError(f"extends cycle through {name!r}")
-            info = table[name]
-            parent_fields = resolve(info.decl.parent, trail + (name,))
-            own = tuple(fn for _, fn in info.decl.fields)
-            for fn in own:
-                if fn in parent_fields:
-                    raise ElaborationError(
-                        f"field shadowing conflict: {fn!r} in {name!r} hides an inherited field")
-            flat = parent_fields + own
-            resolved[name] = flat
-            fc = dict(fclasses[info.decl.parent])
-            fc.update({fn: fc_ for fc_, fn in info.decl.fields})
-            fclasses[name] = fc
-            return flat
+        def resolve(name: str) -> None:
+            # walk up to the first resolved ancestor, then flatten on the
+            # way back down; iterative, so a deep extends chain declared
+            # in any order cannot exhaust the Python stack
+            pending: list[str] = []
+            seen: set[str] = set()
+            while name not in resolved:
+                if name in seen:
+                    raise ElaborationError(f"extends cycle through {name!r}")
+                seen.add(name)
+                pending.append(name)
+                name = table[name].decl.parent
+            for name in reversed(pending):
+                decl = table[name].decl
+                parent_fields = resolved[decl.parent]
+                own = tuple(fn for _, fn in decl.fields)
+                for fn in own:
+                    if fn in parent_fields:
+                        raise ElaborationError(
+                            f"field shadowing conflict: {fn!r} in {name!r} hides an inherited field")
+                resolved[name] = parent_fields + own
+                fc = dict(fclasses[decl.parent])
+                fc.update({fn: fc_ for fc_, fn in decl.fields})
+                fclasses[name] = fc
 
         for decl in self.program.classes:
-            resolve(decl.name, ())
+            resolve(decl.name)
         for name, info in table.items():
             info.fields_flat = resolved[name]
             info.field_classes = fclasses[name]

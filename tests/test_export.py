@@ -63,10 +63,17 @@ def test_dot_is_deterministic_across_runs():
     ("receiver_split", Policy(k=1, obj_sensitivity=True)),
     ("handler_scope_direct", Policy(k=0, mode="finite")),
     ("mutual_recursion", Policy(k=0, gc=False, liveness=False)),
+    ("field_kept_alive", Policy(k=1, gc=False)),
 ])
 def test_json_round_trip(name, policy):
     lp = corpus_program(name)
     dsg = analyze(lp, policy)
+    if name == "field_kept_alive":
+        # the export renders a value set once however many stores share
+        # it; the rebuilt stores hold equal but distinct objects
+        uses = Counter(id(vals) for store in dsg.node_stores.values()
+                       for vals in store.values())
+        assert max(uses.values()) > 1
     blob = export_dsg(dsg, "json")
     back = dsg_from_json(lp, json.loads(blob))
     assert back.nodes == dsg.nodes
@@ -89,19 +96,6 @@ def test_json_export_is_canonical_json(name):
         canon = json.dumps(json.loads(out), sort_keys=True,
                            separators=(",", ":"))
         assert out == canon.encode("utf-8") + b"\n"
-
-
-def test_json_round_trip_with_shared_value_sets():
-    lp = corpus_program("field_kept_alive")
-    dsg = analyze(lp, Policy(k=1, gc=False))
-    uses = Counter(id(vals) for store in dsg.node_stores.values()
-                   for vals in store.values())
-    assert max(uses.values()) > 1    # one value-set object, many stores
-    blob = export_dsg(dsg, "json")
-    back = dsg_from_json(lp, json.loads(blob))
-    assert back.node_stores == dsg.node_stores
-    # the rebuilt stores hold equal but distinct value-set objects
-    assert export_dsg(back, "json") == blob
 
 
 def test_json_is_byte_identical_across_runs():
