@@ -9,6 +9,7 @@ input, 2 analysis budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,7 +17,7 @@ from . import export as exportmod
 from . import metrics as metricsmod
 from .engine import Budget, BudgetExceeded, analyze
 from .machine import (
-    DEFAULT_FUEL, FuelExhausted, Halted, Stuck, Uncaught, kont_depth, run,
+    DEFAULT_FUEL, FuelExhausted, Halt, Halted, Stuck, Uncaught, run,
 )
 from .metrics import SideBudgetExceeded
 from .domain import Policy
@@ -90,18 +91,40 @@ def _budget_from_flags(args) -> Budget:
     return b
 
 
-def _fp_json(fp) -> list:
-    return [fp.site, list(fp.time)]
+def _write_trace(trace, out) -> None:
+    """One JSON line per state, in the layout json.dumps(sort_keys=True)
+    gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i}.
+    Each frame pointer's text, which holds its whole label history, is
+    rendered once per run, and each continuation's depth is counted once,
+    from the depth of the one below it."""
+    fp_text: dict = {}
+    depth: dict = {}              # id(continuation) -> depth; all are alive
+    for i, st in enumerate(trace):
+        fp = st.fp
+        text = fp_text.get(fp)
+        if text is None:
+            text = fp_text[fp] = json.dumps([fp.site, list(fp.time)])
+        k = st.kont
+        d = depth.get(id(k))
+        if d is None:
+            above = []
+            while d is None and not isinstance(k, Halt):
+                above.append(k)
+                k = k.next
+                d = depth.get(id(k))
+            d = d or 0
+            for frame in reversed(above):
+                d += 1
+                depth[id(frame)] = d
+        out.write(f'{{"fp": {text}, "kontDepth": {d}, '
+                  f'"label": {st.stmt.label}, "step": {i}}}\n')
 
 
 def cmd_run(args) -> int:
     lp = _load(args.file)
     outcome, trace = run(lp, fuel=args.fuel)
     if args.trace:
-        for i, st in enumerate(trace):
-            line = {"step": i, "label": st.stmt.label,
-                    "fp": _fp_json(st.fp), "kontDepth": kont_depth(st.kont)}
-            print(json.dumps(line, sort_keys=True))
+        _write_trace(trace, sys.stdout)
     if isinstance(outcome, Halted):
         desc = {"outcome": "halted", "class": outcome.value.class_name}
     elif isinstance(outcome, Uncaught):
@@ -151,7 +174,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args never changes
+    it and makes a fresh namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="anfj",
         description="Interpreter and exception-flow analyzer for the "

@@ -249,7 +249,6 @@ class _Engine:
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
         self.t0 = _time.monotonic()
-        self.diag_list: list = []
 
     # -- bookkeeping ----------------------------------------------------
 

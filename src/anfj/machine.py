@@ -4,9 +4,13 @@ States are (statement, frame pointer, store, continuation stack, time).
 Time is the full label history, most recent first, so (label, time) pairs
 handed out by the allocator are fresh at every step. The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
-strongly. Continuations are a linked stack of call frames and handler
-frames; exception dispatch walks it one frame per step, which is what the
-abstract pushdown system later mirrors edge for edge.
+strongly. Stores are immutable `Store` mappings that successive states
+share rather than copy: a step writes a few addresses into a new store
+that keeps its predecessor's entries by reference, so a step costs
+O(sqrt(|store|)) amortized, not O(|store|). Continuations are a
+linked stack of call frames and handler frames; exception dispatch walks
+it one frame per step, which is what the abstract pushdown system later
+mirrors edge for edge.
 
 The machine is deterministic: at most one rule applies to any state.
 Non-terminal states with no applicable rule are stuck (unbound reads,
@@ -15,6 +19,7 @@ failed dispatch), reported as an Outcome rather than an exception.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional
@@ -165,14 +170,6 @@ Kont = Halt | Fun | Handle
 HALT = Halt()
 
 
-def kont_depth(k: Kont) -> int:
-    d = 0
-    while not isinstance(k, Halt):
-        d += 1
-        k = k.next
-    return d
-
-
 def kont_frames(k: Kont) -> list[Kont]:
     out = []
     while not isinstance(k, Halt):
@@ -181,13 +178,73 @@ def kont_frames(k: Kont) -> list[Kont]:
     return out
 
 
+# stores ----------------------------------------------------------------------
+
+class Store(Mapping):
+    """An immutable store: a base dict, shared by many stores, under a
+    small delta dict of this store's own, whose entries win.
+
+    `set` copies only the delta. Once the delta's size squared exceeds
+    the base's size, it folds the delta into a fresh base instead, so a
+    write costs O(sqrt(n)) amortized for a store of n entries, with no
+    constant to tune. Neither dict is ever written after the store that
+    owns it is made, so stores may share them freely. Iteration follows
+    the insertion order a dict updated in place would have."""
+
+    __slots__ = ("_base", "_delta")
+
+    def __init__(self, entries=()):
+        self._base = dict(entries)
+        self._delta = {}
+
+    def set(self, updates: dict) -> "Store":
+        """This store with updates written over it."""
+        base = self._base
+        delta = {**self._delta, **updates}
+        if len(delta) ** 2 > len(base):
+            base = {**base, **delta}
+            delta = {}
+        out = object.__new__(Store)
+        out._base, out._delta = base, delta
+        return out
+
+    def __getitem__(self, addr):
+        delta = self._delta
+        if addr in delta:
+            return delta[addr]
+        return self._base[addr]
+
+    def get(self, addr, default=None):
+        delta = self._delta
+        if addr in delta:
+            return delta[addr]
+        return self._base.get(addr, default)
+
+    def __contains__(self, addr):
+        return addr in self._delta or addr in self._base
+
+    def __iter__(self):
+        base = self._base
+        yield from base
+        for addr in self._delta:
+            if addr not in base:
+                yield addr
+
+    def __len__(self):
+        base = self._base
+        return len(base) + sum(1 for addr in self._delta if addr not in base)
+
+    def __repr__(self):
+        return f"Store({dict(self.items())!r})"
+
+
 # states and outcomes ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConcreteState:
     stmt: Stmt
     fp: FramePointer
-    store: dict[Addr, Value]
+    store: Mapping[Addr, Value]      # a Store; a plain dict is accepted
     kont: Kont
     time: Time
 
@@ -226,7 +283,7 @@ def inject(lp: LabeledProgram) -> ConcreteState:
     """Initial state: the entry method's first statement, fresh frame,
     empty store, halt continuation, empty time."""
     entry = lp.entry_method
-    return ConcreteState(lp.first_stmt(entry), FP0, {}, HALT, ())
+    return ConcreteState(lp.first_stmt(entry), FP0, Store(), HALT, ())
 
 
 def is_terminal(st: ConcreteState) -> bool:
@@ -284,29 +341,28 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
     if is_terminal(st):
         raise ValueError("step on terminal state")
     s, fp, sigma, kont, t = st.stmt, st.fp, st.store, st.kont, st.time
+    if not isinstance(sigma, Store):
+        sigma = Store(sigma)
     t2 = tick(s.label, t)
 
     if isinstance(s, Assign):
         e = s.exp
         if isinstance(e, VarRef):
             d = _lookup(st, e.var)
-            sigma2 = dict(sigma)
-            sigma2[Addr(s.var, fp)] = d
-            return ConcreteState(_succ(lp, s), fp, sigma2, kont, t2)
+            return ConcreteState(_succ(lp, s), fp,
+                                 sigma.set({Addr(s.var, fp): d}), kont, t2)
         if isinstance(e, Cast):
             # the value moves unchanged; the named class is not consulted
             d = _lookup(st, e.var)
-            sigma2 = dict(sigma)
-            sigma2[Addr(s.var, fp)] = d
-            return ConcreteState(_succ(lp, s), fp, sigma2, kont, t2)
+            return ConcreteState(_succ(lp, s), fp,
+                                 sigma.set({Addr(s.var, fp): d}), kont, t2)
         if isinstance(e, FieldRef):
             d = _lookup(st, e.var)
             fv = sigma.get(Addr(e.field, d.op))
             if fv is None:
                 raise StuckError(f"unbound field {e.field!r} on {d.class_name}")
-            sigma2 = dict(sigma)
-            sigma2[Addr(s.var, fp)] = fv
-            return ConcreteState(_succ(lp, s), fp, sigma2, kont, t2)
+            return ConcreteState(_succ(lp, s), fp,
+                                 sigma.set({Addr(s.var, fp): fv}), kont, t2)
         if isinstance(e, Invoke):
             d0 = _lookup(st, e.receiver)
             method = lp.method_lookup(d0.class_name, e.method)
@@ -314,20 +370,18 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
                 raise StuckError(f"no method {e.method!r} on class {d0.class_name!r}")
             argv = [_lookup(st, a) for a in e.args]
             fp2 = FramePointer(s.label, t2)
-            sigma2 = dict(sigma)
-            sigma2[Addr(THIS, fp2)] = d0
+            frame = {Addr(THIS, fp2): d0}
             for (_, pname), val in zip(method.params, argv):
-                sigma2[Addr(pname, fp2)] = val
+                frame[Addr(pname, fp2)] = val
             kont2 = Fun(s.var, _succ(lp, s), fp, kont)
-            return ConcreteState(lp.first_stmt(method), fp2, sigma2, kont2, t2)
+            return ConcreteState(lp.first_stmt(method), fp2, sigma.set(frame),
+                                 kont2, t2)
         if isinstance(e, New):
             argv = tuple(_lookup(st, a) for a in e.args)
             op = ObjectPointer(s.label, t2)
             delta, op = apply_constructor(lp, e.class_name, op, argv)
-            sigma2 = dict(sigma)
-            sigma2.update(delta)
-            sigma2[Addr(s.var, fp)] = Value(e.class_name, op)
-            return ConcreteState(_succ(lp, s), fp, sigma2, kont, t2)
+            delta[Addr(s.var, fp)] = Value(e.class_name, op)
+            return ConcreteState(_succ(lp, s), fp, sigma.set(delta), kont, t2)
         raise StuckError(f"unknown expression {e!r}")
 
     if isinstance(s, TryCatch):
@@ -337,9 +391,9 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
     if isinstance(s, Return):
         d = _lookup(st, s.var)
         if isinstance(kont, Fun):
-            sigma2 = dict(sigma)
-            sigma2[Addr(kont.var, kont.fp)] = d
-            return ConcreteState(kont.target, kont.fp, sigma2, kont.next, t2)
+            return ConcreteState(kont.target, kont.fp,
+                                 sigma.set({Addr(kont.var, kont.fp): d}),
+                                 kont.next, t2)
         if isinstance(kont, Handle):
             return ConcreteState(s, fp, sigma, kont.next, t2)
         raise StuckError("return with empty continuation")  # unreachable, run() handles
@@ -348,9 +402,9 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
         d = _lookup(st, s.var)
         if isinstance(kont, Handle):
             if lp.subtype(d.class_name, kont.class_name):
-                sigma2 = dict(sigma)
-                sigma2[Addr(kont.var, kont.fp)] = d
-                return ConcreteState(kont.target, kont.fp, sigma2, kont.next, t2)
+                return ConcreteState(kont.target, kont.fp,
+                                     sigma.set({Addr(kont.var, kont.fp): d}),
+                                     kont.next, t2)
             return ConcreteState(s, fp, sigma, kont.next, t2)
         if isinstance(kont, Fun):
             return ConcreteState(s, fp, sigma, kont.next, t2)
@@ -372,7 +426,9 @@ def run(lp: LabeledProgram, state0: Optional[ConcreteState] = None,
     """Drive the machine from state0 (default: inject(lp)).
 
     Returns the outcome and the visited-state trace; at most fuel states
-    are visited and stored."""
+    are visited and stored. The states' stores share their entries (see
+    Store), so keeping the whole trace costs far less than a store copy
+    per state."""
     st = inject(lp) if state0 is None else state0
     if fuel <= 0:
         return FuelExhausted(st), []

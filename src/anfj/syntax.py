@@ -933,5 +933,11 @@ def compute_liveness(lp: LabeledProgram, method: MethodDecl) -> dict[int, frozen
 
 
 def load_program(src: str) -> LabeledProgram:
-    """Parse and elaborate in one step."""
-    return elaborate(parse_program(src))
+    """Parse and elaborate in one step. The parser and the elaboration
+    walks recurse once per level of try nesting, so a program nested
+    past the interpreter's recursion limit (about 490 levels at the
+    default limit) raises AnfjError rather than RecursionError."""
+    try:
+        return elaborate(parse_program(src))
+    except RecursionError as err:
+        raise AnfjError("program nests try blocks too deeply to load") from err

@@ -1,10 +1,12 @@
-"""Byte identity of every analysis output across engine changes.
+"""Byte identity of every analysis and run output across changes.
 
 `byte_identity.json` holds one sha256 digest per (program, policy): the
 JSON export, the DOT export and the metrics report's JSON, concatenated.
 The programs are the whole corpus plus two generated call chains; the
-policies are k in {0, 1} x gc on/off x pushdown/finite. A change that
-alters any exported byte fails here.
+policies are k in {0, 1} x gc on/off x pushdown/finite. Each program
+also has the digest of the standard output of `anfj run` with the flags
+in RUN_ARGV, the concrete trace line by line. A change that alters any
+exported or printed byte fails here.
 
 After a deliberate change of output, regenerate the table with
 
@@ -13,14 +15,18 @@ After a deliberate change of output, regenerate the table with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
+from anfj.cli import main
 from anfj.domain import Policy
 from anfj.engine import analyze
 from anfj.export import export_dsg
@@ -35,6 +41,7 @@ CHAINS = ("chain7", "chain10")
 POLICIES = [Policy(k=k, gc=gc, mode=mode)
             for k in (0, 1) for gc in (True, False)
             for mode in ("pushdown", "finite")]
+RUN_ARGV = ["--fuel", "2000", "--trace", "--json"]
 
 
 def _chain_sources() -> dict:
@@ -61,7 +68,19 @@ def digests(source: str) -> dict:
         h.update(export_dsg(dsg, "dot"))
         h.update(json.dumps(report(dsg).to_dict(), sort_keys=True).encode())
         out[_policy_name(policy)] = h.hexdigest()
+    out["run " + " ".join(RUN_ARGV)] = _run_digest(source)
     return out
+
+
+def _run_digest(source: str) -> str:
+    """sha256 of what `anfj run` prints for the program."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "program.anfj"
+        path.write_text(source)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["run", str(path), *RUN_ARGV]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def _sources() -> dict:

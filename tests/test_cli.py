@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from anfj.cli import main, parse_policy_spec
+from anfj.cli import build_parser, main, parse_policy_spec
 from anfj.domain import Policy
 from anfj.metrics import POPULATION_NOTE
 from anfj.syntax import AnfjError
@@ -216,6 +216,42 @@ def test_deep_class_hierarchy_runs_and_analyzes(tmp_path, capsys, child_first):
         captured = capsys.readouterr()
         assert expect in captured.out
         assert "Traceback" not in captured.err
+
+
+def _deep_try(depth: int) -> str:
+    """main nests depth try blocks around one throw; each handler
+    returns the caught value."""
+    lines = ["class Boom extends Object {", "  Boom() { super(); }", "}",
+             "class Main extends Object {", "  Main() { super(); }",
+             "  Object main() {", "    Boom e;", "    Object r;"]
+    lines += ["    try {"] * depth
+    lines += ["    e = new Boom();", "    throw e;"]
+    lines += ["    } catch (Boom x) { r = x; return r; }"] * depth
+    lines += ["  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_too_deep_try_nesting_is_input_error(tmp_path, capsys, command):
+    src = tmp_path / "deep.anfj"
+    src.write_text(_deep_try(1200))
+    assert main([command, str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "nests try blocks too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_parser_is_reused_with_fresh_namespaces(capsys):
+    assert build_parser() is build_parser()
+    assert main(["analyze", MINIMAL, "--k", "1", "--gc", "off",
+                 "--report-json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["policy"].startswith("k=1 obj=off gc=off")
+    assert main(["analyze", MINIMAL]) == 0
+    second = capsys.readouterr().out
+    assert "policy:        k=0 obj=off gc=on" in second
+    assert not second.startswith("{")
 
 
 # -- installed entry point ---------------------------------------------------------

@@ -3,17 +3,20 @@
 Every corpus program's outcome was worked out by hand from the transition
 rules before being frozen here. The invariant tests then sweep all traces:
 determinism, time evolution, pointer freshness, stack discipline, handler
-matching, and store-domain growth.
+matching, and store-domain growth. The shared-store tests replay every
+trace against plain dicts copied and written at each step.
 """
 
 import pytest
 
 from anfj.machine import (
     FP0, Addr, ConcreteState, FramePointer, Fun, FuelExhausted, Halt,
-    Halted, Handle, ObjectPointer, Stuck, Uncaught, Value,
+    Halted, Handle, ObjectPointer, Store, Stuck, Uncaught, Value,
     apply_constructor, inject, is_terminal, kont_frames, run, step,
 )
-from anfj.syntax import Assign, Invoke, New, Return, Throw, load_program
+from anfj.syntax import (
+    Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef, load_program,
+)
 
 from helpers import corpus_names, corpus_program
 
@@ -315,3 +318,98 @@ def test_fun_frame_records_return_point():
     assert frame.var == "r"
     assert isinstance(frame.target, Return)  # `return r;` follows the call
     assert frame.fp == FP0
+
+
+# -- shared stores ------------------------------------------------------------
+
+def _copying_writes(lp, st: ConcreteState) -> dict:
+    """The addresses the transition rules write when stepping st, read
+    off the rules directly: a copying machine writes exactly these into
+    a copy of st's store."""
+    s, fp, sigma, kont = st.stmt, st.fp, st.store, st.kont
+    t2 = (s.label,) + st.time
+    if isinstance(s, Assign):
+        e = s.exp
+        if isinstance(e, (VarRef, Cast)):
+            return {Addr(s.var, fp): sigma[Addr(e.var, fp)]}
+        if isinstance(e, FieldRef):
+            d = sigma[Addr(e.var, fp)]
+            return {Addr(s.var, fp): sigma[Addr(e.field, d.op)]}
+        if isinstance(e, Invoke):
+            d0 = sigma[Addr(e.receiver, fp)]
+            method = lp.method_lookup(d0.class_name, e.method)
+            fp2 = FramePointer(s.label, t2)
+            out = {Addr("this", fp2): d0}
+            for (_, pname), arg in zip(method.params, e.args):
+                out[Addr(pname, fp2)] = sigma[Addr(arg, fp)]
+            return out
+        op = ObjectPointer(s.label, t2)
+        argv = tuple(sigma[Addr(a, fp)] for a in e.args)
+        out, _ = apply_constructor(lp, e.class_name, op, argv)
+        out[Addr(s.var, fp)] = Value(e.class_name, op)
+        return out
+    if isinstance(s, Return) and isinstance(kont, Fun):
+        return {Addr(kont.var, kont.fp): sigma[Addr(s.var, fp)]}
+    if isinstance(s, Throw) and isinstance(kont, Handle):
+        d = sigma[Addr(s.var, fp)]
+        if lp.subtype(d.class_name, kont.class_name):
+            return {Addr(kont.var, kont.fp): d}
+    return {}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_shared_store_matches_copying_replay(name):
+    # 400 states grow the divergent programs' stores past 200 entries,
+    # so the delta folds into a fresh base many times along the trace
+    lp = corpus_program(name)
+    _, trace = run(lp, fuel=400)
+    ref: dict = {}
+    assert trace[0].store == ref
+    for prev, cur in zip(trace, trace[1:]):
+        ref = dict(ref)
+        ref.update(_copying_writes(lp, prev))
+        assert cur.store == ref
+        assert list(cur.store.items()) == list(ref.items())
+        assert len(cur.store) == len(ref)
+
+
+def test_store_reads_like_a_dict():
+    a, b, c, missing = (Addr(n, FP0) for n in ("a", "b", "c", "z"))
+    v1 = Value("A", ObjectPointer(1, ()))
+    v2 = Value("B", ObjectPointer(2, ()))
+    ref: dict = {}
+    sigma = Store()
+    history = []
+    for updates in ({a: v1}, {b: v1}, {a: v2, c: v2}, {b: v2}, {c: v1}) * 4:
+        ref.update(updates)
+        sigma = sigma.set(updates)
+        history.append((sigma, dict(ref)))
+        assert sigma == ref and ref == sigma
+        assert len(sigma) == len(ref)
+        assert list(sigma) == list(ref)
+        assert list(sigma.values()) == list(ref.values())
+        assert all(addr in sigma for addr in ref)
+        assert missing not in sigma
+        assert sigma.get(missing) is None and sigma.get(missing, v1) is v1
+        assert sigma[a] is ref[a] and sigma.get(a) is ref[a]
+    with pytest.raises(KeyError):
+        sigma[missing]
+    assert sigma != {a: v1} and sigma != Store({a: v1})
+    assert Store(ref) == sigma
+    # every earlier store still holds what it held when it was made
+    for old, want in history:
+        assert old == want
+
+
+def test_plain_dict_store_still_steps():
+    lp = corpus_program("throw_across_call")
+    _, trace = run(lp, fuel=FUEL)
+    for st in trace[:-1]:
+        plain = ConcreteState(st.stmt, st.fp, dict(st.store), st.kont, st.time)
+        assert step(lp, plain) == step(lp, st)
+    start = trace[3]
+    plain = ConcreteState(start.stmt, start.fp, dict(start.store),
+                          start.kont, start.time)
+    out, replay = run(lp, plain, fuel=FUEL)
+    assert isinstance(out, Halted) and out.value.class_name == "Caught"
+    assert replay[1:] == trace[4:]
