@@ -33,6 +33,12 @@ same object.
 DSG.stats counts steps and, under "step_causes", why each step was
 scheduled: a new node, store growth, TF growth or GC-root growth. The
 initial node is scheduled by none of them, so steps = 1 + the sum.
+
+Diagnostics (unbound reads and fields) are those of each node's last
+step. Any growth that step could have missed (full store, TF, GC
+roots) re-enqueues the node, so its last step saw its final visible
+store under every top frame; an earlier step's complaint about a
+binding that arrived later is dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import (
-    BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Pop, Push,
+    BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Push,
     frame_key, inject_abstract, next as abstract_next, state_key, store_join,
 )
 from .gc import eagc
@@ -231,6 +237,21 @@ def step(lp, q, kappa, psf, sigma, policy, diags=None) -> list:
     return out
 
 
+def record_diagnostics(node_diags: dict, s, diags: list) -> None:
+    """Keep the (state, reason) diagnostics of s's latest step only,
+    dropping those of its earlier steps."""
+    if diags:
+        node_diags[s] = diags
+    else:
+        node_diags.pop(s, None)
+
+
+def fixpoint_diagnostics(node_diags: dict) -> set:
+    """The (label, reason) pairs of every node's last step."""
+    return {(q.stmt.label, reason)
+            for diags in node_diags.values() for q, reason in diags}
+
+
 class _Engine:
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         self.lp = lp
@@ -246,6 +267,7 @@ class _Engine:
         self.work = deque([q0])
         self.in_work = {q0}
         self.causes = dict.fromkeys(STEP_CAUSES, 0)
+        self.node_diags: dict = {}     # node -> diagnostics of its last step
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
         self.t0 = _time.monotonic()
@@ -374,17 +396,17 @@ class _Engine:
                 sigma = eagc(s, sigma, psf, lp, policy)
                 if policy.store_mode != "global":
                     self.dsg.node_stores[s] = sigma
+            diags: list = []
             for kappa in sorted(self.iecg.tf(s), key=frame_key):
                 top = None if kappa is BOTTOM else kappa
-                diags: list = []
                 for q2, act, sg2 in abstract_next(lp, s, sigma, top,
                                                   policy, diags):
                     self.add_node(q2)
                     self.join_store(q2, sg2)
                     self.add_edge(s, act, q2)
-                for q, reason in diags:
-                    self.dsg.diagnostics.add((q.stmt.label, reason))
+            record_diagnostics(self.node_diags, s, diags)
             self.drain()
+        self.dsg.diagnostics = fixpoint_diagnostics(self.node_diags)
         self.dsg.stats = {
             "steps": steps,
             "nodes": len(self.dsg.nodes),
@@ -396,31 +418,6 @@ class _Engine:
             for n in self.dsg.nodes:
                 self.dsg.node_stores[n] = self.dsg.global_store
         return self.dsg
-
-
-def eval(lp, dsg, iecg, worklist, policy,
-         budget: Budget | None = None) -> DSG:
-    """Drain worklist to fixpoint over an existing engine state. The
-    moving parts live in _Engine; this entry point exists for driving
-    partially-built graphs in tests."""
-    eng = _Engine.__new__(_Engine)
-    eng.lp = lp
-    eng.policy = policy
-    eng.budget = budget or Budget()
-    eng.dsg = dsg
-    eng.iecg = iecg
-    for n in dsg.nodes:
-        dsg.full_stores.setdefault(n, dsg.node_stores.get(n, {}))
-    eng.work = deque(worklist)
-    eng.in_work = set(worklist)
-    eng.causes = dict.fromkeys(STEP_CAUSES, 0)
-    eng.pop_targets = {}
-    for s1, act, s2 in dsg.edges:
-        if isinstance(act, Pop):
-            eng.pop_targets.setdefault((s1, act.frame), set()).add(s2)
-    eng.pending_edges = deque()
-    eng.t0 = _time.monotonic()
-    return eng.run()
 
 
 def analyze(lp: LabeledProgram, policy: Policy | None = None,

@@ -14,7 +14,8 @@ point of the baseline: it is what a pushdown stack removes.
 All edges are epsilon. Everything else (stores, weak updates, context
 policy, gc) matches the pushdown engine. DSG.stats["step_causes"] says
 why each step was scheduled: a new node, store growth or growth of a
-table level the node consulted.
+table level the node consulted. As there, diagnostics are those of
+each node's last step, which saw its final store and table levels.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class _FiniteEngine:
         self.work = deque([q0])
         self.in_work = {q0}
         self.causes = dict.fromkeys(STEP_CAUSES, 0)
+        self.node_diags: dict = {}     # node -> diagnostics of its last step
         self.t0 = _time.monotonic()
 
     # -- bookkeeping ----------------------------------------------------
@@ -166,7 +168,9 @@ class _FiniteEngine:
     # -- main loop --------------------------------------------------------
 
     def run(self):
-        from .engine import BudgetExceeded
+        from .engine import (
+            BudgetExceeded, fixpoint_diagnostics, record_diagnostics,
+        )
         lp, policy = self.lp, self.policy
         steps = 0
         while self.work:
@@ -181,7 +185,10 @@ class _FiniteEngine:
                 sigma = eagc(q, sigma, self.gc_frames(q), lp, policy)
                 if policy.store_mode != "global":
                     self.dsg.node_stores[q] = sigma
-            self.step_node(q, sigma)
+            diags: list = []
+            self.step_node(q, sigma, diags)
+            record_diagnostics(self.node_diags, q, diags)
+        self.dsg.diagnostics = fixpoint_diagnostics(self.node_diags)
         self.dsg.stats = {
             "steps": steps,
             "nodes": len(self.dsg.nodes),
@@ -194,7 +201,8 @@ class _FiniteEngine:
                 self.dsg.node_stores[n] = self.dsg.global_store
         return self.dsg
 
-    def step_node(self, q, sigma):
+    def step_node(self, q, sigma, diags):
+        """Emit q's successors; (state, reason) diagnostics go to diags."""
         lp, policy = self.lp, self.policy
         s = q.stmt
         level = _level(lp, s, q.fp)
@@ -203,7 +211,7 @@ class _FiniteEngine:
         if isinstance(s, Return):
             vals = sigma.get(Addr(s.var, q.fp))
             if not vals:
-                self.dsg.diagnostics.add((s.label, f"unbound read of {s.var!r}"))
+                diags.append((q, f"unbound read of {s.var!r}"))
                 return
             for e in sorted(self.consult(level, q), key=_entry_key):
                 if isinstance(e, CallFrame):
@@ -215,7 +223,7 @@ class _FiniteEngine:
         if isinstance(s, Throw):
             vals = sigma.get(Addr(s.var, q.fp))
             if not vals:
-                self.dsg.diagnostics.add((s.label, f"unbound read of {s.var!r}"))
+                diags.append((q, f"unbound read of {s.var!r}"))
                 return
             handlers = []
             for lv in sorted(self.reachable_levels(level, q), key=_level_key):
@@ -240,7 +248,6 @@ class _FiniteEngine:
 
         # value rules are shared with the pushdown engine; pushes are
         # flattened into table records plus epsilon edges
-        diags: list = []
         for q2, act, sg2 in abstract_next(lp, q, sigma, None, policy, diags):
             if isinstance(act, Push):
                 frame = act.frame
@@ -249,8 +256,6 @@ class _FiniteEngine:
                 else:
                     self.record(level, frame)
             self.emit(q, q2, sg2)
-        for qq, reason in diags:
-            self.dsg.diagnostics.add((qq.stmt.label, reason))
 
     def emit(self, q, q2, sg2):
         self.add_node(q2)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import pathlib
@@ -33,24 +32,13 @@ from anfj.export import export_dsg
 from anfj.metrics import report
 from anfj.syntax import load_program
 
-from helpers import corpus_names, corpus_source
+from helpers import CHAINS, chain_sources, corpus_names, corpus_source
 
 TABLE = pathlib.Path(__file__).with_name("byte_identity.json")
-GEN_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "gen.py"
-CHAINS = ("chain7", "chain10")
 POLICIES = [Policy(k=k, gc=gc, mode=mode)
             for k in (0, 1) for gc in (True, False)
             for mode in ("pushdown", "finite")]
 RUN_ARGV = ["--fuel", "2000", "--trace", "--json"]
-
-
-def _chain_sources() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen       # dataclasses look the module up
-    spec.loader.exec_module(gen)
-    return {p.name: p.source for p in gen.generate("chain", 1)
-            if p.name in CHAINS}
 
 
 def _policy_name(policy: Policy) -> str:
@@ -85,7 +73,7 @@ def _run_digest(source: str) -> str:
 
 def _sources() -> dict:
     out = {name: corpus_source(name) for name in corpus_names()}
-    out.update(_chain_sources())
+    out.update(chain_sources())
     return out
 
 
@@ -105,7 +93,7 @@ def test_corpus_outputs_unchanged(name, table):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_chain_outputs_unchanged(name, table):
-    assert digests(_chain_sources()[name]) == table[name]
+    assert digests(chain_sources()[name]) == table[name]
 
 
 if __name__ == "__main__":

@@ -1,21 +1,25 @@
 """State-graph engine: worklist fixpoint, closure maps, summaries, budgets."""
 
+import re
+
 import pytest
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
-    ObjPtr, Policy, Pop, Push, next as abstract_next,
+    ObjPtr, Policy, Pop, Push, next as abstract_next, state_key, store_join,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, _Engine, analyze, eval as engine_eval,
-    process_pop, process_push, propagate, step, step_ipds, update_psf,
+    Budget, BudgetExceeded, IECG, _Engine, analyze, process_pop,
+    process_push, propagate, step, step_ipds, update_psf,
 )
+from anfj.gc import eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import (
     Assign, Invoke, New, PopHandler, Return, Throw, TryCatch, VarRef,
+    load_program,
 )
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, chain_sources, corpus_names, corpus_program
 from oracles import explore_configs, net_empty_pairs
 
 
@@ -86,28 +90,65 @@ def test_analyze_deep_uncaught_pops_to_the_bottom():
                for t in throws)
 
 
-# -- eval ------------------------------------------------------------------------
+# -- fixpoint ----------------------------------------------------------------
 
-def _snapshot(dsg):
-    return (set(dsg.nodes), set(dsg.edges),
-            {q: dict(dsg.node_stores.get(q, {})) for q in dsg.nodes})
+FIXPOINT_POLICIES = [Policy(), Policy(gc=False), Policy(k=1)]
 
 
-def test_eval_empty_worklist_changes_nothing():
-    lp = corpus_program("try_complete")
-    dsg = analyze(lp, Policy())
-    before = _snapshot(dsg)
-    engine_eval(lp, dsg, dsg.iecg, [], Policy())
-    assert _snapshot(dsg) == before
+@pytest.mark.parametrize("name", ["throw_across_call", "try_complete"])
+@pytest.mark.parametrize("policy", FIXPOINT_POLICIES,
+                         ids=["default", "nogc", "k1"])
+def test_analysis_result_is_a_fixpoint(name, policy):
+    # one more step of any node, under any of its top frames, finds
+    # nothing new: no node, no edge, no growth of a full store
+    lp = corpus_program(name)
+    dsg = analyze(lp, policy)
+    for q in sorted(dsg.nodes, key=state_key):
+        full = dsg.full_stores.get(q, {})
+        psf = dsg.iecg.psf.get(q, set())
+        want = eagc(q, full, psf, lp, policy) if policy.gc else full
+        assert dsg.node_store(q) == want
+        for kappa in dsg.iecg.tf(q):
+            top = None if kappa is BOTTOM else kappa
+            for q2, act, sg2 in abstract_next(lp, q, dsg.node_store(q),
+                                              top, policy):
+                assert q2 in dsg.nodes
+                assert (q, act, q2) in dsg.edges
+                full2 = dsg.full_stores.get(q2, {})
+                assert store_join(full2, sg2) is full2
 
 
-def test_eval_full_reenqueue_is_already_fixed():
-    lp = corpus_program("throw_across_call")
-    for policy in (Policy(), Policy(gc=False), Policy(k=1)):
+ALL_POLICIES = [Policy(k=k, gc=gc, mode=mode)
+                for k in (0, 1) for gc in (True, False)
+                for mode in ("pushdown", "finite")]
+
+
+def _program(name):
+    if name in CHAINS:
+        return load_program(chain_sources()[name])
+    return corpus_program(name)
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_unbound_reads_are_unbound_at_the_fixpoint(name):
+    # a diagnostic of an intermediate step, whose store had not yet
+    # grown, must not survive: some node at the label still lacks the
+    # binding in its final visible store
+    lp = _program(name)
+    for policy in ALL_POLICIES:
         dsg = analyze(lp, policy)
-        before = _snapshot(dsg)
-        engine_eval(lp, dsg, dsg.iecg, sorted(dsg.nodes, key=str), policy)
-        assert _snapshot(dsg) == before
+        reads = {}
+        for label, reason in dsg.diagnostics:
+            m = re.fullmatch(r"unbound read of '(\w+)'", reason)
+            if m:
+                reads[label] = reads.get(label, set()) | {m.group(1)}
+        if name == "unbound_local":
+            assert reads, policy
+        for label, names in reads.items():
+            for var in names:
+                assert any(not dsg.node_store(q).get(Addr(var, q.fp))
+                           for q in dsg.nodes if q.stmt.label == label), \
+                    (policy, label, var)
 
 
 def test_recursion_terminates_and_reuses_nodes():
