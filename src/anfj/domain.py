@@ -146,8 +146,11 @@ AbstractStore = dict
 
 def store_join(a: dict, b: dict) -> dict:
     """Pointwise union. Returns a itself when b adds nothing to it, so
-    `store_join(a, b) is a` tests growth; otherwise a new store. Neither
-    argument is modified."""
+    `store_join(a, b) is a` tests growth; b itself when a is empty and
+    b is not; otherwise a new store. Neither argument is modified, and
+    as stores are never mutated the result may share either of them."""
+    if not a and b:
+        return b
     out = None
     for addr, vals in b.items():
         old = a.get(addr)

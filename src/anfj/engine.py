@@ -17,6 +17,11 @@ a summary edge (w, eps, s2): the push and the pop cancel, so anything
 that held before the push holds after the pop. Summaries feed the same
 closure, so deeper cancellations cascade.
 
+The PSF grows by deltas: when a node gains a predecessor it takes the
+predecessor's whole PSF once, and from then on drain passes it only the
+frames that are new at the predecessor (the dirty_psf records), never
+re-unioning every predecessor's summary.
+
 Per-node stores come in two layers. The full store is the monotone join
 of everything ever flowed into the node; growth of it, of TF, or (when
 gc is on) of the set of frame pointers of the call frames in the PSF
@@ -29,6 +34,12 @@ store is the garbage-collected view of the full store, recomputed from
 the node's live roots and stack summary at every dequeue; it is what
 stepping, export, and metrics see. With gc off the two layers are the
 same object.
+
+The worklist (Worklist, shared with the finite baseline) steps the
+queued node that was discovered first. Upstream nodes are mostly found
+first, so a node is re-stepped once its feeders have settled rather
+than once per growth of each. The fixpoint, and so every output, does
+not depend on this order; only the step count does.
 
 DSG.stats counts steps and, under "step_causes", why each step was
 scheduled: a new node, store growth, TF growth or GC-root growth. The
@@ -46,6 +57,7 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .domain import (
     BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Push,
@@ -76,13 +88,53 @@ class BudgetExceeded(Exception):
         self.elapsed = elapsed
 
 
+class Worklist:
+    """The nodes waiting for a step, popped lowest discovery rank
+    first: a node's rank is the order in which it was first pushed.
+
+    Nodes found earlier are mostly upstream of later ones, so a node's
+    re-step waits until the nodes feeding it have settled instead of
+    running once per growth of each of them; this is a cheap stand-in
+    for the weak topological order of Bourdoncle's chaotic iteration.
+    A node is queued at most once. causes counts, per cause, the pushes
+    that queued a node; a push without a cause counts for none."""
+
+    def __init__(self, causes):
+        self.causes = dict.fromkeys(causes, 0)
+        self.queued: set = set()
+        self.rank: dict = {}
+        self.heap: list = []           # (rank, node); ranks are unique
+
+    def push(self, s, cause: str | None = None) -> None:
+        if s in self.queued:
+            return
+        self.queued.add(s)
+        self._put(s)
+        if cause is not None:
+            self.causes[cause] += 1
+
+    def pop(self):
+        s = self._take()
+        self.queued.discard(s)
+        return s
+
+    def __len__(self) -> int:
+        return len(self.queued)
+
+    def _put(self, s) -> None:
+        heappush(self.heap, (self.rank.setdefault(s, len(self.rank)), s))
+
+    def _take(self):
+        return heappop(self.heap)[1]
+
+
 class IECG:
     """The six closure maps plus change bookkeeping for the engine.
 
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
-    and summary creation. psf_deps remembers who read whose PSF so a
-    later growth can be chased to fixpoint."""
+    and summary creation. psf_deps remembers whose PSF flows into whose,
+    so drain can pass each PSF delta on to fixpoint."""
 
     def __init__(self):
         self.eps_pred: dict = {}
@@ -91,10 +143,10 @@ class IECG:
         self.psf: dict = {}
         self.pfp: dict = {}
         self.nep: dict = {}
-        self.psf_deps: dict = {}
+        self.psf_deps: dict = {}       # node -> nodes its PSF flows into
         self.psf_roots: dict = {}      # node -> fps of the call frames in PSF
         self.dirty_tf: list = []       # nodes whose TF grew
-        self.dirty_psf: list = []      # (node whose PSF grew, roots grew?)
+        self.dirty_psf: list = []      # (node, its new PSF frames, roots grew?)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
     def tf(self, s) -> set:
@@ -106,6 +158,7 @@ class IECG:
             return False
         have.add(frame)
         self.dirty_tf.append(s)
+        self.add_psf(s, (frame,))
         return True
 
     def add_pfp(self, s, frame, src) -> bool:
@@ -116,33 +169,30 @@ class IECG:
         self.dirty_pfp.append((s, frame, src))
         return True
 
-
-def update_psf(s, top_frames: dict, psf: dict, nep: dict,
-               eps_pred: dict) -> set:
-    """The PSF a node should have right now: its own top frames plus
-    everything possibly on the stack at any predecessor."""
-    out = set(top_frames.get(s, ()))
-    out |= psf.get(s, set())
-    for p in nep.get(s, set()) | eps_pred.get(s, set()):
-        out |= psf.get(p, set())
-    return out
-
-
-def _refresh_psf(s, iecg: IECG) -> None:
-    preds = iecg.nep.get(s, set()) | iecg.eps_pred.get(s, set())
-    for p in preds:
-        iecg.psf_deps.setdefault(p, set()).add(s)
-    new = update_psf(s, iecg.top_frames, iecg.psf, iecg.nep, iecg.eps_pred)
-    old = iecg.psf.get(s)
-    if old is None or new != old:
-        iecg.psf[s] = new
-        roots = iecg.psf_roots.setdefault(s, set())
+    def add_psf(self, s, frames) -> None:
+        """Join frames into PSF(s). The ones that are new are recorded
+        in dirty_psf, for drain to pass on to psf_deps[s], together
+        with whether they add a call-frame pointer (a GC root)."""
+        have = self.psf.setdefault(s, set())
+        new = [f for f in frames if f not in have]
+        if not new:
+            return
+        have.update(new)
+        roots = self.psf_roots.setdefault(s, set())
         grew = False
-        for f in new if old is None else new - old:
+        for f in new:
             if isinstance(f, CallFrame) and f.fp not in roots:
                 roots.add(f.fp)
                 grew = True
-        iecg.dirty_psf.append((s, grew))
+        self.dirty_psf.append((s, new, grew))
+
+    def add_psf_pred(self, s, p) -> None:
+        """p became a predecessor of s: everything on the stack at p
+        is on the stack at s, now and after every later growth."""
+        deps = self.psf_deps.setdefault(p, set())
+        if s not in deps:
+            deps.add(s)
+            self.add_psf(s, self.psf.get(p, ()))
 
 
 def propagate(s1, s2, iecg: IECG) -> IECG:
@@ -156,19 +206,22 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
     preds = set(iecg.eps_pred.get(s1, ())) | {s1}
     nexts = set(iecg.eps_succ.get(s2, ())) | {s2}
     pool = set()
+    pushers = []                       # (frame, push source); add_pfp dedups
     for p in preds:
-        pool |= iecg.tf(p)
-    for p in preds:
+        tf = iecg.tf(p)
+        pool |= tf
+        for f in tf:
+            for w in iecg.pfp.get((p, f), ()):
+                pushers.append((f, w))
         iecg.eps_succ.setdefault(p, set()).update(nexts)
     for n in nexts:
         iecg.eps_pred.setdefault(n, set()).update(preds)
         for f in pool:
             iecg.add_tf(n, f)
+        for f, w in pushers:
+            iecg.add_pfp(n, f, w)
         for p in preds:
-            for f in iecg.tf(p):
-                for w in iecg.pfp.get((p, f), ()):
-                    iecg.add_pfp(n, f, w)
-        _refresh_psf(n, iecg)
+            iecg.add_psf_pred(n, p)
     return iecg
 
 
@@ -179,7 +232,7 @@ def process_push(s1, frame, s2, iecg: IECG) -> IECG:
         iecg.add_tf(s, frame)
         iecg.add_pfp(s, frame, s1)
         iecg.nep.setdefault(s, set()).add(s1)
-        _refresh_psf(s, iecg)
+        iecg.add_psf_pred(s, s1)
     return iecg
 
 
@@ -264,21 +317,14 @@ class _Engine:
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[q0] = {BOTTOM}
         self.iecg.psf[q0] = {BOTTOM}
-        self.work = deque([q0])
-        self.in_work = {q0}
-        self.causes = dict.fromkeys(STEP_CAUSES, 0)
+        self.work = Worklist(STEP_CAUSES)
+        self.work.push(q0)
         self.node_diags: dict = {}     # node -> diagnostics of its last step
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
         self.t0 = _time.monotonic()
 
     # -- bookkeeping ----------------------------------------------------
-
-    def enqueue(self, s, cause: str) -> None:
-        if s not in self.in_work:
-            self.in_work.add(s)
-            self.work.append(s)
-            self.causes[cause] += 1
 
     def full_store_of(self, s) -> dict:
         if self.policy.store_mode == "global":
@@ -294,7 +340,7 @@ class _Engine:
             if joined is not self.dsg.global_store:
                 self.dsg.global_store = joined
                 for n in self.dsg.nodes:
-                    self.enqueue(n, "store")
+                    self.work.push(n, "store")
             return
         old = self.dsg.full_stores.get(s, {})
         joined = store_join(old, sigma2)
@@ -302,7 +348,7 @@ class _Engine:
             self.dsg.full_stores[s] = joined
             if not self.policy.gc:
                 self.dsg.node_stores[s] = joined
-            self.enqueue(s, "store")
+            self.work.push(s, "store")
 
     def add_node(self, s) -> None:
         if s in self.dsg.nodes:
@@ -314,7 +360,7 @@ class _Engine:
         if self.policy.store_mode != "global":
             self.dsg.node_stores.setdefault(s, {})
             self.dsg.full_stores.setdefault(s, {})
-        self.enqueue(s, "new_node")
+        self.work.push(s, "new_node")
 
     def add_edge(self, s1, act, s2, dispatch: bool = True) -> None:
         edge = (s1, act, s2)
@@ -369,14 +415,14 @@ class _Engine:
                         propagate(w, dst, iecg)
                 continue
             if iecg.dirty_tf:
-                self.enqueue(iecg.dirty_tf.pop(), "top_frames")
+                self.work.push(iecg.dirty_tf.pop(), "top_frames")
                 continue
             if iecg.dirty_psf:
-                s, roots_grew = iecg.dirty_psf.pop()
-                for dep in sorted(iecg.psf_deps.get(s, ()), key=state_key):
-                    _refresh_psf(dep, iecg)
+                s, new, roots_grew = iecg.dirty_psf.pop()
+                for dep in iecg.psf_deps.get(s, ()):
+                    iecg.add_psf(dep, new)
                 if roots_grew and self.policy.gc:
-                    self.enqueue(s, "gc_roots")
+                    self.work.push(s, "gc_roots")
                 continue
             return
 
@@ -387,8 +433,7 @@ class _Engine:
         steps = 0
         while self.work:
             self.check_time()
-            s = self.work.popleft()
-            self.in_work.discard(s)
+            s = self.work.pop()
             steps += 1
             sigma = self.full_store_of(s)
             psf = self.iecg.psf.get(s, set())
@@ -412,7 +457,7 @@ class _Engine:
             "nodes": len(self.dsg.nodes),
             "edges": len(self.dsg.edges),
             "seconds": self.elapsed(),
-            "step_causes": dict(self.causes),
+            "step_causes": dict(self.work.causes),
         }
         if policy.store_mode == "global":
             for n in self.dsg.nodes:

@@ -12,21 +12,25 @@ its try completes, and to every callee forever. That conflation is the
 point of the baseline: it is what a pushdown stack removes.
 
 All edges are epsilon. Everything else (stores, weak updates, context
-policy, gc) matches the pushdown engine. DSG.stats["step_causes"] says
+policy, gc) matches the pushdown engine, including its worklist, which
+steps the queued node discovered first. DSG.stats["step_causes"] says
 why each step was scheduled: a new node, store growth or growth of a
 table level the node consulted. As there, diagnostics are those of
-each node's last step, which saw its final store and table levels.
+each node's last step, which saw its final store and table levels, so
+no output depends on the step order.
 """
 
 from __future__ import annotations
 
 import time as _time
-from collections import deque
 
 from .domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, HandlerFrame, Policy,
     Push, fp_key, frame_key, inject_abstract, next as abstract_next,
     store_join, tick,
+)
+from .engine import (
+    DSG, BudgetExceeded, Worklist, fixpoint_diagnostics, record_diagnostics,
 )
 from .gc import eagc
 from .machine import Addr
@@ -53,7 +57,6 @@ def _level_key(level):
 
 class _FiniteEngine:
     def __init__(self, lp: LabeledProgram, policy: Policy, budget):
-        from .engine import DSG
         self.lp = lp
         self.policy = policy
         self.budget = budget
@@ -63,19 +66,12 @@ class _FiniteEngine:
         self.dsg.node_stores[q0] = {}
         self.table: dict = {_level(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.table_deps: dict = {}     # level -> nodes that consulted it
-        self.work = deque([q0])
-        self.in_work = {q0}
-        self.causes = dict.fromkeys(STEP_CAUSES, 0)
+        self.work = Worklist(STEP_CAUSES)
+        self.work.push(q0)
         self.node_diags: dict = {}     # node -> diagnostics of its last step
         self.t0 = _time.monotonic()
 
     # -- bookkeeping ----------------------------------------------------
-
-    def enqueue(self, s, cause):
-        if s not in self.in_work:
-            self.in_work.add(s)
-            self.work.append(s)
-            self.causes[cause] += 1
 
     def elapsed(self):
         return _time.monotonic() - self.t0
@@ -91,7 +87,7 @@ class _FiniteEngine:
             if joined is not self.dsg.global_store:
                 self.dsg.global_store = joined
                 for n in self.dsg.nodes:
-                    self.enqueue(n, "store")
+                    self.work.push(n, "store")
             return
         old = self.dsg.full_stores.get(s, {})
         joined = store_join(old, sigma2)
@@ -99,10 +95,9 @@ class _FiniteEngine:
             self.dsg.full_stores[s] = joined
             if not self.policy.gc:
                 self.dsg.node_stores[s] = joined
-            self.enqueue(s, "store")
+            self.work.push(s, "store")
 
     def add_node(self, s):
-        from .engine import BudgetExceeded
         if s in self.dsg.nodes:
             return
         if len(self.dsg.nodes) >= self.budget.max_nodes:
@@ -112,10 +107,9 @@ class _FiniteEngine:
         if self.policy.store_mode != "global":
             self.dsg.node_stores.setdefault(s, {})
             self.dsg.full_stores.setdefault(s, {})
-        self.enqueue(s, "new_node")
+        self.work.push(s, "new_node")
 
     def add_edge(self, s1, s2):
-        from .engine import BudgetExceeded
         edge = (s1, EPSILON, s2)
         if edge in self.dsg.edges:
             return
@@ -132,7 +126,7 @@ class _FiniteEngine:
             return
         have.add(entry)
         for n in self.table_deps.get(level, ()):
-            self.enqueue(n, "table")
+            self.work.push(n, "table")
 
     def consult(self, level, node):
         self.table_deps.setdefault(level, set()).add(node)
@@ -168,17 +162,13 @@ class _FiniteEngine:
     # -- main loop --------------------------------------------------------
 
     def run(self):
-        from .engine import (
-            BudgetExceeded, fixpoint_diagnostics, record_diagnostics,
-        )
         lp, policy = self.lp, self.policy
         steps = 0
         while self.work:
             if self.elapsed() > self.budget.max_seconds:
                 raise BudgetExceeded("time", len(self.dsg.nodes),
                                      len(self.dsg.edges), self.elapsed())
-            q = self.work.popleft()
-            self.in_work.discard(q)
+            q = self.work.pop()
             steps += 1
             sigma = self.full_store_of(q)
             if policy.gc:
@@ -194,7 +184,7 @@ class _FiniteEngine:
             "nodes": len(self.dsg.nodes),
             "edges": len(self.dsg.edges),
             "seconds": self.elapsed(),
-            "step_causes": dict(self.causes),
+            "step_causes": dict(self.work.causes),
         }
         if policy.store_mode == "global":
             for n in self.dsg.nodes:
@@ -263,5 +253,5 @@ class _FiniteEngine:
         self.add_edge(q, q2)
 
 
-def analyze_finite(lp: LabeledProgram, policy: Policy, budget) -> "DSG":
+def analyze_finite(lp: LabeledProgram, policy: Policy, budget) -> DSG:
     return _FiniteEngine(lp, policy, budget).run()

@@ -131,6 +131,33 @@ def net_empty_pairs(lp, policy: Policy, sources, stores,
     return pairs, truncated
 
 
+def update_psf(s, top_frames: dict, psf: dict, nep: dict,
+               eps_pred: dict) -> set:
+    """The stack summary spec: PSF(s) holds its own top frames plus
+    everything possibly on the stack at any predecessor, push source
+    (nep) or epsilon predecessor alike."""
+    out = set(top_frames.get(s, ()))
+    out |= psf.get(s, set())
+    for p in nep.get(s, set()) | eps_pred.get(s, set()):
+        out |= psf.get(p, set())
+    return out
+
+
+def least_psf(nodes, top_frames: dict, nep: dict, eps_pred: dict) -> dict:
+    """The least solution of update_psf over nodes, by plain round-robin
+    iteration from empty summaries."""
+    psf: dict = {}
+    changed = True
+    while changed:
+        changed = False
+        for s in nodes:
+            new = update_psf(s, top_frames, psf, nep, eps_pred)
+            if new != psf.get(s, set()):
+                psf[s] = new
+                changed = True
+    return psf
+
+
 def brute_reachable_addrs(sigma: dict, roots) -> set:
     """Transitive closure of address reachability, the slow way: scan the
     whole domain for addresses hung off each value's object pointer."""

@@ -45,17 +45,20 @@ def _policy_name(policy: Policy) -> str:
     return f"k={policy.k} gc={'on' if policy.gc else 'off'} {policy.mode}"
 
 
+def analysis_digest(dsg) -> str:
+    """sha256 of an analysis's JSON export, DOT export and report."""
+    h = hashlib.sha256()
+    h.update(export_dsg(dsg, "json"))
+    h.update(export_dsg(dsg, "dot"))
+    h.update(json.dumps(report(dsg).to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def digests(source: str) -> dict:
     """Policy name -> sha256 of the program's three outputs."""
     lp = load_program(source)
-    out = {}
-    for policy in POLICIES:
-        dsg = analyze(lp, policy)
-        h = hashlib.sha256()
-        h.update(export_dsg(dsg, "json"))
-        h.update(export_dsg(dsg, "dot"))
-        h.update(json.dumps(report(dsg).to_dict(), sort_keys=True).encode())
-        out[_policy_name(policy)] = h.hexdigest()
+    out = {_policy_name(policy): analysis_digest(analyze(lp, policy))
+           for policy in POLICIES}
     out["run " + " ".join(RUN_ARGV)] = _run_digest(source)
     return out
 

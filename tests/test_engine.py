@@ -1,16 +1,20 @@
 """State-graph engine: worklist fixpoint, closure maps, summaries, budgets."""
 
 import re
+from collections import deque
 
 import pytest
+
+import anfj.engine as engine_module
+import anfj.finite as finite_module
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
     ObjPtr, Policy, Pop, Push, next as abstract_next, state_key, store_join,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, _Engine, analyze, process_pop,
-    process_push, propagate, step, step_ipds, update_psf,
+    Budget, BudgetExceeded, IECG, Worklist, _Engine, analyze, process_pop,
+    process_push, propagate, step, step_ipds,
 )
 from anfj.gc import eagc
 from anfj.machine import Addr, Value
@@ -20,7 +24,8 @@ from anfj.syntax import (
 )
 
 from helpers import CHAINS, chain_sources, corpus_names, corpus_program
-from oracles import explore_configs, net_empty_pairs
+from oracles import explore_configs, least_psf, net_empty_pairs, update_psf
+from test_byte_identity import analysis_digest
 
 
 def nodes_at(dsg, pred):
@@ -149,6 +154,41 @@ def test_unbound_reads_are_unbound_at_the_fixpoint(name):
                 assert any(not dsg.node_store(q).get(Addr(var, q.fp))
                            for q in dsg.nodes if q.stmt.label == label), \
                     (policy, label, var)
+
+
+class FifoWorklist(Worklist):
+    """Arrival order: first in, first out."""
+
+    def __init__(self, causes):
+        super().__init__(causes)
+        self.line = deque()
+
+    def _put(self, s):
+        self.line.append(s)
+
+    def _take(self):
+        return self.line.popleft()
+
+
+class LifoWorklist(FifoWorklist):
+    """Latest arrival first: re-steps run before the nodes they feed
+    have been stepped at all."""
+
+    def _take(self):
+        return self.line.pop()
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_worklist_order_changes_no_output(name, monkeypatch):
+    # the result is the least fixpoint, whatever order reaches it
+    lp = _program(name)
+    want = [analysis_digest(analyze(lp, policy)) for policy in ALL_POLICIES]
+    for order in (FifoWorklist, LifoWorklist):
+        monkeypatch.setattr(engine_module, "Worklist", order)
+        monkeypatch.setattr(finite_module, "Worklist", order)
+        got = [analysis_digest(analyze(lp, policy))
+               for policy in ALL_POLICIES]
+        assert got == want, order.__name__
 
 
 def test_recursion_terminates_and_reuses_nodes():
@@ -295,6 +335,24 @@ def test_update_psf_examples():
     assert out >= {f, g}
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_psf_is_the_least_solution_of_its_spec(name):
+    # the deltas drain pushes add up to what re-unioning every
+    # predecessor's whole PSF would give, and to no more
+    lp = corpus_program(name)
+    for policy in ALL_POLICIES:
+        if policy.mode != "pushdown":
+            continue
+        dsg = analyze(lp, policy)
+        iecg = dsg.iecg
+        nodes = sorted(dsg.nodes, key=state_key)
+        for s in nodes:
+            assert iecg.psf[s] == update_psf(s, iecg.top_frames, iecg.psf,
+                                             iecg.nep, iecg.eps_pred)
+        assert iecg.psf == least_psf(nodes, iecg.top_frames, iecg.nep,
+                                     iecg.eps_pred)
+
+
 def test_process_push_reaches_epsilon_successors_and_is_idempotent():
     lp = corpus_program("var_chain")
     s1, s2, s3 = _states(lp, 3)
@@ -320,13 +378,17 @@ def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
     s1, s2 = _states(lp, 2)
     fp1 = FramePtr(1, ())
     iecg = IECG()
-    process_push(s1, HandlerFrame("E", "e", lp.stmt(1), fp1), s2, iecg)
-    assert iecg.dirty_psf == [(s2, False)]
-    process_push(s1, CallFrame("r", lp.stmt(1), fp1), s2, iecg)
-    assert iecg.dirty_psf[-1] == (s2, True)
-    process_push(s1, CallFrame("q", lp.stmt(2), fp1), s2, iecg)
-    assert iecg.dirty_psf[-1] == (s2, False)    # same pointer, same roots
+    h = HandlerFrame("E", "e", lp.stmt(1), fp1)
+    r = CallFrame("r", lp.stmt(1), fp1)
+    q = CallFrame("q", lp.stmt(2), fp1)
+    process_push(s1, h, s2, iecg)
+    assert iecg.dirty_psf == [(s2, [h], False)]
+    process_push(s1, r, s2, iecg)
+    assert iecg.dirty_psf[-1] == (s2, [r], True)
+    process_push(s1, q, s2, iecg)
+    assert iecg.dirty_psf[-1] == (s2, [q], False)    # same pointer, same roots
     assert iecg.psf_roots[s2] == {fp1}
+    assert iecg.psf[s2] == {h, r, q}
 
 
 def test_process_pop_empty_pfp_is_inert():
