@@ -96,8 +96,9 @@ class Worklist:
     re-step waits until the nodes feeding it have settled instead of
     running once per growth of each of them; this is a cheap stand-in
     for the weak topological order of Bourdoncle's chaotic iteration.
-    A node is queued at most once. causes counts, per cause, the pushes
-    that queued a node; a push without a cause counts for none."""
+    A node is queued at most once, and the order lives in _put and _take
+    alone. causes counts, per cause, the pushes that queued a node; a
+    push without a cause counts for none."""
 
     def __init__(self, causes):
         self.causes = dict.fromkeys(causes, 0)

@@ -25,7 +25,7 @@ from anfj.syntax import (
 
 from helpers import CHAINS, chain_sources, corpus_names, corpus_program
 from oracles import explore_configs, least_psf, net_empty_pairs, update_psf
-from test_byte_identity import analysis_digest
+from test_byte_identity import POLICIES, analysis_digest
 
 
 def nodes_at(dsg, pred):
@@ -123,11 +123,6 @@ def test_analysis_result_is_a_fixpoint(name, policy):
                 assert store_join(full2, sg2) is full2
 
 
-ALL_POLICIES = [Policy(k=k, gc=gc, mode=mode)
-                for k in (0, 1) for gc in (True, False)
-                for mode in ("pushdown", "finite")]
-
-
 def _program(name):
     if name in CHAINS:
         return load_program(chain_sources()[name])
@@ -140,7 +135,7 @@ def test_unbound_reads_are_unbound_at_the_fixpoint(name):
     # grown, must not survive: some node at the label still lacks the
     # binding in its final visible store
     lp = _program(name)
-    for policy in ALL_POLICIES:
+    for policy in POLICIES:
         dsg = analyze(lp, policy)
         reads = {}
         for label, reason in dsg.diagnostics:
@@ -171,8 +166,7 @@ class FifoWorklist(Worklist):
 
 
 class LifoWorklist(FifoWorklist):
-    """Latest arrival first: re-steps run before the nodes they feed
-    have been stepped at all."""
+    """Arrival order reversed: last in, first out."""
 
     def _take(self):
         return self.line.pop()
@@ -182,12 +176,12 @@ class LifoWorklist(FifoWorklist):
 def test_worklist_order_changes_no_output(name, monkeypatch):
     # the result is the least fixpoint, whatever order reaches it
     lp = _program(name)
-    want = [analysis_digest(analyze(lp, policy)) for policy in ALL_POLICIES]
+    want = [analysis_digest(analyze(lp, policy)) for policy in POLICIES]
     for order in (FifoWorklist, LifoWorklist):
         monkeypatch.setattr(engine_module, "Worklist", order)
         monkeypatch.setattr(finite_module, "Worklist", order)
         got = [analysis_digest(analyze(lp, policy))
-               for policy in ALL_POLICIES]
+               for policy in POLICIES]
         assert got == want, order.__name__
 
 
@@ -340,9 +334,7 @@ def test_psf_is_the_least_solution_of_its_spec(name):
     # the deltas drain pushes add up to what re-unioning every
     # predecessor's whole PSF would give, and to no more
     lp = corpus_program(name)
-    for policy in ALL_POLICIES:
-        if policy.mode != "pushdown":
-            continue
+    for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
         nodes = sorted(dsg.nodes, key=state_key)
