@@ -35,8 +35,9 @@ def _load(path: str):
 
 def parse_policy_spec(spec: str) -> Policy:
     """Parse a compact policy string: comma-separated tokens among
-    k=N, obj[=on|off], gc=on|off, liveness=on|off,
-    mode=pushdown|finite, store=per-node|global."""
+    k=N, obj[=on|off], gc=on|off, liveness=on|off, mode=pushdown|finite.
+    Omitted tokens take the Policy defaults; any other token is an
+    AnfjError."""
     kw = {}
     for raw in spec.split(","):
         token = raw.strip()
@@ -55,8 +56,6 @@ def parse_policy_spec(spec: str) -> Policy:
             kw[name] = _onoff(token, val)
         elif name == "mode":
             kw["mode"] = val
-        elif name == "store":
-            kw["store_mode"] = val
         else:
             raise AnfjError(f"unknown policy token {token!r}")
     try:
@@ -77,7 +76,7 @@ def _policy_from_flags(args) -> Policy:
     try:
         return Policy(k=args.k, obj_sensitivity=args.obj_sens,
                       gc=args.gc == "on", liveness=args.liveness == "on",
-                      mode=args.mode, store_mode=args.store_mode)
+                      mode=args.mode)
     except ValueError as err:
         raise AnfjError(str(err)) from err
 
@@ -206,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict GC roots to statically live variables")
     anp.add_argument("--mode", choices=("pushdown", "finite"),
                      default="pushdown")
-    anp.add_argument("--store-mode", dest="store_mode",
-                     choices=("per-node", "global"), default="per-node",
-                     help=argparse.SUPPRESS)
     anp.add_argument("--dot", metavar="PATH",
                      help="write the graph in DOT form to PATH")
     anp.add_argument("--json", metavar="PATH",

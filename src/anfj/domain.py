@@ -120,22 +120,24 @@ EPSILON = Epsilon()
 
 @dataclass(frozen=True)
 class Policy:
-    """Analysis configuration knobs."""
+    """Analysis configuration: k, the call-site context depth;
+    obj_sensitivity, which splits objects by their allocating receiver;
+    gc, abstract garbage collection of each node's store; liveness,
+    which restricts the collection's local roots to live variables; and
+    mode, the stack abstraction (pushdown or finite). Every node keeps
+    its own store."""
 
     k: int = 0
     obj_sensitivity: bool = False
     gc: bool = True
     liveness: bool = True
     mode: str = "pushdown"         # "pushdown" | "finite"
-    store_mode: str = "per-node"   # "per-node" | "global" (differential study)
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be nonnegative")
         if self.mode not in ("pushdown", "finite"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.store_mode not in ("per-node", "global"):
-            raise ValueError(f"unknown store_mode {self.store_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +166,12 @@ def store_join(a: dict, b: dict) -> dict:
     return a if out is None else out
 
 
-def store_leq(a: dict, b: dict) -> bool:
-    return all(addr in b and vals <= b[addr] for addr, vals in a.items())
-
-
 def store_extend(sigma: dict, addr: Addr, vals: frozenset) -> dict:
     """sigma with vals joined in at addr (weak update)."""
     out = dict(sigma)
     old = out.get(addr)
     out[addr] = vals if old is None else old | vals
     return out
-
-
-def store_restrict(sigma: dict, keep: set) -> dict:
-    return {addr: vals for addr, vals in sigma.items() if addr in keep}
 
 
 # ---------------------------------------------------------------------------

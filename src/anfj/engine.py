@@ -1,6 +1,14 @@
-"""Dyck state graph synthesis.
+"""Dyck state graph synthesis, on the fixpoint core both analyses share.
 
-The analysis explores abstract control states with a worklist, but the
+The core (_Engine) owns the worklist, the full and visible stores, the
+nodes and edges, the budgets and clock, the collection before each
+step, the fixpoint diagnostics and DSG.stats. A stack abstraction
+supplies four hooks: its step causes, step_node, the work after a step,
+and the collection with its own stack roots. _PushdownEngine below is
+the pushdown abstraction; finite._FiniteEngine is the finite-state
+baseline, which differs from it in stack handling alone.
+
+The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
 epsilon edges as they are discovered. The bookkeeping lives in six maps:
@@ -35,8 +43,8 @@ the node's live roots and stack summary at every dequeue; it is what
 stepping, export, and metrics see. With gc off the two layers are the
 same object.
 
-The worklist (Worklist, shared with the finite baseline) steps the
-queued node that was discovered first. Upstream nodes are mostly found
+The core's worklist (Worklist) steps the queued node that was
+discovered first. Upstream nodes are mostly found
 first, so a node is re-stepped once its feeders have settled rather
 than once per growth of each. The fixpoint, and so every output, does
 not depend on this order; only the step count does.
@@ -65,9 +73,6 @@ from .domain import (
 )
 from .gc import eagc
 from .syntax import LabeledProgram
-
-
-STEP_CAUSES = ("new_node", "store", "top_frames", "gc_roots")
 
 
 @dataclass
@@ -265,48 +270,24 @@ class DSG:
     full_stores: dict = field(default_factory=dict)
     iecg: IECG = field(default_factory=IECG)
     diagnostics: set = field(default_factory=set)
-    global_store: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     def node_store(self, q) -> dict:
-        if self.policy.store_mode == "global":
-            return self.global_store
         return self.node_stores.get(q, {})
 
 
-def step_ipds(lp, q, kappa, psf, sigma, policy, diags=None) -> list:
-    """Successor (action, state) pairs of q under top frame kappa, with
-    the store collected first when gc is on."""
-    return [(a, s) for a, s, _ in step(lp, q, kappa, psf, sigma, policy, diags)]
-
-
-def step(lp, q, kappa, psf, sigma, policy, diags=None) -> list:
-    """Successor (action, state, store) triples of q under top frame
-    kappa (None for the empty stack)."""
-    if policy.gc:
-        sigma = eagc(q, sigma, psf, lp, policy)
-    out = []
-    for q2, act, sg2 in abstract_next(lp, q, sigma, kappa, policy, diags):
-        out.append((act, q2, sg2))
-    return out
-
-
-def record_diagnostics(node_diags: dict, s, diags: list) -> None:
-    """Keep the (state, reason) diagnostics of s's latest step only,
-    dropping those of its earlier steps."""
-    if diags:
-        node_diags[s] = diags
-    else:
-        node_diags.pop(s, None)
-
-
-def fixpoint_diagnostics(node_diags: dict) -> set:
-    """The (label, reason) pairs of every node's last step."""
-    return {(q.stmt.label, reason)
-            for diags in node_diags.values() for q, reason in diags}
-
-
 class _Engine:
+    """The fixpoint core both analyses run on. A stack abstraction
+    subclasses it and supplies `causes`, its step causes beyond
+    new_node and store; `step_node(s, sigma, diags)`, which emits s's
+    successors under sigma, the visible store; `after_step()`, the work
+    a step leaves behind; and `collect(s, sigma)`, the collection with
+    the abstraction's own stack roots. Each module calls eagc,
+    abstract_next and store_join through its own globals, where the
+    traced benchmark (perfbench/layers.py) wraps them."""
+
+    causes: tuple = ()
+
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         self.lp = lp
         self.policy = policy
@@ -315,34 +296,26 @@ class _Engine:
         self.dsg = DSG(lp=lp, policy=policy, initial=q0)
         self.dsg.nodes.add(q0)
         self.dsg.node_stores[q0] = {}
-        self.iecg = self.dsg.iecg
-        self.iecg.top_frames[q0] = {BOTTOM}
-        self.iecg.psf[q0] = {BOTTOM}
-        self.work = Worklist(STEP_CAUSES)
+        self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
         self.node_diags: dict = {}     # node -> diagnostics of its last step
-        self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
-        self.pending_edges: deque = deque()
         self.t0 = _time.monotonic()
 
-    # -- bookkeeping ----------------------------------------------------
+    def step_node(self, s, sigma: dict, diags: list) -> None:
+        raise NotImplementedError
 
-    def full_store_of(self, s) -> dict:
-        if self.policy.store_mode == "global":
-            return self.dsg.global_store
-        return self.dsg.full_stores.get(s, {})
+    def after_step(self) -> None:
+        pass
+
+    def collect(self, s, sigma: dict) -> dict:
+        raise NotImplementedError
+
+    # -- bookkeeping ----------------------------------------------------
 
     def join_store(self, s, sigma2: dict) -> None:
         """Join into the monotone layer; only growth there re-enqueues
         (the collected view may shrink bindings a predecessor keeps
         re-delivering, which must not count as progress)."""
-        if self.policy.store_mode == "global":
-            joined = store_join(self.dsg.global_store, sigma2)
-            if joined is not self.dsg.global_store:
-                self.dsg.global_store = joined
-                for n in self.dsg.nodes:
-                    self.work.push(n, "store")
-            return
         old = self.dsg.full_stores.get(s, {})
         joined = store_join(old, sigma2)
         if joined is not old:
@@ -358,21 +331,20 @@ class _Engine:
             raise BudgetExceeded("nodes", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
         self.dsg.nodes.add(s)
-        if self.policy.store_mode != "global":
-            self.dsg.node_stores.setdefault(s, {})
-            self.dsg.full_stores.setdefault(s, {})
+        self.dsg.node_stores.setdefault(s, {})
+        self.dsg.full_stores.setdefault(s, {})
         self.work.push(s, "new_node")
 
-    def add_edge(self, s1, act, s2, dispatch: bool = True) -> None:
+    def add_edge(self, s1, act, s2) -> bool:
+        """Record the edge; True when it is new."""
         edge = (s1, act, s2)
         if edge in self.dsg.edges:
-            return
+            return False
         if len(self.dsg.edges) >= self.budget.max_edges:
             raise BudgetExceeded("edges", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
         self.dsg.edges.add(edge)
-        if dispatch:
-            self.pending_edges.append(edge)
+        return True
 
     def elapsed(self) -> float:
         return _time.monotonic() - self.t0
@@ -382,7 +354,69 @@ class _Engine:
             raise BudgetExceeded("time", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
 
-    # -- closure maintenance --------------------------------------------
+    # -- main loop -------------------------------------------------------
+
+    def run(self) -> DSG:
+        steps = 0
+        while self.work:
+            self.check_time()
+            s = self.work.pop()
+            steps += 1
+            sigma = self.dsg.full_stores.get(s, {})
+            if self.policy.gc:
+                sigma = self.dsg.node_stores[s] = self.collect(s, sigma)
+            diags: list = []
+            self.step_node(s, sigma, diags)
+            # keep the diagnostics of s's latest step only
+            if diags:
+                self.node_diags[s] = diags
+            else:
+                self.node_diags.pop(s, None)
+            self.after_step()
+        self.dsg.diagnostics = {
+            (q.stmt.label, reason)
+            for diags in self.node_diags.values() for q, reason in diags}
+        self.dsg.stats = {
+            "steps": steps,
+            "nodes": len(self.dsg.nodes),
+            "edges": len(self.dsg.edges),
+            "seconds": self.elapsed(),
+            "step_causes": dict(self.work.causes),
+        }
+        return self.dsg
+
+
+class _PushdownEngine(_Engine):
+    """The pushdown stack abstraction: top frames, stack summaries and
+    summary edges, kept in the IECG and closed by drain after each
+    step."""
+
+    causes = ("top_frames", "gc_roots")
+
+    def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
+        super().__init__(lp, policy, budget)
+        self.iecg = self.dsg.iecg
+        self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
+        self.iecg.psf[self.dsg.initial] = {BOTTOM}
+        self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
+        self.pending_edges: deque = deque()
+
+    def collect(self, s, sigma: dict) -> dict:
+        return eagc(s, sigma, self.iecg.psf.get(s, set()), self.lp,
+                    self.policy)
+
+    def step_node(self, s, sigma: dict, diags: list) -> None:
+        for kappa in sorted(self.iecg.tf(s), key=frame_key):
+            top = None if kappa is BOTTOM else kappa
+            for q2, act, sg2 in abstract_next(self.lp, s, sigma, top,
+                                              self.policy, diags):
+                self.add_node(q2)
+                self.join_store(q2, sg2)
+                if self.add_edge(s, act, q2):
+                    self.pending_edges.append((s, act, q2))
+
+    def after_step(self) -> None:
+        self.drain()
 
     def drain(self) -> None:
         """Dispatch pending edges into the closure maps and chase every
@@ -402,7 +436,7 @@ class _Engine:
                     key = (s1, act.frame)
                     self.pop_targets.setdefault(key, set()).add(s2)
                     for w, dst in process_pop(s1, act.frame, s2, iecg):
-                        self.add_edge(w, EPSILON, dst, dispatch=False)
+                        self.add_edge(w, EPSILON, dst)
                 continue
             if iecg.dirty_pfp:
                 s, f, w = iecg.dirty_pfp.pop()
@@ -410,9 +444,7 @@ class _Engine:
                 # yields summaries the pop itself could not have known
                 for dst in sorted(self.pop_targets.get((s, f), ()),
                                   key=state_key):
-                    edge = (w, EPSILON, dst)
-                    if edge not in self.dsg.edges:
-                        self.add_edge(w, EPSILON, dst, dispatch=False)
+                    if self.add_edge(w, EPSILON, dst):
                         propagate(w, dst, iecg)
                 continue
             if iecg.dirty_tf:
@@ -427,52 +459,13 @@ class _Engine:
                 continue
             return
 
-    # -- main loop -------------------------------------------------------
-
-    def run(self) -> DSG:
-        lp, policy = self.lp, self.policy
-        steps = 0
-        while self.work:
-            self.check_time()
-            s = self.work.pop()
-            steps += 1
-            sigma = self.full_store_of(s)
-            psf = self.iecg.psf.get(s, set())
-            if policy.gc:
-                sigma = eagc(s, sigma, psf, lp, policy)
-                if policy.store_mode != "global":
-                    self.dsg.node_stores[s] = sigma
-            diags: list = []
-            for kappa in sorted(self.iecg.tf(s), key=frame_key):
-                top = None if kappa is BOTTOM else kappa
-                for q2, act, sg2 in abstract_next(lp, s, sigma, top,
-                                                  policy, diags):
-                    self.add_node(q2)
-                    self.join_store(q2, sg2)
-                    self.add_edge(s, act, q2)
-            record_diagnostics(self.node_diags, s, diags)
-            self.drain()
-        self.dsg.diagnostics = fixpoint_diagnostics(self.node_diags)
-        self.dsg.stats = {
-            "steps": steps,
-            "nodes": len(self.dsg.nodes),
-            "edges": len(self.dsg.edges),
-            "seconds": self.elapsed(),
-            "step_causes": dict(self.work.causes),
-        }
-        if policy.store_mode == "global":
-            for n in self.dsg.nodes:
-                self.dsg.node_stores[n] = self.dsg.global_store
-        return self.dsg
-
 
 def analyze(lp: LabeledProgram, policy: Policy | None = None,
             budget: Budget | None = None) -> DSG:
     """Run the full analysis and return the final graph."""
     if policy is None:
         policy = Policy()
+    engine = _PushdownEngine
     if policy.mode == "finite":
-        from .finite import analyze_finite
-        return analyze_finite(lp, policy, budget or Budget())
-    eng = _Engine(lp, policy, budget or Budget())
-    return eng.run()
+        from .finite import _FiniteEngine as engine
+    return engine(lp, policy, budget or Budget()).run()

@@ -3,8 +3,9 @@
 Both formats are deterministic: nodes are sorted by (label, frame
 pointer, time), edges by (source, action, destination), store entries
 by address then value. Exporting the same graph twice yields identical
-bytes. The JSON form round-trips through dsg_from_json given the same
-program; the internal worklist bookkeeping is not serialized.
+bytes. The internal worklist bookkeeping is not serialized. This module
+only writes; the reader, which rebuilds a graph from the JSON form given
+the same program, is a specification in the tests (tests/oracles.py).
 
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from
@@ -25,13 +26,12 @@ from __future__ import annotations
 import json
 
 from .domain import (
-    CallFrame, ControlState, Epsilon, EPSILON, FramePtr, HandlerFrame,
+    CallFrame, ControlState, Epsilon, FramePtr, HandlerFrame,
     ObjPtr, Policy, Pop, Push, action_key, addr_key, frame_key, state_key,
     sorted_values,
 )
 from .engine import DSG
 from .machine import Addr, Value
-from .syntax import LabeledProgram
 
 FORMAT_NAME = "anfj-dsg"
 FORMAT_VERSION = 1
@@ -47,34 +47,12 @@ def ptr_to_json(ptr):
     raise TypeError(f"not a pointer: {ptr!r}")
 
 
-def ptr_from_json(data):
-    tag = data[0]
-    if tag == "fp":
-        return FramePtr(data[1], tuple(data[2]))
-    if tag == "op":
-        return ObjPtr(data[1], tuple(data[2]), data[3])
-    raise ValueError(f"unknown pointer tag {tag!r}")
-
-
 def value_to_json(v: Value):
     return [v.class_name, ptr_to_json(v.op)]
 
 
-def value_from_json(data) -> Value:
-    return Value(data[0], ptr_from_json(data[1]))
-
-
 def addr_to_json(a: Addr):
     return [a.base, ptr_to_json(a.ptr)]
-
-
-def addr_from_json(data) -> Addr:
-    return Addr(data[0], ptr_from_json(data[1]))
-
-
-def store_from_json(data) -> dict:
-    return {addr_from_json(a): frozenset(value_from_json(v) for v in vals)
-            for a, vals in data}
 
 
 def frame_to_json(f):
@@ -84,16 +62,6 @@ def frame_to_json(f):
         return ["handle", f.class_name, f.var, f.target.label,
                 ptr_to_json(f.fp)]
     raise TypeError(f"not a frame: {f!r}")
-
-
-def frame_from_json(lp: LabeledProgram, data):
-    tag = data[0]
-    if tag == "call":
-        return CallFrame(data[1], lp.stmt(data[2]), ptr_from_json(data[3]))
-    if tag == "handle":
-        return HandlerFrame(data[1], data[2], lp.stmt(data[3]),
-                            ptr_from_json(data[4]))
-    raise ValueError(f"unknown frame tag {tag!r}")
 
 
 def action_to_json(act):
@@ -106,27 +74,10 @@ def action_to_json(act):
     raise TypeError(f"not a stack action: {act!r}")
 
 
-def action_from_json(lp: LabeledProgram, data):
-    tag = data[0]
-    if tag == "eps":
-        return EPSILON
-    if tag == "push":
-        return Push(frame_from_json(lp, data[1]))
-    if tag == "pop":
-        return Pop(frame_from_json(lp, data[1]))
-    raise ValueError(f"unknown action tag {tag!r}")
-
-
 def policy_to_json(p: Policy) -> dict:
     return {"k": p.k, "objSensitivity": p.obj_sensitivity, "gc": p.gc,
             "liveness": p.liveness, "mode": p.mode,
-            "storeMode": p.store_mode}
-
-
-def policy_from_json(data) -> Policy:
-    return Policy(k=data["k"], obj_sensitivity=data["objSensitivity"],
-                  gc=data["gc"], liveness=data["liveness"],
-                  mode=data["mode"], store_mode=data["storeMode"])
+            "storeMode": "per-node"}   # constant: every node has its own store
 
 
 # -- whole graphs -------------------------------------------------------------
@@ -134,6 +85,7 @@ def policy_from_json(data) -> Policy:
 # json.dumps(data, sort_keys=True, separators=(",", ":")) without
 # building a new encoder on every call
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 
 def _object(members: dict) -> str:
@@ -147,6 +99,7 @@ def _object(members: dict) -> str:
     pieces[0] = "{"
     pieces.append("}")
     return "".join(pieces)
+
 
 
 def _store_renderer(stores: list):
@@ -173,25 +126,20 @@ def _store_renderer(stores: list):
     return render
 
 
+
 def dsg_to_json(dsg: DSG) -> str:
     """The graph as canonical JSON text (no trailing newline), stable
     under re-export."""
     nodes = sorted(dsg.nodes, key=state_key)
     ids = {q: i for i, q in enumerate(nodes)}
-    per_node = dsg.policy.store_mode != "global"
-    if per_node:
-        stores = [dsg.node_stores.get(q, {}) for q in nodes]
-    else:
-        stores = [dsg.global_store]
+    stores = [dsg.node_stores.get(q, {}) for q in nodes]
     render_store = _store_renderer(stores)
 
     def node_text(i: int, q: ControlState) -> str:
-        members = {"fp": _dumps(ptr_to_json(q.fp)), "id": str(i),
-                   "label": _dumps(q.stmt.label),
-                   "time": _dumps(list(q.time))}
-        if per_node:
-            members["store"] = render_store(stores[i])
-        return _object(members)
+        return _object({"fp": _dumps(ptr_to_json(q.fp)), "id": str(i),
+                        "label": _dumps(q.stmt.label),
+                        "store": render_store(stores[i]),
+                        "time": _dumps(list(q.time))})
 
     edges = sorted(dsg.edges,
                    key=lambda e: (ids[e[0]], action_key(e[1]), ids[e[2]]))
@@ -207,35 +155,7 @@ def dsg_to_json(dsg: DSG) -> str:
         "diagnostics": _dumps(sorted([lbl, reason]
                                      for lbl, reason in dsg.diagnostics)),
     }
-    if not per_node:
-        out["globalStore"] = render_store(dsg.global_store)
     return _object(out)
-
-
-def dsg_from_json(lp: LabeledProgram, data) -> DSG:
-    """Rebuild the structural graph (nodes, edges, stores, diagnostics)
-    from exported JSON. Worklist internals start empty."""
-    if data.get("format") != FORMAT_NAME:
-        raise ValueError("not a state-graph document")
-    policy = policy_from_json(data["policy"])
-    states = {}
-    stores = {}
-    for obj in data["nodes"]:
-        q = ControlState(lp.stmt(obj["label"]),
-                         ptr_from_json(obj["fp"]), tuple(obj["time"]))
-        states[obj["id"]] = q
-        if "store" in obj:
-            stores[q] = store_from_json(obj["store"])
-    dsg = DSG(lp=lp, policy=policy, initial=states[data["initial"]])
-    dsg.nodes = set(states.values())
-    dsg.edges = {(states[i], action_from_json(lp, act), states[j])
-                 for i, act, j in data["edges"]}
-    dsg.node_stores = stores
-    dsg.diagnostics = {(lbl, reason)
-                       for lbl, reason in data.get("diagnostics", ())}
-    if "globalStore" in data:
-        dsg.global_store = store_from_json(data["globalStore"])
-    return dsg
 
 
 def _ptr_label(ptr) -> str:
@@ -247,10 +167,12 @@ def _ptr_label(ptr) -> str:
     return f"op({ptr.site};{t}{recv})"
 
 
+
 def _frame_label(f) -> str:
     if isinstance(f, CallFrame):
         return f"call {f.var}<-L{f.target.label} {_ptr_label(f.fp)}"
     return f"handle {f.class_name} {f.var}->L{f.target.label} {_ptr_label(f.fp)}"
+
 
 
 def dsg_to_dot(dsg: DSG) -> str:
@@ -274,6 +196,7 @@ def dsg_to_dot(dsg: DSG) -> str:
         lines.append(f"  n{ids[s1]} -> n{ids[s2]} [{attr}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
 
 
 def export_dsg(dsg: DSG, format: str = "json") -> bytes:

@@ -11,32 +11,24 @@ no popping - so a handler stays visible to the rest of its method after
 its try completes, and to every callee forever. That conflation is the
 point of the baseline: it is what a pushdown stack removes.
 
-All edges are epsilon. Everything else (stores, weak updates, context
-policy, gc) matches the pushdown engine, including its worklist, which
-steps the queued node discovered first. DSG.stats["step_causes"] says
-why each step was scheduled: a new node, store growth or growth of a
-table level the node consulted. As there, diagnostics are those of
-each node's last step, which saw its final store and table levels, so
-no output depends on the step order.
+This module is only that stack abstraction on the engine's fixpoint
+core (engine._Engine): the table, its step rules, and the collection
+whose stack roots are the call records. The worklist, stores, budgets,
+diagnostics and stats are the pushdown engine's own. All edges are
+epsilon; a step after growth of a table level the node
+consulted has the cause "table".
 """
 
 from __future__ import annotations
 
-import time as _time
-
 from .domain import (
-    BOTTOM, CallFrame, ControlState, EPSILON, HandlerFrame, Policy,
-    Push, fp_key, frame_key, inject_abstract, next as abstract_next,
-    store_join, tick,
+    BOTTOM, CallFrame, ControlState, EPSILON, HandlerFrame, Push, fp_key,
+    frame_key, next as abstract_next, store_join, tick,
 )
-from .engine import (
-    DSG, BudgetExceeded, Worklist, fixpoint_diagnostics, record_diagnostics,
-)
+from .engine import _Engine
 from .gc import eagc
 from .machine import Addr
 from .syntax import LabeledProgram, PopHandler, Return, Stmt, Throw
-
-STEP_CAUSES = ("new_node", "store", "table")
 
 
 def _level(lp: LabeledProgram, stmt: Stmt, fp):
@@ -55,68 +47,14 @@ def _level_key(level):
     return (owner, name, fp_key(fp))
 
 
-class _FiniteEngine:
-    def __init__(self, lp: LabeledProgram, policy: Policy, budget):
-        self.lp = lp
-        self.policy = policy
-        self.budget = budget
-        q0 = inject_abstract(lp)
-        self.dsg = DSG(lp=lp, policy=policy, initial=q0)
-        self.dsg.nodes.add(q0)
-        self.dsg.node_stores[q0] = {}
+class _FiniteEngine(_Engine):
+    causes = ("table",)
+
+    def __init__(self, lp, policy, budget):
+        super().__init__(lp, policy, budget)
+        q0 = self.dsg.initial
         self.table: dict = {_level(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.table_deps: dict = {}     # level -> nodes that consulted it
-        self.work = Worklist(STEP_CAUSES)
-        self.work.push(q0)
-        self.node_diags: dict = {}     # node -> diagnostics of its last step
-        self.t0 = _time.monotonic()
-
-    # -- bookkeeping ----------------------------------------------------
-
-    def elapsed(self):
-        return _time.monotonic() - self.t0
-
-    def full_store_of(self, s):
-        if self.policy.store_mode == "global":
-            return self.dsg.global_store
-        return self.dsg.full_stores.get(s, {})
-
-    def join_store(self, s, sigma2):
-        if self.policy.store_mode == "global":
-            joined = store_join(self.dsg.global_store, sigma2)
-            if joined is not self.dsg.global_store:
-                self.dsg.global_store = joined
-                for n in self.dsg.nodes:
-                    self.work.push(n, "store")
-            return
-        old = self.dsg.full_stores.get(s, {})
-        joined = store_join(old, sigma2)
-        if joined is not old:
-            self.dsg.full_stores[s] = joined
-            if not self.policy.gc:
-                self.dsg.node_stores[s] = joined
-            self.work.push(s, "store")
-
-    def add_node(self, s):
-        if s in self.dsg.nodes:
-            return
-        if len(self.dsg.nodes) >= self.budget.max_nodes:
-            raise BudgetExceeded("nodes", len(self.dsg.nodes),
-                                 len(self.dsg.edges), self.elapsed())
-        self.dsg.nodes.add(s)
-        if self.policy.store_mode != "global":
-            self.dsg.node_stores.setdefault(s, {})
-            self.dsg.full_stores.setdefault(s, {})
-        self.work.push(s, "new_node")
-
-    def add_edge(self, s1, s2):
-        edge = (s1, EPSILON, s2)
-        if edge in self.dsg.edges:
-            return
-        if len(self.dsg.edges) >= self.budget.max_edges:
-            raise BudgetExceeded("edges", len(self.dsg.nodes),
-                                 len(self.dsg.edges), self.elapsed())
-        self.dsg.edges.add(edge)
 
     def record(self, level, entry):
         """Table write; growth wakes every node that ever read the level
@@ -159,37 +97,8 @@ class _FiniteEngine:
                     frames.add(e)
         return frames
 
-    # -- main loop --------------------------------------------------------
-
-    def run(self):
-        lp, policy = self.lp, self.policy
-        steps = 0
-        while self.work:
-            if self.elapsed() > self.budget.max_seconds:
-                raise BudgetExceeded("time", len(self.dsg.nodes),
-                                     len(self.dsg.edges), self.elapsed())
-            q = self.work.pop()
-            steps += 1
-            sigma = self.full_store_of(q)
-            if policy.gc:
-                sigma = eagc(q, sigma, self.gc_frames(q), lp, policy)
-                if policy.store_mode != "global":
-                    self.dsg.node_stores[q] = sigma
-            diags: list = []
-            self.step_node(q, sigma, diags)
-            record_diagnostics(self.node_diags, q, diags)
-        self.dsg.diagnostics = fixpoint_diagnostics(self.node_diags)
-        self.dsg.stats = {
-            "steps": steps,
-            "nodes": len(self.dsg.nodes),
-            "edges": len(self.dsg.edges),
-            "seconds": self.elapsed(),
-            "step_causes": dict(self.work.causes),
-        }
-        if policy.store_mode == "global":
-            for n in self.dsg.nodes:
-                self.dsg.node_stores[n] = self.dsg.global_store
-        return self.dsg
+    def collect(self, q, sigma):
+        return eagc(q, sigma, self.gc_frames(q), self.lp, self.policy)
 
     def step_node(self, q, sigma, diags):
         """Emit q's successors; (state, reason) diagnostics go to diags."""
@@ -250,8 +159,4 @@ class _FiniteEngine:
     def emit(self, q, q2, sg2):
         self.add_node(q2)
         self.join_store(q2, sg2)
-        self.add_edge(q, q2)
-
-
-def analyze_finite(lp: LabeledProgram, policy: Policy, budget) -> DSG:
-    return _FiniteEngine(lp, policy, budget).run()
+        self.add_edge(q, EPSILON, q2)

@@ -10,9 +10,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from anfj.domain import (
-    BOTTOM, Policy, Pop, Push, frame_key, inject_abstract,
-    next as abstract_next, state_key, store_join,
+    BOTTOM, EPSILON, CallFrame, ControlState, FramePtr, HandlerFrame, ObjPtr,
+    Policy, Pop, Push, frame_key, inject_abstract, next as abstract_next,
+    state_key, store_join,
 )
+from anfj.engine import DSG
+from anfj.export import FORMAT_NAME
+from anfj.machine import Addr, Value
 
 
 def _cfg_key(cfg):
@@ -172,3 +176,85 @@ def brute_reachable_addrs(sigma: dict, roots) -> set:
                     seen.add(cand)
                     frontier.append(cand)
     return seen
+
+
+def store_leq(a: dict, b: dict) -> bool:
+    """a is below b in the store order: every binding of a is in b."""
+    return all(addr in b and vals <= b[addr] for addr, vals in a.items())
+
+
+# -- the JSON export's reader ---------------------------------------------------
+#
+# The specification of anfj.export's JSON form: rebuilding a graph from
+# it and exporting that again must give the same bytes.
+
+def ptr_from_json(data):
+    tag = data[0]
+    if tag == "fp":
+        return FramePtr(data[1], tuple(data[2]))
+    if tag == "op":
+        return ObjPtr(data[1], tuple(data[2]), data[3])
+    raise ValueError(f"unknown pointer tag {tag!r}")
+
+
+def value_from_json(data) -> Value:
+    return Value(data[0], ptr_from_json(data[1]))
+
+
+def addr_from_json(data) -> Addr:
+    return Addr(data[0], ptr_from_json(data[1]))
+
+
+def store_from_json(data) -> dict:
+    return {addr_from_json(a): frozenset(value_from_json(v) for v in vals)
+            for a, vals in data}
+
+
+def frame_from_json(lp, data):
+    tag = data[0]
+    if tag == "call":
+        return CallFrame(data[1], lp.stmt(data[2]), ptr_from_json(data[3]))
+    if tag == "handle":
+        return HandlerFrame(data[1], data[2], lp.stmt(data[3]),
+                            ptr_from_json(data[4]))
+    raise ValueError(f"unknown frame tag {tag!r}")
+
+
+def action_from_json(lp, data):
+    tag = data[0]
+    if tag == "eps":
+        return EPSILON
+    if tag == "push":
+        return Push(frame_from_json(lp, data[1]))
+    if tag == "pop":
+        return Pop(frame_from_json(lp, data[1]))
+    raise ValueError(f"unknown action tag {tag!r}")
+
+
+def policy_from_json(data) -> Policy:
+    return Policy(k=data["k"], obj_sensitivity=data["objSensitivity"],
+                  gc=data["gc"], liveness=data["liveness"],
+                  mode=data["mode"])
+
+
+def dsg_from_json(lp, data) -> DSG:
+    """Rebuild the structural graph (nodes, edges, stores, diagnostics)
+    from exported JSON. Worklist internals start empty."""
+    if data.get("format") != FORMAT_NAME:
+        raise ValueError("not a state-graph document")
+    policy = policy_from_json(data["policy"])
+    states = {}
+    stores = {}
+    for obj in data["nodes"]:
+        q = ControlState(lp.stmt(obj["label"]),
+                         ptr_from_json(obj["fp"]), tuple(obj["time"]))
+        states[obj["id"]] = q
+        stores[q] = store_from_json(obj["store"])
+    dsg = DSG(lp=lp, policy=policy, initial=states[data["initial"]])
+    dsg.nodes = set(states.values())
+    dsg.edges = {(states[i], action_from_json(lp, act), states[j])
+                 for i, act, j in data["edges"]}
+    dsg.node_stores = stores
+    dsg.diagnostics = {(lbl, reason)
+                       for lbl, reason in data.get("diagnostics", ())}
+    return dsg

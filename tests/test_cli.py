@@ -25,9 +25,9 @@ MUTUAL = str(CORPUS_DIR / "mutual_recursion.anfj")
 def test_policy_spec_defaults_and_full_form():
     assert parse_policy_spec("") == Policy()
     assert parse_policy_spec(
-        "k=2,obj,gc=off,liveness=off,mode=finite,store=global") == Policy(
+        "k=2,obj,gc=off,liveness=off,mode=finite") == Policy(
             k=2, obj_sensitivity=True, gc=False, liveness=False,
-            mode="finite", store_mode="global")
+            mode="finite")
     assert parse_policy_spec("obj=off").obj_sensitivity is False
     assert parse_policy_spec(" k=1 , gc=on ").k == 1
 
@@ -117,13 +117,15 @@ def test_analyze_writes_graph_files(tmp_path, capsys):
 def test_analyze_accepts_every_knob(tmp_path, capsys):
     blob = tmp_path / "g.json"
     assert main(["analyze", MINIMAL, "--k", "2", "--obj-sens",
-                 "--gc", "off", "--liveness", "off",
-                 "--store-mode", "global", "--json", str(blob)]) == 0
+                 "--gc", "off", "--liveness", "off", "--mode", "finite",
+                 "--json", str(blob)]) == 0
     capsys.readouterr()
     doc = json.loads(blob.read_bytes())
+    assert doc["policy"]["k"] == 2
     assert doc["policy"]["objSensitivity"] is True
     assert doc["policy"]["gc"] is False
-    assert "globalStore" in doc
+    assert doc["policy"]["liveness"] is False
+    assert doc["policy"]["mode"] == "finite"
 
 
 # -- compare ---------------------------------------------------------------------
@@ -171,6 +173,11 @@ def test_parse_error_is_input_error(tmp_path, capsys):
 def test_bad_policy_spec_is_input_error(capsys):
     assert main(["compare", MINIMAL, "--a", "z=1", "--b", "k=0"]) == 1
     assert "policy token" in capsys.readouterr().err
+
+
+def test_store_policy_token_is_input_error(capsys):
+    assert main(["compare", MINIMAL, "--a", "store=global", "--b", "k=0"]) == 1
+    assert "unknown policy token 'store=global'" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys):

@@ -9,8 +9,7 @@ import pytest
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
     ObjPtr, Policy, Pop, Push, decide_stack_action, inject_abstract,
-    next as abstract_next, state_key, store_extend, store_join, store_leq,
-    store_restrict, tick, alloc,
+    next as abstract_next, state_key, store_extend, store_join, tick, alloc,
 )
 from anfj.engine import analyze
 from anfj.machine import Addr, Value
@@ -20,7 +19,7 @@ from anfj.syntax import (
 )
 
 from helpers import corpus_program
-from oracles import explore_configs
+from oracles import explore_configs, store_leq
 
 
 def find_assign(lp, var, exp_type):
@@ -103,8 +102,6 @@ def test_policy_validation():
         Policy(k=-1)
     with pytest.raises(ValueError):
         Policy(mode="concolic")
-    with pytest.raises(ValueError):
-        Policy(store_mode="sharded")
 
 
 def _random_store(rng, n_addrs=6):
@@ -168,14 +165,6 @@ def test_store_extend_is_weak():
     out = store_extend(sigma, Addr("x", fp), frozenset((v2,)))
     assert out[Addr("x", fp)] == frozenset((v1, v2))
     assert sigma[Addr("x", fp)] == frozenset((v1,))  # input untouched
-
-
-def test_store_restrict_keeps_only_named():
-    rng = random.Random(5)
-    sigma = _random_store(rng)
-    keep = set(list(sigma)[:2])
-    out = store_restrict(sigma, keep)
-    assert set(out) == keep and store_leq(out, sigma)
 
 
 # -- decide_stack_action --------------------------------------------------------

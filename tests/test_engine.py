@@ -6,15 +6,14 @@ from collections import deque
 import pytest
 
 import anfj.engine as engine_module
-import anfj.finite as finite_module
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
     ObjPtr, Policy, Pop, Push, next as abstract_next, state_key, store_join,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, Worklist, _Engine, analyze, process_pop,
-    process_push, propagate, step, step_ipds,
+    Budget, BudgetExceeded, IECG, Worklist, _PushdownEngine, analyze,
+    process_pop, process_push, propagate,
 )
 from anfj.gc import eagc
 from anfj.machine import Addr, Value
@@ -174,12 +173,12 @@ class LifoWorklist(FifoWorklist):
 
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
 def test_worklist_order_changes_no_output(name, monkeypatch):
-    # the result is the least fixpoint, whatever order reaches it
+    # the result is the least fixpoint, whatever order reaches it; the
+    # one core builds the worklist of both modes, and POLICIES has both
     lp = _program(name)
     want = [analysis_digest(analyze(lp, policy)) for policy in POLICIES]
     for order in (FifoWorklist, LifoWorklist):
         monkeypatch.setattr(engine_module, "Worklist", order)
-        monkeypatch.setattr(finite_module, "Worklist", order)
         got = [analysis_digest(analyze(lp, policy))
                for policy in POLICIES]
         assert got == want, order.__name__
@@ -198,20 +197,10 @@ def test_recursion_terminates_and_reuses_nodes():
             "recursive call should push into an existing entry node"
 
 
-# -- step / step_ipds -------------------------------------------------------------
-
-def test_step_pairs_every_successor_with_a_store():
-    lp = corpus_program("throw_across_call")
-    dsg = analyze(lp, Policy(gc=False))
-    for q in sorted(dsg.nodes, key=str):
-        sigma = dsg.node_store(q)
-        psf = dsg.iecg.psf.get(q, set())
-        for kappa in dsg.iecg.tf(q):
-            top = None if kappa is BOTTOM else kappa
-            triples = step(lp, q, top, psf, sigma, Policy(gc=False))
-            pairs = step_ipds(lp, q, top, psf, sigma, Policy(gc=False))
-            assert [(a, s) for a, s, _ in triples] == pairs
-
+# -- one step ----------------------------------------------------------------------
+#
+# A step collects the node's store when gc is on (eagc) and applies the
+# transition rules (abstract_next) under each top frame.
 
 def test_step_dead_configuration_has_no_successors():
     lp = corpus_program("var_chain")
@@ -219,7 +208,9 @@ def test_step_dead_configuration_has_no_successors():
              if isinstance(lp.stmt(l), Assign)
              and isinstance(lp.stmt(l).exp, VarRef))
     q = ControlState(s, FP0A, ())
-    assert step(lp, q, None, set(), {}, Policy()) == []
+    policy = Policy()
+    sigma = eagc(q, {}, set(), lp, policy)
+    assert abstract_next(lp, q, sigma, None, policy) == []
 
 
 def test_step_throw_over_two_classes_yields_two_records():
@@ -231,24 +222,12 @@ def test_step_throw_over_two_classes_yields_two_records():
     sigma = {Addr(s.var, FP0A): frozenset((hit, miss))}
     q = ControlState(s, FP0A, ())
     frame = HandlerFrame("Boom", "x", lp.stmt(1), FP0A)
-    records = step_ipds(lp, q, frame, {frame}, sigma, Policy(gc=False))
+    records = [(act, q2) for q2, act, _ in
+               abstract_next(lp, q, sigma, frame, Policy(gc=False))]
     assert len(set(records)) == 2
 
 
-def test_step_ipds_gc_off_is_next_plus_classification():
-    lp = corpus_program("dispatch")
-    dsg = analyze(lp, Policy(gc=False))
-    for q in sorted(dsg.nodes, key=str):
-        sigma = dsg.node_store(q)
-        for kappa in dsg.iecg.tf(q):
-            top = None if kappa is BOTTOM else kappa
-            got = step_ipds(lp, q, top, set(), sigma, Policy(gc=False))
-            want = [(a, s) for s, a, _ in
-                    abstract_next(lp, q, sigma, top, Policy(gc=False))]
-            assert got == want
-
-
-def test_step_ipds_gc_on_steps_the_collected_store():
+def test_step_gc_on_steps_the_collected_store():
     # the dead wrapper binding must not leak into callee-entry stores
     lp = corpus_program("dead_before_call")
     call = next(lp.stmt(l) for l in lp.all_labels()
@@ -261,21 +240,31 @@ def test_step_ipds_gc_on_steps_the_collected_store():
     assert b_addr in sigma
 
     def callee_stores(policy):
-        return [sg2 for _, _, sg2 in step(lp, q, None, set(), sigma, policy)]
+        use = eagc(q, sigma, set(), lp, policy) if policy.gc else sigma
+        return [sg2 for _, _, sg2 in abstract_next(lp, q, use, None, policy)]
 
     with_gc = callee_stores(Policy(gc=True))
     without = callee_stores(Policy(gc=False))
     assert with_gc and without
     assert all(b_addr not in sg for sg in with_gc)
     assert all(b_addr in sg for sg in without)
+    # and the engine's step collects before it applies the rules
+    dsg_on = analyze(lp, Policy())
+    q_on = the_node(dsg_on, lambda s: s is call)
+    entries = [q2 for q1, act, q2 in dsg_on.edges
+               if q1 == q_on and isinstance(act, Push)]
+    assert entries
+    assert all(b_addr not in dsg_on.full_stores[e] for e in entries)
 
 
-def test_step_ipds_try_pushes_one_handler_frame():
+def test_step_try_pushes_one_handler_frame():
     lp = corpus_program("try_complete")
     s = next(lp.stmt(l) for l in lp.all_labels()
              if isinstance(lp.stmt(l), TryCatch))
     q = ControlState(s, FP0A, ())
-    [(act, q2)] = step_ipds(lp, q, None, set(), {}, Policy())
+    policy = Policy()
+    sigma = eagc(q, {}, set(), lp, policy)
+    [(q2, act, _)] = abstract_next(lp, q, sigma, None, policy)
     assert isinstance(act, Push) and isinstance(act.frame, HandlerFrame)
     assert q2.stmt is s.body[0]
 
@@ -500,31 +489,34 @@ def test_every_step_has_one_cause(name, mode, gc):
 
 # -- budget ---------------------------------------------------------------------
 
-def test_budget_nodes_exceeded():
-    lp = corpus_program("receiver_split")
+MODES = ("pushdown", "finite")
+
+
+def _exceeds(budget: Budget, mode: str) -> str:
     with pytest.raises(BudgetExceeded) as exc:
-        analyze(lp, Policy(), Budget(max_nodes=2))
-    assert exc.value.what == "nodes"
+        analyze(corpus_program("receiver_split"), Policy(mode=mode), budget)
+    return exc.value.what
+
+
+def test_budget_nodes_exceeded():
+    for mode in MODES:
+        assert _exceeds(Budget(max_nodes=2), mode) == "nodes", mode
 
 
 def test_budget_edges_exceeded():
-    lp = corpus_program("receiver_split")
-    with pytest.raises(BudgetExceeded) as exc:
-        analyze(lp, Policy(), Budget(max_edges=1))
-    assert exc.value.what == "edges"
+    for mode in MODES:
+        assert _exceeds(Budget(max_edges=1), mode) == "edges", mode
 
 
 def test_budget_time_exceeded():
-    lp = corpus_program("receiver_split")
-    with pytest.raises(BudgetExceeded) as exc:
-        analyze(lp, Policy(), Budget(max_seconds=-1.0))
-    assert exc.value.what == "time"
+    for mode in MODES:
+        assert _exceeds(Budget(max_seconds=-1.0), mode) == "time", mode
 
 
 def test_budget_time_checked_inside_drain():
     # edges wait for the closure maps, but the budget is already spent
-    eng = _Engine(corpus_program("receiver_split"), Policy(),
-                  Budget(max_seconds=-1.0))
+    eng = _PushdownEngine(corpus_program("receiver_split"), Policy(),
+                          Budget(max_seconds=-1.0))
     q0 = eng.dsg.initial
     eng.pending_edges.append((q0, EPSILON, q0))
     with pytest.raises(BudgetExceeded) as exc:

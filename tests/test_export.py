@@ -7,13 +7,13 @@ import pytest
 
 from anfj.domain import EPSILON, FramePtr, ObjPtr, Policy
 from anfj.engine import analyze
-from anfj.export import (
-    action_from_json, dsg_from_json, dsg_to_dot, export_dsg, frame_from_json,
-    ptr_from_json, ptr_to_json,
-)
+from anfj.export import dsg_to_dot, export_dsg, ptr_to_json
 from anfj.syntax import TryCatch, load_program
 
 from helpers import corpus_names, corpus_program
+from oracles import (
+    action_from_json, dsg_from_json, frame_from_json, ptr_from_json,
+)
 
 SINGLE_NODE = """
 // the graph cannot leave the entry statement: x is never bound
@@ -90,8 +90,7 @@ def test_json_export_is_canonical_json(name):
     # the export is spliced from fragments; it must still be exactly
     # what one json.dumps of the whole document gives
     lp = corpus_program(name)
-    for policy in (Policy(k=0), Policy(k=1, gc=False),
-                   Policy(k=0, store_mode="global")):
+    for policy in (Policy(k=0), Policy(k=1, gc=False)):
         out = export_dsg(analyze(lp, policy), "json")
         canon = json.dumps(json.loads(out), sort_keys=True,
                            separators=(",", ":"))
@@ -112,18 +111,6 @@ def test_node_ids_are_dense_and_ordered():
     assert [n["id"] for n in doc["nodes"]] == list(range(len(doc["nodes"])))
     assert doc["format"] == "anfj-dsg" and doc["version"] == 1
     assert 0 <= doc["initial"] < len(doc["nodes"])
-
-
-def test_global_store_mode_serializes_one_store():
-    lp = corpus_program("try_complete")
-    dsg = analyze(lp, Policy(k=0, store_mode="global"))
-    doc = json.loads(export_dsg(dsg, "json"))
-    assert "globalStore" in doc
-    assert all("store" not in n for n in doc["nodes"])
-    back = dsg_from_json(lp, doc)
-    assert back.global_store == dsg.global_store
-    assert back.node_store(back.initial) == dsg.global_store
-    assert export_dsg(back, "json") == export_dsg(dsg, "json")
 
 
 def test_object_pointer_receiver_survives_round_trip():
