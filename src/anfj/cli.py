@@ -3,7 +3,7 @@
 Three subcommands: `run` executes a program on the concrete machine,
 `analyze` builds the abstract state graph and prints a metrics report,
 `compare` runs two policies side by side. Exit codes: 0 success, 1 bad
-input, 2 analysis budget exhausted.
+input (a bad flag or flag value included), 2 analysis budget exhausted.
 """
 
 from __future__ import annotations
@@ -173,11 +173,21 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as all bad input
+    does; argparse's own code 2 would read as an exhausted budget. The
+    subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args never changes
     it and makes a fresh namespace on every call."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="anfj",
         description="Interpreter and exception-flow analyzer for the "
                     "ANFJ object language.")

@@ -175,6 +175,35 @@ def test_bad_policy_spec_is_input_error(capsys):
     assert "policy token" in capsys.readouterr().err
 
 
+COMPARE = ["compare", MINIMAL, "--a", "k=0", "--b", "k=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", MINIMAL, "--bogus"],
+    ["analyze", MINIMAL, "--bogus"],
+    [*COMPARE, "--bogus"],
+    ["run", MINIMAL, "--fuel", "x"],
+    ["analyze", MINIMAL, "--k", "x"],
+    [*COMPARE, "--budget-nodes", "x"],
+    ["analyze", MINIMAL, "--store-mode", "global"],
+], ids=["run-flag", "analyze-flag", "compare-flag", "run-int", "analyze-int",
+        "compare-int", "store-mode"])
+def test_bad_flag_exits_1(argv, capsys):
+    # exit 2 is reserved for an exhausted budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [[], ["run"], ["analyze"], ["compare"]])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_store_policy_token_is_input_error(capsys):
     assert main(["compare", MINIMAL, "--a", "store=global", "--b", "k=0"]) == 1
     assert "unknown policy token 'store=global'" in capsys.readouterr().err
