@@ -14,16 +14,18 @@ point of the baseline: it is what a pushdown stack removes.
 This module is only that stack abstraction on the engine's fixpoint
 core (engine._Engine): the table, its step rules, and the collection
 whose stack roots are the call records. The worklist, stores, budgets,
-diagnostics and stats are the pushdown engine's own. All edges are
-epsilon; a step after growth of a table level the node
-consulted has the cause "table".
+diagnostics and stats are the pushdown engine's own, and so is time:
+only calls tick it, and a return, throw or handler pop keeps the time
+of the state it leaves, as its pushdown counterpart does. So the two
+analyses differ in stack handling alone. All edges are epsilon; a step
+after growth of a table level the node consulted has the cause "table".
 """
 
 from __future__ import annotations
 
 from .domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, HandlerFrame, Push, fp_key,
-    frame_key, next as abstract_next, store_join, tick,
+    frame_key, next as abstract_next, store_join,
 )
 from .engine import _Engine
 from .gc import eagc
@@ -105,7 +107,6 @@ class _FiniteEngine(_Engine):
         lp, policy = self.lp, self.policy
         s = q.stmt
         level = _level(lp, s, q.fp)
-        t2 = tick(s.label, q.time, policy)
 
         if isinstance(s, Return):
             vals = sigma.get(Addr(s.var, q.fp))
@@ -115,7 +116,7 @@ class _FiniteEngine(_Engine):
             for e in sorted(self.consult(level, q), key=_entry_key):
                 if isinstance(e, CallFrame):
                     sg2 = store_join(sigma, {Addr(e.var, e.fp): frozenset(vals)})
-                    q2 = ControlState(e.target, e.fp, t2)
+                    q2 = ControlState(e.target, e.fp, q.time)
                     self.emit(q, q2, sg2)
             return
 
@@ -135,14 +136,14 @@ class _FiniteEngine(_Engine):
                     if lp.subtype(v.class_name, h.class_name):
                         sg2 = store_join(
                             sigma, {Addr(h.var, h.fp): frozenset((v,))})
-                        q2 = ControlState(h.target, h.fp, t2)
+                        q2 = ControlState(h.target, h.fp, q.time)
                         self.emit(q, q2, sg2)
             return
 
         if isinstance(s, PopHandler):
             nxt = lp.succ_map.get(s.label)
             if nxt is not None:    # the record stays: no table change
-                self.emit(q, ControlState(nxt, q.fp, t2), sigma)
+                self.emit(q, ControlState(nxt, q.fp, q.time), sigma)
             return
 
         # value rules are shared with the pushdown engine; pushes are

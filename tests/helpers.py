@@ -23,6 +23,13 @@ def corpus_names() -> list[str]:
     return sorted(p.stem for p in CORPUS_DIR.glob("*.anfj"))
 
 
+def named_program(name: str) -> LabeledProgram:
+    """A corpus program, or one of the CHAINS."""
+    if name in CHAINS:
+        return load_program(chain_sources()[name])
+    return corpus_program(name)
+
+
 def chain_sources() -> dict:
     """Name -> source of the CHAINS call-chain programs that
     `perfbench/gen.py` generates for seed 1."""

@@ -19,10 +19,9 @@ from anfj.gc import eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import (
     Assign, Invoke, New, PopHandler, Return, Throw, TryCatch, VarRef,
-    load_program,
 )
 
-from helpers import CHAINS, chain_sources, corpus_names, corpus_program
+from helpers import CHAINS, corpus_names, corpus_program, named_program
 from oracles import explore_configs, least_psf, net_empty_pairs, update_psf
 from test_byte_identity import POLICIES, analysis_digest
 
@@ -122,18 +121,12 @@ def test_analysis_result_is_a_fixpoint(name, policy):
                 assert store_join(full2, sg2) is full2
 
 
-def _program(name):
-    if name in CHAINS:
-        return load_program(chain_sources()[name])
-    return corpus_program(name)
-
-
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
 def test_unbound_reads_are_unbound_at_the_fixpoint(name):
     # a diagnostic of an intermediate step, whose store had not yet
     # grown, must not survive: some node at the label still lacks the
     # binding in its final visible store
-    lp = _program(name)
+    lp = named_program(name)
     for policy in POLICIES:
         dsg = analyze(lp, policy)
         reads = {}
@@ -175,7 +168,7 @@ class LifoWorklist(FifoWorklist):
 def test_worklist_order_changes_no_output(name, monkeypatch):
     # the result is the least fixpoint, whatever order reaches it; the
     # one core builds the worklist of both modes, and POLICIES has both
-    lp = _program(name)
+    lp = named_program(name)
     want = [analysis_digest(analyze(lp, policy)) for policy in POLICIES]
     for order in (FifoWorklist, LifoWorklist):
         monkeypatch.setattr(engine_module, "Worklist", order)

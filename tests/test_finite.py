@@ -8,7 +8,8 @@ from anfj.machine import Addr
 from anfj.metrics import metric_ec_links
 from anfj.syntax import Assign, Invoke, Return, Throw
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, corpus_names, corpus_program, named_program
+from oracles import store_leq
 
 FINITE = Policy(mode="finite")
 
@@ -80,6 +81,25 @@ def test_pushdown_links_never_exceed_finite(name):
     pd, _ = metric_ec_links(analyze(lp, Policy()))
     fin, _ = metric_ec_links(analyze(lp, FINITE))
     assert pd <= fin
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("gc", [True, False], ids=["gc", "nogc"])
+def test_differs_from_pushdown_only_in_stack_handling(name, k, gc):
+    # same stores, context ticking and value rules: forgetting the stack
+    # only adds nodes and bindings, and time is a call-site history in
+    # both modes
+    lp = named_program(name)
+    pd = analyze(lp, Policy(k=k, gc=gc))
+    fin = analyze(lp, Policy(k=k, gc=gc, mode="finite"))
+    assert pd.nodes <= fin.nodes
+    for q in pd.nodes:
+        assert store_leq(pd.node_store(q), fin.node_store(q)), q
+    calls = {l for l in lp.all_labels() if isinstance(lp.stmt(l), Assign)
+             and isinstance(lp.stmt(l).exp, Invoke)}
+    for dsg in (pd, fin):
+        assert all(set(q.time) <= calls for q in dsg.nodes), dsg.policy.mode
 
 
 def test_terminates_on_recursion():
