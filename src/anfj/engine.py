@@ -44,9 +44,9 @@ stepping, export, and metrics see. With gc off the two layers are the
 same object.
 
 The core's worklist (Worklist) steps the queued node that was
-discovered first. Upstream nodes are mostly found
-first, so a node is re-stepped once its feeders have settled rather
-than once per growth of each. The fixpoint, and so every output, does
+discovered first. Upstream nodes are mostly found first, so a node is
+re-stepped once its feeders have settled rather than once per growth
+of each. The fixpoint, and so every output, does
 not depend on this order; only the step count does.
 
 DSG.stats counts steps and, under "step_causes", why each step was

@@ -233,7 +233,7 @@ def test_step_gc_on_steps_the_collected_store():
     assert b_addr in sigma
 
     def callee_stores(policy):
-        use = eagc(q, sigma, set(), lp, policy) if policy.gc else sigma
+        use = eagc(q, sigma, set(), lp, policy)
         return [sg2 for _, _, sg2 in abstract_next(lp, q, use, None, policy)]
 
     with_gc = callee_stores(Policy(gc=True))
