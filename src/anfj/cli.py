@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import export as exportmod
@@ -90,6 +91,34 @@ def _budget_from_flags(args) -> Budget:
     return b
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a count: a negative one is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a time budget: NaN, which no elapsed time
+    exceeds, is a usage error."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan               # refused below, as NaN is
+    if math.isnan(t):
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    return t
+
+
+def _write_export(dsg, fmt: str, path: str) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(exportmod.export_dsg(dsg, fmt))
+    except OSError as err:
+        raise AnfjError(f"cannot write {path}: {err}") from err
+
+
 def _write_trace(trace, out) -> None:
     """One JSON line per state, in the layout json.dumps(sort_keys=True)
     gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i}.
@@ -148,11 +177,9 @@ def cmd_analyze(args) -> int:
     policy = _policy_from_flags(args)
     dsg = analyze(lp, policy, _budget_from_flags(args))
     if args.dot:
-        with open(args.dot, "wb") as fh:
-            fh.write(exportmod.export_dsg(dsg, "dot"))
+        _write_export(dsg, "dot", args.dot)
     if args.json:
-        with open(args.json, "wb") as fh:
-            fh.write(exportmod.export_dsg(dsg, "json"))
+        _write_export(dsg, "json", args.json)
     rep = metricsmod.report(dsg)
     if args.report_json:
         print(json.dumps(rep.to_dict(), sort_keys=True))
@@ -195,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="execute a program concretely")
     runp.add_argument("file")
-    runp.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    runp.add_argument("--fuel", type=_nonnegative_int, default=DEFAULT_FUEL,
                       help="maximum number of machine states to visit")
     runp.add_argument("--trace", action="store_true",
                       help="print one JSON line per visited state")
@@ -222,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     anp.add_argument("--report-json", action="store_true",
                      help="print the metrics report as JSON")
     anp.add_argument("--budget-nodes", type=int, default=None)
-    anp.add_argument("--budget-seconds", type=float, default=None)
+    anp.add_argument("--budget-seconds", type=_seconds, default=None)
     anp.set_defaults(fn=cmd_analyze)
 
     cmpp = sub.add_parser("compare", help="run two policies side by side")
@@ -233,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmpp.add_argument("--json", action="store_true",
                       help="print both reports and ratios as JSON")
     cmpp.add_argument("--budget-nodes", type=int, default=None)
-    cmpp.add_argument("--budget-seconds", type=float, default=None)
+    cmpp.add_argument("--budget-seconds", type=_seconds, default=None)
     cmpp.set_defaults(fn=cmd_compare)
     return ap
 

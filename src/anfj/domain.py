@@ -146,12 +146,16 @@ class Policy:
 AbstractStore = dict
 
 
-def store_join(a: dict, b: dict) -> dict:
+def store_join(a: dict, b: dict, grew: Optional[set] = None) -> dict:
     """Pointwise union. Returns a itself when b adds nothing to it, so
     `store_join(a, b) is a` tests growth; b itself when a is empty and
     b is not; otherwise a new store. Neither argument is modified, and
-    as stores are never mutated the result may share either of them."""
+    as stores are never mutated the result may share either of them.
+    When grew is given, the addresses whose value set the join changed
+    are added to it."""
     if not a and b:
+        if grew is not None:
+            grew.update(b)
         return b
     out = None
     for addr, vals in b.items():
@@ -163,6 +167,8 @@ def store_join(a: dict, b: dict) -> dict:
         if out is None:
             out = dict(a)
         out[addr] = vals
+        if grew is not None:
+            grew.add(addr)
     return a if out is None else out
 
 
@@ -247,24 +253,38 @@ def sorted_values(vals: Iterable[Value]) -> list[Value]:
 
 def next(lp: LabeledProgram, q: ControlState, sigma: dict,
          top_frame: Optional[Frame], policy: Policy,
-         diags: Optional[list] = None) -> list[tuple[ControlState, StackAction, dict]]:
+         diags: Optional[list] = None,
+         reads: Optional[set] = None) -> list[tuple[ControlState, StackAction, dict]]:
     """All abstract one-step successors of q under sigma with the given
     top-of-stack frame (None when the stack may be empty).
 
     Returns (state, action, store) triples; each store is sigma extended
     by that rule's own bindings. Unbound reads yield no successors and
-    are recorded in diags when given."""
+    are recorded in diags when given.
+
+    When reads is given, every address the rule looked up in sigma is
+    added to it: variables (unbound ones too), the field of each
+    receiver object, and the receiver under object sensitivity. The
+    successors, their actions, the diagnostics and the bindings added
+    depend on sigma only through those addresses. So on a store that
+    differs from sigma at none of them, the result is the same, with
+    each successor store joined with the difference; the engine relies
+    on this to skip re-steps."""
     s = q.stmt
     fp, t = q.fp, q.time
     before = () if top_frame is None else (top_frame,)
     out: list[tuple[ControlState, StackAction, dict]] = []
+    if reads is None:
+        reads = set()
 
     def note(reason: str):
         if diags is not None:
             diags.append((q, reason))
 
     def read(var: str) -> Optional[frozenset]:
-        vals = sigma.get(Addr(var, fp))
+        addr = Addr(var, fp)
+        reads.add(addr)
+        vals = sigma.get(addr)
         if not vals:
             note(f"unbound read of {var!r}")
             return None
@@ -289,7 +309,9 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
                 # join field contents across every receiver object
                 pool = frozenset()
                 for v in sorted_values(vals):
-                    pool |= sigma.get(Addr(e.field, v.op), frozenset())
+                    addr = Addr(e.field, v.op)
+                    reads.add(addr)
+                    pool |= sigma.get(addr, frozenset())
                 if pool:
                     emit(nxt, fp, store_extend(sigma, Addr(s.var, fp), pool), before)
                 else:
@@ -329,6 +351,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
                 arg_sets.append(vals)
             if ok and nxt is not None:
                 if policy.obj_sensitivity:
+                    reads.add(Addr(THIS, fp))
                     this_vals = sigma.get(Addr(THIS, fp), frozenset())
                     recv_sites = sorted({v.op.site for v in this_vals}) or [None]
                 else:

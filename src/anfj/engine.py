@@ -2,9 +2,10 @@
 
 The core (_Engine) owns the worklist, the full and visible stores, the
 nodes and edges, the budgets and clock, the collection before each
-step, the fixpoint diagnostics and DSG.stats. A stack abstraction
-supplies four hooks: its step causes, step_node, the work after a step,
-and the collection with its own stack roots. _PushdownEngine below is
+step, the memo of each step and the delta passes it allows, the
+fixpoint diagnostics and DSG.stats. A stack abstraction supplies its
+step causes, its stack contexts, the step under one context, the work
+after a step, and the collection's stack roots. _PushdownEngine below is
 the pushdown abstraction; finite._FiniteEngine is the finite-state
 baseline, which differs from it in stack handling alone.
 
@@ -37,11 +38,19 @@ re-enqueues the node, and monotonicity is what makes the fixpoint
 terminate even though the graph has cycles. Those frame pointers are
 the only GC roots a PSF contributes: handler frames and the empty-stack
 marker own no bindings, so PSF growth by them alone cannot change the
-collected store and is not worth a re-step. The visible
-store is the garbage-collected view of the full store, recomputed from
-the node's live roots and stack summary at every dequeue; it is what
-stepping, export, and metrics see. With gc off the two layers are the
-same object.
+collected store and is not worth a re-enqueue. The visible store is the
+garbage-collected view of the full store; it is what stepping, export,
+and metrics see. With gc off the two layers are the same object.
+
+A re-enqueue is not a re-step. At each dequeue the core extends the
+node's collection (gc.Collection) from the addresses that grew in its
+full store and the frame pointers new in its PSF, which gives the
+visible delta: the addresses whose visible binding changed. A node is
+stepped per context (here, per top frame), and each context's last
+full step is memoized with the addresses domain.next read. The context
+is stepped in full again only when it is new or the delta touches one
+of those reads; otherwise the delta is joined into the full stores of
+the memoized successors, which is exactly what the step would add.
 
 The core's worklist (Worklist) steps the queued node that was
 discovered first. Upstream nodes are mostly found first, so a node is
@@ -49,15 +58,17 @@ re-stepped once its feeders have settled rather than once per growth
 of each. The fixpoint, and so every output, does
 not depend on this order; only the step count does.
 
-DSG.stats counts steps and, under "step_causes", why each step was
-scheduled: a new node, store growth, TF growth or GC-root growth. The
-initial node is scheduled by none of them, so steps = 1 + the sum.
+DSG.stats counts steps (dequeues) and, under "step_causes", why each
+was scheduled: a new node, store growth, TF growth or GC-root growth.
+The initial node is scheduled by none of them, so steps = 1 + the sum.
+Each step visits every context of its node once, by a full step
+("full_steps") or by a delta pass ("delta_passes", which joined
+"delta_addrs" addresses in all).
 
-Diagnostics (unbound reads and fields) are those of each node's last
-step. Any growth that step could have missed (full store, TF, GC
-roots) re-enqueues the node, so its last step saw its final visible
-store under every top frame; an earlier step's complaint about a
-binding that arrived later is dropped.
+Diagnostics (unbound reads and fields) are those of each context's last
+full step. An unbound read is a read, so the delta that binds it forces
+a full step; an earlier step's complaint about a binding that arrived
+later is dropped.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ from .domain import (
     BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Push,
     frame_key, inject_abstract, next as abstract_next, state_key, store_join,
 )
-from .gc import eagc
+from .gc import Collection, call_fps, eagc
 from .syntax import LabeledProgram
 
 
@@ -276,15 +287,45 @@ class DSG:
         return self.node_stores.get(q, {})
 
 
+class _Stepped:
+    """What the core keeps about a node it has stepped: the addresses
+    its full store grew at since its last dequeue, its collection, the
+    memo of the last full step under each context (the addresses read,
+    the successor states and the diagnostics), and whether its next
+    dequeue must step every context in full."""
+
+    __slots__ = ("grown", "collection", "memo", "stale")
+
+    def __init__(self):
+        self.grown = None              # a set once the first step began
+        self.collection = None
+        self.memo: dict = {}
+        self.stale = False
+
+
 class _Engine:
     """The fixpoint core both analyses run on. A stack abstraction
     subclasses it and supplies `causes`, its step causes beyond
-    new_node and store; `step_node(s, sigma, diags)`, which emits s's
-    successors under sigma, the visible store; `after_step()`, the work
-    a step leaves behind; and `collect(s, sigma)`, the collection with
-    the abstraction's own stack roots. Each module calls eagc,
+    new_node and store; `contexts(s)`, the stack contexts s is stepped
+    under, in order; `step(s, ctx, sigma, reads, diags)`, s's
+    (state, action, store) successors under context ctx and sigma, the
+    visible store, with the addresses read added to reads;
+    `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
+    the work a step leaves behind; `collect(s, sigma, state)`, s's
+    first collection, eagc under the frames that may be on the stack
+    at s; and `stack_fps(s)`, the frame pointers of the call frames
+    among them, for each later collection. Each module calls eagc,
     abstract_next and store_join through its own globals, where the
-    traced benchmark (perfbench/layers.py) wraps them."""
+    traced benchmark (perfbench/layers.py) wraps them.
+
+    A dequeued node is stepped in full under a context only when the
+    context is new to it, when the visible store changed at an address
+    the context's last full step read, or when the node is stale (the
+    abstraction marks it so when something else that step consulted
+    changed; it sets `stale`). Otherwise the memo of that step
+    stands, and only the visible delta is joined into the memoized
+    successors' full stores: the step's own result on the grown store,
+    given what domain.next promises about its reads."""
 
     causes: tuple = ()
 
@@ -298,16 +339,25 @@ class _Engine:
         self.dsg.node_stores[q0] = {}
         self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
-        self.node_diags: dict = {}     # node -> diagnostics of its last step
+        self.stepped: dict = {}        # node -> _Stepped
         self.t0 = _time.monotonic()
 
-    def step_node(self, s, sigma: dict, diags: list) -> None:
+    def contexts(self, s):
         raise NotImplementedError
+
+    def step(self, s, ctx, sigma: dict, reads: set, diags: list):
+        raise NotImplementedError
+
+    def new_edge(self, s1, act, s2) -> None:
+        pass
 
     def after_step(self) -> None:
         pass
 
-    def collect(self, s, sigma: dict) -> dict:
+    def stack_fps(self, s):
+        raise NotImplementedError
+
+    def collect(self, s, sigma: dict, state: Collection) -> dict:
         raise NotImplementedError
 
     # -- bookkeeping ----------------------------------------------------
@@ -315,9 +365,12 @@ class _Engine:
     def join_store(self, s, sigma2: dict) -> None:
         """Join into the monotone layer; only growth there re-enqueues
         (the collected view may shrink bindings a predecessor keeps
-        re-delivering, which must not count as progress)."""
+        re-delivering, which must not count as progress). The grown
+        addresses of a node already stepped are kept for its next
+        collection."""
         old = self.dsg.full_stores.get(s, {})
-        joined = store_join(old, sigma2)
+        node = self.stepped.get(s)
+        joined = store_join(old, sigma2, None if node is None else node.grown)
         if joined is not old:
             self.dsg.full_stores[s] = joined
             if not self.policy.gc:
@@ -356,32 +409,73 @@ class _Engine:
 
     # -- main loop -------------------------------------------------------
 
+    def visible_store(self, s, node: _Stepped):
+        """Collect s's full store; return the visible store and the
+        visible delta since s's last dequeue (None at its first)."""
+        full = self.dsg.full_stores.get(s, {})
+        grown, node.grown = node.grown, set()
+        if not self.policy.gc:
+            return full, grown
+        if grown is None:
+            node.collection = Collection(s, self.lp, self.policy)
+            sigma = self.collect(s, full, node.collection)
+            delta = None
+        else:
+            delta = node.collection.extend(full, grown, self.stack_fps(s))
+            sigma = node.collection.visible
+        self.dsg.node_stores[s] = sigma
+        return sigma, delta
+
     def run(self) -> DSG:
-        steps = 0
+        steps = full_steps = delta_passes = delta_addrs = 0
         while self.work:
             self.check_time()
             s = self.work.pop()
             steps += 1
-            sigma = self.dsg.full_stores.get(s, {})
-            if self.policy.gc:
-                sigma = self.dsg.node_stores[s] = self.collect(s, sigma)
-            diags: list = []
-            self.step_node(s, sigma, diags)
-            # keep the diagnostics of s's latest step only
-            if diags:
-                self.node_diags[s] = diags
-            else:
-                self.node_diags.pop(s, None)
+            node = self.stepped.get(s)
+            if node is None:
+                node = self.stepped[s] = _Stepped()
+            sigma, delta = self.visible_store(s, node)
+            stale, node.stale = node.stale, False
+            memo = node.memo
+            passed = None              # delta as a store, built once
+            for ctx in self.contexts(s):
+                last = memo.get(ctx)
+                if last is None or stale or not last[0].isdisjoint(delta):
+                    full_steps += 1
+                    reads: set = set()
+                    diags: list = []
+                    succs = []
+                    for q2, act, sg2 in self.step(s, ctx, sigma, reads, diags):
+                        self.add_node(q2)
+                        self.join_store(q2, sg2)
+                        if self.add_edge(s, act, q2):
+                            self.new_edge(s, act, q2)
+                        succs.append(q2)
+                    memo[ctx] = (reads, succs, diags)
+                    continue
+                delta_passes += 1
+                if not delta:
+                    continue
+                delta_addrs += len(delta)
+                if passed is None:
+                    passed = {a: sigma[a] for a in delta}
+                for q2 in last[1]:
+                    self.join_store(q2, passed)
             self.after_step()
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
-            for diags in self.node_diags.values() for q, reason in diags}
+            for node in self.stepped.values()
+            for _, _, diags in node.memo.values() for q, reason in diags}
         self.dsg.stats = {
             "steps": steps,
             "nodes": len(self.dsg.nodes),
             "edges": len(self.dsg.edges),
             "seconds": self.elapsed(),
             "step_causes": dict(self.work.causes),
+            "full_steps": full_steps,
+            "delta_passes": delta_passes,
+            "delta_addrs": delta_addrs,
         }
         return self.dsg
 
@@ -389,7 +483,7 @@ class _Engine:
 class _PushdownEngine(_Engine):
     """The pushdown stack abstraction: top frames, stack summaries and
     summary edges, kept in the IECG and closed by drain after each
-    step."""
+    step. A node's contexts are its top frames."""
 
     causes = ("top_frames", "gc_roots")
 
@@ -400,20 +494,26 @@ class _PushdownEngine(_Engine):
         self.iecg.psf[self.dsg.initial] = {BOTTOM}
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
+        self.new_roots: dict = {}      # node -> call-frame fps new in PSF
 
-    def collect(self, s, sigma: dict) -> dict:
-        return eagc(s, sigma, self.iecg.psf.get(s, set()), self.lp,
-                    self.policy)
+    def contexts(self, s):
+        return sorted(self.iecg.tf(s), key=frame_key)
 
-    def step_node(self, s, sigma: dict, diags: list) -> None:
-        for kappa in sorted(self.iecg.tf(s), key=frame_key):
-            top = None if kappa is BOTTOM else kappa
-            for q2, act, sg2 in abstract_next(self.lp, s, sigma, top,
-                                              self.policy, diags):
-                self.add_node(q2)
-                self.join_store(q2, sg2)
-                if self.add_edge(s, act, q2):
-                    self.pending_edges.append((s, act, q2))
+    def step(self, s, kappa, sigma, reads, diags):
+        top = None if kappa is BOTTOM else kappa
+        return abstract_next(self.lp, s, sigma, top, self.policy, diags,
+                             reads)
+
+    def new_edge(self, s1, act, s2) -> None:
+        self.pending_edges.append((s1, act, s2))
+
+    def stack_fps(self, s):
+        return self.new_roots.pop(s, ())
+
+    def collect(self, s, sigma, state):
+        self.new_roots.pop(s, None)
+        return eagc(s, sigma, self.iecg.psf.get(s, ()), self.lp, self.policy,
+                    state=state)
 
     def after_step(self) -> None:
         self.drain()
@@ -455,6 +555,7 @@ class _PushdownEngine(_Engine):
                 for dep in iecg.psf_deps.get(s, ()):
                     iecg.add_psf(dep, new)
                 if roots_grew and self.policy.gc:
+                    self.new_roots.setdefault(s, set()).update(call_fps(new))
                     self.work.push(s, "gc_roots")
                 continue
             return

@@ -19,6 +19,9 @@ only calls tick it, and a return, throw or handler pop keeps the time
 of the state it leaves, as its pushdown counterpart does. So the two
 analyses differ in stack handling alone. All edges are epsilon; a step
 after growth of a table level the node consulted has the cause "table".
+Such a step is a full one only when the node's own step rule (a return
+or throw) consulted the level; growth seen by its collection alone
+extends the collection, and the core's delta pass does the rest.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .domain import (
     frame_key, next as abstract_next, store_join,
 )
 from .engine import _Engine
-from .gc import eagc
+from .gc import call_fps, eagc
 from .machine import Addr
 from .syntax import LabeledProgram, PopHandler, Return, Stmt, Throw
 
@@ -50,38 +53,54 @@ def _level_key(level):
 
 
 class _FiniteEngine(_Engine):
+    """The finite stack abstraction. A node has one context, None: the
+    table stands in for every stack. Who consulted a table level is
+    kept by purpose. A node whose step consulted a grown level is
+    stale and steps in full. A node's collection consults every level
+    its activation can return through, and its stack roots are the
+    call records there; a new call record at one of those levels is
+    passed on to the node's next collection, as new roots. A handler
+    record owns no bindings, so it wakes no collection, as handler
+    frames new in a stack summary wake none in the pushdown engine."""
+
     causes = ("table",)
 
     def __init__(self, lp, policy, budget):
         super().__init__(lp, policy, budget)
         q0 = self.dsg.initial
         self.table: dict = {_level(lp, q0.stmt, q0.fp): {BOTTOM}}
-        self.table_deps: dict = {}     # level -> nodes that consulted it
+        self.step_deps: dict = {}      # level -> nodes whose step read it
+        self.gc_deps: dict = {}        # level -> nodes whose gc read it
+        self.new_roots: dict = {}      # node -> call records new to its gc
 
     def record(self, level, entry):
-        """Table write; growth wakes every node that ever read the level
-        (collected views recompute from the full stores on re-step)."""
+        """Table write; growth wakes every node whose step read the
+        level, and a call record every node whose collection did."""
         have = self.table.setdefault(level, set())
         if entry in have:
             return
         have.add(entry)
-        for n in self.table_deps.get(level, ()):
+        for n in self.step_deps.get(level, ()):
+            self.stepped[n].stale = True
             self.work.push(n, "table")
-
-    def consult(self, level, node):
-        self.table_deps.setdefault(level, set()).add(node)
-        return self.table.get(level, set())
+        if isinstance(entry, CallFrame):
+            for n in self.gc_deps.get(level, ()):
+                frames = self.new_roots.setdefault(n, set())
+                frames.add(entry)
+                self.reach(n, _level(self.lp, entry.target, entry.fp), frames)
+                self.work.push(n, "table")
 
     # -- level walks ------------------------------------------------------
 
     def reachable_levels(self, level, node):
         """level plus every level reachable through call records; each
-        consulted level registers node as a dependent."""
+        one registers node as a dependent of its step."""
         seen = {level}
         stack = [level]
         while stack:
             cur = stack.pop()
-            for e in self.consult(cur, node):
+            self.step_deps.setdefault(cur, set()).add(node)
+            for e in self.table.get(cur, ()):
                 if isinstance(e, CallFrame):
                     nxt = _level(self.lp, e.target, e.fp)
                     if nxt not in seen:
@@ -89,44 +108,67 @@ class _FiniteEngine(_Engine):
                         stack.append(nxt)
         return seen
 
-    def gc_frames(self, q):
-        """Stand-in for the pushdown engine's stack summary: every call
-        record at any level the current activation can return through."""
-        frames = set()
-        for lv in self.reachable_levels(_level(self.lp, q.stmt, q.fp), q):
-            for e in self.table.get(lv, ()):
+    def reach(self, node, level, frames) -> None:
+        """Extend node's collection to level and every level reachable
+        from it that the collection has not consulted yet, registering
+        node on each and adding the call records there to frames."""
+        stack = [level]
+        while stack:
+            cur = stack.pop()
+            deps = self.gc_deps.setdefault(cur, set())
+            if node in deps:
+                continue
+            deps.add(node)
+            for e in self.table.get(cur, ()):
                 if isinstance(e, CallFrame):
                     frames.add(e)
-        return frames
+                    stack.append(_level(self.lp, e.target, e.fp))
 
-    def collect(self, q, sigma):
-        return eagc(q, sigma, self.gc_frames(q), self.lp, self.policy)
+    def collect(self, q, sigma, state):
+        """The first collection: the stand-in for the pushdown engine's
+        stack summary is every call record at any level the current
+        activation can return through."""
+        frames: set = set()
+        self.reach(q, _level(self.lp, q.stmt, q.fp), frames)
+        return eagc(q, sigma, frames, self.lp, self.policy, state=state)
 
-    def step_node(self, q, sigma, diags):
-        """Emit q's successors; (state, reason) diagnostics go to diags."""
+    def stack_fps(self, q):
+        return call_fps(self.new_roots.pop(q, ()))
+
+    def contexts(self, q):
+        return (None,)
+
+    def step(self, q, ctx, sigma, reads, diags):
+        """q's successors, all over epsilon edges; a return or throw
+        adds the address of its variable to reads."""
         lp, policy = self.lp, self.policy
         s = q.stmt
         level = _level(lp, s, q.fp)
 
         if isinstance(s, Return):
-            vals = sigma.get(Addr(s.var, q.fp))
+            addr = Addr(s.var, q.fp)
+            reads.add(addr)
+            vals = sigma.get(addr)
             if not vals:
                 diags.append((q, f"unbound read of {s.var!r}"))
                 return
-            for e in sorted(self.consult(level, q), key=_entry_key):
+            self.step_deps.setdefault(level, set()).add(q)
+            for e in sorted(self.table.get(level, ()), key=_entry_key):
                 if isinstance(e, CallFrame):
                     sg2 = store_join(sigma, {Addr(e.var, e.fp): frozenset(vals)})
-                    q2 = ControlState(e.target, e.fp, q.time)
-                    self.emit(q, q2, sg2)
+                    yield ControlState(e.target, e.fp, q.time), EPSILON, sg2
             return
 
         if isinstance(s, Throw):
-            vals = sigma.get(Addr(s.var, q.fp))
+            addr = Addr(s.var, q.fp)
+            reads.add(addr)
+            vals = sigma.get(addr)
             if not vals:
                 diags.append((q, f"unbound read of {s.var!r}"))
                 return
             handlers = []
-            for lv in sorted(self.reachable_levels(level, q), key=_level_key):
+            levels = self.reachable_levels(level, q)
+            for lv in sorted(levels, key=_level_key):
                 for e in self.table.get(lv, ()):
                     if isinstance(e, HandlerFrame):
                         handlers.append(e)
@@ -136,28 +178,23 @@ class _FiniteEngine(_Engine):
                     if lp.subtype(v.class_name, h.class_name):
                         sg2 = store_join(
                             sigma, {Addr(h.var, h.fp): frozenset((v,))})
-                        q2 = ControlState(h.target, h.fp, q.time)
-                        self.emit(q, q2, sg2)
+                        yield ControlState(h.target, h.fp, q.time), EPSILON, sg2
             return
 
         if isinstance(s, PopHandler):
             nxt = lp.succ_map.get(s.label)
             if nxt is not None:    # the record stays: no table change
-                self.emit(q, ControlState(nxt, q.fp, q.time), sigma)
+                yield ControlState(nxt, q.fp, q.time), EPSILON, sigma
             return
 
         # value rules are shared with the pushdown engine; pushes are
         # flattened into table records plus epsilon edges
-        for q2, act, sg2 in abstract_next(lp, q, sigma, None, policy, diags):
+        for q2, act, sg2 in abstract_next(lp, q, sigma, None, policy, diags,
+                                          reads):
             if isinstance(act, Push):
                 frame = act.frame
                 if isinstance(frame, CallFrame):
                     self.record(_level(lp, q2.stmt, q2.fp), frame)
                 else:
                     self.record(level, frame)
-            self.emit(q, q2, sg2)
-
-    def emit(self, q, q2, sg2):
-        self.add_node(q2)
-        self.join_store(q2, sg2)
-        self.add_edge(q, EPSILON, q2)
+            yield q2, EPSILON, sg2

@@ -1,11 +1,19 @@
-"""Abstract garbage collection over per-node stores.
+"""Abstract garbage collection over per-node stores, kept incrementally.
 
-Collection runs when the engine dequeues a node, before stepping it: the
-root set combines the node's own live locals with every binding owned by
-a call frame that may sit on the stack (handler frames own nothing), the
-store's object graph is closed transitively, and unreachable addresses
-are dropped. Liveness pruning restricts the locals to the current
+Collection runs when the engine dequeues a node, before stepping it. The
+roots are the node's own live locals plus every binding owned by a call
+frame that may sit on the stack (handler frames own nothing); the store's
+object graph is closed transitively, and unreachable addresses are
+dropped. Liveness pruning restricts the locals to the current
 statement's live set; either flag can be switched off independently.
+
+A node's keep-set can only grow: its live set is fixed by its label,
+its stack only gains frames and its full store only gains bindings. So
+the engine keeps one Collection per node. The first collection is eagc,
+which is an extension of an empty Collection; every later one extends
+the keep-set from the frame pointers new on the stack and the addresses
+that grew in the full store since the last one, and reports the visible
+delta, the addresses whose binding in the collected view changed.
 """
 
 from __future__ import annotations
@@ -14,72 +22,95 @@ from .domain import CallFrame, ControlState, Policy
 from .syntax import THIS, LabeledProgram
 
 
-def index_by_ptr(sigma: dict) -> dict:
-    """Pointer -> the store's addresses on it (an activation's variables
-    or an object's fields). One collection builds this once and derives
-    roots and closure from it."""
-    by_ptr: dict = {}
-    for addr in sigma:
-        by_ptr.setdefault(addr.ptr, []).append(addr)
-    return by_ptr
+class Collection:
+    """One node's collection, kept between its steps.
 
+    The keep-set holds whole pointers (ptrs: the stack's call-frame
+    pointers, every object reached from a kept value, and the node's
+    own frame pointer when liveness pruning is off), whose present and
+    future addresses are all kept, plus the node's own locals named in
+    live. pending indexes, by pointer, the addresses of the last
+    collected store that are not kept, so reaching a pointer later
+    finds them without a pass over the store."""
 
-def stack_root(frames, sigma: dict, by_ptr: dict | None = None) -> set:
-    """Variable addresses owned by any call frame in frames.
+    __slots__ = ("fp", "live", "sigma", "visible", "keep", "ptrs", "pending")
 
-    Handler frames (and the empty-stack marker) contribute nothing: a
-    handler only names a variable it will bind later."""
-    if by_ptr is None:
-        by_ptr = index_by_ptr(sigma)
-    out = set()
-    for fp in {f.fp for f in frames if isinstance(f, CallFrame)}:
-        out.update(by_ptr.get(fp, ()))
-    return out
+    def __init__(self, q: ControlState, lp: LabeledProgram, policy: Policy):
+        self.fp = q.fp
+        self.live: frozenset = frozenset()
+        self.ptrs: set = set()
+        if policy.liveness:
+            # the receiver is always a root while its activation runs:
+            # it is the activation's identity, and the allocation policy
+            # may need it even in methods whose source never mentions it
+            self.live = lp.lives.get(q.stmt.label, frozenset()) | {THIS}
+        else:
+            self.ptrs.add(q.fp)
+        self.sigma: dict = {}          # the full store last collected
+        self.visible: dict = {}        # sigma restricted to keep
+        self.keep: set = set()
+        self.pending: dict = {}        # pointer -> its unkept addresses
 
-
-def root(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
-         policy: Policy, by_ptr: dict | None = None) -> set:
-    """Addresses directly referenced at q: the current activation's
-    variables (only the live ones when liveness pruning is on) plus the
-    stack's call-frame bindings.
-
-    The receiver binding is always a root while its activation runs:
-    it is the activation's identity, and the allocation policy may need
-    it even in methods whose source never mentions it."""
-    if by_ptr is None:
-        by_ptr = index_by_ptr(sigma)
-    own = by_ptr.get(q.fp, ())
-    if policy.liveness:
-        live = lp.lives.get(q.stmt.label, frozenset())
-        own = [a for a in own if a.base in live or a.base == THIS]
-    return stack_root(frames, sigma, by_ptr).union(own)
-
-
-def reachable(roots: set, sigma: dict, by_ptr: dict | None = None) -> set:
-    """Closure of roots under the store's points-to edges: an address
-    reaches every field address of every object it may denote."""
-    if by_ptr is None:
-        by_ptr = index_by_ptr(sigma)
-    seen = {a for a in roots if a in sigma}
-    frontier = list(seen)
-    while frontier:
-        addr = frontier.pop()
-        for val in sigma[addr]:
-            for nxt in by_ptr.get(val.op, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+    def extend(self, sigma: dict, grown, fps) -> list:
+        """Collect sigma, a store above the one collected last, in which
+        grown holds every address whose value set changed since then
+        (new ones included), under a stack that holds the last one's
+        frames plus call frames with the frame pointers fps (which may
+        repeat old ones). Returns the visible delta: the addresses
+        newly kept plus the kept ones that grew, each once."""
+        keep, ptrs, pending, old = self.keep, self.ptrs, self.pending, self.sigma
+        fp, live = self.fp, self.live
+        delta = []
+        for a in grown:
+            if a in keep:
+                delta.append(a)
+            elif a not in old:
+                if a.ptr in ptrs or (a.base in live and a.ptr == fp):
+                    keep.add(a)
+                    delta.append(a)
+                else:
+                    pending.setdefault(a.ptr, []).append(a)
+        for fp in fps:
+            if fp not in ptrs:
+                ptrs.add(fp)
+                for a in pending.pop(fp, ()):
+                    keep.add(a)
+                    delta.append(a)
+        frontier = list(delta)
+        while frontier:
+            for val in sigma[frontier.pop()]:
+                op = val.op
+                if op not in ptrs:
+                    ptrs.add(op)
+                    for a in pending.pop(op, ()):
+                        keep.add(a)
+                        delta.append(a)
+                        frontier.append(a)
+        self.sigma = sigma
+        if len(keep) == len(sigma):
+            self.visible = sigma
+        elif delta:
+            visible = dict(self.visible)
+            for a in delta:
+                visible[a] = sigma[a]
+            self.visible = visible
+        return delta
 
 
 def eagc(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
-         policy: Policy) -> dict:
-    """sigma restricted to what q can still touch; identity when off or
-    when everything is kept."""
+         policy: Policy, state: Collection | None = None) -> dict:
+    """sigma restricted to what q can still touch under a stack of
+    frames; identity when off or when everything is kept. state, a
+    fresh Collection of q, keeps the collection for later extension."""
     if not policy.gc:
         return sigma
-    by_ptr = index_by_ptr(sigma)
-    keep = reachable(root(q, sigma, frames, lp, policy, by_ptr), sigma, by_ptr)
-    if len(keep) == len(sigma):
-        return sigma
-    return {a: vals for a, vals in sigma.items() if a in keep}
+    if state is None:
+        state = Collection(q, lp, policy)
+    state.extend(sigma, sigma, call_fps(frames))
+    return state.visible
+
+
+def call_fps(frames) -> set:
+    """The frame pointers of the call frames among frames: the stack's
+    roots. Handler frames and the empty-stack marker own no bindings."""
+    return {f.fp for f in frames if isinstance(f, CallFrame)}

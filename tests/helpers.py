@@ -30,12 +30,17 @@ def named_program(name: str) -> LabeledProgram:
     return corpus_program(name)
 
 
-def chain_sources() -> dict:
-    """Name -> source of the CHAINS call-chain programs that
-    `perfbench/gen.py` generates for seed 1."""
+def gen_module():
+    """`perfbench/gen.py`, the seeded program generator, as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen       # dataclasses look the module up
     spec.loader.exec_module(gen)
-    return {p.name: p.source for p in gen.generate("chain", 1)
+    return gen
+
+
+def chain_sources() -> dict:
+    """Name -> source of the CHAINS call-chain programs that
+    `perfbench/gen.py` generates for seed 1."""
+    return {p.name: p.source for p in gen_module().generate("chain", 1)
             if p.name in CHAINS}

@@ -17,6 +17,7 @@ from anfj.domain import (
 from anfj.engine import DSG
 from anfj.export import FORMAT_NAME
 from anfj.machine import Addr, Value
+from anfj.syntax import THIS, PopHandler, Return, Throw
 
 
 def _cfg_key(cfg):
@@ -176,6 +177,244 @@ def brute_reachable_addrs(sigma: dict, roots) -> set:
                     seen.add(cand)
                     frontier.append(cand)
     return seen
+
+
+# -- abstract GC from scratch ----------------------------------------------------
+#
+# The specification of anfj.gc: roots, closure and restriction computed
+# anew from the whole store, as one collection with no history.
+
+def index_by_ptr(sigma: dict) -> dict:
+    """Pointer -> the store's addresses on it."""
+    by_ptr: dict = {}
+    for addr in sigma:
+        by_ptr.setdefault(addr.ptr, []).append(addr)
+    return by_ptr
+
+
+def stack_root(frames, sigma: dict) -> set:
+    """Variable addresses owned by any call frame in frames; handler
+    frames and the empty-stack marker own nothing."""
+    by_ptr = index_by_ptr(sigma)
+    out = set()
+    for fp in {f.fp for f in frames if isinstance(f, CallFrame)}:
+        out.update(by_ptr.get(fp, ()))
+    return out
+
+
+def root(q: ControlState, sigma: dict, frames, lp, policy: Policy) -> set:
+    """The current activation's variables (the live ones and the
+    receiver when liveness pruning is on) plus the stack's call-frame
+    bindings."""
+    own = index_by_ptr(sigma).get(q.fp, ())
+    if policy.liveness:
+        live = lp.lives.get(q.stmt.label, frozenset())
+        own = [a for a in own if a.base in live or a.base == THIS]
+    return stack_root(frames, sigma).union(own)
+
+
+def reachable(roots: set, sigma: dict) -> set:
+    """Closure of roots under the store's points-to edges: an address
+    reaches every field address of every object it may denote."""
+    by_ptr = index_by_ptr(sigma)
+    seen = {a for a in roots if a in sigma}
+    frontier = list(seen)
+    while frontier:
+        addr = frontier.pop()
+        for val in sigma[addr]:
+            for nxt in by_ptr.get(val.op, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def collect(q: ControlState, sigma: dict, frames, lp, policy: Policy) -> dict:
+    """sigma restricted to what q can still touch; sigma when gc is off."""
+    if not policy.gc:
+        return sigma
+    keep = reachable(root(q, sigma, frames, lp, policy), sigma)
+    return {a: vals for a, vals in sigma.items() if a in keep}
+
+
+# -- the reference fixpoint -------------------------------------------------------
+#
+# The analysis's specification: both stack abstractions as a naive
+# round-robin iteration. Every round steps every node in full under
+# every context, collecting its store from scratch, and then recomputes
+# the stack bookkeeping from the whole edge set; it stops after a round
+# that changed nothing. No worklist, no memo, no deltas.
+
+def reference_analysis(lp, policy: Policy) -> DSG:
+    """The least fixpoint the engine must reach, as a DSG holding the
+    nodes, edges, full and visible stores and diagnostics."""
+    q0 = inject_abstract(lp)
+    nodes = {q0}
+    edges: set = set()
+    full = {q0: {}}
+    pushdown = policy.mode == "pushdown"
+    tf, psf = {q0: {BOTTOM}}, {q0: {BOTTOM}}
+    table = {_level(lp, q0): {BOTTOM}}
+    while True:
+        changed = False
+        visible: dict = {}
+        diags: set = set()
+        for q in sorted(nodes, key=state_key):
+            if pushdown:
+                frames = psf.get(q, ())
+            else:
+                frames = finite_stack_frames(lp, table, q)
+            sigma = visible[q] = collect(q, full[q], frames, lp, policy)
+            found: list = []
+            if pushdown:
+                succs = []
+                for kappa in sorted(tf.get(q, ()), key=frame_key):
+                    top = None if kappa is BOTTOM else kappa
+                    succs += abstract_next(lp, q, sigma, top, policy, found)
+            else:
+                succs, grew = _finite_successors(lp, policy, q, sigma,
+                                                 table, found)
+                changed |= grew
+            diags.update((p.stmt.label, reason) for p, reason in found)
+            for q2, act, sg2 in succs:
+                if q2 not in nodes:
+                    nodes.add(q2)
+                    full[q2] = {}
+                    changed = True
+                joined = store_join(full[q2], sg2)
+                if joined is not full[q2]:
+                    full[q2] = joined
+                    changed = True
+                if (q, act, q2) not in edges:
+                    edges.add((q, act, q2))
+                    changed = True
+        if pushdown:
+            closed, tf2, psf2 = _stack_closure(q0, edges)
+            changed |= closed != edges or tf2 != tf or psf2 != psf
+            edges, tf, psf = closed, tf2, psf2
+        if not changed:
+            break
+    dsg = DSG(lp=lp, policy=policy, initial=q0)
+    dsg.nodes, dsg.edges = nodes, edges
+    dsg.full_stores, dsg.node_stores = full, visible
+    dsg.diagnostics = diags
+    return dsg
+
+
+def _stack_closure(q0, edges: set):
+    """The edges plus every summary edge they imply, with each node's
+    top frames and possible stack frames, by plain iteration: a push
+    edge puts its frame on top and records its source as a pusher; an
+    epsilon edge passes top frames and pushers on; a pop edge of a frame
+    yields a summary edge from each of its pushers; stack frames hold
+    the top frames and flow along push and epsilon edges."""
+    edges = set(edges)
+    tf = {q0: {BOTTOM}}
+    psf: dict = {}
+    pfp: dict = {}
+
+    def grow(d, key, vals) -> bool:
+        have = d.setdefault(key, set())
+        n = len(have)
+        have |= vals
+        return len(have) != n
+
+    changed = True
+    while changed:
+        changed = False
+        for s1, act, s2 in sorted(edges, key=lambda e: state_key(e[0])):
+            if isinstance(act, Pop):
+                for w in list(pfp.get((s1, act.frame), ())):
+                    if (w, EPSILON, s2) not in edges:
+                        edges.add((w, EPSILON, s2))
+                        changed = True
+                continue
+            if isinstance(act, Push):
+                changed |= grow(tf, s2, {act.frame})
+                changed |= grow(pfp, (s2, act.frame), {s1})
+            else:
+                for f in list(tf.get(s1, ())):
+                    changed |= grow(tf, s2, {f})
+                    changed |= grow(pfp, (s2, f), pfp.get((s1, f), set()))
+            changed |= grow(psf, s2, psf.get(s1, set()))
+        for s, frames in tf.items():
+            changed |= grow(psf, s, frames)
+    return edges, tf, psf
+
+
+def _level(lp, q: ControlState):
+    """The finite table's key of q's activation: its method and frame
+    pointer."""
+    m = lp.method_of_label(q.stmt.label)
+    return ((m.owner, m.name), q.fp)
+
+
+def finite_stack_frames(lp, table: dict, q: ControlState) -> set:
+    """The finite table's stand-in for q's stack: every call record at
+    a level q's activation can return through."""
+    return {e for lv in _levels_from(lp, table, _level(lp, q))
+            for e in table.get(lv, ()) if isinstance(e, CallFrame)}
+
+
+def _levels_from(lp, table: dict, level) -> set:
+    """level plus every level reachable through call records."""
+    seen = {level}
+    frontier = [level]
+    while frontier:
+        for e in table.get(frontier.pop(), ()):
+            if isinstance(e, CallFrame):
+                nxt = _level(lp, ControlState(e.target, e.fp, ()))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def _finite_successors(lp, policy: Policy, q: ControlState, sigma: dict,
+                       table: dict, diags: list):
+    """q's (state, epsilon, store) successors under the finite table,
+    and whether stepping q recorded anything new in the table. A return
+    flows to every call record of its level, a throw to every matching
+    handler record of a level it can reach; other rules are
+    domain.next's, with each push recorded in the table instead."""
+    s = q.stmt
+    out = []
+    if isinstance(s, (Return, Throw)):
+        vals = sigma.get(Addr(s.var, q.fp))
+        if not vals:
+            diags.append((q, f"unbound read of {s.var!r}"))
+            return out, False
+        if isinstance(s, Return):
+            for e in table.get(_level(lp, q), ()):
+                if isinstance(e, CallFrame):
+                    out.append((ControlState(e.target, e.fp, q.time), EPSILON,
+                                store_join(sigma, {Addr(e.var, e.fp): vals})))
+            return out, False
+        for lv in _levels_from(lp, table, _level(lp, q)):
+            for h in table.get(lv, ()):
+                if not isinstance(h, HandlerFrame):
+                    continue
+                for v in vals:
+                    if lp.subtype(v.class_name, h.class_name):
+                        out.append((ControlState(h.target, h.fp, q.time),
+                                    EPSILON, store_join(
+                                        sigma, {Addr(h.var, h.fp):
+                                                frozenset((v,))})))
+        return out, False
+    if isinstance(s, PopHandler):
+        nxt = lp.succ_map.get(s.label)
+        if nxt is not None:
+            out.append((ControlState(nxt, q.fp, q.time), EPSILON, sigma))
+        return out, False
+    grew = False
+    for q2, act, sg2 in abstract_next(lp, q, sigma, None, policy, diags):
+        if isinstance(act, Push):
+            owner = q2 if isinstance(act.frame, CallFrame) else q
+            have = table.setdefault(_level(lp, owner), set())
+            grew |= act.frame not in have
+            have.add(act.frame)
+        out.append((q2, EPSILON, sg2))
+    return out, grew
 
 
 def store_leq(a: dict, b: dict) -> bool:

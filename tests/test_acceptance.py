@@ -8,10 +8,12 @@ constants; every numeric expectation is exact.
 import random
 import time
 
-from anfj.domain import BOTTOM, EPSILON, Policy, Pop
+from anfj.domain import (
+    BOTTOM, EPSILON, FP0A, CallFrame, ControlState, Policy, Pop,
+)
 from anfj.engine import Budget, analyze
 from anfj.export import export_dsg
-from anfj.gc import reachable
+from anfj.gc import eagc
 from anfj.machine import Addr, run
 from anfj.metrics import metric_ec_links, points_to_union
 from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
@@ -235,12 +237,24 @@ def test_criterion_8_termination_and_determinism():
 # -- 9: reachability closure against brute force ----------------------------------------
 
 def test_criterion_9_reachable_set_oracle():
+    # the collector keeps exactly the brute-force closure of its roots:
+    # the activation's variables (liveness off) and those of the call
+    # frames on the stack
+    lp = corpus_program("minimal")
+    stmt = lp.first_stmt(lp.entry_method)
+    policy = Policy(liveness=False)
+
     def check():
         rng = random.Random(STORE_SEED)
         for _ in range(N_RANDOM_STORES):
             sigma = _random_cyclic_store(rng)
-            pool = sorted(sigma, key=lambda a: (a.base, str(a.ptr)))
-            roots = {a for a in pool if rng.random() < 0.3}
-            assert reachable(roots, sigma) == \
+            fps = sorted({a.ptr for a in sigma if a.base.startswith("v")},
+                         key=str) or [FP0A]
+            q = ControlState(stmt, rng.choice(fps), ())
+            frames = {CallFrame("r", stmt, fp) for fp in fps
+                      if rng.random() < 0.5}
+            roots = {a for a in sigma if a.ptr == q.fp or
+                     any(a.ptr == f.fp for f in frames)}
+            assert set(eagc(q, sigma, frames, lp, policy)) == \
                 brute_reachable_addrs(sigma, roots)
     _verdict(9, "reachable-set oracle", check)

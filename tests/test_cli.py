@@ -186,14 +186,28 @@ COMPARE = ["compare", MINIMAL, "--a", "k=0", "--b", "k=1"]
     ["analyze", MINIMAL, "--k", "x"],
     [*COMPARE, "--budget-nodes", "x"],
     ["analyze", MINIMAL, "--store-mode", "global"],
+    ["run", MINIMAL, "--fuel", "-3"],
+    ["analyze", MINIMAL, "--budget-seconds", "nan"],
+    [*COMPARE, "--budget-seconds", "nan"],
 ], ids=["run-flag", "analyze-flag", "compare-flag", "run-int", "analyze-int",
-        "compare-int", "store-mode"])
+        "compare-int", "store-mode", "run-negative-fuel", "analyze-nan-seconds",
+        "compare-nan-seconds"])
 def test_bad_flag_exits_1(argv, capsys):
     # exit 2 is reserved for an exhausted budget
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--dot"])
+def test_unwritable_export_path_is_input_error(flag, tmp_path, capsys):
+    # a missing directory and a directory in place of the file
+    for path in (tmp_path / "missing" / "g.out", tmp_path):
+        assert main(["analyze", MINIMAL, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [[], ["run"], ["analyze"], ["compare"]])

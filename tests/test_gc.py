@@ -1,17 +1,22 @@
-"""Garbage collection: roots, reachability closure, store restriction."""
+"""Garbage collection: roots, reachability closure, store restriction.
+
+root, stack_root and reachable are the from-scratch specification in
+oracles.py; eagc and its incremental Collection are checked against it.
+"""
 
 import random
 
 from anfj.domain import (
     CallFrame, ControlState, FP0A, FramePtr, HandlerFrame, ObjPtr, Policy,
+    store_join,
 )
 from anfj.engine import analyze
-from anfj.gc import eagc, reachable, root, stack_root
+from anfj.gc import Collection, call_fps, eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import Invoke, Assign
 
 from helpers import corpus_program
-from oracles import brute_reachable_addrs
+from oracles import brute_reachable_addrs, collect, reachable, root, stack_root
 
 FP1 = FramePtr(1, ())
 OP = [ObjPtr(i, ()) for i in range(8)]
@@ -213,3 +218,45 @@ def test_gc_on_store_domains_within_gc_off():
         assert dsg_on.nodes <= dsg_off.nodes
         for q in dsg_on.nodes:
             assert set(dsg_on.node_store(q)) <= set(dsg_off.node_store(q))
+
+
+# -- incremental collection ------------------------------------------------------
+
+def test_eagc_keeps_exactly_the_spec_on_random_stores():
+    rng = random.Random(5)
+    lp = corpus_program("dead_before_call")
+    for _ in range(200):
+        sigma = _random_cyclic_store(rng)
+        q = ControlState(_call_node(lp), rng.choice([FP0A, FP1]), ())
+        frames = {CallFrame("w", None, fp) for fp in (FP0A, FP1)
+                  if rng.random() < 0.4}
+        for policy in (Policy(), Policy(liveness=False)):
+            assert eagc(q, sigma, frames, lp, policy) == \
+                collect(q, sigma, frames, lp, policy)
+
+
+def test_collection_extension_matches_from_scratch_on_random_growth():
+    # a store and a stack that grow by random batches: each extension
+    # gives the from-scratch collection, and its delta is exactly the
+    # addresses whose visible binding changed
+    rng = random.Random(11)
+    lp = corpus_program("dead_before_call")
+    for policy in (Policy(), Policy(liveness=False)):
+        for _ in range(100):
+            q = ControlState(_call_node(lp), rng.choice([FP0A, FP1]), ())
+            sigma, frames = {}, set()
+            state = Collection(q, lp, policy)
+            visible = eagc(q, sigma, frames, lp, policy, state=state)
+            for _ in range(rng.randrange(1, 6)):
+                grew: set = set()
+                sigma = store_join(sigma, _random_cyclic_store(rng, 12), grew)
+                if rng.random() < 0.3:
+                    frames = frames | {CallFrame("w", None,
+                                                 rng.choice([FP0A, FP1]))}
+                delta = state.extend(sigma, grew, call_fps(frames))
+                want = collect(q, sigma, frames, lp, policy)
+                assert state.visible == want
+                assert len(delta) == len(set(delta))
+                assert set(delta) == {a for a in want
+                                      if visible.get(a) != want[a]}
+                visible = state.visible
