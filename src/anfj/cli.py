@@ -46,7 +46,7 @@ def parse_policy_spec(spec: str) -> Policy:
             continue
         name, eq, val = token.partition("=")
         if name == "k":
-            if not eq or not val.isdigit():
+            if not eq or not (val.isascii() and val.isdigit()):
                 raise AnfjError(f"bad policy token {token!r}: want k=N")
             kw["k"] = int(val)
         elif name == "obj":
@@ -100,14 +100,15 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _seconds(text: str) -> float:
-    """argparse type for a time budget: NaN, which no elapsed time
-    exceeds, is a usage error."""
+    """argparse type for a time budget: a negative one, and NaN, which
+    no elapsed time exceeds, are usage errors."""
     try:
         t = float(text)
     except ValueError:
         t = math.nan               # refused below, as NaN is
-    if math.isnan(t):
-        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    if not t >= 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative number of seconds: {text!r}")
     return t
 
 
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the graph in JSON form to PATH")
     anp.add_argument("--report-json", action="store_true",
                      help="print the metrics report as JSON")
-    anp.add_argument("--budget-nodes", type=int, default=None)
+    anp.add_argument("--budget-nodes", type=_nonnegative_int, default=None)
     anp.add_argument("--budget-seconds", type=_seconds, default=None)
     anp.set_defaults(fn=cmd_analyze)
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmpp.add_argument("--b", required=True, metavar="POLICY")
     cmpp.add_argument("--json", action="store_true",
                       help="print both reports and ratios as JSON")
-    cmpp.add_argument("--budget-nodes", type=int, default=None)
+    cmpp.add_argument("--budget-nodes", type=_nonnegative_int, default=None)
     cmpp.add_argument("--budget-seconds", type=_seconds, default=None)
     cmpp.set_defaults(fn=cmd_compare)
     return ap

@@ -259,8 +259,12 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
     top-of-stack frame (None when the stack may be empty).
 
     Returns (state, action, store) triples; each store is sigma extended
-    by that rule's own bindings. Unbound reads yield no successors and
-    are recorded in diags when given.
+    by that rule's own bindings, and is sigma itself, the same object,
+    exactly when the rule adds none. So a pop that only exposes the
+    frame beneath (a return over a handler frame, a throw over a call
+    frame or past a handler it does not match) is a self-edge carrying
+    sigma itself, which the finite baseline drops. Unbound reads yield
+    no successors and are recorded in diags when given.
 
     When reads is given, every address the rule looked up in sigma is
     added to it: variables (unbound ones too), the field of each

@@ -3,54 +3,57 @@
 The core (_Engine) owns the worklist, the full and visible stores, the
 nodes and edges, the budgets and clock, the collection before each
 step, the memo of each step and the delta passes it allows, the
-fixpoint diagnostics and DSG.stats. A stack abstraction supplies its
-step causes, its stack contexts, the step under one context, the work
-after a step, and the collection's stack roots. _PushdownEngine below is
-the pushdown abstraction; finite._FiniteEngine is the finite-state
-baseline, which differs from it in stack handling alone.
+fixpoint diagnostics and DSG.stats. A stack abstraction supplies the
+same two things to it: the top frames a node is stepped under, and the
+GC-root pointers of its stack. _PushdownEngine below is the pushdown
+abstraction; finite._FiniteEngine is the finite-state baseline, which
+differs from it in stack handling alone.
 
 The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
-epsilon edges as they are discovered. The bookkeeping lives in six maps:
+epsilon edges as they are discovered. The bookkeeping lives in five maps:
 
   eps_pred / eps_succ   epsilon reachability, kept transitively closed
   top_frames (TF)       every frame observed on top of the stack at a node
-  psf                   every frame possibly anywhere on the stack (for gc)
+  psf                   the frame pointers of every call frame possibly
+                        anywhere on the stack: the node's GC roots
   pfp                   (node, frame) -> push sources: who pushed that
                         frame onto a balanced path reaching the node
-  nep                   push sources reaching the node (non-epsilon preds)
 
 A pop edge (s1, pop g, s2) turns each push source w in pfp[(s1, g)] into
 a summary edge (w, eps, s2): the push and the pop cancel, so anything
 that held before the push holds after the pop. Summaries feed the same
 closure, so deeper cancellations cascade.
 
-The PSF grows by deltas: when a node gains a predecessor it takes the
-predecessor's whole PSF once, and from then on drain passes it only the
-frames that are new at the predecessor (the dirty_psf records), never
-re-unioning every predecessor's summary.
+The stack summary (PSF) keeps pointers, not frames, because its one
+reader is the collection, whose stack roots are the bindings of the
+call frames' activations (the root set of Might & Shivers' Gamma-CFA);
+handler frames and the empty-stack marker own no bindings and never
+enter it. It grows by deltas: when a node gains a predecessor it takes
+the predecessor's whole PSF once, and from then on drain passes it only
+the pointers that are new at the predecessor (the dirty_psf records),
+never re-unioning every predecessor's summary.
 
 Per-node stores come in two layers. The full store is the monotone join
-of everything ever flowed into the node; growth of it, of TF, or (when
-gc is on) of the set of frame pointers of the call frames in the PSF
+of everything ever flowed into the node; growth of it or of TF
 re-enqueues the node, and monotonicity is what makes the fixpoint
-terminate even though the graph has cycles. Those frame pointers are
-the only GC roots a PSF contributes: handler frames and the empty-stack
-marker own no bindings, so PSF growth by them alone cannot change the
-collected store and is not worth a re-enqueue. The visible store is the
+terminate even though the graph has cycles. The visible store is the
 garbage-collected view of the full store; it is what stepping, export,
 and metrics see. With gc off the two layers are the same object.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
-full store and the frame pointers new in its PSF, which gives the
-visible delta: the addresses whose visible binding changed. A node is
-stepped per context (here, per top frame), and each context's last
-full step is memoized with the addresses domain.next read. The context
-is stepped in full again only when it is new or the delta touches one
-of those reads; otherwise the delta is joined into the full stores of
-the memoized successors, which is exactly what the step would add.
+full store and the root pointers new on its stack, which gives the
+visible delta: the addresses whose visible binding changed. A new root
+pointer is kept for the node's next collection, and wakes the node only
+when its last collection left out an address under it; otherwise the
+visible store would not change. A node is stepped per context (here,
+per top frame), and each context's last full step is memoized with the
+addresses domain.next read. The context is stepped in full again only
+when it is new or the delta touches one of those reads; otherwise the
+delta is joined into the full stores of the memoized successors, which
+is exactly what the step would add.
 
 The core's worklist (Worklist) steps the queued node that was
 discovered first. Upstream nodes are mostly found first, so a node is
@@ -78,11 +81,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+# eagc, abstract_next and store_join are called through this module's
+# globals, where the traced benchmark (perfbench/layers.py) wraps them
 from .domain import (
     BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Push,
     frame_key, inject_abstract, next as abstract_next, state_key, store_join,
 )
-from .gc import Collection, call_fps, eagc
+from .gc import Collection, eagc
 from .syntax import LabeledProgram
 
 
@@ -146,7 +151,7 @@ class Worklist:
 
 
 class IECG:
-    """The six closure maps plus change bookkeeping for the engine.
+    """The five closure maps plus change bookkeeping for the engine.
 
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
@@ -159,11 +164,9 @@ class IECG:
         self.top_frames: dict = {}
         self.psf: dict = {}
         self.pfp: dict = {}
-        self.nep: dict = {}
         self.psf_deps: dict = {}       # node -> nodes its PSF flows into
-        self.psf_roots: dict = {}      # node -> fps of the call frames in PSF
         self.dirty_tf: list = []       # nodes whose TF grew
-        self.dirty_psf: list = []      # (node, its new PSF frames, roots grew?)
+        self.dirty_psf: list = []      # (node, its new PSF pointers)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
     def tf(self, s) -> set:
@@ -175,7 +178,8 @@ class IECG:
             return False
         have.add(frame)
         self.dirty_tf.append(s)
-        self.add_psf(s, (frame,))
+        if isinstance(frame, CallFrame):
+            self.add_psf(s, (frame.fp,))
         return True
 
     def add_pfp(self, s, frame, src) -> bool:
@@ -186,22 +190,15 @@ class IECG:
         self.dirty_pfp.append((s, frame, src))
         return True
 
-    def add_psf(self, s, frames) -> None:
-        """Join frames into PSF(s). The ones that are new are recorded
-        in dirty_psf, for drain to pass on to psf_deps[s], together
-        with whether they add a call-frame pointer (a GC root)."""
+    def add_psf(self, s, fps) -> None:
+        """Join call-frame pointers into PSF(s). The ones that are new
+        are recorded in dirty_psf, for drain to pass on to psf_deps[s]
+        and to s's collection."""
         have = self.psf.setdefault(s, set())
-        new = [f for f in frames if f not in have]
-        if not new:
-            return
-        have.update(new)
-        roots = self.psf_roots.setdefault(s, set())
-        grew = False
-        for f in new:
-            if isinstance(f, CallFrame) and f.fp not in roots:
-                roots.add(f.fp)
-                grew = True
-        self.dirty_psf.append((s, new, grew))
+        new = [fp for fp in fps if fp not in have]
+        if new:
+            have.update(new)
+            self.dirty_psf.append((s, new))
 
     def add_psf_pred(self, s, p) -> None:
         """p became a predecessor of s: everything on the stack at p
@@ -248,7 +245,6 @@ def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     for s in set(iecg.eps_succ.get(s2, ())) | {s2}:
         iecg.add_tf(s, frame)
         iecg.add_pfp(s, frame, s1)
-        iecg.nep.setdefault(s, set()).add(s1)
         iecg.add_psf_pred(s, s1)
     return iecg
 
@@ -290,39 +286,37 @@ class DSG:
 class _Stepped:
     """What the core keeps about a node it has stepped: the addresses
     its full store grew at since its last dequeue, its collection, the
-    memo of the last full step under each context (the addresses read,
-    the successor states and the diagnostics), and whether its next
-    dequeue must step every context in full."""
+    root pointers new on its stack since that collection, and the memo
+    of the last full step under each context (the addresses read, the
+    successor states and the diagnostics)."""
 
-    __slots__ = ("grown", "collection", "memo", "stale")
+    __slots__ = ("grown", "collection", "roots", "memo")
 
     def __init__(self):
         self.grown = None              # a set once the first step began
         self.collection = None
+        self.roots: set = set()
         self.memo: dict = {}
-        self.stale = False
 
 
 class _Engine:
     """The fixpoint core both analyses run on. A stack abstraction
     subclasses it and supplies `causes`, its step causes beyond
-    new_node and store; `contexts(s)`, the stack contexts s is stepped
-    under, in order; `step(s, ctx, sigma, reads, diags)`, s's
-    (state, action, store) successors under context ctx and sigma, the
-    visible store, with the addresses read added to reads;
+    new_node and store; `contexts(s)`, the frames that may be on top
+    of the stack at s, in order (BOTTOM for the empty stack, None for
+    a statement whose step needs no top frame); `step(s, top, sigma,
+    reads, diags)`, s's (state, action, store) successors under top
+    (None for BOTTOM) and sigma, the visible store, with the addresses
+    read added to reads;
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
-    the work a step leaves behind; `collect(s, sigma, state)`, s's
-    first collection, eagc under the frames that may be on the stack
-    at s; and `stack_fps(s)`, the frame pointers of the call frames
-    among them, for each later collection. Each module calls eagc,
-    abstract_next and store_join through its own globals, where the
-    traced benchmark (perfbench/layers.py) wraps them.
+    the work a step leaves behind; and `stack_fps(s)`, the GC-root
+    pointers of s's stack at its first collection (eagc). Root pointers
+    that join s's stack later are handed to `add_roots`, which keeps
+    them for s's next collection (Collection.extend).
 
     A dequeued node is stepped in full under a context only when the
-    context is new to it, when the visible store changed at an address
-    the context's last full step read, or when the node is stale (the
-    abstraction marks it so when something else that step consulted
-    changed; it sets `stale`). Otherwise the memo of that step
+    context is new to it or the visible store changed at an address the
+    context's last full step read. Otherwise the memo of that step
     stands, and only the visible delta is joined into the memoized
     successors' full stores: the step's own result on the grown store,
     given what domain.next promises about its reads."""
@@ -357,9 +351,6 @@ class _Engine:
     def stack_fps(self, s):
         raise NotImplementedError
 
-    def collect(self, s, sigma: dict, state: Collection) -> dict:
-        raise NotImplementedError
-
     # -- bookkeeping ----------------------------------------------------
 
     def join_store(self, s, sigma2: dict) -> None:
@@ -387,6 +378,20 @@ class _Engine:
         self.dsg.node_stores.setdefault(s, {})
         self.dsg.full_stores.setdefault(s, {})
         self.work.push(s, "new_node")
+
+    def add_roots(self, s, fps, cause: str) -> None:
+        """fps joined the root pointers of s's stack. A node not yet
+        collected takes its whole stack at its first collection; for
+        any other, fps are kept for the next one, and s is woken only
+        when its last collection left out an address under one of them,
+        as otherwise its visible store stays the same."""
+        node = self.stepped.get(s)
+        if node is None or node.collection is None:
+            return
+        node.roots.update(fps)
+        pending = node.collection.pending
+        if any(fp in pending for fp in fps):
+            self.work.push(s, cause)
 
     def add_edge(self, s1, act, s2) -> bool:
         """Record the edge; True when it is new."""
@@ -418,10 +423,12 @@ class _Engine:
             return full, grown
         if grown is None:
             node.collection = Collection(s, self.lp, self.policy)
-            sigma = self.collect(s, full, node.collection)
+            sigma = eagc(s, full, self.stack_fps(s), self.lp, self.policy,
+                         state=node.collection)
             delta = None
         else:
-            delta = node.collection.extend(full, grown, self.stack_fps(s))
+            roots, node.roots = node.roots, set()
+            delta = node.collection.extend(full, grown, roots)
             sigma = node.collection.visible
         self.dsg.node_stores[s] = sigma
         return sigma, delta
@@ -436,17 +443,17 @@ class _Engine:
             if node is None:
                 node = self.stepped[s] = _Stepped()
             sigma, delta = self.visible_store(s, node)
-            stale, node.stale = node.stale, False
             memo = node.memo
             passed = None              # delta as a store, built once
             for ctx in self.contexts(s):
                 last = memo.get(ctx)
-                if last is None or stale or not last[0].isdisjoint(delta):
+                if last is None or not last[0].isdisjoint(delta):
                     full_steps += 1
                     reads: set = set()
                     diags: list = []
                     succs = []
-                    for q2, act, sg2 in self.step(s, ctx, sigma, reads, diags):
+                    top = None if ctx is BOTTOM else ctx
+                    for q2, act, sg2 in self.step(s, top, sigma, reads, diags):
                         self.add_node(q2)
                         self.join_store(q2, sg2)
                         if self.add_edge(s, act, q2):
@@ -483,7 +490,8 @@ class _Engine:
 class _PushdownEngine(_Engine):
     """The pushdown stack abstraction: top frames, stack summaries and
     summary edges, kept in the IECG and closed by drain after each
-    step. A node's contexts are its top frames."""
+    step. A node's contexts are its top frames, and its stack roots
+    are its stack summary."""
 
     causes = ("top_frames", "gc_roots")
 
@@ -491,16 +499,13 @@ class _PushdownEngine(_Engine):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
-        self.iecg.psf[self.dsg.initial] = {BOTTOM}
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.pending_edges: deque = deque()
-        self.new_roots: dict = {}      # node -> call-frame fps new in PSF
 
     def contexts(self, s):
         return sorted(self.iecg.tf(s), key=frame_key)
 
-    def step(self, s, kappa, sigma, reads, diags):
-        top = None if kappa is BOTTOM else kappa
+    def step(self, s, top, sigma, reads, diags):
         return abstract_next(self.lp, s, sigma, top, self.policy, diags,
                              reads)
 
@@ -508,12 +513,7 @@ class _PushdownEngine(_Engine):
         self.pending_edges.append((s1, act, s2))
 
     def stack_fps(self, s):
-        return self.new_roots.pop(s, ())
-
-    def collect(self, s, sigma, state):
-        self.new_roots.pop(s, None)
-        return eagc(s, sigma, self.iecg.psf.get(s, ()), self.lp, self.policy,
-                    state=state)
+        return self.iecg.psf.get(s, ())
 
     def after_step(self) -> None:
         self.drain()
@@ -551,12 +551,10 @@ class _PushdownEngine(_Engine):
                 self.work.push(iecg.dirty_tf.pop(), "top_frames")
                 continue
             if iecg.dirty_psf:
-                s, new, roots_grew = iecg.dirty_psf.pop()
+                s, new = iecg.dirty_psf.pop()
                 for dep in iecg.psf_deps.get(s, ()):
                     iecg.add_psf(dep, new)
-                if roots_grew and self.policy.gc:
-                    self.new_roots.setdefault(s, set()).update(call_fps(new))
-                    self.work.push(s, "gc_roots")
+                self.add_roots(s, new, "gc_roots")
                 continue
             return
 

@@ -1,24 +1,27 @@
 """Abstract garbage collection over per-node stores, kept incrementally.
 
 Collection runs when the engine dequeues a node, before stepping it. The
-roots are the node's own live locals plus every binding owned by a call
-frame that may sit on the stack (handler frames own nothing); the store's
-object graph is closed transitively, and unreachable addresses are
-dropped. Liveness pruning restricts the locals to the current
-statement's live set; either flag can be switched off independently.
+roots are the node's own live locals plus every binding on a root
+pointer of its stack: the frame pointer of a call frame that may sit on
+it (handler frames and the empty stack own nothing, so a stack
+abstraction reports only those pointers). The store's object graph is
+closed transitively, and unreachable addresses are dropped. Liveness
+pruning restricts the locals to the current statement's live set;
+either flag can be switched off independently.
 
 A node's keep-set can only grow: its live set is fixed by its label,
-its stack only gains frames and its full store only gains bindings. So
-the engine keeps one Collection per node. The first collection is eagc,
-which is an extension of an empty Collection; every later one extends
-the keep-set from the frame pointers new on the stack and the addresses
-that grew in the full store since the last one, and reports the visible
-delta, the addresses whose binding in the collected view changed.
+its stack only gains root pointers and its full store only gains
+bindings. So the engine keeps one Collection per node. The first
+collection is eagc, which is an extension of an empty Collection; every
+later one extends the keep-set from the root pointers new on the stack
+and the addresses that grew in the full store since the last one, and
+reports the visible delta, the addresses whose binding in the collected
+view changed.
 """
 
 from __future__ import annotations
 
-from .domain import CallFrame, ControlState, Policy
+from .domain import ControlState, Policy
 from .syntax import THIS, LabeledProgram
 
 
@@ -54,10 +57,10 @@ class Collection:
     def extend(self, sigma: dict, grown, fps) -> list:
         """Collect sigma, a store above the one collected last, in which
         grown holds every address whose value set changed since then
-        (new ones included), under a stack that holds the last one's
-        frames plus call frames with the frame pointers fps (which may
-        repeat old ones). Returns the visible delta: the addresses
-        newly kept plus the kept ones that grew, each once."""
+        (new ones included), under a stack whose root pointers are the
+        last one's plus fps (which may repeat old ones). Returns the
+        visible delta: the addresses newly kept plus the kept ones that
+        grew, each once."""
         keep, ptrs, pending, old = self.keep, self.ptrs, self.pending, self.sigma
         fp, live = self.fp, self.live
         delta = []
@@ -97,20 +100,15 @@ class Collection:
         return delta
 
 
-def eagc(q: ControlState, sigma: dict, frames, lp: LabeledProgram,
+def eagc(q: ControlState, sigma: dict, fps, lp: LabeledProgram,
          policy: Policy, state: Collection | None = None) -> dict:
-    """sigma restricted to what q can still touch under a stack of
-    frames; identity when off or when everything is kept. state, a
-    fresh Collection of q, keeps the collection for later extension."""
+    """sigma restricted to what q can still touch under a stack whose
+    root pointers are fps; identity when off or when everything is
+    kept. state, a fresh Collection of q, keeps the collection for
+    later extension."""
     if not policy.gc:
         return sigma
     if state is None:
         state = Collection(q, lp, policy)
-    state.extend(sigma, sigma, call_fps(frames))
+    state.extend(sigma, sigma, fps)
     return state.visible
-
-
-def call_fps(frames) -> set:
-    """The frame pointers of the call frames among frames: the stack's
-    roots. Handler frames and the empty-stack marker own no bindings."""
-    return {f.fp for f in frames if isinstance(f, CallFrame)}

@@ -7,7 +7,7 @@ import sys
 from anfj.syntax import LabeledProgram, load_program
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
-GEN_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "gen.py"
+PERFBENCH_DIR = pathlib.Path(__file__).parents[1] / "perfbench"
 CHAINS = ("chain7", "chain10")
 
 
@@ -30,13 +30,19 @@ def named_program(name: str) -> LabeledProgram:
     return corpus_program(name)
 
 
+def perfbench_module(name: str):
+    """`perfbench/<name>.py` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def gen_module():
     """`perfbench/gen.py`, the seeded program generator, as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen       # dataclasses look the module up
-    spec.loader.exec_module(gen)
-    return gen
+    return perfbench_module("gen")
 
 
 def chain_sources() -> dict:

@@ -136,19 +136,20 @@ def net_empty_pairs(lp, policy: Policy, sources, stores,
     return pairs, truncated
 
 
-def update_psf(s, top_frames: dict, psf: dict, nep: dict,
+def update_psf(s, top_frames: dict, psf: dict, push_preds: dict,
                eps_pred: dict) -> set:
-    """The stack summary spec: PSF(s) holds its own top frames plus
-    everything possibly on the stack at any predecessor, push source
-    (nep) or epsilon predecessor alike."""
-    out = set(top_frames.get(s, ()))
+    """The stack summary spec: PSF(s) holds the root pointers of its
+    own top frames plus every root pointer possibly on the stack at any
+    predecessor, push source or epsilon predecessor alike."""
+    out = call_fps(top_frames.get(s, ()))
     out |= psf.get(s, set())
-    for p in nep.get(s, set()) | eps_pred.get(s, set()):
+    for p in push_preds.get(s, set()) | eps_pred.get(s, set()):
         out |= psf.get(p, set())
     return out
 
 
-def least_psf(nodes, top_frames: dict, nep: dict, eps_pred: dict) -> dict:
+def least_psf(nodes, top_frames: dict, push_preds: dict,
+              eps_pred: dict) -> dict:
     """The least solution of update_psf over nodes, by plain round-robin
     iteration from empty summaries."""
     psf: dict = {}
@@ -156,7 +157,7 @@ def least_psf(nodes, top_frames: dict, nep: dict, eps_pred: dict) -> dict:
     while changed:
         changed = False
         for s in nodes:
-            new = update_psf(s, top_frames, psf, nep, eps_pred)
+            new = update_psf(s, top_frames, psf, push_preds, eps_pred)
             if new != psf.get(s, set()):
                 psf[s] = new
                 changed = True
@@ -192,25 +193,31 @@ def index_by_ptr(sigma: dict) -> dict:
     return by_ptr
 
 
-def stack_root(frames, sigma: dict) -> set:
-    """Variable addresses owned by any call frame in frames; handler
-    frames and the empty-stack marker own nothing."""
+def call_fps(frames) -> set:
+    """The stack's root pointers: the frame pointers of the call frames
+    among frames. Handler frames and the empty-stack marker own no
+    bindings."""
+    return {f.fp for f in frames if isinstance(f, CallFrame)}
+
+
+def stack_root(fps, sigma: dict) -> set:
+    """Variable addresses on any of the stack's root pointers fps."""
     by_ptr = index_by_ptr(sigma)
     out = set()
-    for fp in {f.fp for f in frames if isinstance(f, CallFrame)}:
+    for fp in fps:
         out.update(by_ptr.get(fp, ()))
     return out
 
 
-def root(q: ControlState, sigma: dict, frames, lp, policy: Policy) -> set:
+def root(q: ControlState, sigma: dict, fps, lp, policy: Policy) -> set:
     """The current activation's variables (the live ones and the
-    receiver when liveness pruning is on) plus the stack's call-frame
-    bindings."""
+    receiver when liveness pruning is on) plus the bindings on the
+    stack's root pointers fps."""
     own = index_by_ptr(sigma).get(q.fp, ())
     if policy.liveness:
         live = lp.lives.get(q.stmt.label, frozenset())
         own = [a for a in own if a.base in live or a.base == THIS]
-    return stack_root(frames, sigma).union(own)
+    return stack_root(fps, sigma).union(own)
 
 
 def reachable(roots: set, sigma: dict) -> set:
@@ -229,11 +236,12 @@ def reachable(roots: set, sigma: dict) -> set:
     return seen
 
 
-def collect(q: ControlState, sigma: dict, frames, lp, policy: Policy) -> dict:
-    """sigma restricted to what q can still touch; sigma when gc is off."""
+def collect(q: ControlState, sigma: dict, fps, lp, policy: Policy) -> dict:
+    """sigma restricted to what q can still touch under a stack whose
+    root pointers are fps; sigma when gc is off."""
     if not policy.gc:
         return sigma
-    keep = reachable(root(q, sigma, frames, lp, policy), sigma)
+    keep = reachable(root(q, sigma, fps, lp, policy), sigma)
     return {a: vals for a, vals in sigma.items() if a in keep}
 
 
@@ -261,10 +269,10 @@ def reference_analysis(lp, policy: Policy) -> DSG:
         diags: set = set()
         for q in sorted(nodes, key=state_key):
             if pushdown:
-                frames = psf.get(q, ())
+                fps = call_fps(psf.get(q, ()))
             else:
-                frames = finite_stack_frames(lp, table, q)
-            sigma = visible[q] = collect(q, full[q], frames, lp, policy)
+                fps = finite_stack_fps(lp, table, q)
+            sigma = visible[q] = collect(q, full[q], fps, lp, policy)
             found: list = []
             if pushdown:
                 succs = []
@@ -349,10 +357,10 @@ def _level(lp, q: ControlState):
     return ((m.owner, m.name), q.fp)
 
 
-def finite_stack_frames(lp, table: dict, q: ControlState) -> set:
-    """The finite table's stand-in for q's stack: every call record at
-    a level q's activation can return through."""
-    return {e for lv in _levels_from(lp, table, _level(lp, q))
+def finite_stack_fps(lp, table: dict, q: ControlState) -> set:
+    """The finite table's stand-in for q's stack roots: the pointers of
+    the call records at every level q's activation can return through."""
+    return {e.fp for lv in _levels_from(lp, table, _level(lp, q))
             for e in table.get(lv, ()) if isinstance(e, CallFrame)}
 
 

@@ -9,7 +9,7 @@ import random
 import time
 
 from anfj.domain import (
-    BOTTOM, EPSILON, FP0A, CallFrame, ControlState, Policy, Pop,
+    BOTTOM, EPSILON, FP0A, ControlState, Policy, Pop,
 )
 from anfj.engine import Budget, analyze
 from anfj.export import export_dsg
@@ -19,7 +19,9 @@ from anfj.metrics import metric_ec_links, points_to_union
 from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
 
 from helpers import corpus_names, corpus_program
-from oracles import brute_reachable_addrs, explore_configs, net_empty_pairs
+from oracles import (
+    brute_reachable_addrs, call_fps, explore_configs, net_empty_pairs,
+)
 from test_gc import _random_cyclic_store
 from test_machine import EXPECTED, FUEL
 from test_soundness import replay_violations
@@ -102,7 +104,7 @@ def test_criterion_3_summary_oracle_equivalence():
             for q, tops in g.top_frames().items():
                 assert tops <= dsg.iecg.tf(q), name
             for q, frames in g.stack_frames().items():
-                assert frames <= dsg.iecg.psf.get(q, set()), name
+                assert call_fps(frames) <= dsg.iecg.psf.get(q, set()), name
         assert qualified >= MIN_ORACLE_QUALIFIERS
     _verdict(3, "summary oracle equivalence", check)
 
@@ -238,8 +240,8 @@ def test_criterion_8_termination_and_determinism():
 
 def test_criterion_9_reachable_set_oracle():
     # the collector keeps exactly the brute-force closure of its roots:
-    # the activation's variables (liveness off) and those of the call
-    # frames on the stack
+    # the activation's variables (liveness off) and those on the
+    # stack's root pointers
     lp = corpus_program("minimal")
     stmt = lp.first_stmt(lp.entry_method)
     policy = Policy(liveness=False)
@@ -251,10 +253,8 @@ def test_criterion_9_reachable_set_oracle():
             fps = sorted({a.ptr for a in sigma if a.base.startswith("v")},
                          key=str) or [FP0A]
             q = ControlState(stmt, rng.choice(fps), ())
-            frames = {CallFrame("r", stmt, fp) for fp in fps
-                      if rng.random() < 0.5}
-            roots = {a for a in sigma if a.ptr == q.fp or
-                     any(a.ptr == f.fp for f in frames)}
-            assert set(eagc(q, sigma, frames, lp, policy)) == \
+            stack = {fp for fp in fps if rng.random() < 0.5}
+            roots = {a for a in sigma if a.ptr == q.fp or a.ptr in stack}
+            assert set(eagc(q, sigma, stack, lp, policy)) == \
                 brute_reachable_addrs(sigma, roots)
     _verdict(9, "reachable-set oracle", check)

@@ -11,7 +11,7 @@ from anfj.domain import Policy
 from anfj.metrics import POPULATION_NOTE
 from anfj.syntax import AnfjError
 
-from helpers import CORPUS_DIR
+from helpers import CORPUS_DIR, perfbench_module
 
 MINIMAL = str(CORPUS_DIR / "minimal.anfj")
 UNCAUGHT = str(CORPUS_DIR / "uncaught.anfj")
@@ -34,7 +34,7 @@ def test_policy_spec_defaults_and_full_form():
 
 @pytest.mark.parametrize("bad", [
     "k=x", "k", "gc", "gc=maybe", "obj=2", "mode=weird",
-    "store=nowhere", "what=1", "k=-1",
+    "store=nowhere", "what=1", "k=-1", "k=\u00b2",
 ])
 def test_policy_spec_rejects_bad_tokens(bad):
     with pytest.raises(AnfjError):
@@ -173,6 +173,9 @@ def test_parse_error_is_input_error(tmp_path, capsys):
 def test_bad_policy_spec_is_input_error(capsys):
     assert main(["compare", MINIMAL, "--a", "z=1", "--b", "k=0"]) == 1
     assert "policy token" in capsys.readouterr().err
+    # a digit str.isdigit accepts but int refuses
+    assert main(["compare", MINIMAL, "--a", "k=\u00b2", "--b", "k=0"]) == 1
+    assert "policy token" in capsys.readouterr().err
 
 
 COMPARE = ["compare", MINIMAL, "--a", "k=0", "--b", "k=1"]
@@ -189,9 +192,15 @@ COMPARE = ["compare", MINIMAL, "--a", "k=0", "--b", "k=1"]
     ["run", MINIMAL, "--fuel", "-3"],
     ["analyze", MINIMAL, "--budget-seconds", "nan"],
     [*COMPARE, "--budget-seconds", "nan"],
+    ["analyze", MINIMAL, "--budget-nodes", "-3"],
+    [*COMPARE, "--budget-nodes", "-3"],
+    ["analyze", MINIMAL, "--budget-seconds", "-1"],
+    [*COMPARE, "--budget-seconds", "-1"],
 ], ids=["run-flag", "analyze-flag", "compare-flag", "run-int", "analyze-int",
         "compare-int", "store-mode", "run-negative-fuel", "analyze-nan-seconds",
-        "compare-nan-seconds"])
+        "compare-nan-seconds", "analyze-negative-nodes",
+        "compare-negative-nodes", "analyze-negative-seconds",
+        "compare-negative-seconds"])
 def test_bad_flag_exits_1(argv, capsys):
     # exit 2 is reserved for an exhausted budget
     with pytest.raises(SystemExit) as exc:
@@ -305,6 +314,23 @@ def test_parser_is_reused_with_fresh_namespaces(capsys):
 
 
 # -- installed entry point ---------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_traced_benchmark_wraps_what_analyze_calls(mode, capsys):
+    # perfbench/layers.py wraps eagc, abstract_next and store_join by
+    # name in the modules that call them; a clean-up that stops looking
+    # one up there must fail here, not only in a traced benchmark run
+    layers = perfbench_module("layers")
+    tracer = layers.Tracer()
+    layers.install(tracer)
+    try:
+        assert main(["analyze", SCOPED, "--mode", mode]) == 0
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    for span in ("gc.eagc", "domain.next", "domain.store_join"):
+        assert tracer.calls[span] > 0, span
+
 
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "anfj.cli",

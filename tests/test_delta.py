@@ -14,12 +14,12 @@ import pytest
 from anfj import engine as engine_module
 from anfj import finite as finite_module
 from anfj.domain import Policy
-from anfj.engine import _PushdownEngine, analyze
+from anfj.engine import _Engine, _PushdownEngine, analyze
 from anfj.finite import _FiniteEngine
 from anfj.syntax import load_program
 
 from helpers import CHAINS, corpus_names, gen_module, named_program
-from oracles import collect, finite_stack_frames, reference_analysis
+from oracles import collect, finite_stack_fps, reference_analysis
 from test_byte_identity import POLICIES, analysis_digest
 
 MODES = ("pushdown", "finite")
@@ -56,7 +56,7 @@ def test_incremental_collection_equals_from_scratch(name, monkeypatch):
     lp = named_program(name)
     seen = []
     stacks = {_PushdownEngine: lambda eng, s: eng.iecg.psf.get(s, ()),
-              _FiniteEngine: lambda eng, s: finite_stack_frames(
+              _FiniteEngine: lambda eng, s: finite_stack_fps(
                   eng.lp, eng.table, s)}
     for cls, stack in stacks.items():
         def contexts(self, s, orig=cls.contexts, stack=stack):
@@ -82,11 +82,41 @@ def test_full_steps_per_node_stay_flat(n, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [8, 16])
+def test_no_dequeue_is_idle(n, mode, monkeypatch):
+    # a dequeue that finds no store growth and no visible delta, and
+    # steps no context in full, does nothing: a root pointer new on a
+    # node's stack must not wake it when its collection has no address
+    # pending under that pointer
+    dequeues = []                  # [store grew, visible delta, full steps]
+    visible_store = _Engine.visible_store
+
+    def spy_visible_store(self, s, node):
+        grew = node.grown is None or bool(node.grown)
+        sigma, delta = visible_store(self, s, node)
+        dequeues.append([grew, bool(delta), 0])
+        return sigma, delta
+
+    cls = _PushdownEngine if mode == "pushdown" else _FiniteEngine
+    step = cls.step
+
+    def spy_step(self, *args):
+        dequeues[-1][2] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(_Engine, "visible_store", spy_visible_store)
+    monkeypatch.setattr(cls, "step", spy_step)
+    lp = load_program(gen_module().chain_program(n, random.Random(1)).source)
+    stats = analyze(lp, Policy(mode=mode)).stats
+    assert len(dequeues) == stats["steps"]
+    assert [d for d in dequeues if not any(d)] == []
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("gc", [True, False], ids=["gc", "nogc"])
 def test_only_full_steps_call_next(mode, gc, monkeypatch):
-    # a delta pass calls no transition function; in pushdown mode every
-    # full step is one call, in finite mode returns, throws and handler
-    # pops are stepped by the table instead
+    # a delta pass calls no transition function, and in both modes
+    # every full step is one call of domain.next
     module = engine_module if mode == "pushdown" else finite_module
     calls = []
     orig = module.abstract_next
@@ -98,8 +128,5 @@ def test_only_full_steps_call_next(mode, gc, monkeypatch):
     monkeypatch.setattr(module, "abstract_next", counting)
     stats = analyze(named_program("chain10"), Policy(mode=mode, gc=gc)).stats
     assert stats["delta_passes"] > 0 and stats["delta_addrs"] > 0
-    if mode == "pushdown":
-        assert len(calls) == stats["full_steps"]
-    else:
-        assert len(calls) <= stats["full_steps"]
+    assert len(calls) == stats["full_steps"]
     assert stats["full_steps"] + stats["delta_passes"] >= stats["steps"]

@@ -22,7 +22,9 @@ from anfj.syntax import (
 )
 
 from helpers import CHAINS, corpus_names, corpus_program, named_program
-from oracles import explore_configs, least_psf, net_empty_pairs, update_psf
+from oracles import (
+    call_fps, explore_configs, least_psf, net_empty_pairs, update_psf,
+)
 from test_byte_identity import POLICIES, analysis_digest
 
 
@@ -298,17 +300,18 @@ def test_propagate_closes_transitively():
 def test_update_psf_examples():
     lp = corpus_program("var_chain")
     s, p = _states(lp, 2)
+    fp1 = FramePtr(1, ())
     f = CallFrame("r", lp.stmt(1), FP0A)
-    g = HandlerFrame("E", "e", lp.stmt(1), FP0A)
+    g = HandlerFrame("E", "e", lp.stmt(1), fp1)
 
-    # no predecessors: PSF(s) = TF(s)
-    assert update_psf(s, {s: {f}}, {}, {}, {}) == {f}
-    # one non-epsilon predecessor contributes its whole PSF
-    out = update_psf(s, {s: {f}}, {p: {f, g}}, {s: {p}}, {})
-    assert out >= {f, g}
+    # no predecessors: PSF(s) = the pointers of TF(s)'s call frames
+    assert update_psf(s, {s: {f, g}}, {}, {}, {}) == {FP0A}
+    # a push predecessor contributes its whole PSF
+    out = update_psf(s, {s: {f}}, {p: {FP0A, fp1}}, {s: {p}}, {})
+    assert out == {FP0A, fp1}
     # an epsilon predecessor contributes the same way
-    out = update_psf(s, {s: {f}}, {p: {f, g}}, {}, {s: {p}})
-    assert out >= {f, g}
+    out = update_psf(s, {s: {f}}, {p: {FP0A, fp1}}, {}, {s: {p}})
+    assert out == {FP0A, fp1}
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -319,12 +322,17 @@ def test_psf_is_the_least_solution_of_its_spec(name):
     for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
+        push_preds: dict = {}
+        for s1, act, s2 in dsg.edges:
+            if isinstance(act, Push):
+                push_preds.setdefault(s2, set()).add(s1)
         nodes = sorted(dsg.nodes, key=state_key)
         for s in nodes:
-            assert iecg.psf[s] == update_psf(s, iecg.top_frames, iecg.psf,
-                                             iecg.nep, iecg.eps_pred)
-        assert iecg.psf == least_psf(nodes, iecg.top_frames, iecg.nep,
-                                     iecg.eps_pred)
+            assert iecg.psf.get(s, set()) == update_psf(
+                s, iecg.top_frames, iecg.psf, push_preds, iecg.eps_pred)
+        least = least_psf(nodes, iecg.top_frames, push_preds, iecg.eps_pred)
+        assert {s: fps for s, fps in iecg.psf.items() if fps} == \
+            {s: fps for s, fps in least.items() if fps}
 
 
 def test_process_push_reaches_epsilon_successors_and_is_idempotent():
@@ -337,14 +345,11 @@ def test_process_push_reaches_epsilon_successors_and_is_idempotent():
     for s in (s2, s3):
         assert g in iecg.tf(s)
         assert iecg.pfp[(s, g)] == {s1}
-        assert s1 in iecg.nep[s]
     snap = ({k: set(v) for k, v in iecg.top_frames.items()},
-            {k: set(v) for k, v in iecg.pfp.items()},
-            {k: set(v) for k, v in iecg.nep.items()})
+            {k: set(v) for k, v in iecg.pfp.items()})
     process_push(s1, g, s2, iecg)
     assert snap == ({k: set(v) for k, v in iecg.top_frames.items()},
-                    {k: set(v) for k, v in iecg.pfp.items()},
-                    {k: set(v) for k, v in iecg.nep.items()})
+                    {k: set(v) for k, v in iecg.pfp.items()})
 
 
 def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
@@ -356,13 +361,12 @@ def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
     r = CallFrame("r", lp.stmt(1), fp1)
     q = CallFrame("q", lp.stmt(2), fp1)
     process_push(s1, h, s2, iecg)
-    assert iecg.dirty_psf == [(s2, [h], False)]
+    assert iecg.dirty_psf == [] and not iecg.psf.get(s2)  # owns no root
     process_push(s1, r, s2, iecg)
-    assert iecg.dirty_psf[-1] == (s2, [r], True)
+    assert iecg.dirty_psf == [(s2, [fp1])]
     process_push(s1, q, s2, iecg)
-    assert iecg.dirty_psf[-1] == (s2, [q], False)    # same pointer, same roots
-    assert iecg.psf_roots[s2] == {fp1}
-    assert iecg.psf[s2] == {h, r, q}
+    assert iecg.dirty_psf == [(s2, [fp1])]    # same pointer, same roots
+    assert iecg.psf[s2] == {fp1}
 
 
 def test_process_pop_empty_pfp_is_inert():
@@ -446,7 +450,7 @@ def test_iecg_invariants(name, policy):
         for s in preds:
             assert s2 in iecg.eps_succ.get(s, set())
     for s in dsg.nodes:
-        assert iecg.tf(s) <= iecg.psf.get(s, set())
+        assert call_fps(iecg.tf(s)) <= iecg.psf.get(s, set())
     for (s, f) in iecg.pfp:
         assert f in iecg.tf(s)
     assert BOTTOM in iecg.tf(dsg.initial)
@@ -540,4 +544,4 @@ def test_summaries_match_bounded_explorer(name):
     for q, tops in g.top_frames().items():
         assert tops <= dsg.iecg.tf(q)
     for q, frames in g.stack_frames().items():
-        assert frames <= dsg.iecg.psf.get(q, set())
+        assert call_fps(frames) <= dsg.iecg.psf.get(q, set())

@@ -6,10 +6,11 @@ from anfj.domain import EPSILON, Policy
 from anfj.engine import Budget, BudgetExceeded, analyze
 from anfj.machine import Addr
 from anfj.metrics import metric_ec_links
-from anfj.syntax import Assign, Invoke, Return, Throw
+from anfj.syntax import Assign, Invoke, Return, Throw, load_program
 
 from helpers import CHAINS, corpus_names, corpus_program, named_program
-from oracles import store_leq
+from oracles import reference_analysis, store_leq
+from test_byte_identity import analysis_digest
 
 FINITE = Policy(mode="finite")
 
@@ -100,6 +101,83 @@ def test_differs_from_pushdown_only_in_stack_handling(name, k, gc):
              and isinstance(lp.stmt(l).exp, Invoke)}
     for dsg in (pd, fin):
         assert all(set(q.time) <= calls for q in dsg.nodes), dsg.policy.mode
+
+
+# go() may run on a Thrower or a Work (pick joins them), so the first
+# call may return and reach the try; the throw stepped under it reaches
+# main's level, where the try records its handler only later
+LATE_HANDLER = """
+class Exc extends Object {
+  Exc() { super(); }
+}
+class Work extends Object {
+  Work() { super(); }
+  Object go() {
+    Object o;
+    o = new Object();
+    return o;
+  }
+}
+class Thrower extends Work {
+  Thrower() { super(); }
+  Object go() {
+    Exc e;
+    e = new Exc();
+    throw e;
+  }
+}
+class Helper extends Object {
+  Helper() { super(); }
+  Object pick(Object x) {
+    return x;
+  }
+  Object pass(Object x) {
+    Object r;
+    r = this.pick(x);
+    return r;
+  }
+}
+class Main extends Object {
+  Main() { super(); }
+  Object main() {
+    Helper h;
+    Work a;
+    Work b;
+    Work p;
+    Work q;
+    Object r1;
+    Object r2;
+    Exc saved;
+    h = new Helper();
+    a = new Thrower();
+    b = new Work();
+    p = h.pass(a);
+    q = h.pass(b);
+    r1 = p.go();
+    try {
+      r2 = q.go();
+    } catch (Exc ex) {
+      saved = ex;
+    }
+    return r2;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("gc", [True, False], ids=["gc", "nogc"])
+def test_handler_recorded_after_a_throw_was_stepped_catches_it(gc):
+    # a new record at a level a throw consulted is a new top frame for
+    # it, even when no store it reads grows: the throw outside the try
+    # lands in its handler too, as no frame is ever popped
+    lp = load_program(LATE_HANDLER)
+    policy = Policy(mode="finite", gc=gc)
+    dsg = analyze(lp, policy)
+    assert analysis_digest(dsg) == \
+        analysis_digest(reference_analysis(lp, policy))
+    caught = {q.fp for q, _, q2 in dsg.edges if isinstance(q.stmt, Throw)
+              and q2.stmt.label in lp.handler_heads}
+    assert len(caught) == 2
 
 
 def test_terminates_on_recursion():

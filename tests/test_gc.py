@@ -11,12 +11,14 @@ from anfj.domain import (
     store_join,
 )
 from anfj.engine import analyze
-from anfj.gc import Collection, call_fps, eagc
+from anfj.gc import Collection, eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import Invoke, Assign
 
 from helpers import corpus_program
-from oracles import brute_reachable_addrs, collect, reachable, root, stack_root
+from oracles import (
+    brute_reachable_addrs, call_fps, collect, reachable, root, stack_root,
+)
 
 FP1 = FramePtr(1, ())
 OP = [ObjPtr(i, ()) for i in range(8)]
@@ -31,14 +33,14 @@ def _store(*entries):
 def test_stack_root_skips_handler_frames():
     sigma = _store((Addr("x", FP1), [Value("C", OP[0])]))
     frames = {HandlerFrame("E", "e", None, FP1)}
-    assert stack_root(frames, sigma) == set()
+    assert stack_root(call_fps(frames), sigma) == set()
 
 
 def test_stack_root_collects_call_frame_bindings():
     sigma = _store((Addr("x", FP1), [Value("C", OP[0])]),
                    (Addr("y", FP0A), [Value("C", OP[1])]))
     frames = {CallFrame("v", None, FP1)}
-    assert stack_root(frames, sigma) == {Addr("x", FP1)}
+    assert stack_root(call_fps(frames), sigma) == {Addr("x", FP1)}
 
 
 def test_stack_root_empty_frames():
@@ -83,8 +85,7 @@ def test_root_includes_stack_bindings_from_other_activations():
     s = _call_node(lp)
     sigma = _store((Addr("z", FP1), [Value("A", OP[0])]))
     q = ControlState(s, FP0A, ())
-    frames = {CallFrame("w", None, FP1)}
-    assert Addr("z", FP1) in root(q, sigma, frames, lp, Policy())
+    assert Addr("z", FP1) in root(q, sigma, {FP1}, lp, Policy())
 
 
 # -- reachable -----------------------------------------------------------------
@@ -228,11 +229,10 @@ def test_eagc_keeps_exactly_the_spec_on_random_stores():
     for _ in range(200):
         sigma = _random_cyclic_store(rng)
         q = ControlState(_call_node(lp), rng.choice([FP0A, FP1]), ())
-        frames = {CallFrame("w", None, fp) for fp in (FP0A, FP1)
-                  if rng.random() < 0.4}
+        fps = {fp for fp in (FP0A, FP1) if rng.random() < 0.4}
         for policy in (Policy(), Policy(liveness=False)):
-            assert eagc(q, sigma, frames, lp, policy) == \
-                collect(q, sigma, frames, lp, policy)
+            assert eagc(q, sigma, fps, lp, policy) == \
+                collect(q, sigma, fps, lp, policy)
 
 
 def test_collection_extension_matches_from_scratch_on_random_growth():
@@ -244,17 +244,16 @@ def test_collection_extension_matches_from_scratch_on_random_growth():
     for policy in (Policy(), Policy(liveness=False)):
         for _ in range(100):
             q = ControlState(_call_node(lp), rng.choice([FP0A, FP1]), ())
-            sigma, frames = {}, set()
+            sigma, fps = {}, set()
             state = Collection(q, lp, policy)
-            visible = eagc(q, sigma, frames, lp, policy, state=state)
+            visible = eagc(q, sigma, fps, lp, policy, state=state)
             for _ in range(rng.randrange(1, 6)):
                 grew: set = set()
                 sigma = store_join(sigma, _random_cyclic_store(rng, 12), grew)
                 if rng.random() < 0.3:
-                    frames = frames | {CallFrame("w", None,
-                                                 rng.choice([FP0A, FP1]))}
-                delta = state.extend(sigma, grew, call_fps(frames))
-                want = collect(q, sigma, frames, lp, policy)
+                    fps = fps | {rng.choice([FP0A, FP1])}
+                delta = state.extend(sigma, grew, fps)
+                want = collect(q, sigma, fps, lp, policy)
                 assert state.visible == want
                 assert len(delta) == len(set(delta))
                 assert set(delta) == {a for a in want
