@@ -124,15 +124,17 @@ def _write_trace(trace, out) -> None:
     """One JSON line per state, in the layout json.dumps(sort_keys=True)
     gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i}.
     Each frame pointer's text, which holds its whole label history, is
-    rendered once per run, and each continuation's depth is counted once,
-    from the depth of the one below it."""
+    rendered once per run, from the text of the nearest older history
+    already rendered (`Time.json_body`), and each continuation's depth
+    is counted once, from the depth of the one below it."""
     fp_text: dict = {}
     depth: dict = {}              # id(continuation) -> depth; all are alive
     for i, st in enumerate(trace):
         fp = st.fp
         text = fp_text.get(fp)
         if text is None:
-            text = fp_text[fp] = json.dumps([fp.site, list(fp.time)])
+            text = fp_text[fp] = (f"[{json.dumps(fp.site)}, "
+                                  f"[{fp.time.json_body()}]]")
         k = st.kont
         d = depth.get(id(k))
         if d is None:

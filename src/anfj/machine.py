@@ -1,8 +1,11 @@
 """Concrete small-step machine for ANFJ.
 
 States are (statement, frame pointer, store, continuation stack, time).
-Time is the full label history, most recent first, so (label, time) pairs
-handed out by the allocator are fresh at every step. The store maps
+Time is the label history, most recent first, so (label, time) pairs
+handed out by the allocator are fresh at every step. A history is a
+linked `Time` cell that ticking extends and successive states share, so
+a tick, a pointer hash and an equality test of a fresh pointer cost
+O(1) rather than O(steps so far). The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
 strongly. Stores are immutable `Store` mappings that successive states
 share rather than copy: a step writes a few addresses into a new store
@@ -29,11 +32,75 @@ from .syntax import (
     PopHandler, Return, Stmt, Throw, TryCatch, VarRef,
 )
 
-Time = tuple[int, ...]
+class Time:
+    """A label history, most recent first: a cons cell (label, rest)
+    over the empty history T0. Histories are immutable and shared, so
+    a tick makes one cell and copies nothing. Each cell caches its hash
+    and length when it is made, and the text of its labels once asked
+    for (`json_body`). Equality is structural, so separate runs compare
+    equal: histories that differ in hash or length are unequal at once;
+    otherwise a walk down both stops at the first labels that differ or
+    at a cell the two share. Iteration gives the labels, most recent
+    first."""
+
+    __slots__ = ("label", "rest", "_len", "_hash", "_text")
+
+    def __init__(self, label: int, rest: Time):
+        self.label = label
+        self.rest = rest
+        self._len = rest._len + 1
+        self._hash = hash((label, rest._hash))
+        self._text = None
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        t = self
+        while t._len:
+            yield t.label
+            t = t.rest
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Time):
+            return NotImplemented
+        if self._hash != other._hash or self._len != other._len:
+            return False
+        a, b = self, other
+        while a is not b:          # equal lengths reach T0 together
+            if a.label != b.label:
+                return False
+            a, b = a.rest, b.rest
+        return True
+
+    def json_body(self) -> str:
+        """The labels as json.dumps prints the body of a list of them,
+        "3, 2, 1" for the history 3, 2, 1. Kept on the cell; a first call
+        joins only the labels above the nearest cell already rendered."""
+        above = []
+        t = self
+        while t._text is None:
+            above.append(str(t.label))
+            t = t.rest
+        if t._text:
+            above.append(t._text)
+        self._text = ", ".join(above)
+        return self._text
+
+    def __repr__(self):
+        return f"Time({', '.join(map(str, self))})"
+
+
+# the empty history: the one cell with no label and no rest
+T0 = object.__new__(Time)
+T0.label, T0.rest, T0._len, T0._hash, T0._text = None, None, 0, hash(()), ""
 
 
 def tick(label: int, t: Time) -> Time:
-    return (label,) + t
+    return Time(label, t)
 
 
 class _Pointer:
@@ -44,7 +111,7 @@ class _Pointer:
     def __init__(self, site: Optional[int], time: Time):
         self.site = site
         self.time = time
-        self._hash = hash((self.__class__.__name__, site, time))
+        self._hash = hash((self.__class__.__name__, site, time._hash))
 
     def __eq__(self, other):
         return (self.__class__ is other.__class__
@@ -66,7 +133,7 @@ class ObjectPointer(_Pointer):
     _tag = "op"
 
 
-FP0 = FramePointer(None, ())
+FP0 = FramePointer(None, T0)
 
 
 def cached_hash(cls):
@@ -283,7 +350,7 @@ def inject(lp: LabeledProgram) -> ConcreteState:
     """Initial state: the entry method's first statement, fresh frame,
     empty store, halt continuation, empty time."""
     entry = lp.entry_method
-    return ConcreteState(lp.first_stmt(entry), FP0, Store(), HALT, ())
+    return ConcreteState(lp.first_stmt(entry), FP0, Store(), HALT, T0)
 
 
 def is_terminal(st: ConcreteState) -> bool:

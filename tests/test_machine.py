@@ -4,15 +4,19 @@ Every corpus program's outcome was worked out by hand from the transition
 rules before being frozen here. The invariant tests then sweep all traces:
 determinism, time evolution, pointer freshness, stack discipline, handler
 matching, and store-domain growth. The shared-store tests replay every
-trace against plain dicts copied and written at each step.
+trace against plain dicts copied and written at each step. The history
+tests check `Time` against the label lists it stands for.
 """
 
+import json
+
 import pytest
+from hypothesis import given, strategies
 
 from anfj.machine import (
-    FP0, Addr, ConcreteState, FramePointer, Fun, FuelExhausted, Halt,
-    Halted, Handle, ObjectPointer, Store, Stuck, Uncaught, Value,
-    apply_constructor, inject, is_terminal, kont_frames, run, step,
+    FP0, T0, Addr, ConcreteState, FramePointer, Fun, FuelExhausted, Halt,
+    Halted, Handle, ObjectPointer, Store, Stuck, Time, Uncaught, Value,
+    apply_constructor, inject, is_terminal, kont_frames, run, step, tick,
 )
 from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef, load_program,
@@ -59,6 +63,14 @@ EXPECTED = {
 FUEL = 2000
 
 
+def hist(*labels) -> Time:
+    """The history of labels, most recent first, built by ticking."""
+    t = T0
+    for label in reversed(labels):
+        t = tick(label, t)
+    return t
+
+
 def test_expected_covers_corpus():
     assert sorted(EXPECTED) == corpus_names()
 
@@ -90,7 +102,7 @@ def test_inject_shape():
     assert st.fp == FP0
     assert st.store == {}
     assert isinstance(st.kont, Halt)
-    assert st.time == ()
+    assert st.time == hist()
 
 
 def test_inject_locals_unbound():
@@ -103,15 +115,15 @@ def test_inject_locals_unbound():
 
 def test_apply_constructor_no_fields():
     lp = corpus_program("minimal")
-    op = ObjectPointer(99, (99,))
+    op = ObjectPointer(99, hist(99))
     delta, out_op = apply_constructor(lp, "Main", op, ())
     assert delta == {} and out_op is op
 
 
 def test_apply_constructor_single_field():
     lp = corpus_program("field_read")
-    op = ObjectPointer(7, (7,))
-    arg = Value("A", ObjectPointer(1, (1,)))
+    op = ObjectPointer(7, hist(7))
+    arg = Value("A", ObjectPointer(1, hist(1)))
     delta, _ = apply_constructor(lp, "Box", op, (arg,))
     assert delta == {Addr("item", op): arg}
 
@@ -119,10 +131,10 @@ def test_apply_constructor_single_field():
 def test_apply_constructor_super_chain():
     # Pt3 forwards (x, y) to Pt2; all three fields land on the same op
     lp = corpus_program("ctor_chain")
-    op = ObjectPointer(50, (50,))
-    vx = Value("Object", ObjectPointer(1, (1,)))
-    vy = Value("Object", ObjectPointer(2, (2,)))
-    vz = Value("Object", ObjectPointer(3, (3,)))
+    op = ObjectPointer(50, hist(50))
+    vx = Value("Object", ObjectPointer(1, hist(1)))
+    vy = Value("Object", ObjectPointer(2, hist(2)))
+    vz = Value("Object", ObjectPointer(3, hist(3)))
     delta, _ = apply_constructor(lp, "Pt3", op, (vx, vy, vz))
     assert delta == {
         Addr("x", op): vx,
@@ -252,8 +264,10 @@ def test_trace_invariants(name):
         assert a == b
 
     for prev, cur in zip(trace1, trace1[1:]):
-        # time evolution: each step prepends the stepped label
-        assert cur.time == (prev.stmt.label,) + prev.time
+        # time evolution: each step prepends the stepped label to the
+        # history it shares with the state before
+        assert cur.time.label == prev.stmt.label
+        assert cur.time.rest is prev.time
 
         # pointer freshness at allocating steps
         if isinstance(prev.stmt, Assign):
@@ -327,7 +341,7 @@ def _copying_writes(lp, st: ConcreteState) -> dict:
     off the rules directly: a copying machine writes exactly these into
     a copy of st's store."""
     s, fp, sigma, kont = st.stmt, st.fp, st.store, st.kont
-    t2 = (s.label,) + st.time
+    t2 = hist(s.label, *st.time)
     if isinstance(s, Assign):
         e = s.exp
         if isinstance(e, (VarRef, Cast)):
@@ -375,8 +389,8 @@ def test_shared_store_matches_copying_replay(name):
 
 def test_store_reads_like_a_dict():
     a, b, c, missing = (Addr(n, FP0) for n in ("a", "b", "c", "z"))
-    v1 = Value("A", ObjectPointer(1, ()))
-    v2 = Value("B", ObjectPointer(2, ()))
+    v1 = Value("A", ObjectPointer(1, hist()))
+    v2 = Value("B", ObjectPointer(2, hist()))
     ref: dict = {}
     sigma = Store()
     history = []
@@ -413,3 +427,64 @@ def test_plain_dict_store_still_steps():
     out, replay = run(lp, plain, fuel=FUEL)
     assert isinstance(out, Halted) and out.value.class_name == "Caught"
     assert replay[1:] == trace[4:]
+
+
+# -- label histories ----------------------------------------------------------
+
+LABELS = strategies.lists(strategies.integers(0, 60), max_size=40)
+
+
+@given(LABELS)
+def test_history_iterates_and_measures_like_its_labels(labels):
+    t = hist(*labels)
+    assert list(t) == labels
+    assert len(t) == len(labels)
+
+
+@given(LABELS)
+def test_history_equality_is_structural(labels):
+    a, b = hist(*labels), hist(*labels)
+    assert a == b and hash(a) == hash(b)
+    assert tick(7, a) == tick(7, b) and hash(tick(7, a)) == hash(tick(7, b))
+    assert a != tuple(labels)  # a history never equals a tuple
+
+
+@given(LABELS.filter(bool), strategies.data())
+def test_history_differs_on_one_label(labels, data):
+    t = hist(*labels)
+    i = data.draw(strategies.integers(0, len(labels) - 1))
+    other = data.draw(strategies.integers(0, 60).filter(lambda l: l != labels[i]))
+    changed = hist(*labels[:i], other, *labels[i + 1:])
+    fewer = hist(*labels[:i], *labels[i + 1:])
+    assert t != changed and changed != t
+    assert t != fewer and fewer != t
+
+
+@given(LABELS, strategies.data())
+def test_history_renders_its_json_list_body(labels, data):
+    cells = [T0]                   # cells[k]: the k oldest labels
+    for label in reversed(labels):
+        cells.append(tick(label, cells[-1]))
+    # an older cell rendered first is where the newest one's walk stops
+    k = data.draw(strategies.integers(0, len(labels)))
+    assert cells[k].json_body() == json.dumps(labels[len(labels) - k:])[1:-1]
+    for _ in range(2):             # the second call reads the kept text
+        assert cells[-1].json_body() == json.dumps(labels)[1:-1]
+
+
+@given(LABELS, strategies.integers(0, 60))
+def test_pointers_on_equal_histories_are_equal(labels, site):
+    for make in (FramePointer, ObjectPointer):
+        p, q = make(site, hist(*labels)), make(site, hist(*labels))
+        assert p == q and hash(p) == hash(q)
+        assert p != make(site, tick(61, p.time))
+    assert FramePointer(site, hist(*labels)) != ObjectPointer(site, hist(*labels))
+
+
+def test_long_histories_compare_render_and_free():
+    # nothing on a history recurses: 200,000 cells are past any stack
+    labels = list(range(200_000))
+    a, b = hist(*labels), hist(*labels)
+    assert a == b and len(a) == len(labels)
+    assert a.json_body() == json.dumps(labels)[1:-1]
+    del a, b
