@@ -41,7 +41,7 @@ POLICIES = [Policy(k=k, gc=gc, mode=mode)
 RUN_ARGV = ["--fuel", "2000", "--trace", "--json"]
 
 
-def _policy_name(policy: Policy) -> str:
+def policy_name(policy: Policy) -> str:
     return f"k={policy.k} gc={'on' if policy.gc else 'off'} {policy.mode}"
 
 
@@ -57,7 +57,7 @@ def analysis_digest(dsg) -> str:
 def digests(source: str) -> dict:
     """Policy name -> sha256 of the program's three outputs."""
     lp = load_program(source)
-    out = {_policy_name(policy): analysis_digest(analyze(lp, policy))
+    out = {policy_name(policy): analysis_digest(analyze(lp, policy))
            for policy in POLICIES}
     out["run " + " ".join(RUN_ARGV)] = _run_digest(source)
     return out
