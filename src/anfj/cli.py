@@ -179,6 +179,8 @@ def cmd_analyze(args) -> int:
     lp = _load(args.file)
     policy = _policy_from_flags(args)
     dsg = analyze(lp, policy, _budget_from_flags(args))
+    if args.stats:
+        print(json.dumps(dsg.stats, sort_keys=True), file=sys.stderr)
     if args.dot:
         _write_export(dsg, "dot", args.dot)
     if args.json:
@@ -251,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the graph in JSON form to PATH")
     anp.add_argument("--report-json", action="store_true",
                      help="print the metrics report as JSON")
+    anp.add_argument("--stats", action="store_true",
+                     help="print the work counters as JSON on stderr")
     anp.add_argument("--budget-nodes", type=_nonnegative_int, default=None)
     anp.add_argument("--budget-seconds", type=_seconds, default=None)
     anp.set_defaults(fn=cmd_analyze)

@@ -15,15 +15,17 @@ frame beneath.
 Time stamps are the last k statement labels. k bounds the context
 fan-out: k=0 gives one frame pointer per call site and one object pointer
 per allocation site. With object sensitivity on, object pointers also
-carry the allocation site of the allocating method's receiver.
+carry the allocation site of the allocating method's receiver. Pointers,
+addresses and values are the concrete machine's records, on these times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Optional
 
-from .machine import Addr, Value, cached_hash, constructor_levels
+from .machine import Addr, FramePtr, ObjPtr, Value, constructor_levels
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -32,19 +34,31 @@ from .syntax import (
 ATime = tuple[int, ...]
 
 
-@cached_hash
-@dataclass(frozen=True)
-class FramePtr:
-    site: Optional[int]            # None only for the entry activation
-    time: ATime
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass used as a dict or set key
+    over and over: its hash, the same value the dataclass would compute
+    from its fields, is computed once per object and kept in an instance
+    attribute that is not a field, so repr, == and field order stay as
+    they were. The cache is dropped on pickling, because string hashes
+    differ between processes."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+    cls._hash = None
 
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
-@cached_hash
-@dataclass(frozen=True)
-class ObjPtr:
-    site: int
-    time: ATime
-    recv: Optional[int] = None     # receiver allocation site (object sensitivity)
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 FP0A = FramePtr(None, ())

@@ -12,7 +12,8 @@ differs from it in stack handling alone.
 The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
-epsilon edges as they are discovered. The bookkeeping lives in five maps:
+epsilon edges as they are discovered (Earl et al.'s epsilon-closure
+graph). The bookkeeping lives in five maps:
 
   eps_pred / eps_succ   epsilon reachability, kept transitively closed
   top_frames (TF)       every frame observed on top of the stack at a node
@@ -26,11 +27,16 @@ a summary edge (w, eps, s2): the push and the pop cancel, so anything
 that held before the push holds after the pop. Summaries feed the same
 closure, so deeper cancellations cascade.
 
+Each growth of TF or pfp at a node goes to its whole epsilon-successor
+set, so TF(p) <= TF(n) and pfp(p, f) <= pfp(n, f) for every epsilon
+pair (p, n), and a new epsilon edge need read them at its source only.
+
 The stack summary (PSF) keeps pointers, not frames, because its one
 reader is the collection, whose stack roots are the bindings of the
 call frames' activations (the root set of Might & Shivers' Gamma-CFA);
 handler frames and the empty-stack marker own no bindings and never
-enter it. It grows by deltas: when a node gains a predecessor it takes
+enter it. It flows along push and epsilon edges, one dependency per
+edge, and grows by deltas: when a node gains a predecessor it takes
 the predecessor's whole PSF once, and from then on drain passes it only
 the pointers that are new at the predecessor (the dirty_psf records),
 never re-unioning every predecessor's summary.
@@ -155,8 +161,8 @@ class IECG:
 
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
-    and summary creation. psf_deps remembers whose PSF flows into whose,
-    so drain can pass each PSF delta on to fixpoint."""
+    and summary creation. psf_deps holds one PSF dependency per push or
+    epsilon edge, so drain can pass each PSF delta on to fixpoint."""
 
     def __init__(self):
         self.eps_pred: dict = {}
@@ -201,8 +207,9 @@ class IECG:
             self.dirty_psf.append((s, new))
 
     def add_psf_pred(self, s, p) -> None:
-        """p became a predecessor of s: everything on the stack at p
-        is on the stack at s, now and after every later growth."""
+        """A push or epsilon edge made p a predecessor of s: everything
+        on the stack at p is on the stack at s, now and after every later
+        growth."""
         deps = self.psf_deps.setdefault(p, set())
         if s not in deps:
             deps.add(s)
@@ -213,20 +220,16 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
     """Record an epsilon edge s1 -> s2 and close the maps over it.
 
     Everything epsilon-before s1 reaches everything epsilon-after s2, so
-    the closure works on the cross product: successors and top-frame
-    pools flow forward, predecessors flow backward, and push-source
-    entries are pulled across from every predecessor (a frame on top at
-    a predecessor is still on top here, with the same pushers)."""
+    reachability is closed over the cross product. Top frames and push
+    sources flow to everything epsilon-after s2 from s1 alone, as those
+    of s1's epsilon predecessors are already at s1. PSF(s2) depends on
+    s1 along this edge only; drain carries it on to the nodes after s2
+    along their own edges."""
     preds = set(iecg.eps_pred.get(s1, ())) | {s1}
     nexts = set(iecg.eps_succ.get(s2, ())) | {s2}
-    pool = set()
-    pushers = []                       # (frame, push source); add_pfp dedups
+    pool = iecg.tf(s1)
+    pushers = [(f, w) for f in pool for w in iecg.pfp.get((s1, f), ())]
     for p in preds:
-        tf = iecg.tf(p)
-        pool |= tf
-        for f in tf:
-            for w in iecg.pfp.get((p, f), ()):
-                pushers.append((f, w))
         iecg.eps_succ.setdefault(p, set()).update(nexts)
     for n in nexts:
         iecg.eps_pred.setdefault(n, set()).update(preds)
@@ -234,18 +237,18 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
             iecg.add_tf(n, f)
         for f, w in pushers:
             iecg.add_pfp(n, f, w)
-        for p in preds:
-            iecg.add_psf_pred(n, p)
+    iecg.add_psf_pred(s2, s1)
     return iecg
 
 
 def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     """A push edge (s1, push frame, s2): the frame is now on top at s2
-    and at everything epsilon-reachable from s2, pushed from s1."""
+    and at everything epsilon-reachable from s2, pushed from s1. The
+    stack summary depends on s1 at s2 alone, as in propagate."""
+    iecg.add_psf_pred(s2, s1)
     for s in set(iecg.eps_succ.get(s2, ())) | {s2}:
         iecg.add_tf(s, frame)
         iecg.add_pfp(s, frame, s1)
-        iecg.add_psf_pred(s, s1)
     return iecg
 
 

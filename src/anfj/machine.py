@@ -7,7 +7,8 @@ linked `Time` cell that ticking extends and successive states share, so
 a tick, a pointer hash and an equality test of a fresh pointer cost
 O(1) rather than O(steps so far). The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
-strongly. Stores are immutable `Store` mappings that successive states
+strongly. The analyzer shares the pointer, address and value records,
+with tuples of its last k call-site labels as times. Stores are immutable `Store` mappings that successive states
 share rather than copy: a step writes a few addresses into a new store
 that keeps its predecessor's entries by reference, so a step costs
 O(sqrt(|store|)) amortized, not O(|store|). Continuations are a
@@ -23,9 +24,8 @@ failed dispatch), reported as an Outcome rather than an exception.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .syntax import (
     OBJECT, THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New,
@@ -103,78 +103,51 @@ def tick(label: int, t: Time) -> Time:
     return Time(label, t)
 
 
-class _Pointer:
-    """Base for frame/object pointers: a (site, time) pair with cached hash."""
-
-    __slots__ = ("site", "time", "_hash")
-
-    def __init__(self, site: Optional[int], time: Time):
-        self.site = site
-        self.time = time
-        self._hash = hash((self.__class__.__name__, site, time._hash))
-
-    def __eq__(self, other):
-        return (self.__class__ is other.__class__
-                and self.site == other.site and self.time == other.time)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        t = ",".join(str(x) for x in self.time)
-        return f"{self._tag}({self.site},[{t}])"
+# Pointers, addresses and values are tuple records: each hashes as its
+# field tuple, in C, and equals only a record of its own type, never one
+# of another type with the same fields, nor a plain tuple.
+_tuple_eq = tuple.__eq__
 
 
-class FramePointer(_Pointer):
-    _tag = "fp"
+def _typed_eq(self, other):
+    return self.__class__ is other.__class__ and _tuple_eq(self, other)
 
 
-class ObjectPointer(_Pointer):
-    _tag = "op"
+def _typed_ne(self, other):
+    return not _typed_eq(self, other)
 
 
-FP0 = FramePointer(None, T0)
+class FramePtr(NamedTuple):
+    """An activation's pointer: its call site (None for the entry
+    activation) and a time. The machine's times are `Time` histories;
+    the analyzer's are tuples of its last k call-site labels. An ObjPtr
+    is an allocated object's pointer, made the same way."""
+
+    site: Optional[int]
+    time: Time | tuple[int, ...]
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass used as a dict or set key
-    over and over: its hash, the same value the dataclass would compute
-    from its fields, is computed once per object and kept in an instance
-    attribute that is not a field, so repr, == and field order stay as
-    they were. The cache is dropped on pickling, because string hashes
-    differ between processes."""
-    key = attrgetter(*(f.name for f in fields(cls)))
-    cls._hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+class ObjPtr(NamedTuple):
+    site: int
+    time: Time | tuple[int, ...]
+    recv: Optional[int] = None     # receiver allocation site (object sensitivity)
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@cached_hash
-@dataclass(frozen=True)
-class Addr:
+FP0 = FramePtr(None, T0)
+
+
+class Addr(NamedTuple):
     base: str                      # variable or field name
-    ptr: FramePointer | ObjectPointer
+    ptr: FramePtr | ObjPtr
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@cached_hash
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     class_name: str
-    op: ObjectPointer
+    op: ObjPtr
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
 # continuations ---------------------------------------------------------------
@@ -207,7 +180,7 @@ def _kont_eq(a, b) -> bool:
 class Fun:
     var: str                       # caller variable receiving the result
     target: Stmt                   # statement to resume at
-    fp: FramePointer               # caller frame pointer
+    fp: FramePtr                   # caller frame pointer
     next: "Kont"
 
     def __eq__(self, other):
@@ -223,7 +196,7 @@ class Handle:
     class_name: str                # caught class
     var: str                       # catch variable
     target: Stmt                   # handler head
-    fp: FramePointer
+    fp: FramePtr
     next: "Kont"
 
     def __eq__(self, other):
@@ -310,7 +283,7 @@ class Store(Mapping):
 @dataclass(frozen=True)
 class ConcreteState:
     stmt: Stmt
-    fp: FramePointer
+    fp: FramePtr
     store: Mapping[Addr, Value]      # a Store; a plain dict is accepted
     kont: Kont
     time: Time
@@ -389,8 +362,8 @@ def constructor_levels(lp: LabeledProgram, class_name: str,
     return levels
 
 
-def apply_constructor(lp: LabeledProgram, class_name: str, op: ObjectPointer,
-                      args: tuple[Value, ...]) -> tuple[dict[Addr, Value], ObjectPointer]:
+def apply_constructor(lp: LabeledProgram, class_name: str, op: ObjPtr,
+                      args: tuple[Value, ...]) -> tuple[dict[Addr, Value], ObjPtr]:
     """Run the constructor chain for class_name against the fresh object
     pointer op: parameters bind positionally, the super call forwards its
     parameter prefix, and each this.f = x init writes one field address,
@@ -436,7 +409,7 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
             if method is None:
                 raise StuckError(f"no method {e.method!r} on class {d0.class_name!r}")
             argv = [_lookup(st, a) for a in e.args]
-            fp2 = FramePointer(s.label, t2)
+            fp2 = FramePtr(s.label, t2)
             frame = {Addr(THIS, fp2): d0}
             for (_, pname), val in zip(method.params, argv):
                 frame[Addr(pname, fp2)] = val
@@ -445,7 +418,7 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
                                  kont2, t2)
         if isinstance(e, New):
             argv = tuple(_lookup(st, a) for a in e.args)
-            op = ObjectPointer(s.label, t2)
+            op = ObjPtr(s.label, t2)
             delta, op = apply_constructor(lp, e.class_name, op, argv)
             delta[Addr(s.var, fp)] = Value(e.class_name, op)
             return ConcreteState(_succ(lp, s), fp, sigma.set(delta), kont, t2)

@@ -95,6 +95,20 @@ def test_analyze_report_json(capsys):
     assert rep["policy"].startswith("k=0")
 
 
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_analyze_stats_go_to_stderr_and_leave_stdout_alone(mode, capsys):
+    assert main(["analyze", SCOPED, "--mode", mode]) == 0
+    plain = capsys.readouterr()
+    assert main(["analyze", SCOPED, "--mode", mode, "--stats"]) == 0
+    got = capsys.readouterr()
+    assert got.out == plain.out and plain.err == ""
+    (line,) = got.err.splitlines()
+    stats = json.loads(line)
+    assert {"steps", "nodes", "edges", "seconds", "step_causes",
+            "full_steps", "delta_passes", "delta_addrs"} <= set(stats)
+    assert stats["steps"] == 1 + sum(stats["step_causes"].values())
+
+
 def test_analyze_finite_mode_doubles_links(capsys):
     assert main(["analyze", SCOPED, "--mode", "finite",
                  "--report-json"]) == 0

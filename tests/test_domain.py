@@ -12,7 +12,7 @@ from anfj.domain import (
     next as abstract_next, state_key, store_extend, store_join, tick, alloc,
 )
 from anfj.engine import analyze
-from anfj.machine import Addr, Value
+from anfj.machine import T0, Addr, Time, Value
 from anfj.syntax import (
     THIS, Assign, FieldRef, Invoke, New, Throw, TryCatch, VarRef,
     load_program,
@@ -131,9 +131,7 @@ def test_cached_hash_is_the_field_hash_and_not_a_field():
     lp = corpus_program("var_chain")
     q0 = inject_abstract(lp)
     fp = FramePtr(1, (2,))
-    op = ObjPtr(3, ())
-    for obj in [Addr("x", fp), Value("A", op), fp, op, q0,
-                CallFrame("r", lp.stmt(1), fp),
+    for obj in [q0, CallFrame("r", lp.stmt(1), fp),
                 HandlerFrame("E", "e", lp.stmt(1), fp)]:
         fields = dataclasses.fields(obj)
         assert hash(obj) == hash(tuple(getattr(obj, f.name) for f in fields))
@@ -143,6 +141,26 @@ def test_cached_hash_is_the_field_hash_and_not_a_field():
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj and "_hash" not in vars(clone)
         assert hash(clone) == hash(obj)
+
+
+def test_records_hash_as_their_fields_and_equal_only_their_own_type():
+    fp, op = FramePtr(1, (2,)), ObjPtr(1, (2,))
+    records = [fp, op, ObjPtr(3, (), 4), Addr("x", fp), Value("A", op),
+               FramePtr(1, Time(2, T0)), Addr("x", ObjPtr(1, Time(2, T0)))]
+    for obj in records:
+        assert hash(obj) == hash(tuple(obj))
+        assert obj != tuple(obj) and tuple(obj) != obj
+        assert not obj == tuple(obj) and not tuple(obj) == obj
+        clone = pickle.loads(pickle.dumps(obj))
+        assert type(clone) is type(obj)
+        assert clone == obj and hash(clone) == hash(obj)
+    assert fp != op and op != fp and not fp == op
+    assert Addr("x", fp) != Addr("x", op)
+    # same fields, same hash, different types
+    assert Addr("A", op) != Value("A", op) and not Addr("A", op) == Value("A", op)
+    assert len({fp, op, (1, (2,)), Addr("A", op), Value("A", op)}) == 5
+    assert op.recv is None and ObjPtr(3, (), 4).recv == 4
+    assert (fp.site, fp.time) == (1, (2,))
 
 
 def test_store_join_returns_first_store_unless_it_grows():

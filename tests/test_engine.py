@@ -456,6 +456,28 @@ def test_iecg_invariants(name, policy):
     assert BOTTOM in iecg.tf(dsg.initial)
 
 
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
+    # propagate reads top frames and push sources at an edge's source
+    # alone, which holds only if every epsilon successor already has
+    # those of its predecessors; and a stack-summary dependency is
+    # recorded per push or epsilon edge, not per reachable pair
+    lp = named_program(name)
+    for policy in [p for p in POLICIES if p.mode == "pushdown"]:
+        dsg = analyze(lp, policy)
+        iecg = dsg.iecg
+        for p, succs in iecg.eps_succ.items():
+            tf = iecg.tf(p)
+            for n in succs:
+                assert tf <= iecg.tf(n)
+                for f in tf:
+                    assert (iecg.pfp.get((p, f), set())
+                            <= iecg.pfp.get((n, f), set()))
+        deps = {(p, s) for p, ss in iecg.psf_deps.items() for s in ss}
+        assert deps <= {(s1, s2) for s1, act, s2 in dsg.edges
+                        if not isinstance(act, Pop)}
+
+
 def test_analysis_is_deterministic():
     lp = corpus_program("handler_scope_wrapped")
     a = analyze(lp, Policy())

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, strategies
 
 from anfj.machine import (
-    FP0, T0, Addr, ConcreteState, FramePointer, Fun, FuelExhausted, Halt,
-    Halted, Handle, ObjectPointer, Store, Stuck, Time, Uncaught, Value,
+    FP0, T0, Addr, ConcreteState, FramePtr, Fun, FuelExhausted, Halt,
+    Halted, Handle, ObjPtr, Store, Stuck, Time, Uncaught, Value,
     apply_constructor, inject, is_terminal, kont_frames, run, step, tick,
 )
 from anfj.syntax import (
@@ -115,15 +115,15 @@ def test_inject_locals_unbound():
 
 def test_apply_constructor_no_fields():
     lp = corpus_program("minimal")
-    op = ObjectPointer(99, hist(99))
+    op = ObjPtr(99, hist(99))
     delta, out_op = apply_constructor(lp, "Main", op, ())
     assert delta == {} and out_op is op
 
 
 def test_apply_constructor_single_field():
     lp = corpus_program("field_read")
-    op = ObjectPointer(7, hist(7))
-    arg = Value("A", ObjectPointer(1, hist(1)))
+    op = ObjPtr(7, hist(7))
+    arg = Value("A", ObjPtr(1, hist(1)))
     delta, _ = apply_constructor(lp, "Box", op, (arg,))
     assert delta == {Addr("item", op): arg}
 
@@ -131,10 +131,10 @@ def test_apply_constructor_single_field():
 def test_apply_constructor_super_chain():
     # Pt3 forwards (x, y) to Pt2; all three fields land on the same op
     lp = corpus_program("ctor_chain")
-    op = ObjectPointer(50, hist(50))
-    vx = Value("Object", ObjectPointer(1, hist(1)))
-    vy = Value("Object", ObjectPointer(2, hist(2)))
-    vz = Value("Object", ObjectPointer(3, hist(3)))
+    op = ObjPtr(50, hist(50))
+    vx = Value("Object", ObjPtr(1, hist(1)))
+    vy = Value("Object", ObjPtr(2, hist(2)))
+    vz = Value("Object", ObjPtr(3, hist(3)))
     delta, _ = apply_constructor(lp, "Pt3", op, (vx, vy, vz))
     assert delta == {
         Addr("x", op): vx,
@@ -273,9 +273,9 @@ def test_trace_invariants(name):
         if isinstance(prev.stmt, Assign):
             e = prev.stmt.exp
             if isinstance(e, Invoke):
-                assert FramePointer(prev.stmt.label, cur.time) not in _pointers_of(prev)
+                assert FramePtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
             elif isinstance(e, New):
-                assert ObjectPointer(prev.stmt.label, cur.time) not in _pointers_of(prev)
+                assert ObjPtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
 
         # stack discipline: at most one frame pushed or popped, suffix shared
         diff = len(kont_frames(cur.kont)) - len(kont_frames(prev.kont))
@@ -352,12 +352,12 @@ def _copying_writes(lp, st: ConcreteState) -> dict:
         if isinstance(e, Invoke):
             d0 = sigma[Addr(e.receiver, fp)]
             method = lp.method_lookup(d0.class_name, e.method)
-            fp2 = FramePointer(s.label, t2)
+            fp2 = FramePtr(s.label, t2)
             out = {Addr("this", fp2): d0}
             for (_, pname), arg in zip(method.params, e.args):
                 out[Addr(pname, fp2)] = sigma[Addr(arg, fp)]
             return out
-        op = ObjectPointer(s.label, t2)
+        op = ObjPtr(s.label, t2)
         argv = tuple(sigma[Addr(a, fp)] for a in e.args)
         out, _ = apply_constructor(lp, e.class_name, op, argv)
         out[Addr(s.var, fp)] = Value(e.class_name, op)
@@ -389,8 +389,8 @@ def test_shared_store_matches_copying_replay(name):
 
 def test_store_reads_like_a_dict():
     a, b, c, missing = (Addr(n, FP0) for n in ("a", "b", "c", "z"))
-    v1 = Value("A", ObjectPointer(1, hist()))
-    v2 = Value("B", ObjectPointer(2, hist()))
+    v1 = Value("A", ObjPtr(1, hist()))
+    v2 = Value("B", ObjPtr(2, hist()))
     ref: dict = {}
     sigma = Store()
     history = []
@@ -474,11 +474,11 @@ def test_history_renders_its_json_list_body(labels, data):
 
 @given(LABELS, strategies.integers(0, 60))
 def test_pointers_on_equal_histories_are_equal(labels, site):
-    for make in (FramePointer, ObjectPointer):
+    for make in (FramePtr, ObjPtr):
         p, q = make(site, hist(*labels)), make(site, hist(*labels))
         assert p == q and hash(p) == hash(q)
         assert p != make(site, tick(61, p.time))
-    assert FramePointer(site, hist(*labels)) != ObjectPointer(site, hist(*labels))
+    assert FramePtr(site, hist(*labels)) != ObjPtr(site, hist(*labels))
 
 
 def test_long_histories_compare_render_and_free():

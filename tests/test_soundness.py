@@ -15,7 +15,7 @@ from anfj.domain import (
 )
 from anfj.engine import analyze
 from anfj.machine import (
-    Addr, FramePointer, Fun, Value, kont_frames, run,
+    Addr, FramePtr, Fun, Value, kont_frames, run,
 )
 from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef,
@@ -52,7 +52,7 @@ class Abstraction:
         return ObjPtr(op.site, self.time(op.time))
 
     def ptr(self, p):
-        return self.fp(p) if isinstance(p, FramePointer) else self.op(p)
+        return self.fp(p) if isinstance(p, FramePtr) else self.op(p)
 
     def value(self, v):
         return Value(v.class_name, self.op(v.op))
