@@ -13,9 +13,9 @@ The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
 epsilon edges as they are discovered (Earl et al.'s epsilon-closure
-graph). The bookkeeping lives in five maps:
+graph). The bookkeeping lives in four maps:
 
-  eps_pred / eps_succ   epsilon reachability, kept transitively closed
+  eps_next              each node's direct epsilon successors
   top_frames (TF)       every frame observed on top of the stack at a node
   psf                   the frame pointers of every call frame possibly
                         anywhere on the stack: the node's GC roots
@@ -27,9 +27,10 @@ a summary edge (w, eps, s2): the push and the pop cancel, so anything
 that held before the push holds after the pop. Summaries feed the same
 closure, so deeper cancellations cascade.
 
-Each growth of TF or pfp at a node goes to its whole epsilon-successor
-set, so TF(p) <= TF(n) and pfp(p, f) <= pfp(n, f) for every epsilon
-pair (p, n), and a new epsilon edge need read them at its source only.
+A top frame or push source new at a node is passed along its direct
+epsilon edges, and on from each node where it is new (semi-naive), so
+TF(p) <= TF(n) and pfp(p, f) <= pfp(n, f) for every epsilon edge
+(p, n), and a new epsilon edge need read them at its source only.
 
 The stack summary (PSF) keeps pointers, not frames, because its one
 reader is the collection, whose stack roots are the bindings of the
@@ -157,16 +158,16 @@ class Worklist:
 
 
 class IECG:
-    """The five closure maps plus change bookkeeping for the engine.
+    """The four closure maps plus change bookkeeping for the engine.
 
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
-    and summary creation. psf_deps holds one PSF dependency per push or
-    epsilon edge, so drain can pass each PSF delta on to fixpoint."""
+    and summary creation. add_tf and add_pfp walk eps_next on their own
+    stack, never by recursion. psf_deps holds one PSF dependency per
+    push or epsilon edge, so drain can pass each PSF delta on."""
 
     def __init__(self):
-        self.eps_pred: dict = {}
-        self.eps_succ: dict = {}
+        self.eps_next: dict = {}       # node -> direct epsilon successors
         self.top_frames: dict = {}
         self.psf: dict = {}
         self.pfp: dict = {}
@@ -178,23 +179,31 @@ class IECG:
     def tf(self, s) -> set:
         return self.top_frames.get(s, set())
 
-    def add_tf(self, s, frame) -> bool:
-        have = self.top_frames.setdefault(s, set())
-        if frame in have:
-            return False
-        have.add(frame)
-        self.dirty_tf.append(s)
-        if isinstance(frame, CallFrame):
-            self.add_psf(s, (frame.fp,))
-        return True
+    def add_tf(self, s, frame) -> None:
+        """frame is on top at s and at everything epsilon-after s."""
+        work = [s]
+        while work:
+            s = work.pop()
+            have = self.top_frames.setdefault(s, set())
+            if frame in have:
+                continue
+            have.add(frame)
+            self.dirty_tf.append(s)
+            if isinstance(frame, CallFrame):
+                self.add_psf(s, (frame.fp,))
+            work.extend(self.eps_next.get(s, ()))
 
-    def add_pfp(self, s, frame, src) -> bool:
-        have = self.pfp.setdefault((s, frame), set())
-        if src in have:
-            return False
-        have.add(src)
-        self.dirty_pfp.append((s, frame, src))
-        return True
+    def add_pfp(self, s, frame, src) -> None:
+        """src pushed frame on a path to s and all epsilon-after s."""
+        work = [s]
+        while work:
+            s = work.pop()
+            have = self.pfp.setdefault((s, frame), set())
+            if src in have:
+                continue
+            have.add(src)
+            self.dirty_pfp.append((s, frame, src))
+            work.extend(self.eps_next.get(s, ()))
 
     def add_psf(self, s, fps) -> None:
         """Join call-frame pointers into PSF(s). The ones that are new
@@ -219,24 +228,15 @@ class IECG:
 def propagate(s1, s2, iecg: IECG) -> IECG:
     """Record an epsilon edge s1 -> s2 and close the maps over it.
 
-    Everything epsilon-before s1 reaches everything epsilon-after s2, so
-    reachability is closed over the cross product. Top frames and push
-    sources flow to everything epsilon-after s2 from s1 alone, as those
-    of s1's epsilon predecessors are already at s1. PSF(s2) depends on
-    s1 along this edge only; drain carries it on to the nodes after s2
-    along their own edges."""
-    preds = set(iecg.eps_pred.get(s1, ())) | {s1}
-    nexts = set(iecg.eps_succ.get(s2, ())) | {s2}
-    pool = iecg.tf(s1)
-    pushers = [(f, w) for f in pool for w in iecg.pfp.get((s1, f), ())]
-    for p in preds:
-        iecg.eps_succ.setdefault(p, set()).update(nexts)
-    for n in nexts:
-        iecg.eps_pred.setdefault(n, set()).update(preds)
-        for f in pool:
-            iecg.add_tf(n, f)
-        for f, w in pushers:
-            iecg.add_pfp(n, f, w)
+    s2 takes s1's top frames and push sources, which add_tf and add_pfp
+    pass on to everything epsilon-after s2; those of s1's epsilon
+    predecessors are already at s1. PSF(s2) depends on s1 along this
+    edge only; drain carries it on along the later edges."""
+    iecg.eps_next.setdefault(s1, set()).add(s2)
+    for f in list(iecg.tf(s1)):
+        iecg.add_tf(s2, f)
+        for w in list(iecg.pfp.get((s1, f), ())):
+            iecg.add_pfp(s2, f, w)
     iecg.add_psf_pred(s2, s1)
     return iecg
 
@@ -246,9 +246,8 @@ def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     and at everything epsilon-reachable from s2, pushed from s1. The
     stack summary depends on s1 at s2 alone, as in propagate."""
     iecg.add_psf_pred(s2, s1)
-    for s in set(iecg.eps_succ.get(s2, ())) | {s2}:
-        iecg.add_tf(s, frame)
-        iecg.add_pfp(s, frame, s1)
+    iecg.add_tf(s2, frame)
+    iecg.add_pfp(s2, frame, s1)
     return iecg
 
 

@@ -647,11 +647,20 @@ def stmt_defs(s: Stmt) -> frozenset[str]:
 
 
 def iter_stmts(seq: tuple[Stmt, ...]) -> Iterator[Stmt]:
-    for s in seq:
-        yield s
-        if isinstance(s, TryCatch):
-            yield from iter_stmts(s.body)
-            yield from iter_stmts(s.handler)
+    """Every statement of seq and of the try blocks in it, in pre-order:
+    a try, its body, its handler, then what follows the try. The walk
+    keeps its own stack of sequences, so each statement costs O(1) at
+    any depth of nesting."""
+    stack = [iter(seq)]
+    while stack:
+        for s in stack[-1]:
+            yield s
+            if isinstance(s, TryCatch):
+                stack.append(iter(s.handler))
+                stack.append(iter(s.body))
+                break
+        else:
+            stack.pop()
 
 
 class _Elaborator:

@@ -50,3 +50,37 @@ def chain_sources() -> dict:
     `perfbench/gen.py` generates for seed 1."""
     return {p.name: p.source for p in gen_module().generate("chain", 1)
             if p.name in CHAINS}
+
+
+def long_method_source(n: int) -> str:
+    """A program whose one long method, Long.f, is n straight-line
+    statements, reached from two call chains: main calls Mid.go from two
+    sites, and Mid.go calls f from one, so under k=0 both chains share
+    f's nodes and differ in the frame f returns to. main's second call
+    is found only after the first has returned, so f's epsilon path is
+    laid before the second return frame reaches f, and the top frames
+    of every statement of f grow after its epsilon edges exist."""
+    body = "    x = a;\n" * (n - 1)
+    return (
+        "class Long extends Object {\n"
+        "  Long() { super(); }\n"
+        "  Object f(Object a) {\n"
+        f"    Object x;\n{body}    return x;\n  }}\n}}\n"
+        "class Mid extends Object {\n"
+        "  Mid() { super(); }\n"
+        "  Object go(Long l) {\n"
+        "    Object r;\n    r = l.f(this);\n    return r;\n  }\n}\n"
+        "class Main extends Object {\n"
+        "  Main() { super(); }\n"
+        "  Object main() {\n"
+        "    Long l;\n    Mid m;\n    Object r;\n    Object s;\n"
+        "    l = new Long();\n    m = new Mid();\n"
+        "    r = m.go(l);\n    s = m.go(l);\n    return s;\n  }\n}\n")
+
+
+if __name__ == "__main__":
+    # python tests/helpers.py long-method N: print long_method_source(N)
+    if sys.argv[1:2] == ["long-method"]:
+        print(long_method_source(int(sys.argv[2])), end="")
+    else:
+        sys.exit("usage: helpers.py long-method N")

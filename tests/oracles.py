@@ -136,6 +136,26 @@ def net_empty_pairs(lp, policy: Policy, sources, stores,
     return pairs, truncated
 
 
+def epsilon_closure(edges) -> set:
+    """Every (q1, q2) joined by a path of one or more epsilon edges of
+    edges, by a plain search from each source."""
+    succs: dict = {}
+    for s1, act, s2 in edges:
+        if act == EPSILON:
+            succs.setdefault(s1, set()).add(s2)
+    pairs = set()
+    for q1 in succs:
+        seen: set = set()
+        work = list(succs[q1])
+        while work:
+            q = work.pop()
+            if q not in seen:
+                seen.add(q)
+                work.extend(succs.get(q, ()))
+        pairs.update((q1, q2) for q2 in seen)
+    return pairs
+
+
 def update_psf(s, top_frames: dict, psf: dict, push_preds: dict,
                eps_pred: dict) -> set:
     """The stack summary spec: PSF(s) holds the root pointers of its

@@ -20,7 +20,8 @@ from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
 
 from helpers import corpus_names, corpus_program
 from oracles import (
-    brute_reachable_addrs, call_fps, explore_configs, net_empty_pairs,
+    brute_reachable_addrs, call_fps, epsilon_closure, explore_configs,
+    net_empty_pairs,
 )
 from test_gc import _random_cyclic_store
 from test_machine import EXPECTED, FUEL
@@ -97,10 +98,7 @@ def test_criterion_3_summary_oracle_equivalence():
             pairs, truncated = net_empty_pairs(lp, policy, dsg.nodes,
                                                dsg.node_store)
             assert not truncated, name
-            engine_pairs = {(s, s2)
-                            for s, succs in dsg.iecg.eps_succ.items()
-                            for s2 in succs}
-            assert engine_pairs == pairs, name
+            assert epsilon_closure(dsg.edges) == pairs, name
             for q, tops in g.top_frames().items():
                 assert tops <= dsg.iecg.tf(q), name
             for q, frames in g.stack_frames().items():

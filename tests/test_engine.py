@@ -19,11 +19,15 @@ from anfj.gc import eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import (
     Assign, Invoke, New, PopHandler, Return, Throw, TryCatch, VarRef,
+    load_program,
 )
 
-from helpers import CHAINS, corpus_names, corpus_program, named_program
+from helpers import (
+    CHAINS, corpus_names, corpus_program, long_method_source, named_program,
+)
 from oracles import (
-    call_fps, explore_configs, least_psf, net_empty_pairs, update_psf,
+    call_fps, epsilon_closure, explore_configs, least_psf, net_empty_pairs,
+    update_psf,
 )
 from test_byte_identity import POLICIES, analysis_digest
 
@@ -278,23 +282,24 @@ def test_propagate_base_case():
     iecg = IECG()
     iecg.top_frames[s1] = {f}
     propagate(s1, s2, iecg)
-    assert s2 in iecg.eps_succ[s1]
-    assert s1 in iecg.eps_pred[s2]
+    assert iecg.eps_next == {s1: {s2}}
     assert f in iecg.tf(s2)
 
 
 def test_propagate_closes_transitively():
+    # a push at a after a -> b -> c reaches c along the direct edges,
+    # which are all the map keeps
     lp = corpus_program("var_chain")
-    a, b, c = _states(lp, 3)
+    w, a, b, c = _states(lp, 4)
+    g = CallFrame("r", lp.stmt(1), FP0A)
     iecg = IECG()
     propagate(a, b, iecg)
     propagate(b, c, iecg)
-    # oracle: reachability over {(a,b),(b,c)}
-    closure = {(a, b), (b, c), (a, c)}
-    for x, y in closure:
-        assert y in iecg.eps_succ.get(x, set())
-        assert x in iecg.eps_pred.get(y, set())
-    assert c in iecg.eps_succ[a]
+    process_push(w, g, a, iecg)
+    assert iecg.eps_next == {a: {b}, b: {c}}
+    for s in (a, b, c):
+        assert iecg.tf(s) == {g}
+        assert iecg.pfp[(s, g)] == {w}
 
 
 def test_update_psf_examples():
@@ -323,14 +328,17 @@ def test_psf_is_the_least_solution_of_its_spec(name):
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
         push_preds: dict = {}
+        eps_preds: dict = {}
         for s1, act, s2 in dsg.edges:
             if isinstance(act, Push):
                 push_preds.setdefault(s2, set()).add(s1)
+            elif act == EPSILON:
+                eps_preds.setdefault(s2, set()).add(s1)
         nodes = sorted(dsg.nodes, key=state_key)
         for s in nodes:
             assert iecg.psf.get(s, set()) == update_psf(
-                s, iecg.top_frames, iecg.psf, push_preds, iecg.eps_pred)
-        least = least_psf(nodes, iecg.top_frames, push_preds, iecg.eps_pred)
+                s, iecg.top_frames, iecg.psf, push_preds, eps_preds)
+        least = least_psf(nodes, iecg.top_frames, push_preds, eps_preds)
         assert {s: fps for s, fps in iecg.psf.items() if fps} == \
             {s: fps for s, fps in least.items() if fps}
 
@@ -375,7 +383,7 @@ def test_process_pop_empty_pfp_is_inert():
     g = CallFrame("r", lp.stmt(1), FP0A)
     iecg = IECG()
     assert process_pop(s1, g, s2, iecg) == []
-    assert not iecg.eps_succ and not iecg.eps_pred
+    assert not iecg.eps_next
 
 
 def test_process_pop_single_source_behaves_as_propagate():
@@ -393,8 +401,7 @@ def test_process_pop_single_source_behaves_as_propagate():
     plain.top_frames[s1] = {g}
     plain.pfp[(s1, g)] = {q0}
     propagate(q0, s2, plain)
-    assert popped.eps_succ == plain.eps_succ
-    assert popped.eps_pred == plain.eps_pred
+    assert popped.eps_next == plain.eps_next
     assert popped.top_frames == plain.top_frames
     assert popped.psf == plain.psf
 
@@ -443,12 +450,9 @@ def test_iecg_invariants(name, policy):
     assert dsg.initial in dsg.nodes
     for s1, act, s2 in dsg.edges:
         assert s1 in dsg.nodes and s2 in dsg.nodes
-    for s, succs in iecg.eps_succ.items():
-        for s2 in succs:
-            assert s in iecg.eps_pred.get(s2, set())
-    for s2, preds in iecg.eps_pred.items():
-        for s in preds:
-            assert s2 in iecg.eps_succ.get(s, set())
+    # eps_next holds exactly the graph's epsilon edges, summaries included
+    assert {(s, s2) for s, succs in iecg.eps_next.items() for s2 in succs} \
+        == {(s1, s2) for s1, act, s2 in dsg.edges if act == EPSILON}
     for s in dsg.nodes:
         assert call_fps(iecg.tf(s)) <= iecg.psf.get(s, set())
     for (s, f) in iecg.pfp:
@@ -459,23 +463,41 @@ def test_iecg_invariants(name, policy):
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
 def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
     # propagate reads top frames and push sources at an edge's source
-    # alone, which holds only if every epsilon successor already has
-    # those of its predecessors; and a stack-summary dependency is
-    # recorded per push or epsilon edge, not per reachable pair
+    # alone, which holds only if every epsilon edge's target already has
+    # those of its source; and a stack-summary dependency is recorded
+    # per push or epsilon edge, not per reachable pair
     lp = named_program(name)
     for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
-        for p, succs in iecg.eps_succ.items():
+        for p, act, n in dsg.edges:
+            if act != EPSILON:
+                continue
             tf = iecg.tf(p)
-            for n in succs:
-                assert tf <= iecg.tf(n)
-                for f in tf:
-                    assert (iecg.pfp.get((p, f), set())
-                            <= iecg.pfp.get((n, f), set()))
+            assert tf <= iecg.tf(n)
+            for f in tf:
+                assert (iecg.pfp.get((p, f), set())
+                        <= iecg.pfp.get((n, f), set()))
         deps = {(p, s) for p, ss in iecg.psf_deps.items() for s in ss}
         assert deps <= {(s1, s2) for s1, act, s2 in dsg.edges
                         if not isinstance(act, Pop)}
+
+
+def test_long_shared_method_closes_without_recursion():
+    # f's 3,000 statements are one epsilon path that the second call's
+    # return frame has to travel after the path exists
+    lp = load_program(long_method_source(3000))
+    dsg = analyze(lp, Policy())
+    eps_edges = {(s1, s2) for s1, act, s2 in dsg.edges if act == EPSILON}
+    assert len(eps_edges) > 3000
+    assert {(s, s2) for s, succs in dsg.iecg.eps_next.items()
+            for s2 in succs} == eps_edges
+    ret = the_node(dsg, lambda s: isinstance(s, Return)
+                   and lp.method_of_label(s.label).name == "f")
+    returns = {f for f in dsg.iecg.tf(ret) if isinstance(f, CallFrame)}
+    assert len(returns) == 2
+    finite = analyze(lp, Policy(mode="finite"))
+    assert finite.nodes == dsg.nodes
 
 
 def test_analysis_is_deterministic():
@@ -559,9 +581,7 @@ def test_summaries_match_bounded_explorer(name):
 
     pairs, truncated = net_empty_pairs(lp, policy, dsg.nodes, stores)
     assert not truncated
-    engine_pairs = {(s, s2) for s, succs in dsg.iecg.eps_succ.items()
-                    for s2 in succs}
-    assert engine_pairs == pairs
+    assert epsilon_closure(dsg.edges) == pairs
 
     for q, tops in g.top_frames().items():
         assert tops <= dsg.iecg.tf(q)

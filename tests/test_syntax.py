@@ -6,6 +6,8 @@ from anfj.syntax import (
     load_program, method_flow_edges, parse_program, stmt_defs, stmt_uses,
 )
 
+from helpers import corpus_names, corpus_program
+
 SIMPLE = """
 class A extends Object {
   A() { super(); }
@@ -207,6 +209,34 @@ def test_nested_try_succ_chains_through_pophandlers():
     assert lp.successor(outer_pop.label) is ret
     # inner handler falls through to the outer pophandler as well
     assert lp.successor(inner.handler[-1].label) is outer_pop
+
+
+def _iter_stmts_recursive(seq):
+    for s in seq:
+        yield s
+        if isinstance(s, TryCatch):
+            yield from _iter_stmts_recursive(s.body)
+            yield from _iter_stmts_recursive(s.handler)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_iter_stmts_is_the_recursive_pre_order(name):
+    lp = corpus_program(name)
+    for decl in lp.program.classes:
+        for m in decl.methods:
+            assert list(iter_stmts(m.body)) == \
+                list(_iter_stmts_recursive(m.body))
+
+
+def test_iter_stmts_walks_a_3000_deep_try_nest():
+    # built directly: the parser stops far short of this depth
+    depth = 3000
+    seq = (Return(depth, "r"),)
+    for i in reversed(range(depth)):
+        handler = (Return(2 * depth - i, "e"),)
+        seq = (TryCatch(i, seq, "Exc", "e", handler),)
+    labels = [s.label for s in iter_stmts(seq)]
+    assert labels == list(range(2 * depth + 1))
 
 
 def test_elaboration_idempotent_on_labeled_structure():
