@@ -7,12 +7,14 @@ try/catch blocks; expressions are variable reads, field reads, method
 invocations, allocations, and casts. Fields are written only by
 constructors.
 
-This module parses source text, assigns integer labels to statements in
-program order, inserts the synthetic PopHandler statement at the end of
-every try body, and derives the static tables the interpreters need:
-statement successors, the flattened class table, subtyping, and per-label
-live-variable sets (with an abrupt-completion edge from every statement
-inside a try body to the handler head).
+This module parses source text into labeled statements: the parser
+gives each statement an integer label as it reads it, in program order,
+and appends the synthetic PopHandler statement to every try body. It
+then derives the static tables the interpreters need: statement
+successors, the flattened class table, subtyping, and per-label
+live-variable sets (a statement inside a try body also flows to the
+handler head, as an exception would). The parser and every walk keep
+their own stacks, so try blocks may nest to any depth.
 """
 
 from __future__ import annotations
@@ -84,30 +86,19 @@ Exp = VarRef | FieldRef | Invoke | New | Cast
 # ---------------------------------------------------------------------------
 # Statements
 #
-# Statement identity is the label: labels are unique program-wide after
-# elaboration, so equality and hashing go through them. Parser-stage
-# statements carry label -1 and fall back to object identity.
+# Statement identity is the label: the parser gives every statement a
+# label unique program-wide, so equality and hashing go through it.
 
 class Stmt:
     __slots__ = ()
     label: int
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Stmt):
             return NotImplemented
-        if self.label < 0 or other.label < 0:
-            return False
         return self.label == other.label
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
-        if self.label < 0:
-            return object.__hash__(self)
         return hash(self.label)
 
 
@@ -167,7 +158,7 @@ class MethodDecl:
     params: tuple[tuple[str, str], ...]       # (class, name)
     locals: tuple[tuple[str, str], ...]       # (class, name)
     body: tuple[Stmt, ...]
-    owner: str = ""                           # filled in by elaborate
+    owner: str                                # name of the declaring class
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +234,13 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.labels = 0
+
+    def label(self) -> int:
+        """The next statement label: labels count up from 1 in the order
+        statements are read, program-wide."""
+        self.labels += 1
+        return self.labels
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -284,18 +282,16 @@ class _Parser:
 
     def program(self) -> Program:
         classes = []
+        seen = {OBJECT}
         while self.peek().text == "class":
-            classes.append(self.class_decl())
+            decl = self.class_decl(seen)
+            seen.add(decl.name)
+            classes.append(decl)
         t = self.peek()
         if t.kind != "eof":
             self.error(f"expected 'class', found {t.text!r}", t)
         if not classes:
             self.error("empty program")
-        seen = {}
-        for c in classes:
-            if c.name in seen or c.name == OBJECT:
-                raise ParseError(f"duplicate class {c.name!r}")
-            seen[c.name] = c
         entries = [(c.name, m.name) for c in classes for m in c.methods
                    if m.name == "main" and not m.params]
         if not entries:
@@ -304,15 +300,19 @@ class _Parser:
             raise ParseError("multiple zero-argument methods named 'main'")
         return Program(classes=tuple(classes), entry=entries[0])
 
-    def class_decl(self) -> ClassDecl:
+    def class_decl(self, seen: set[str]) -> ClassDecl:
+        """A class; seen holds the class names declared so far."""
         self.expect("class")
+        name_tok = self.peek()
         name = self.ident("class name")
+        if name in seen:
+            self.error(f"duplicate class {name!r}", name_tok)
         self.expect("extends")
         parent_tok = self.next()
         if parent_tok.kind != "ident" or parent_tok.text in KEYWORDS:
             self.error("expected parent class name", parent_tok)
         self.expect("{")
-        fields = []
+        fields: dict[str, str] = {}             # name -> class
         # field declarations: IDENT IDENT ';' until we hit the constructor,
         # recognized by its name matching the class followed by '('
         while True:
@@ -323,23 +323,21 @@ class _Parser:
                     b.kind == "ident" and b.text not in KEYWORDS and c.text == ";":
                 fcls = self.ident("field class")
                 fname = self.ident("field name")
+                if fname in fields:
+                    self.error(f"duplicate field in class {name!r}", b)
                 self.expect(";")
-                fields.append((fcls, fname))
+                fields[fname] = fcls
                 continue
             self.error(f"expected field declaration or constructor {name!r}", a)
         konst = self.konst(name)
-        methods = []
+        methods: dict[str, MethodDecl] = {}
         while self.peek().text != "}":
-            methods.append(self.method_decl())
+            m = self.method_decl(name, methods)
+            methods[m.name] = m
         self.expect("}")
-        mnames = [m.name for m in methods]
-        if len(mnames) != len(set(mnames)):
-            self.error(f"duplicate method in class {name!r}")
-        fnames = [f for _, f in fields]
-        if len(fnames) != len(set(fnames)):
-            self.error(f"duplicate field in class {name!r}")
-        return ClassDecl(name=name, parent=parent_tok.text, fields=tuple(fields),
-                         konst=konst, methods=tuple(methods))
+        return ClassDecl(name=name, parent=parent_tok.text,
+                         fields=tuple((c, f) for f, c in fields.items()),
+                         konst=konst, methods=tuple(methods.values()))
 
     def konst(self, class_name: str) -> Konst:
         tok = self.next()
@@ -392,9 +390,13 @@ class _Parser:
         self.expect(")")
         return tuple(args)
 
-    def method_decl(self) -> MethodDecl:
+    def method_decl(self, owner: str, siblings: dict[str, MethodDecl]) -> MethodDecl:
+        """A method of class owner; siblings holds its earlier methods."""
         rcls = self.ident("return class")
+        name_tok = self.peek()
         name = self.ident("method name")
+        if name in siblings:
+            self.error(f"duplicate method in class {owner!r}", name_tok)
         params = self.param_list()
         self.expect("{")
         locals_ = []
@@ -408,48 +410,67 @@ class _Parser:
         body = self.stmt_seq()
         self.expect("}")
         return MethodDecl(return_class=rcls, name=name, params=params,
-                          locals=tuple(locals_), body=body)
+                          locals=tuple(locals_), body=body, owner=owner)
 
     def stmt_seq(self) -> tuple[Stmt, ...]:
-        stmts = []
-        while self.peek().text not in ("}",) and self.peek().kind != "eof":
-            stmts.append(self.stmt())
-        if not stmts:
-            self.error("empty statement sequence")
-        return tuple(stmts)
-
-    def stmt(self) -> Stmt:
-        t = self.peek()
-        if t.text == "return":
-            self.next()
-            v = self.operand()
-            self.expect(";")
-            return Return(-1, v)
-        if t.text == "throw":
-            self.next()
-            v = self.operand()
-            self.expect(";")
-            return Throw(-1, v)
-        if t.text == "try":
-            self.next()
-            self.expect("{")
-            body = self.stmt_seq()
+        """A non-empty statement sequence, up to the '}' or end of input
+        that closes it. Try blocks nest on an explicit stack of open
+        sequences, so nesting depth costs no Python stack. Each entry
+        holds the enclosing sequence, the try's label and, once its body
+        is closed, the body and the catch clause."""
+        stmts: list[Stmt] = []
+        open_trys: list[tuple] = []
+        while True:
+            t = self.peek()
+            if t.text == "try":
+                self.next()
+                self.expect("{")
+                open_trys.append((stmts, self.label()))
+                stmts = []
+                continue
+            if t.text != "}" and t.kind != "eof":
+                stmts.append(self.stmt())
+                continue
+            if not stmts:
+                self.error("empty statement sequence")
+            if not open_trys:
+                return tuple(stmts)
             self.expect("}")
+            outer, label, *closed = open_trys.pop()
+            if closed:
+                body, ccls, cvar = closed
+                outer.append(TryCatch(label, body, ccls, cvar, tuple(stmts)))
+                stmts = outer
+                continue
+            stmts.append(PopHandler(self.label()))
             self.expect("catch")
             self.expect("(")
             ccls = self.ident("exception class")
             cvar = self.ident("catch variable")
             self.expect(")")
             self.expect("{")
-            handler = self.stmt_seq()
-            self.expect("}")
-            return TryCatch(-1, body, ccls, cvar, handler)
+            open_trys.append((outer, label, tuple(stmts), ccls, cvar))
+            stmts = []
+
+    def stmt(self) -> Stmt:
+        """A statement other than try, which stmt_seq reads itself."""
+        t = self.peek()
+        if t.text == "return":
+            self.next()
+            v = self.operand()
+            self.expect(";")
+            return Return(self.label(), v)
+        if t.text == "throw":
+            self.next()
+            v = self.operand()
+            self.expect(";")
+            return Throw(self.label(), v)
         if t.kind == "ident" and t.text not in KEYWORDS:
             v = self.ident("variable")
             self.expect("=")
             e = self.exp()
             self.expect(";")
-            return Assign(-1, v, e)
+            return Assign(self.label(), v, e)
         self.error(f"expected statement, found {t.text!r}", t)
 
     def exp(self) -> Exp:
@@ -486,7 +507,7 @@ class _Parser:
 
 
 def parse_program(src: str) -> Program:
-    """Parse ANFJ source text into an unlabeled Program."""
+    """Parse ANFJ source text into a labeled Program."""
     return _Parser(src).program()
 
 
@@ -513,6 +534,7 @@ class LabeledProgram:
         self.method_of: dict[int, MethodDecl] = {}
         self.lives: dict[int, frozenset[str]] = {}
         self.handler_heads: dict[int, TryCatch] = {}
+        self.enclosing_try: dict[int, TryCatch] = {}   # innermost try whose body holds the label
         self.entry_method: MethodDecl | None = None
 
     # -- spec operations ----------------------------------------------------
@@ -573,49 +595,18 @@ def _object_info() -> ClassInfo:
                      field_classes={}, methods={})
 
 
-class _Labeler:
-    def __init__(self):
-        self.counter = 0
-
-    def fresh(self) -> int:
-        self.counter += 1
-        return self.counter
-
-
-def _relabel_seq(seq: tuple[Stmt, ...], lab: _Labeler) -> tuple[Stmt, ...]:
-    out = []
-    for s in seq:
-        if isinstance(s, TryCatch):
-            ell = lab.fresh()
-            body = list(s.body)
-            if not body or not isinstance(body[-1], PopHandler):
-                body.append(PopHandler(-1))
-            new_body = _relabel_seq(tuple(body), lab)
-            new_handler = _relabel_seq(s.handler, lab)
-            out.append(TryCatch(ell, new_body, s.catch_class, s.catch_var, new_handler))
-        elif isinstance(s, Assign):
-            out.append(Assign(lab.fresh(), s.var, s.exp))
-        elif isinstance(s, Return):
-            out.append(Return(lab.fresh(), s.var))
-        elif isinstance(s, Throw):
-            out.append(Throw(lab.fresh(), s.var))
-        elif isinstance(s, PopHandler):
-            out.append(PopHandler(lab.fresh()))
-        else:
-            raise ElaborationError(f"unknown statement kind {type(s).__name__}")
-    return tuple(out)
-
-
 def _path_terminates(seq: tuple[Stmt, ...]) -> bool:
-    last = seq[-1]
-    if isinstance(last, (Return, Throw)):
-        return True
-    if isinstance(last, TryCatch):
-        body = last.body
-        if body and isinstance(body[-1], PopHandler):
-            body = body[:-1]
-        return bool(body) and _path_terminates(body) and _path_terminates(last.handler)
-    return False
+    """Whether every control path through seq ends in return or throw:
+    its last statement is one, or is a try whose body (before its
+    PopHandler) and handler both end so."""
+    pending = [seq[-1]]
+    while pending:
+        last = pending.pop()
+        if isinstance(last, TryCatch):
+            pending += (last.body[-2], last.handler[-1])
+        elif not isinstance(last, (Return, Throw)):
+            return False
+    return True
 
 
 def _exp_uses(e: Exp) -> frozenset[str]:
@@ -671,14 +662,14 @@ class _Elaborator:
     def run(self) -> LabeledProgram:
         self._build_class_table()
         self._check_konsts()
-        labeled_classes = self._relabel_classes()
-        self.lp.program = Program(classes=labeled_classes, entry=self.program.entry)
-        self._rebuild_class_table(labeled_classes)
-        self._index_statements()
-        self._check_scopes()
-        self._build_succ()
-        self._check_termination()
-        self._compute_liveness()
+        methods = [(decl, m) for decl in self.program.classes for m in decl.methods]
+        for decl, m in methods:
+            self._walk(decl, m)
+        for decl, m in methods:
+            if not _path_terminates(m.body):
+                raise ElaborationError(
+                    f"a control path in {decl.name}.{m.name} does not end in return or throw")
+            self.lp.lives.update(compute_liveness(self.lp, m))
         return self.lp
 
     def _build_class_table(self):
@@ -724,6 +715,8 @@ class _Elaborator:
             info.fields_flat = resolved[name]
             info.field_classes = fclasses[name]
         self.lp.classes = table
+        ecls, emeth = self.program.entry
+        self.lp.entry_method = table[ecls].methods[emeth]
         # every class reference in declarations must resolve
         for decl in self.program.classes:
             for cls, _ in decl.fields + tuple(
@@ -764,189 +757,132 @@ class _Elaborator:
                 if pcls not in table:
                     raise ElaborationError(f"unknown class {pcls!r} in constructor of {decl.name!r}")
 
-    def _relabel_classes(self) -> tuple[ClassDecl, ...]:
-        lab = _Labeler()
-        out = []
-        for decl in self.program.classes:
-            methods = []
-            for m in decl.methods:
-                body = _relabel_seq(m.body, lab)
-                methods.append(MethodDecl(m.return_class, m.name, m.params,
-                                          m.locals, body, owner=decl.name))
-            out.append(replace_methods(decl, tuple(methods)))
-        return tuple(out)
+    def _walk(self, decl: ClassDecl, m: MethodDecl):
+        """One pre-order walk over m's statements. It fills the label
+        tables and successors, checks scopes, and records the innermost
+        try body around each statement. It keeps its own stack, one
+        entry per open sequence: the sequence's (statement, successor)
+        pairs, its scope and the innermost try whose body holds it."""
+        lp = self.lp
+        env = {THIS: decl.name}
+        for pcls, pname in m.params:
+            if pname in env:
+                raise ElaborationError(f"duplicate parameter {pname!r} in {decl.name}.{m.name}")
+            env[pname] = pcls
+        for lcls, lname in m.locals:
+            if lname in env:
+                raise ElaborationError(f"duplicate local {lname!r} in {decl.name}.{m.name}")
+            env[lname] = lcls
+        stack = [(_with_successors(m.body, None), env, None)]
+        while stack:
+            pairs, env, inside = stack[-1]
+            for s, nxt in pairs:
+                lp.stmt_by_label[s.label] = s
+                lp.method_of[s.label] = m
+                if inside is not None:
+                    lp.enclosing_try[s.label] = inside
+                self._check_stmt(decl, m, s, env)
+                if isinstance(s, (Assign, PopHandler)):
+                    if nxt is not None:
+                        lp.succ_map[s.label] = nxt
+                elif isinstance(s, TryCatch):
+                    lp.succ_map[s.label] = s.body[0]
+                    lp.handler_heads[s.handler[0].label] = s
+                    stack.append((_with_successors(s.handler, nxt),
+                                  {**env, s.catch_var: s.catch_class}, inside))
+                    stack.append((_with_successors(s.body, nxt), env, s))
+                    break
+                # Return and Throw have no successor
+            else:
+                stack.pop()
 
-    def _rebuild_class_table(self, labeled: tuple[ClassDecl, ...]):
+    def _check_stmt(self, decl: ClassDecl, m: MethodDecl, s: Stmt, env: dict[str, str]):
+        """Every variable s reads or writes is in scope, and every class,
+        field and method it names exists and takes the arguments given."""
         table = self.lp.classes
-        for decl in labeled:
-            info = table[decl.name]
-            info.decl = decl
-            info.methods = {m.name: m for m in decl.methods}
-        ecls, emeth = self.program.entry
-        self.lp.entry_method = table[ecls].methods[emeth]
-
-    def _index_statements(self):
-        for decl in self.lp.program.classes:
-            for m in decl.methods:
-                for s in iter_stmts(m.body):
-                    if s.label in self.lp.stmt_by_label:
-                        raise ElaborationError(f"duplicate label {s.label}")
-                    self.lp.stmt_by_label[s.label] = s
-                    self.lp.method_of[s.label] = m
-                    if isinstance(s, TryCatch):
-                        self.lp.handler_heads[s.handler[0].label] = s
-
-    def _check_scopes(self):
-        table = self.lp.classes
-        for decl in self.lp.program.classes:
-            for m in decl.methods:
-                env = {THIS: decl.name}
-                for pcls, pname in m.params:
-                    if pname in env:
-                        raise ElaborationError(f"duplicate parameter {pname!r} in {decl.name}.{m.name}")
-                    env[pname] = pcls
-                for lcls, lname in m.locals:
-                    if lname in env:
-                        raise ElaborationError(f"duplicate local {lname!r} in {decl.name}.{m.name}")
-                    env[lname] = lcls
-                self._check_seq(m, decl, m.body, dict(env))
-
-    def _check_seq(self, m: MethodDecl, decl: ClassDecl, seq: tuple[Stmt, ...], env: dict[str, str]):
-        table = self.lp.classes
-
-        def check_var(v: str, s: Stmt):
+        if isinstance(s, Assign):
+            names = (s.var, *sorted(_exp_uses(s.exp)))
+        elif isinstance(s, (Return, Throw)):
+            names = (s.var,)
+        else:
+            names = ()
+        for v in names:
             if v not in env:
                 raise ElaborationError(
                     f"unknown variable {v!r} in {decl.name}.{m.name} (label {s.label})")
-
-        for s in seq:
-            if isinstance(s, Assign):
-                check_var(s.var, s)
-                e = s.exp
-                for v in sorted(_exp_uses(e)):
-                    check_var(v, s)
-                if isinstance(e, New):
-                    if e.class_name not in table:
-                        raise ElaborationError(f"unknown class {e.class_name!r} (label {s.label})")
-                    arity = 0 if e.class_name == OBJECT else len(table[e.class_name].decl.konst.params)
-                    if len(e.args) != arity:
-                        raise ElaborationError(
-                            f"new {e.class_name} expects {arity} args, got {len(e.args)} (label {s.label})")
-                elif isinstance(e, Cast):
-                    if e.class_name not in table:
-                        raise ElaborationError(f"unknown class {e.class_name!r} (label {s.label})")
-                elif isinstance(e, FieldRef):
-                    owner = env[e.var]
-                    if e.field not in table[owner].field_classes:
-                        raise ElaborationError(
-                            f"unknown field {e.field!r} on class {owner!r} (label {s.label})")
-                elif isinstance(e, Invoke):
-                    owner = env[e.receiver]
-                    target = self.lp.method_lookup(owner, e.method)
-                    if target is None:
-                        raise ElaborationError(
-                            f"unknown method {e.method!r} on class {owner!r} (label {s.label})")
-                    if len(target.params) != len(e.args):
-                        raise ElaborationError(
-                            f"method {e.method!r} expects {len(target.params)} args, "
-                            f"got {len(e.args)} (label {s.label})")
-            elif isinstance(s, (Return, Throw)):
-                check_var(s.var, s)
-            elif isinstance(s, TryCatch):
-                if s.catch_class not in table:
-                    raise ElaborationError(f"unknown class {s.catch_class!r} (label {s.label})")
-                self._check_seq(m, decl, s.body, env)
-                inner = dict(env)
-                inner[s.catch_var] = s.catch_class
-                self._check_seq(m, decl, s.handler, inner)
-            # PopHandler: nothing to check
-
-    def _build_succ(self):
-        for decl in self.lp.program.classes:
-            for m in decl.methods:
-                self._succ_seq(m.body, None)
-
-    def _succ_seq(self, seq: tuple[Stmt, ...], after: Stmt | None):
-        for i, s in enumerate(seq):
-            nxt = seq[i + 1] if i + 1 < len(seq) else after
-            if isinstance(s, (Assign, PopHandler)):
-                if nxt is not None:
-                    self.lp.succ_map[s.label] = nxt
-            elif isinstance(s, TryCatch):
-                self.lp.succ_map[s.label] = s.body[0]
-                self._succ_seq(s.body, nxt)
-                self._succ_seq(s.handler, nxt)
-            # Return and Throw have no successor
-
-    def _check_termination(self):
-        for decl in self.lp.program.classes:
-            for m in decl.methods:
-                if not _path_terminates(m.body):
-                    raise ElaborationError(
-                        f"a control path in {decl.name}.{m.name} does not end in return or throw")
-
-    def _compute_liveness(self):
-        for decl in self.lp.program.classes:
-            for m in decl.methods:
-                self.lp.lives.update(compute_liveness(self.lp, m))
+        if isinstance(s, TryCatch):
+            if s.catch_class not in table:
+                raise ElaborationError(f"unknown class {s.catch_class!r} (label {s.label})")
+        if not isinstance(s, Assign):
+            return
+        e = s.exp
+        if isinstance(e, New):
+            if e.class_name not in table:
+                raise ElaborationError(f"unknown class {e.class_name!r} (label {s.label})")
+            arity = 0 if e.class_name == OBJECT else len(table[e.class_name].decl.konst.params)
+            if len(e.args) != arity:
+                raise ElaborationError(
+                    f"new {e.class_name} expects {arity} args, got {len(e.args)} (label {s.label})")
+        elif isinstance(e, Cast):
+            if e.class_name not in table:
+                raise ElaborationError(f"unknown class {e.class_name!r} (label {s.label})")
+        elif isinstance(e, FieldRef):
+            owner = env[e.var]
+            if e.field not in table[owner].field_classes:
+                raise ElaborationError(
+                    f"unknown field {e.field!r} on class {owner!r} (label {s.label})")
+        elif isinstance(e, Invoke):
+            owner = env[e.receiver]
+            target = self.lp.method_lookup(owner, e.method)
+            if target is None:
+                raise ElaborationError(
+                    f"unknown method {e.method!r} on class {owner!r} (label {s.label})")
+            if len(target.params) != len(e.args):
+                raise ElaborationError(
+                    f"method {e.method!r} expects {len(target.params)} args, "
+                    f"got {len(e.args)} (label {s.label})")
 
 
-def replace_methods(decl: ClassDecl, methods: tuple[MethodDecl, ...]) -> ClassDecl:
-    return ClassDecl(name=decl.name, parent=decl.parent, fields=decl.fields,
-                     konst=decl.konst, methods=methods)
+def _with_successors(seq: tuple[Stmt, ...], after: Stmt | None):
+    """Each statement of seq with the one after it; the last one's is
+    after, the statement that follows seq."""
+    return zip(seq, seq[1:] + (after,))
 
 
 def elaborate(program: Program) -> LabeledProgram:
-    """Label the program, insert PopHandlers, and build all static tables.
+    """Build all static tables of a parsed, labeled program.
 
-    Idempotent on structure: re-elaborating the labeled program's own
-    declarations yields identical labels and successors.
+    Idempotent: re-elaborating the program's own declarations yields
+    identical labels and successors.
     """
     return _Elaborator(program).run()
 
 
-def method_flow_edges(lp: LabeledProgram, method: MethodDecl) -> dict[int, set[int]]:
-    """Intra-method flow edges over labels: successor edges plus an edge from
-    every statement lexically inside a try body to the handler head."""
-    edges: dict[int, set[int]] = {s.label: set() for s in iter_stmts(method.body)}
-    for s in iter_stmts(method.body):
-        nxt = lp.succ_map.get(s.label)
-        if nxt is not None:
-            edges[s.label].add(nxt.label)
-        if isinstance(s, TryCatch):
-            head = s.handler[0].label
-            for inner in iter_stmts(s.body):
-                edges[inner.label].add(head)
-    return edges
-
-
 def compute_liveness(lp: LabeledProgram, method: MethodDecl) -> dict[int, frozenset[str]]:
     """Backward may-liveness per label:
-    lives(l) = use(l) | (union of successor lives) - def(l)."""
-    edges = method_flow_edges(lp, method)
-    stmts = {s.label: s for s in iter_stmts(method.body)}
-    lives: dict[int, frozenset[str]] = {ell: frozenset() for ell in stmts}
-    changed = True
-    while changed:
-        changed = False
-        for ell in sorted(stmts, reverse=True):
-            s = stmts[ell]
-            out: set[str] = set()
-            for succ_ell in edges[ell]:
-                out |= lives[succ_ell]
-            new = stmt_uses(s) | frozenset(out - stmt_defs(s))
-            if new != lives[ell]:
-                lives[ell] = frozenset(new)
-                changed = True
+    lives(l) = use(l) | (out(l) - def(l)), where out(l) is the live set
+    of l's successor plus X(T) for the innermost try T whose body holds
+    l, and X(T) = lives(handler head of T) | X(the try whose body holds
+    T): a statement flows to the head of every handler around it.
+
+    Every flow edge goes to a larger label, so one pass in descending
+    label order (reversed pre-order) reaches the least fixpoint. X(T) is
+    first needed at T's PopHandler, the last statement of T's body,
+    after the handler head and every enclosing PopHandler."""
+    lives: dict[int, frozenset[str]] = {}
+    exc_out: dict[TryCatch | None, frozenset[str]] = {None: frozenset()}
+    for s in reversed(list(iter_stmts(method.body))):
+        inside = lp.enclosing_try.get(s.label)
+        if isinstance(s, PopHandler):
+            exc_out[inside] = (lives[inside.handler[0].label]
+                               | exc_out[lp.enclosing_try.get(inside.label)])
+        nxt = lp.succ_map.get(s.label)
+        out = exc_out[inside] if nxt is None else lives[nxt.label] | exc_out[inside]
+        lives[s.label] = stmt_uses(s) | (out - stmt_defs(s))
     return lives
 
 
 def load_program(src: str) -> LabeledProgram:
-    """Parse and elaborate in one step. The parser and the elaboration
-    walks recurse once per level of try nesting, so a program nested
-    past the interpreter's recursion limit (about 490 levels at the
-    default limit) raises AnfjError rather than RecursionError."""
-    try:
-        return elaborate(parse_program(src))
-    except RecursionError as err:
-        raise AnfjError("program nests try blocks too deeply to load") from err
+    """Parse and elaborate in one step. Neither recurses per level of
+    try nesting, so nesting depth is bounded only by memory."""
+    return elaborate(parse_program(src))

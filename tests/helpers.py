@@ -1,4 +1,4 @@
-"""Shared test utilities: corpus loading and generated call chains."""
+"""Shared test utilities: corpus loading and generated programs."""
 
 import importlib.util
 import pathlib
@@ -78,9 +78,24 @@ def long_method_source(n: int) -> str:
         "    r = m.go(l);\n    s = m.go(l);\n    return s;\n  }\n}\n")
 
 
+def deep_try_source(depth: int) -> str:
+    """main nests depth try blocks around one throw; each handler
+    returns the caught value."""
+    lines = ["class Boom extends Object {", "  Boom() { super(); }", "}",
+             "class Main extends Object {", "  Main() { super(); }",
+             "  Object main() {", "    Boom e;", "    Object r;"]
+    lines += ["    try {"] * depth
+    lines += ["    e = new Boom();", "    throw e;"]
+    lines += ["    } catch (Boom x) { r = x; return r; }"] * depth
+    lines += ["  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
     # python tests/helpers.py long-method N: print long_method_source(N)
-    if sys.argv[1:2] == ["long-method"]:
-        print(long_method_source(int(sys.argv[2])), end="")
+    # python tests/helpers.py deep-try N: print deep_try_source(N)
+    sources = {"long-method": long_method_source, "deep-try": deep_try_source}
+    if len(sys.argv) == 3 and sys.argv[1] in sources:
+        print(sources[sys.argv[1]](int(sys.argv[2])), end="")
     else:
-        sys.exit("usage: helpers.py long-method N")
+        sys.exit("usage: helpers.py long-method|deep-try N")

@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from anfj.domain import Policy
 from anfj.metrics import POPULATION_NOTE
 from anfj.syntax import AnfjError
 
-from helpers import CORPUS_DIR, perfbench_module
+from helpers import CORPUS_DIR, deep_try_source, perfbench_module
 
 MINIMAL = str(CORPUS_DIR / "minimal.anfj")
 UNCAUGHT = str(CORPUS_DIR / "uncaught.anfj")
@@ -291,27 +292,37 @@ def test_deep_class_hierarchy_runs_and_analyzes(tmp_path, capsys, child_first):
         assert "Traceback" not in captured.err
 
 
-def _deep_try(depth: int) -> str:
-    """main nests depth try blocks around one throw; each handler
-    returns the caught value."""
-    lines = ["class Boom extends Object {", "  Boom() { super(); }", "}",
-             "class Main extends Object {", "  Main() { super(); }",
-             "  Object main() {", "    Boom e;", "    Object r;"]
-    lines += ["    try {"] * depth
-    lines += ["    e = new Boom();", "    throw e;"]
-    lines += ["    } catch (Boom x) { r = x; return r; }"] * depth
-    lines += ["  }", "}"]
-    return "\n".join(lines) + "\n"
+def test_deep_try_nest_runs(tmp_path, capsys):
+    src = tmp_path / "deep.anfj"
+    src.write_text(deep_try_source(1200))
+    assert main(["run", str(src), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "class": "Boom", "outcome": "halted", "steps": 2403}
+    assert "Traceback" not in captured.err
+
+
+def test_deep_try_nest_analyzes(tmp_path, capsys):
+    # pushdown only: finite mode is quadratic in the depth by design
+    src = tmp_path / "deep.anfj"
+    src.write_text(deep_try_source(1200))
+    assert main(["analyze", str(src), "--report-json"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ecLinkCount"] == 1
+    assert report["nodes"] == 1204
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["run", "analyze"])
-def test_too_deep_try_nesting_is_input_error(tmp_path, capsys, command):
+def test_deep_try_nest_missing_brace_is_positioned_error(tmp_path, capsys, command):
+    text = deep_try_source(2000)
+    cut = text.index("}", text.index("catch"))        # the innermost handler's
     src = tmp_path / "deep.anfj"
-    src.write_text(_deep_try(1200))
+    src.write_text(text[:cut] + text[cut + 1:])
     assert main([command, str(src)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
-    assert "nests try blocks too deeply" in captured.err
+    assert re.match(r"error: .* at \d+:\d+$", captured.err.strip())
     assert "Traceback" not in captured.err
 
 

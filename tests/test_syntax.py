@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
 from anfj.syntax import (
     Assign, Cast, ElaborationError, FieldRef, Invoke, New, ParseError, PopHandler,
     Return, Throw, TryCatch, VarRef, compute_liveness, elaborate, iter_stmts,
-    load_program, method_flow_edges, parse_program, stmt_defs, stmt_uses,
+    load_program, parse_program, stmt_defs, stmt_uses,
 )
 
-from helpers import corpus_names, corpus_program
+from helpers import (
+    CHAINS, corpus_names, corpus_program, deep_try_source, gen_module,
+    named_program,
+)
 
 SIMPLE = """
 class A extends Object {
@@ -50,6 +55,8 @@ def test_parse_minimal_shape():
     assert isinstance(main.body[0], Assign)
     assert main.body[0].exp == New("A", ())
     assert isinstance(main.body[1], Return)
+    assert main.owner == "Main"
+    assert [s.label for s in main.body] == [1, 2]
 
 
 def test_parse_expression_kinds():
@@ -137,6 +144,41 @@ def test_parse_missing_main():
     assert "main" in str(err.value)
 
 
+MAIN = """
+class Main extends Object {
+  Main() { super(); }
+  Object main() { Object v; v = this; return v; }
+}
+"""
+
+
+@pytest.mark.parametrize("src, message, line, col", [
+    ("class A extends Object { A() { super(); } }\n"
+     "class A extends Object { A() { super(); } }\n",
+     "duplicate class 'A'", 2, 7),
+    ("class Object extends Object { Object() { super(); } }\n",
+     "duplicate class 'Object'", 1, 7),
+    ("class A extends Object {\n"
+     "  A() { super(); }\n"
+     "  Object m() { Object v; v = this; return v; }\n"
+     "  Object n() { Object v; v = this; return v; }\n"
+     "  Object m() { Object v; v = this; return v; }\n"
+     "}\n",
+     "duplicate method in class 'A'", 5, 10),
+    ("class A extends Object {\n"
+     "  Object f;\n"
+     "  Object f;\n"
+     "  A(Object f) { super(); this.f = f; }\n"
+     "}\n",
+     "duplicate field in class 'A'", 3, 10),
+])
+def test_duplicate_declaration_points_at_its_name(src, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(src + MAIN)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert str(err.value) == f"{message} at {line}:{col}"
+
+
 def test_labels_are_program_ordered_and_dense():
     lp = load_program(TRYPROG)
     labels = lp.all_labels()
@@ -146,9 +188,8 @@ def test_labels_are_program_ordered_and_dense():
     assert kinds == ["TryCatch", "Assign", "Throw", "PopHandler", "Assign", "Return"]
 
 
-def test_pophandler_inserted_only_by_elaboration():
-    lp = load_program(TRYPROG)
-    main = lp.entry_method
+def test_pophandler_inserted_only_by_the_parser():
+    main = parse_program(TRYPROG).classes[1].methods[0]
     tc = main.body[0]
     assert isinstance(tc, TryCatch)
     assert isinstance(tc.body[-1], PopHandler)
@@ -229,7 +270,7 @@ def test_iter_stmts_is_the_recursive_pre_order(name):
 
 
 def test_iter_stmts_walks_a_3000_deep_try_nest():
-    # built directly: the parser stops far short of this depth
+    # built directly, without PopHandlers, and parsed from source
     depth = 3000
     seq = (Return(depth, "r"),)
     for i in reversed(range(depth)):
@@ -237,6 +278,11 @@ def test_iter_stmts_walks_a_3000_deep_try_nest():
         seq = (TryCatch(i, seq, "Exc", "e", handler),)
     labels = [s.label for s in iter_stmts(seq)]
     assert labels == list(range(2 * depth + 1))
+    # each level: the try, its PopHandler and two handler statements,
+    # around the innermost body's two statements
+    body = load_program(deep_try_source(depth)).entry_method.body
+    labels = [s.label for s in iter_stmts(body)]
+    assert labels == list(range(1, 4 * depth + 3))
 
 
 def test_elaboration_idempotent_on_labeled_structure():
@@ -461,11 +507,12 @@ def test_terminating_try_as_last_statement_is_accepted():
 # Liveness. Oracle first: an independent fixpoint over an explicitly
 # reconstructed flow graph, then hand-frozen expectations for small cases.
 
-def naive_liveness(lp, method):
+def naive_flow_edges(lp, method):
+    """Intra-method flow edges over labels, rebuilt from scratch:
+    successor edges, and an edge from every statement inside a try body
+    to that try's handler head."""
     stmts = list(iter_stmts(method.body))
-    labels = [s.label for s in stmts]
-    # rebuild flow edges from scratch: successor edges and try-body edges
-    edges = {ell: set() for ell in labels}
+    edges = {s.label: set() for s in stmts}
     for s in stmts:
         nxt = lp.succ_map.get(s.label)
         if nxt is not None:
@@ -478,11 +525,16 @@ def naive_liveness(lp, method):
                 if isinstance(inner, TryCatch):
                     stack.extend(inner.body)
                     stack.extend(inner.handler)
-    live = {ell: frozenset() for ell in labels}
-    by_label = {s.label: s for s in stmts}
+    return edges
+
+
+def naive_liveness(lp, method):
+    edges = naive_flow_edges(lp, method)
+    by_label = {s.label: s for s in iter_stmts(method.body)}
+    live = {ell: frozenset() for ell in by_label}
     while True:
         changed = False
-        for ell in labels:
+        for ell in by_label:
             s = by_label[ell]
             out = set()
             for succ_ell in edges[ell]:
@@ -511,12 +563,35 @@ class Main extends Object {
 """
 
 
-def test_liveness_matches_brute_force_oracle():
+def liveness_programs():
+    """Labeled programs whose liveness the tests check: three small ones,
+    the corpus, the CHAINS, a generated fan-in and a 300-deep try nest."""
     for src in (LIVE_PROG, TRYPROG, SIMPLE):
-        lp = load_program(src)
-        for decl in lp.program.classes:
-            for m in decl.methods:
-                assert compute_liveness(lp, m) == naive_liveness(lp, m)
+        yield load_program(src)
+    for name in (*corpus_names(), *CHAINS):
+        yield named_program(name)
+    yield load_program(gen_module().fanin_program(48, random.Random(1)).source)
+    yield load_program(deep_try_source(300))
+
+
+def all_methods(lp):
+    return [m for decl in lp.program.classes for m in decl.methods]
+
+
+def test_liveness_matches_brute_force_oracle():
+    for lp in liveness_programs():
+        for m in all_methods(lp):
+            expected = naive_liveness(lp, m)
+            assert compute_liveness(lp, m) == expected
+            assert {ell: lp.lives[ell] for ell in expected} == expected
+
+
+def test_every_flow_edge_goes_to_a_larger_label():
+    # what lets compute_liveness finish in one pass over the labels
+    for lp in liveness_programs():
+        for m in all_methods(lp):
+            for ell, succs in naive_flow_edges(lp, m).items():
+                assert all(succ > ell for succ in succs), (m.owner, m.name, ell)
 
 
 def test_liveness_kills_redefined_variable():
@@ -574,6 +649,6 @@ def test_liveness_fixpoint_is_stable_under_reiteration():
             for ell, live in once.items():
                 s = lp.stmt(ell)
                 out = set()
-                for succ_ell in method_flow_edges(lp, m)[ell]:
+                for succ_ell in naive_flow_edges(lp, m)[ell]:
                     out |= once[succ_ell]
                 assert live == stmt_uses(s) | frozenset(out - stmt_defs(s))
