@@ -71,9 +71,12 @@ not depend on this order; only the step count does.
 DSG.stats counts steps (dequeues) and, under "step_causes", why each
 was scheduled: a new node, store growth, TF growth or GC-root growth.
 The initial node is scheduled by none of them, so steps = 1 + the sum.
-Each step visits every context of its node once, by a full step
-("full_steps") or by a delta pass ("delta_passes", which joined
-"delta_addrs" addresses in all).
+A step with a visible delta visits every context of its node once, by
+a full step ("full_steps") or by a delta pass ("delta_passes", which
+joined "delta_addrs" addresses in all). A step without one leaves every
+memo standing, so it visits only the contexts new since the node's
+last step (for the pushdown engine, the top frames that the dirty_tf
+records brought), each by a full step.
 
 Diagnostics (unbound reads and fields) are those of each context's last
 full step. An unbound read is a read, so the delta that binds it forces
@@ -172,7 +175,7 @@ class IECG:
         self.psf: dict = {}
         self.pfp: dict = {}
         self.psf_deps: dict = {}       # node -> nodes its PSF flows into
-        self.dirty_tf: list = []       # nodes whose TF grew
+        self.dirty_tf: list = []       # (node, the frame new in its TF)
         self.dirty_psf: list = []      # (node, its new PSF pointers)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
@@ -188,7 +191,7 @@ class IECG:
             if frame in have:
                 continue
             have.add(frame)
-            self.dirty_tf.append(s)
+            self.dirty_tf.append((s, frame))
             if isinstance(frame, CallFrame):
                 self.add_psf(s, (frame.fp,))
             work.extend(self.eps_next.get(s, ()))
@@ -341,6 +344,10 @@ class _Engine:
     def contexts(self, s):
         raise NotImplementedError
 
+    def new_contexts(self, s, memo):
+        """The contexts of s that no step of s has visited yet."""
+        return [ctx for ctx in self.contexts(s) if ctx not in memo]
+
     def step(self, s, ctx, sigma: dict, reads: set, diags: list):
         raise NotImplementedError
 
@@ -447,7 +454,10 @@ class _Engine:
             sigma, delta = self.visible_store(s, node)
             memo = node.memo
             passed = None              # delta as a store, built once
-            for ctx in self.contexts(s):
+            # with no visible delta every memo stands: visit new contexts only
+            ctxs = (self.new_contexts(s, memo) if delta is not None
+                    and not delta else self.contexts(s))
+            for ctx in ctxs:
                 last = memo.get(ctx)
                 if last is None or not last[0].isdisjoint(delta):
                     full_steps += 1
@@ -502,10 +512,16 @@ class _PushdownEngine(_Engine):
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
+        self.new_tops: dict = {}       # node -> frames new in TF since its
+                                       # contexts were last taken
         self.pending_edges: deque = deque()
 
     def contexts(self, s):
+        self.new_tops.pop(s, None)
         return sorted(self.iecg.tf(s), key=frame_key)
+
+    def new_contexts(self, s, memo):
+        return sorted(self.new_tops.pop(s, ()), key=frame_key)
 
     def step(self, s, top, sigma, reads, diags):
         return abstract_next(self.lp, s, sigma, top, self.policy, diags,
@@ -550,7 +566,9 @@ class _PushdownEngine(_Engine):
                         propagate(w, dst, iecg)
                 continue
             if iecg.dirty_tf:
-                self.work.push(iecg.dirty_tf.pop(), "top_frames")
+                s, f = iecg.dirty_tf.pop()
+                self.new_tops.setdefault(s, []).append(f)
+                self.work.push(s, "top_frames")
                 continue
             if iecg.dirty_psf:
                 s, new = iecg.dirty_psf.pop()

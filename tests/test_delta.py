@@ -52,20 +52,22 @@ SPY_POLICIES = [Policy(k=k, mode=mode, liveness=live, obj_sensitivity=obj)
                                   "deep_throw", "field_kept_alive",
                                   "handler_rethrow", "chain7"])
 def test_incremental_collection_equals_from_scratch(name, monkeypatch):
-    # contexts() runs once per dequeue, right after the collection
+    # visible_store collects once per dequeue
     lp = named_program(name)
     seen = []
     stacks = {_PushdownEngine: lambda eng, s: eng.iecg.psf.get(s, ()),
               _FiniteEngine: lambda eng, s: finite_stack_fps(
                   eng.lp, eng.table, s)}
-    for cls, stack in stacks.items():
-        def contexts(self, s, orig=cls.contexts, stack=stack):
-            full = self.dsg.full_stores.get(s, {})
-            want = collect(s, full, stack(self, s), self.lp, self.policy)
-            assert self.dsg.node_stores[s] == want, s
-            seen.append(s)
-            return orig(self, s)
-        monkeypatch.setattr(cls, "contexts", contexts)
+
+    def visible_store(self, s, node, orig=_Engine.visible_store):
+        out = orig(self, s, node)
+        full = self.dsg.full_stores.get(s, {})
+        want = collect(s, full, stacks[type(self)](self, s), self.lp,
+                       self.policy)
+        assert self.dsg.node_stores[s] == want, s
+        seen.append(s)
+        return out
+    monkeypatch.setattr(_Engine, "visible_store", visible_store)
     for policy in SPY_POLICIES:
         seen.clear()
         dsg = analyze(lp, policy)
