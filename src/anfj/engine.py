@@ -1,13 +1,13 @@
 """Dyck state graph synthesis, on the fixpoint core both analyses share.
 
-The core (_Engine) owns the worklist, the full and visible stores, the
-nodes and edges, the budgets and clock, the collection before each
-step, the memo of each step and the delta passes it allows, the
-fixpoint diagnostics and DSG.stats. A stack abstraction supplies the
-same two things to it: the top frames a node is stepped under, and the
-GC-root pointers of its stack. _PushdownEngine below is the pushdown
-abstraction; finite._FiniteEngine is the finite-state baseline, which
-differs from it in stack handling alone.
+The core (_Engine) owns the worklist, the full, stepped and visible
+stores, the nodes and edges, the budgets and clock, the collection
+before each step, the memo of each step and the delta passes it allows,
+the fixpoint diagnostics and DSG.stats. A stack abstraction supplies
+the same two things to it: the top frames a node is stepped under, and
+the GC-root pointers of its stack. _PushdownEngine below is the
+pushdown abstraction; finite._FiniteEngine is the finite-state
+baseline, which differs from it in stack handling alone.
 
 The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
@@ -17,8 +17,8 @@ graph). The bookkeeping lives in four maps:
 
   eps_next              each node's direct epsilon successors
   top_frames (TF)       every frame observed on top of the stack at a node
-  psf                   the frame pointers of every call frame possibly
-                        anywhere on the stack: the node's GC roots
+  psf                   per activation, the stack summary: the root
+                        pointers of the frames on its stack
   pfp                   (node, frame) -> push sources: who pushed that
                         frame onto a balanced path reaching the node
 
@@ -32,30 +32,56 @@ epsilon edges, and on from each node where it is new (semi-naive), so
 TF(p) <= TF(n) and pfp(p, f) <= pfp(n, f) for every epsilon edge
 (p, n), and a new epsilon edge need read them at its source only.
 
-The stack summary (PSF) keeps pointers, not frames, because its one
-reader is the collection, whose stack roots are the bindings of the
-call frames' activations (the root set of Might & Shivers' Gamma-CFA);
-handler frames and the empty-stack marker own no bindings and never
-enter it. It flows along push and epsilon edges, one dependency per
-edge, and grows by deltas: when a node gains a predecessor it takes
-the predecessor's whole PSF once, and from then on drain passes it only
-the pointers that are new at the predecessor (the dirty_psf records),
-never re-unioning every predecessor's summary.
+Stores are split between the frames of the stack, as in CFA2
+(Vardoulakis & Shivers), on the pushdown system with abstract GC of
+Johnson, Sergey, Earl, Might & Van Horn. domain.next reads a node's own
+frame and the heap (the bindings on object pointers), and writes its
+own frame, a callee's at a call and the top frame's at a return or a
+catch. So a node's stepped store holds its own frame and the heap, and
+an edge into another activation, a push or a pop, carries the heap and
+that activation's frame only: a callee never sees its callers' locals.
+They come back by the summary edges instead. A summary edge (w, eps,
+s2) carries w's own-frame bindings into s2 when it is made, and each
+later growth of them when w is dequeued, as a delta pass does to
+memoized successors. A throw that unwinds a call frame stays at its own
+node (a pop self-edge), so the caller bindings its handler needs arrive
+there by summary edges; they lie on the frame pointers of its top
+frames, which its stack summary holds, so its collection keeps them.
 
-Per-node stores come in two layers. The full store is the monotone join
-of everything ever flowed into the node; growth of it or of TF
+The stack summary (PSF) keeps pointers, not frames, because its one
+reader is the collection, whose stack roots are what the frames on the
+stack hold (the root set of Might & Shivers' Gamma-CFA): the frame
+pointers of the call frames, and the objects bound in the frames
+beneath (iecg.held, the objects a push source's own frame holds, taken
+beneath each activation it calls). Handler frames and the empty-stack
+marker own no bindings and never enter it. Every node of an activation
+(a method and a frame pointer) is epsilon-reachable from its entry and
+has the same stack beneath it, so at the fixpoint their summaries are
+equal, and the activation keeps one: it flows along push edges between
+activations, one dependency per pair, and grows by deltas (the
+dirty_psf records). A node's collection takes the pointers that joined
+its activation's summary since its last collection, and a new pointer
+wakes only the nodes whose last collection left out an address under it.
+
+Per-node stores come in three layers. The full store is the monotone
+join of everything ever flowed into the node; growth of it or of TF
 re-enqueues the node, and monotonicity is what makes the fixpoint
-terminate even though the graph has cycles. The visible store is the
-garbage-collected view of the full store; it is what stepping, export,
-and metrics see. With gc off the two layers are the same object.
+terminate even though the graph has cycles. The stepped store is the
+garbage-collected view of the full store, which the steps see; with gc
+off the two are the same object. The visible store, which export and
+metrics read, is built once after the fixpoint (final_stores): the
+stepped store plus the bindings of the frames beneath the node, reached
+through its push sources. The finite baseline has no push/pop matching
+and carries every binding along every edge, so its visible stores are
+its stepped ones.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
 full store and the root pointers new on its stack, which gives the
-visible delta: the addresses whose visible binding changed. A new root
+stepped delta: the addresses whose stepped binding changed. A new root
 pointer is kept for the node's next collection, and wakes the node only
 when its last collection left out an address under it; otherwise the
-visible store would not change. A node is stepped per context (here,
+stepped store would not change. A node is stepped per context (here,
 per top frame), and each context's last full step is memoized with the
 addresses domain.next read. The context is stepped in full again only
 when it is new or the delta touches one of those reads; otherwise the
@@ -71,7 +97,7 @@ not depend on this order; only the step count does.
 DSG.stats counts steps (dequeues) and, under "step_causes", why each
 was scheduled: a new node, store growth, TF growth or GC-root growth.
 The initial node is scheduled by none of them, so steps = 1 + the sum.
-A step with a visible delta visits every context of its node once, by
+A step with a stepped delta visits every context of its node once, by
 a full step ("full_steps") or by a delta pass ("delta_passes", which
 joined "delta_addrs" addresses in all). A step without one leaves every
 memo standing, so it visits only the contexts new since the node's
@@ -98,6 +124,7 @@ from .domain import (
     frame_key, inject_abstract, next as abstract_next, state_key, store_join,
 )
 from .gc import Collection, eagc
+from .machine import FramePtr, ObjPtr
 from .syntax import LabeledProgram
 
 
@@ -166,21 +193,34 @@ class IECG:
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
     and summary creation. add_tf and add_pfp walk eps_next on their own
-    stack, never by recursion. psf_deps holds one PSF dependency per
-    push or epsilon edge, so drain can pass each PSF delta on."""
+    stack, never by recursion.
+
+    The stack summary is kept per activation: act maps a node to the
+    key of the activation it runs in, and the nodes of one activation
+    share one summary, psf[key]. A node act does not map is an
+    activation of its own. psf_deps holds one dependency per push edge,
+    and per epsilon edge between activations, so drain can pass each
+    summary delta on."""
 
     def __init__(self):
         self.eps_next: dict = {}       # node -> direct epsilon successors
         self.top_frames: dict = {}
-        self.psf: dict = {}
         self.pfp: dict = {}
-        self.psf_deps: dict = {}       # node -> nodes its PSF flows into
+        self.act: dict = {}            # node -> its activation's key
+        self.psf: dict = {}            # activation -> its stack summary
+        self.psf_deps: dict = {}       # activation -> those its PSF flows to
+        self.held: dict = {}           # node -> objects its own frame holds
+        self.held_deps: dict = {}      # call site -> activations it pushed to
         self.dirty_tf: list = []       # (node, the frame new in its TF)
-        self.dirty_psf: list = []      # (node, its new PSF pointers)
+        self.dirty_psf: list = []      # (activation, its new PSF pointers)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
     def tf(self, s) -> set:
         return self.top_frames.get(s, set())
+
+    def stack(self, s) -> set:
+        """PSF(s): the stack summary of s's activation."""
+        return self.psf.get(self.act.get(s, s), set())
 
     def add_tf(self, s, frame) -> None:
         """frame is on top at s and at everything epsilon-after s."""
@@ -193,7 +233,7 @@ class IECG:
             have.add(frame)
             self.dirty_tf.append((s, frame))
             if isinstance(frame, CallFrame):
-                self.add_psf(s, (frame.fp,))
+                self.add_psf(self.act.get(s, s), (frame.fp,))
             work.extend(self.eps_next.get(s, ()))
 
     def add_pfp(self, s, frame, src) -> None:
@@ -208,24 +248,41 @@ class IECG:
             self.dirty_pfp.append((s, frame, src))
             work.extend(self.eps_next.get(s, ()))
 
-    def add_psf(self, s, fps) -> None:
-        """Join call-frame pointers into PSF(s). The ones that are new
-        are recorded in dirty_psf, for drain to pass on to psf_deps[s]
-        and to s's collection."""
-        have = self.psf.setdefault(s, set())
-        new = [fp for fp in fps if fp not in have]
+    def add_psf(self, key, ptrs) -> None:
+        """Join root pointers into the stack summary of the activation
+        key. The ones that are new are recorded in dirty_psf, for drain
+        to pass on to psf_deps[key] and to the collections of the
+        activation's nodes."""
+        have = self.psf.get(key)
+        if have is None:
+            have = self.psf[key] = set()
+        new = [p for p in ptrs if p not in have]
         if new:
             have.update(new)
-            self.dirty_psf.append((s, new))
+            self.dirty_psf.append((key, new))
+
+    def add_held(self, s, ops) -> None:
+        """Join object pointers into those s's own frame holds. The new
+        ones are on the stack beneath every callee s pushed a call frame
+        to, so they join its PSF."""
+        have = self.held.setdefault(s, set())
+        new = [op for op in ops if op not in have]
+        if new:
+            have.update(new)
+            for key in self.held_deps.get(s, ()):
+                self.add_psf(key, new)
 
     def add_psf_pred(self, s, p) -> None:
         """A push or epsilon edge made p a predecessor of s: everything
         on the stack at p is on the stack at s, now and after every later
-        growth."""
-        deps = self.psf_deps.setdefault(p, set())
-        if s not in deps:
-            deps.add(s)
-            self.add_psf(s, self.psf.get(p, ()))
+        growth. Nothing flows within one activation."""
+        ks, kp = self.act.get(s, s), self.act.get(p, p)
+        if ks == kp:
+            return
+        deps = self.psf_deps.setdefault(kp, set())
+        if ks not in deps:
+            deps.add(ks)
+            self.add_psf(ks, self.psf.get(kp, ()))
 
 
 def propagate(s1, s2, iecg: IECG) -> IECG:
@@ -233,8 +290,9 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
 
     s2 takes s1's top frames and push sources, which add_tf and add_pfp
     pass on to everything epsilon-after s2; those of s1's epsilon
-    predecessors are already at s1. PSF(s2) depends on s1 along this
-    edge only; drain carries it on along the later edges."""
+    predecessors are already at s1. When the edge leaves s1's activation
+    (a summary edge into a throw), PSF(s2) depends on s1 along this edge
+    only; drain carries it on along the later edges."""
     iecg.eps_next.setdefault(s1, set()).add(s2)
     for f in list(iecg.tf(s1)):
         iecg.add_tf(s2, f)
@@ -247,8 +305,16 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
 def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     """A push edge (s1, push frame, s2): the frame is now on top at s2
     and at everything epsilon-reachable from s2, pushed from s1. The
-    stack summary depends on s1 at s2 alone, as in propagate."""
+    stack summary depends on s1 at s2 alone, as in propagate; a call
+    frame also puts the objects s1's own frame holds, now and later,
+    beneath s2."""
     iecg.add_psf_pred(s2, s1)
+    if isinstance(frame, CallFrame):
+        key = iecg.act.get(s2, s2)
+        deps = iecg.held_deps.setdefault(s1, set())
+        if key not in deps:
+            deps.add(key)
+            iecg.add_psf(key, iecg.held.get(s1, ()))
     iecg.add_tf(s2, frame)
     iecg.add_pfp(s2, frame, s1)
     return iecg
@@ -269,9 +335,10 @@ def process_pop(s1, frame, s2, iecg: IECG) -> list:
 @dataclass
 class DSG:
     """Analysis result: the explored graph, per-node stores, the closure
-    maps, and run metadata. node_stores holds the visible (collected)
-    stores; full_stores the raw monotone joins backing them. Stores are
-    shared between nodes and must not be mutated."""
+    maps, and run metadata. node_stores holds the visible stores, which
+    export and metrics read; full_stores the raw monotone joins behind
+    the stepped (collected) stores. Stores are shared between nodes and
+    must not be mutated."""
 
     lp: LabeledProgram
     policy: Policy
@@ -286,6 +353,22 @@ class DSG:
 
     def node_store(self, q) -> dict:
         return self.node_stores.get(q, {})
+
+
+def heap_and_frame(sigma: dict, fp) -> dict:
+    """The bindings of sigma on object pointers and on the frame pointer
+    fp: what a push or pop edge carries into the activation fp."""
+    own = {fp}                         # a set: hashing skips most __eq__
+    return {a: vals for a, vals in sigma.items()
+            if type(a.ptr) is ObjPtr or a.ptr in own}
+
+
+def own_frame(sigma: dict, fp, addrs=None) -> dict:
+    """The bindings of sigma on the frame pointer fp, among addrs when
+    given."""
+    own = {fp}
+    return {a: sigma[a] for a in (sigma if addrs is None else addrs)
+            if a.ptr in own}
 
 
 class _Stepped:
@@ -311,20 +394,27 @@ class _Engine:
     of the stack at s, in order (BOTTOM for the empty stack, None for
     a statement whose step needs no top frame); `step(s, top, sigma,
     reads, diags)`, s's (state, action, store) successors under top
-    (None for BOTTOM) and sigma, the visible store, with the addresses
+    (None for BOTTOM) and sigma, the stepped store, with the addresses
     read added to reads;
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
     the work a step leaves behind; and `stack_fps(s)`, the GC-root
-    pointers of s's stack at its first collection (eagc). Root pointers
-    that join s's stack later are handed to `add_roots`, which keeps
-    them for s's next collection (Collection.extend).
+    pointers of s's stack at its first collection (eagc). It may refine
+    `new_contexts(s, memo)`, the contexts of s no step has visited, and
+    `final_stores()`, the visible stores. Root pointers that join s's
+    stack later go into the node's roots for its next collection
+    (Collection.extend); `add_roots` puts them there and wakes s when
+    they would change its stepped store.
 
     A dequeued node is stepped in full under a context only when the
-    context is new to it or the visible store changed at an address the
+    context is new to it or the stepped store changed at an address the
     context's last full step read. Otherwise the memo of that step
-    stands, and only the visible delta is joined into the memoized
-    successors' full stores: the step's own result on the grown store,
-    given what domain.next promises about its reads."""
+    stands, and only the delta is joined into the memoized successors'
+    full stores: the step's own result on the grown store, given what
+    domain.next promises about its reads. A push or pop edge into
+    another activation carries only the heap and that activation's
+    frame (heap_and_frame), in a full step and in a delta pass alike;
+    the finite baseline's edges are all epsilon, so it carries
+    everything."""
 
     causes: tuple = ()
 
@@ -340,6 +430,7 @@ class _Engine:
         self.work.push(q0)
         self.stepped: dict = {}        # node -> _Stepped
         self.t0 = _time.monotonic()
+        self.deadline = self.t0 + budget.max_seconds
 
     def contexts(self, s):
         raise NotImplementedError
@@ -360,6 +451,11 @@ class _Engine:
     def stack_fps(self, s):
         raise NotImplementedError
 
+    def final_stores(self) -> dict:
+        """The visible stores export and metrics read, once the fixpoint
+        is reached: by default the ones the steps saw."""
+        return self.dsg.node_stores
+
     # -- bookkeeping ----------------------------------------------------
 
     def join_store(self, s, sigma2: dict) -> None:
@@ -377,9 +473,10 @@ class _Engine:
                 self.dsg.node_stores[s] = joined
             self.work.push(s, "store")
 
-    def add_node(self, s) -> None:
+    def add_node(self, s) -> bool:
+        """Record the node; True when it is new."""
         if s in self.dsg.nodes:
-            return
+            return False
         if len(self.dsg.nodes) >= self.budget.max_nodes:
             raise BudgetExceeded("nodes", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
@@ -387,19 +484,19 @@ class _Engine:
         self.dsg.node_stores.setdefault(s, {})
         self.dsg.full_stores.setdefault(s, {})
         self.work.push(s, "new_node")
+        return True
 
     def add_roots(self, s, fps, cause: str) -> None:
         """fps joined the root pointers of s's stack. A node not yet
         collected takes its whole stack at its first collection; for
         any other, fps are kept for the next one, and s is woken only
         when its last collection left out an address under one of them,
-        as otherwise its visible store stays the same."""
+        as otherwise its stepped store stays the same."""
         node = self.stepped.get(s)
         if node is None or node.collection is None:
             return
         node.roots.update(fps)
-        pending = node.collection.pending
-        if any(fp in pending for fp in fps):
+        if not node.collection.pending.keys().isdisjoint(fps):
             self.work.push(s, cause)
 
     def add_edge(self, s1, act, s2) -> bool:
@@ -417,15 +514,16 @@ class _Engine:
         return _time.monotonic() - self.t0
 
     def check_time(self) -> None:
-        if self.elapsed() > self.budget.max_seconds:
+        if _time.monotonic() > self.deadline:
             raise BudgetExceeded("time", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
 
     # -- main loop -------------------------------------------------------
 
-    def visible_store(self, s, node: _Stepped):
-        """Collect s's full store; return the visible store and the
-        visible delta since s's last dequeue (None at its first)."""
+    def stepped_store(self, s, node: _Stepped):
+        """Collect s's full store; return the stepped store and the
+        delta since s's last dequeue (None at its first): the addresses
+        whose binding in it changed."""
         full = self.dsg.full_stores.get(s, {})
         grown, node.grown = node.grown, set()
         if not self.policy.gc:
@@ -444,17 +542,21 @@ class _Engine:
 
     def run(self) -> DSG:
         steps = full_steps = delta_passes = delta_addrs = 0
-        while self.work:
-            self.check_time()
-            s = self.work.pop()
+        work, join_store = self.work, self.join_store
+        clock, deadline = _time.monotonic, self.deadline
+        while work:
+            if clock() > deadline:
+                self.check_time()
+            s = work.pop()
             steps += 1
             node = self.stepped.get(s)
             if node is None:
                 node = self.stepped[s] = _Stepped()
-            sigma, delta = self.visible_store(s, node)
+            sigma, delta = self.stepped_store(s, node)
             memo = node.memo
             passed = None              # delta as a store, built once
-            # with no visible delta every memo stands: visit new contexts only
+            # with an empty delta every memo stands: visit new contexts
+            # only, each by a full step
             ctxs = (self.new_contexts(s, memo) if delta is not None
                     and not delta else self.contexts(s))
             for ctx in ctxs:
@@ -464,28 +566,34 @@ class _Engine:
                     reads: set = set()
                     diags: list = []
                     succs = []
+                    scoped = []        # successors in another activation
                     top = None if ctx is BOTTOM else ctx
                     for q2, act, sg2 in self.step(s, top, sigma, reads, diags):
                         self.add_node(q2)
-                        self.join_store(q2, sg2)
+                        if act is not EPSILON and q2.fp != s.fp:
+                            sg2 = heap_and_frame(sg2, q2.fp)
+                            scoped.append(q2)
+                        else:
+                            succs.append(q2)
+                        join_store(q2, sg2)
                         if self.add_edge(s, act, q2):
                             self.new_edge(s, act, q2)
-                        succs.append(q2)
-                    memo[ctx] = (reads, succs, diags)
+                    memo[ctx] = (reads, succs, diags, scoped)
                     continue
                 delta_passes += 1
-                if not delta:
-                    continue
                 delta_addrs += len(delta)
                 if passed is None:
                     passed = {a: sigma[a] for a in delta}
                 for q2 in last[1]:
-                    self.join_store(q2, passed)
+                    join_store(q2, passed)
+                for q2 in last[3]:
+                    join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
+        self.dsg.node_stores = self.final_stores()
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
             for node in self.stepped.values()
-            for _, _, diags in node.memo.values() for q, reason in diags}
+            for last in node.memo.values() for q, reason in last[2]}
         self.dsg.stats = {
             "steps": steps,
             "nodes": len(self.dsg.nodes),
@@ -502,8 +610,9 @@ class _Engine:
 class _PushdownEngine(_Engine):
     """The pushdown stack abstraction: top frames, stack summaries and
     summary edges, kept in the IECG and closed by drain after each
-    step. A node's contexts are its top frames, and its stack roots
-    are its stack summary."""
+    step. A node's contexts are its top frames, its stack roots are its
+    activation's stack summary, and its stepped store holds its own
+    frame and the heap."""
 
     causes = ("top_frames", "gc_roots")
 
@@ -511,9 +620,16 @@ class _PushdownEngine(_Engine):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
+        self.iecg.act[self.dsg.initial] = self.activation(self.dsg.initial)
+        self.roots_log: dict = {}      # activation -> its PSF, in arrival order
+        self.roots_seen: dict = {}     # node -> the length of that log its
+                                       # collection has taken
+        self.waiting: dict = {}        # activation -> pointer -> nodes whose
+                                       # collection left an address under it
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.new_tops: dict = {}       # node -> frames new in TF since its
                                        # contexts were last taken
+        self.summaries: dict = {}      # push source -> its summary targets
         self.pending_edges: deque = deque()
 
     def contexts(self, s):
@@ -530,11 +646,115 @@ class _PushdownEngine(_Engine):
     def new_edge(self, s1, act, s2) -> None:
         self.pending_edges.append((s1, act, s2))
 
+    def activation(self, s):
+        """The key of the activation s runs in: its method and frame
+        pointer."""
+        return (self.lp.method_of[s.stmt.label], s.fp)
+
+    def add_node(self, s) -> bool:
+        if super().add_node(s):
+            self.iecg.act[s] = self.activation(s)
+            return True
+        return False
+
     def stack_fps(self, s):
-        return self.iecg.psf.get(s, ())
+        return self.iecg.stack(s)
+
+    def stepped_store(self, s, node: _Stepped):
+        """The core's collection, which takes the root pointers that
+        joined s's stack summary since its last one. After it, the
+        addresses the collection left out are indexed by pointer, for
+        drain to wake s when one of those pointers joins the summary;
+        the part of the delta on s's own frame goes on along s's summary
+        edges, and the objects it binds join those s's own frame
+        holds."""
+        key = self.iecg.act[s]
+        log = self.roots_log.get(key, ())
+        seen = self.roots_seen.get(s)
+        if seen is not None and seen < len(log):
+            node.roots.update(log[seen:])
+        self.roots_seen[s] = len(log)
+        sigma, delta = super().stepped_store(s, node)
+        if node.collection is not None and node.collection.pending:
+            waiting = self.waiting.setdefault(key, {})
+            for p in node.collection.pending:
+                waiting.setdefault(p, set()).add(s)
+        own = own_frame(sigma, s.fp, delta)
+        if own:
+            for s2 in self.summaries.get(s, ()):
+                self.join_store(s2, own)
+            self.iecg.add_held(s, {v.op for vals in own.values()
+                                   for v in vals})
+        return sigma, delta
+
+    def wake(self, key, ptrs) -> None:
+        """ptrs joined the stack summary of the activation key: wake each
+        of its nodes whose collection left out an address under one of
+        them. The others take them at their next collection."""
+        waiting = self.waiting.get(key)
+        if not waiting:
+            return
+        for p in ptrs:
+            for s in waiting.pop(p, ()):
+                if p in self.stepped[s].collection.pending:
+                    self.work.push(s, "gc_roots")
+
+    def add_summary(self, w, s2) -> None:
+        """A new summary edge (w, eps, s2) carries w's own-frame bindings
+        into s2, now and, by stepped_store, after each growth."""
+        self.summaries.setdefault(w, set()).add(s2)
+        own = own_frame(self.dsg.node_stores[w], w.fp)
+        if own:
+            self.join_store(s2, own)
 
     def after_step(self) -> None:
         self.drain()
+
+    def final_stores(self) -> dict:
+        """Each node's stepped store plus the bindings of the frames
+        beneath it: those its push sources see, on frame pointers other
+        than its own. A push source's frames are its own and those
+        beneath it, so this is a least fixpoint over pfp. The frames
+        beneath depend only on the node's push sources and frame
+        pointer, which the nodes of one activation mostly share, so
+        they are built once per such key, each after the keys of its
+        sources; only a recursive call, which pushes back to where it
+        came from, makes rounds repeat until nothing grows."""
+        stepped = self.dsg.node_stores
+        srcs: dict = {}
+        for (s, _), ws in self.iecg.pfp.items():
+            srcs.setdefault(s, set()).update(ws)
+        key_of = {s: (frozenset(ws), s.fp) for s, ws in srcs.items()}
+        deps = {}
+        for key in key_of.values():
+            if key not in deps:
+                deps[key] = {key_of[w] for w in key[0] if w in key_of}
+        order, cyclic = _after_sources(deps)
+        beneath: dict = {}             # key -> bindings of the frames beneath
+        while True:
+            grew = False
+            for key in order:
+                ws, fp = key
+                own = {fp}             # a set: hashing skips most __eq__
+                below: dict = {}
+                for w in ws:
+                    items = list(stepped[w].items())
+                    if w in key_of:
+                        items += beneath.get(key_of[w], {}).items()
+                    for a, vals in items:
+                        if type(a.ptr) is FramePtr and a.ptr not in own:
+                            old = below.get(a)
+                            if old is None:
+                                below[a] = vals
+                            elif not vals <= old:
+                                below[a] = old | vals
+                if cyclic and not grew:
+                    grew = below != beneath.get(key)
+                beneath[key] = below
+            if not grew:
+                break
+        return {s: store_join(beneath[key_of[s]], sigma) if s in key_of
+                else sigma for s, sigma in stepped.items()}
 
     def drain(self) -> None:
         """Dispatch pending edges into the closure maps and chase every
@@ -542,8 +762,10 @@ class _PushdownEngine(_Engine):
         The time budget is checked on every round, since one step's
         edges can start a long chase."""
         iecg = self.iecg
+        clock, deadline = _time.monotonic, self.deadline
         while True:
-            self.check_time()
+            if clock() > deadline:
+                self.check_time()
             if self.pending_edges:
                 s1, act, s2 = self.pending_edges.popleft()
                 if isinstance(act, Epsilon):
@@ -554,7 +776,8 @@ class _PushdownEngine(_Engine):
                     key = (s1, act.frame)
                     self.pop_targets.setdefault(key, set()).add(s2)
                     for w, dst in process_pop(s1, act.frame, s2, iecg):
-                        self.add_edge(w, EPSILON, dst)
+                        if self.add_edge(w, EPSILON, dst):
+                            self.add_summary(w, dst)
                 continue
             if iecg.dirty_pfp:
                 s, f, w = iecg.dirty_pfp.pop()
@@ -564,6 +787,7 @@ class _PushdownEngine(_Engine):
                                   key=state_key):
                     if self.add_edge(w, EPSILON, dst):
                         propagate(w, dst, iecg)
+                        self.add_summary(w, dst)
                 continue
             if iecg.dirty_tf:
                 s, f = iecg.dirty_tf.pop()
@@ -571,12 +795,42 @@ class _PushdownEngine(_Engine):
                 self.work.push(s, "top_frames")
                 continue
             if iecg.dirty_psf:
-                s, new = iecg.dirty_psf.pop()
-                for dep in iecg.psf_deps.get(s, ()):
+                key, new = iecg.dirty_psf.pop()
+                for dep in iecg.psf_deps.get(key, ()):
                     iecg.add_psf(dep, new)
-                self.add_roots(s, new, "gc_roots")
+                self.roots_log.setdefault(key, []).extend(new)
+                self.wake(key, new)
                 continue
             return
+
+
+def _after_sources(deps: dict) -> tuple:
+    """The keys of deps, each after those it depends on (a post-order of
+    a depth-first walk), and whether the walk met a cycle, which no
+    order can respect."""
+    order: list = []
+    done: set = set()
+    cyclic = False
+    for root in deps:
+        if root in done:
+            continue
+        path = {root}
+        stack = [(root, iter(deps[root]))]
+        while stack:
+            k, pending = stack[-1]
+            for d in pending:
+                if d in path:
+                    cyclic = True
+                elif d not in done:
+                    path.add(d)
+                    stack.append((d, iter(deps[d])))
+                    break
+            else:
+                stack.pop()
+                path.discard(k)
+                done.add(k)
+                order.append(k)
+    return order, cyclic
 
 
 def analyze(lp: LabeledProgram, policy: Policy | None = None,

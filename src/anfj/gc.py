@@ -2,9 +2,12 @@
 
 Collection runs when the engine dequeues a node, before stepping it. The
 roots are the node's own live locals plus every binding on a root
-pointer of its stack: the frame pointer of a call frame that may sit on
-it (handler frames and the empty stack own nothing, so a stack
-abstraction reports only those pointers). The store's object graph is
+pointer of its stack, as the stack abstraction reports them: the frame
+pointer of each call frame that may sit on it and, for the pushdown
+engine, whose stores leave the frames beneath out, the object pointers
+those frames' bindings hold. Handler frames and the empty stack own
+nothing. A root pointer of either kind is a whole pointer: all of its
+present and future addresses are kept. The store's object graph is
 closed transitively, and unreachable addresses are dropped. Liveness
 pruning restricts the locals to the current statement's live set;
 either flag can be switched off independently.
@@ -28,13 +31,13 @@ from .syntax import THIS, LabeledProgram
 class Collection:
     """One node's collection, kept between its steps.
 
-    The keep-set holds whole pointers (ptrs: the stack's call-frame
-    pointers, every object reached from a kept value, and the node's
-    own frame pointer when liveness pruning is off), whose present and
-    future addresses are all kept, plus the node's own locals named in
-    live. pending indexes, by pointer, the addresses of the last
-    collected store that are not kept, so reaching a pointer later
-    finds them without a pass over the store."""
+    The keep-set holds whole pointers (ptrs: the stack's root pointers,
+    every object reached from a kept value, and the node's own frame
+    pointer when liveness pruning is off), whose present and future
+    addresses are all kept, plus the node's own locals named in live.
+    pending indexes, by pointer, the addresses of the last collected
+    store that are not kept, so reaching a pointer later finds them
+    without a pass over the store."""
 
     __slots__ = ("fp", "live", "sigma", "visible", "keep", "ptrs", "pending")
 

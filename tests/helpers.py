@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import random
 import sys
 
 from anfj.syntax import LabeledProgram, load_program
@@ -9,6 +10,7 @@ from anfj.syntax import LabeledProgram, load_program
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 PERFBENCH_DIR = pathlib.Path(__file__).parents[1] / "perfbench"
 CHAINS = ("chain7", "chain10")
+FANIN = "fanin48"
 
 
 def corpus_source(name: str) -> str:
@@ -24,9 +26,12 @@ def corpus_names() -> list[str]:
 
 
 def named_program(name: str) -> LabeledProgram:
-    """A corpus program, or one of the CHAINS."""
+    """A corpus program, one of the CHAINS, or the FANIN program."""
     if name in CHAINS:
         return load_program(chain_sources()[name])
+    if name == FANIN:
+        return load_program(
+            gen_module().fanin_program(48, random.Random(1)).source)
     return corpus_program(name)
 
 
@@ -78,6 +83,11 @@ def long_method_source(n: int) -> str:
         "    r = m.go(l);\n    s = m.go(l);\n    return s;\n  }\n}\n")
 
 
+def chain_source(n: int) -> str:
+    """`perfbench/gen.py`'s n-level call chain for seed 1."""
+    return gen_module().chain_program(n, random.Random(1)).source
+
+
 def deep_try_source(depth: int) -> str:
     """main nests depth try blocks around one throw; each handler
     returns the caught value."""
@@ -94,8 +104,10 @@ def deep_try_source(depth: int) -> str:
 if __name__ == "__main__":
     # python tests/helpers.py long-method N: print long_method_source(N)
     # python tests/helpers.py deep-try N: print deep_try_source(N)
-    sources = {"long-method": long_method_source, "deep-try": deep_try_source}
+    # python tests/helpers.py chain N: print chain_source(N)
+    sources = {"long-method": long_method_source, "deep-try": deep_try_source,
+               "chain": chain_source}
     if len(sys.argv) == 3 and sys.argv[1] in sources:
         print(sources[sys.argv[1]](int(sys.argv[2])), end="")
     else:
-        sys.exit("usage: helpers.py long-method|deep-try N")
+        sys.exit("usage: helpers.py long-method|deep-try|chain N")

@@ -157,19 +157,22 @@ def epsilon_closure(edges) -> set:
 
 
 def update_psf(s, top_frames: dict, psf: dict, push_preds: dict,
-               eps_pred: dict) -> set:
+               eps_pred: dict, pushed_objs: dict | None = None) -> set:
     """The stack summary spec: PSF(s) holds the root pointers of its
-    own top frames plus every root pointer possibly on the stack at any
-    predecessor, push source or epsilon predecessor alike."""
+    own top frames, every root pointer possibly on the stack at any
+    predecessor, push source or epsilon predecessor alike, and
+    pushed_objs[s], the object pointers held by the own frames of the
+    nodes that pushed a call frame to s."""
     out = call_fps(top_frames.get(s, ()))
     out |= psf.get(s, set())
+    out |= (pushed_objs or {}).get(s, set())
     for p in push_preds.get(s, set()) | eps_pred.get(s, set()):
         out |= psf.get(p, set())
     return out
 
 
 def least_psf(nodes, top_frames: dict, push_preds: dict,
-              eps_pred: dict) -> dict:
+              eps_pred: dict, pushed_objs: dict | None = None) -> dict:
     """The least solution of update_psf over nodes, by plain round-robin
     iteration from empty summaries."""
     psf: dict = {}
@@ -177,7 +180,8 @@ def least_psf(nodes, top_frames: dict, push_preds: dict,
     while changed:
         changed = False
         for s in nodes:
-            new = update_psf(s, top_frames, psf, push_preds, eps_pred)
+            new = update_psf(s, top_frames, psf, push_preds, eps_pred,
+                             pushed_objs)
             if new != psf.get(s, set()):
                 psf[s] = new
                 changed = True
@@ -272,6 +276,25 @@ def collect(q: ControlState, sigma: dict, fps, lp, policy: Policy) -> dict:
 # every context, collecting its store from scratch, and then recomputes
 # the stack bookkeeping from the whole edge set; it stops after a round
 # that changed nothing. No worklist, no memo, no deltas.
+#
+# In pushdown mode a node's store holds its own frame and the heap, not
+# the frames beneath it: a push or pop edge into another activation
+# carries only the heap and that activation's frame, and every epsilon
+# edge, summaries included, carries at least its source's own frame.
+# The collection's stack roots are the call frames' pointers plus the
+# objects the frames beneath hold. The visible stores exported add the
+# frames beneath each node, rebuilt from its push sources.
+
+def own_frame(sigma: dict, fp) -> dict:
+    """The bindings of sigma on the frame pointer fp."""
+    return {a: vals for a, vals in sigma.items() if a.ptr == fp}
+
+
+def heap_and_frame(sigma: dict, fp) -> dict:
+    """The bindings of sigma on object pointers and on fp."""
+    return {a: vals for a, vals in sigma.items()
+            if a.ptr == fp or isinstance(a.ptr, ObjPtr)}
+
 
 def reference_analysis(lp, policy: Policy) -> DSG:
     """The least fixpoint the engine must reach, as a DSG holding the
@@ -281,7 +304,7 @@ def reference_analysis(lp, policy: Policy) -> DSG:
     edges: set = set()
     full = {q0: {}}
     pushdown = policy.mode == "pushdown"
-    tf, psf = {q0: {BOTTOM}}, {q0: {BOTTOM}}
+    tf, psf, pfp, beneath = {q0: {BOTTOM}}, {q0: {BOTTOM}}, {}, {}
     table = {_level(lp, q0): {BOTTOM}}
     while True:
         changed = False
@@ -289,7 +312,7 @@ def reference_analysis(lp, policy: Policy) -> DSG:
         diags: set = set()
         for q in sorted(nodes, key=state_key):
             if pushdown:
-                fps = call_fps(psf.get(q, ()))
+                fps = call_fps(psf.get(q, ())) | beneath.get(q, set())
             else:
                 fps = finite_stack_fps(lp, table, q)
             sigma = visible[q] = collect(q, full[q], fps, lp, policy)
@@ -309,6 +332,8 @@ def reference_analysis(lp, policy: Policy) -> DSG:
                     nodes.add(q2)
                     full[q2] = {}
                     changed = True
+                if pushdown and q2.fp != q.fp:
+                    sg2 = heap_and_frame(sg2, q2.fp)
                 joined = store_join(full[q2], sg2)
                 if joined is not full[q2]:
                     full[q2] = joined
@@ -317,21 +342,79 @@ def reference_analysis(lp, policy: Policy) -> DSG:
                     edges.add((q, act, q2))
                     changed = True
         if pushdown:
-            closed, tf2, psf2 = _stack_closure(q0, edges)
-            changed |= closed != edges or tf2 != tf or psf2 != psf
-            edges, tf, psf = closed, tf2, psf2
+            closed, tf2, psf2, pfp = _stack_closure(q0, edges)
+            for w, act, s2 in sorted(closed, key=_edge_key):
+                if act == EPSILON:
+                    own = own_frame(visible.get(w, {}), w.fp)
+                    joined = store_join(full[s2], own)
+                    if joined is not full[s2]:
+                        full[s2] = joined
+                        changed = True
+            beneath2 = _objects_beneath(closed, visible)
+            changed |= (closed != edges or tf2 != tf or psf2 != psf
+                        or beneath2 != beneath)
+            edges, tf, psf, beneath = closed, tf2, psf2, beneath2
         if not changed:
             break
     dsg = DSG(lp=lp, policy=policy, initial=q0)
     dsg.nodes, dsg.edges = nodes, edges
-    dsg.full_stores, dsg.node_stores = full, visible
+    dsg.full_stores = full
+    dsg.node_stores = (with_frames_beneath(visible, tf, pfp) if pushdown
+                       else visible)
     dsg.diagnostics = diags
     return dsg
 
 
+def _edge_key(e):
+    return (state_key(e[0]), state_key(e[2]))
+
+
+def _objects_beneath(edges: set, visible: dict) -> dict:
+    """Per node: the object pointers bound in the frames beneath it.
+    A call push puts its source's own frame beneath its target, and
+    push and epsilon edges carry what is beneath their source."""
+    below: dict = {}
+    changed = True
+    while changed:
+        changed = False
+        for s1, act, s2 in edges:
+            if isinstance(act, Pop):
+                continue
+            add = set(below.get(s1, ()))
+            if isinstance(act, Push) and isinstance(act.frame, CallFrame):
+                add |= {v.op for vals in own_frame(
+                    visible.get(s1, {}), s1.fp).values() for v in vals}
+            have = below.setdefault(s2, set())
+            if not add <= have:
+                have |= add
+                changed = True
+    return below
+
+
+def with_frames_beneath(stepped: dict, tf: dict, pfp: dict) -> dict:
+    """Each node's store plus every binding, on a frame pointer other
+    than its own, of the stores of the push sources of its top frames,
+    by plain round-robin iteration to the least solution."""
+    vis = dict(stepped)
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(stepped, key=state_key):
+            for f in tf.get(s, ()):
+                for w in pfp.get((s, f), ()):
+                    below = {a: vals for a, vals in vis[w].items()
+                             if isinstance(a.ptr, FramePtr) and a.ptr != s.fp}
+                    joined = store_join(vis[s], below)
+                    if joined is not vis[s]:
+                        vis[s] = joined
+                        changed = True
+    return vis
+
+
 def _stack_closure(q0, edges: set):
     """The edges plus every summary edge they imply, with each node's
-    top frames and possible stack frames, by plain iteration: a push
+    top frames, possible stack frames and push sources (pfp: (node,
+    frame) -> sources), by plain iteration: a push
     edge puts its frame on top and records its source as a pusher; an
     epsilon edge passes top frames and pushers on; a pop edge of a frame
     yields a summary edge from each of its pushers; stack frames hold
@@ -367,7 +450,7 @@ def _stack_closure(q0, edges: set):
             changed |= grow(psf, s2, psf.get(s1, set()))
         for s, frames in tf.items():
             changed |= grow(psf, s, frames)
-    return edges, tf, psf
+    return edges, tf, psf, pfp
 
 
 def _level(lp, q: ControlState):

@@ -102,7 +102,7 @@ def test_criterion_3_summary_oracle_equivalence():
             for q, tops in g.top_frames().items():
                 assert tops <= dsg.iecg.tf(q), name
             for q, frames in g.stack_frames().items():
-                assert call_fps(frames) <= dsg.iecg.psf.get(q, set()), name
+                assert call_fps(frames) <= dsg.iecg.stack(q), name
         assert qualified >= MIN_ORACLE_QUALIFIERS
     _verdict(3, "summary oracle equivalence", check)
 

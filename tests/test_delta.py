@@ -4,7 +4,9 @@ when a store read of its last step changed, and collects incrementally.
 The result must be the least fixpoint all the same: it is compared
 with the naive round-robin reference in oracles.py, each incremental
 collection with a from-scratch one, and the step counts with their
-purpose, full steps that stay flat as call chains grow.
+purpose: full steps and dequeues per node that stay flat as call chains
+grow, because a callee's stepped store holds none of its callers'
+bindings.
 """
 
 import random
@@ -13,12 +15,14 @@ import pytest
 
 from anfj import engine as engine_module
 from anfj import finite as finite_module
-from anfj.domain import Policy
+from anfj.domain import CallFrame, EPSILON, ObjPtr, Policy, Push
 from anfj.engine import _Engine, _PushdownEngine, analyze
 from anfj.finite import _FiniteEngine
 from anfj.syntax import load_program
 
-from helpers import CHAINS, corpus_names, gen_module, named_program
+from helpers import (
+    CHAINS, FANIN, chain_source, corpus_names, gen_module, named_program,
+)
 from oracles import collect, finite_stack_fps, reference_analysis
 from test_byte_identity import POLICIES, analysis_digest
 
@@ -52,14 +56,14 @@ SPY_POLICIES = [Policy(k=k, mode=mode, liveness=live, obj_sensitivity=obj)
                                   "deep_throw", "field_kept_alive",
                                   "handler_rethrow", "chain7"])
 def test_incremental_collection_equals_from_scratch(name, monkeypatch):
-    # visible_store collects once per dequeue
+    # stepped_store collects once per dequeue
     lp = named_program(name)
     seen = []
-    stacks = {_PushdownEngine: lambda eng, s: eng.iecg.psf.get(s, ()),
+    stacks = {_PushdownEngine: lambda eng, s: eng.iecg.stack(s),
               _FiniteEngine: lambda eng, s: finite_stack_fps(
                   eng.lp, eng.table, s)}
 
-    def visible_store(self, s, node, orig=_Engine.visible_store):
+    def stepped_store(self, s, node, orig=_Engine.stepped_store):
         out = orig(self, s, node)
         full = self.dsg.full_stores.get(s, {})
         want = collect(s, full, stacks[type(self)](self, s), self.lp,
@@ -67,7 +71,7 @@ def test_incremental_collection_equals_from_scratch(name, monkeypatch):
         assert self.dsg.node_stores[s] == want, s
         seen.append(s)
         return out
-    monkeypatch.setattr(_Engine, "visible_store", visible_store)
+    monkeypatch.setattr(_Engine, "stepped_store", stepped_store)
     for policy in SPY_POLICIES:
         seen.clear()
         dsg = analyze(lp, policy)
@@ -83,19 +87,51 @@ def test_full_steps_per_node_stay_flat(n, mode):
     assert stats["full_steps"] <= 2 * stats["nodes"], stats
 
 
+def test_dequeues_per_node_stay_flat():
+    # caller bindings no longer ride through every callee node one hop
+    # per dequeue, so a chain four times as deep costs about as many
+    # dequeues per node
+    per_node = {}
+    for n in (16, 64):
+        stats = analyze(load_program(chain_source(n)), Policy()).stats
+        per_node[n] = stats["steps"] / stats["nodes"]
+    assert abs(per_node[64] - per_node[16]) <= 0.25 * per_node[16], per_node
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
+def test_push_edges_carry_no_caller_frame(name):
+    # a callee entry whose only in-edges are pushes holds what those
+    # pushes brought: the heap and its own frame's bindings (parameters,
+    # this, and what a frame beneath sharing its pointer holds), never
+    # the caller's frame unless that is its own pointer
+    lp = named_program(name)
+    for policy in [p for p in POLICIES if p.mode == "pushdown"]:
+        dsg = analyze(lp, policy)
+        pushed, other = set(), set()
+        for s1, act, s2 in dsg.edges:
+            if isinstance(act, Push) and isinstance(act.frame, CallFrame):
+                pushed.add(s2)
+            elif s1 != s2 or act == EPSILON:
+                other.add(s2)
+        for s2 in pushed - other:
+            for a in dsg.full_stores[s2]:
+                assert isinstance(a.ptr, ObjPtr) or a.ptr == s2.fp, \
+                    (policy, s2, a)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [8, 16])
 def test_no_dequeue_is_idle(n, mode, monkeypatch):
-    # a dequeue that finds no store growth and no visible delta, and
+    # a dequeue that finds no store growth and no stepped delta, and
     # steps no context in full, does nothing: a root pointer new on a
     # node's stack must not wake it when its collection has no address
     # pending under that pointer
-    dequeues = []                  # [store grew, visible delta, full steps]
-    visible_store = _Engine.visible_store
+    dequeues = []                  # [store grew, stepped delta, full steps]
+    stepped_store = _Engine.stepped_store
 
-    def spy_visible_store(self, s, node):
+    def spy_stepped_store(self, s, node):
         grew = node.grown is None or bool(node.grown)
-        sigma, delta = visible_store(self, s, node)
+        sigma, delta = stepped_store(self, s, node)
         dequeues.append([grew, bool(delta), 0])
         return sigma, delta
 
@@ -106,7 +142,7 @@ def test_no_dequeue_is_idle(n, mode, monkeypatch):
         dequeues[-1][2] += 1
         return step(self, *args)
 
-    monkeypatch.setattr(_Engine, "visible_store", spy_visible_store)
+    monkeypatch.setattr(_Engine, "stepped_store", spy_stepped_store)
     monkeypatch.setattr(cls, "step", spy_step)
     lp = load_program(gen_module().chain_program(n, random.Random(1)).source)
     stats = analyze(lp, Policy(mode=mode)).stats

@@ -26,8 +26,8 @@ from helpers import (
     CHAINS, corpus_names, corpus_program, long_method_source, named_program,
 )
 from oracles import (
-    call_fps, epsilon_closure, explore_configs, least_psf, net_empty_pairs,
-    update_psf,
+    call_fps, epsilon_closure, explore_configs, heap_and_frame, least_psf,
+    net_empty_pairs, own_frame, store_leq, update_psf,
 )
 from test_byte_identity import POLICIES, analysis_digest
 
@@ -109,22 +109,34 @@ FIXPOINT_POLICIES = [Policy(), Policy(gc=False), Policy(k=1)]
                          ids=["default", "nogc", "k1"])
 def test_analysis_result_is_a_fixpoint(name, policy):
     # one more step of any node, under any of its top frames, finds
-    # nothing new: no node, no edge, no growth of a full store
+    # nothing new: no node, no edge, no growth of a full store, where a
+    # push or pop into another activation carries the heap and that
+    # activation's frame, and every epsilon edge its source's own frame;
+    # the visible store adds to the stepped one only frames beneath
     lp = corpus_program(name)
     dsg = analyze(lp, policy)
+    stepped = {}
     for q in sorted(dsg.nodes, key=state_key):
         full = dsg.full_stores.get(q, {})
-        psf = dsg.iecg.psf.get(q, set())
-        want = eagc(q, full, psf, lp, policy) if policy.gc else full
-        assert dsg.node_store(q) == want
+        psf = dsg.iecg.stack(q)
+        sigma = stepped[q] = (eagc(q, full, psf, lp, policy) if policy.gc
+                              else full)
+        assert heap_and_frame(dsg.node_store(q), q.fp) == \
+            heap_and_frame(sigma, q.fp)
+        assert store_leq(sigma, dsg.node_store(q))
         for kappa in dsg.iecg.tf(q):
             top = None if kappa is BOTTOM else kappa
-            for q2, act, sg2 in abstract_next(lp, q, dsg.node_store(q),
-                                              top, policy):
+            for q2, act, sg2 in abstract_next(lp, q, sigma, top, policy):
                 assert q2 in dsg.nodes
                 assert (q, act, q2) in dsg.edges
+                if q2.fp != q.fp:
+                    sg2 = heap_and_frame(sg2, q2.fp)
                 full2 = dsg.full_stores.get(q2, {})
                 assert store_join(full2, sg2) is full2
+    for w, act, s2 in dsg.edges:
+        if act == EPSILON:
+            assert store_leq(own_frame(stepped[w], w.fp),
+                             dsg.full_stores[s2])
 
 
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
@@ -334,12 +346,25 @@ def test_psf_is_the_least_solution_of_its_spec(name):
                 push_preds.setdefault(s2, set()).add(s1)
             elif act == EPSILON:
                 eps_preds.setdefault(s2, set()).add(s1)
+        pushed_objs: dict = {}
+        for s1, act, s2 in dsg.edges:
+            if isinstance(act, Push) and isinstance(act.frame, CallFrame):
+                pushed_objs.setdefault(s2, set()).update(
+                    iecg.held.get(s1, ()))
         nodes = sorted(dsg.nodes, key=state_key)
+        # the summary is kept per activation, the spec is per node
+        psf = {s: iecg.stack(s) for s in nodes}
         for s in nodes:
-            assert iecg.psf.get(s, set()) == update_psf(
-                s, iecg.top_frames, iecg.psf, push_preds, eps_preds)
-        least = least_psf(nodes, iecg.top_frames, push_preds, eps_preds)
-        assert {s: fps for s, fps in iecg.psf.items() if fps} == \
+            # held: the objects bound in s's own frame, once collected
+            sigma = eagc(s, dsg.full_stores.get(s, {}), psf[s], lp, policy)
+            assert iecg.held.get(s, set()) == {
+                v.op for vals in own_frame(sigma, s.fp).values()
+                for v in vals}
+            assert psf[s] == update_psf(
+                s, iecg.top_frames, psf, push_preds, eps_preds, pushed_objs)
+        least = least_psf(nodes, iecg.top_frames, push_preds, eps_preds,
+                          pushed_objs)
+        assert {s: fps for s, fps in psf.items() if fps} == \
             {s: fps for s, fps in least.items() if fps}
 
 
@@ -454,7 +479,7 @@ def test_iecg_invariants(name, policy):
     assert {(s, s2) for s, succs in iecg.eps_next.items() for s2 in succs} \
         == {(s1, s2) for s1, act, s2 in dsg.edges if act == EPSILON}
     for s in dsg.nodes:
-        assert call_fps(iecg.tf(s)) <= iecg.psf.get(s, set())
+        assert call_fps(iecg.tf(s)) <= iecg.stack(s)
     for (s, f) in iecg.pfp:
         assert f in iecg.tf(s)
     assert BOTTOM in iecg.tf(dsg.initial)
@@ -465,7 +490,8 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
     # propagate reads top frames and push sources at an edge's source
     # alone, which holds only if every epsilon edge's target already has
     # those of its source; and a stack-summary dependency is recorded
-    # per push or epsilon edge, not per reachable pair
+    # per push or epsilon edge between two activations, not per
+    # reachable pair
     lp = named_program(name)
     for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
@@ -479,8 +505,9 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
                 assert (iecg.pfp.get((p, f), set())
                         <= iecg.pfp.get((n, f), set()))
         deps = {(p, s) for p, ss in iecg.psf_deps.items() for s in ss}
-        assert deps <= {(s1, s2) for s1, act, s2 in dsg.edges
-                        if not isinstance(act, Pop)}
+        act = iecg.act
+        assert deps <= {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
+                        if not isinstance(a, Pop) and act[s1] != act[s2]}
 
 
 def test_long_shared_method_closes_without_recursion():
@@ -586,4 +613,4 @@ def test_summaries_match_bounded_explorer(name):
     for q, tops in g.top_frames().items():
         assert tops <= dsg.iecg.tf(q)
     for q, frames in g.stack_frames().items():
-        assert call_fps(frames) <= dsg.iecg.psf.get(q, set())
+        assert call_fps(frames) <= dsg.iecg.stack(q)

@@ -4,7 +4,8 @@ Every visited concrete state must abstract to a graph node, and every
 continuation change must be matched by an edge with the corresponding
 stack action. With collection on, additionally every address a
 transition actually reads must still be present (with a sound value) in
-the collected store of the node it reads from.
+the collected store of the node it reads from. The programs are the
+corpus, the generated CHAINS and the generated FANIN program.
 """
 
 import pytest
@@ -21,10 +22,11 @@ from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef,
 )
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, FANIN, corpus_names, named_program
 
 REPLAY_FUEL = 600  # long enough for every terminating corpus program;
                    # recursive ones are replayed on their trace prefix
+NAMES = sorted(corpus_names()) + list(CHAINS) + [FANIN]
 
 
 class Abstraction:
@@ -109,9 +111,9 @@ POLICY_IDS = ["k0-nogc", "k1-nogc", "k0-gc", "k1-gc"]
 
 
 @pytest.mark.parametrize("policy", REPLAY_POLICIES, ids=POLICY_IDS)
-@pytest.mark.parametrize("name", sorted(corpus_names()))
+@pytest.mark.parametrize("name", NAMES)
 def test_replay_matches_graph(name, policy):
-    lp = corpus_program(name)
+    lp = named_program(name)
     assert replay_violations(lp, policy) == []
 
 
@@ -143,9 +145,9 @@ def transition_reads(st):
                          [Policy(k=0), Policy(k=1),
                           Policy(k=0, liveness=False)],
                          ids=["k0", "k1", "k0-noliveness"])
-@pytest.mark.parametrize("name", sorted(corpus_names()))
+@pytest.mark.parametrize("name", NAMES)
 def test_collected_store_retains_every_read(name, policy):
-    lp = corpus_program(name)
+    lp = named_program(name)
     _, trace = run(lp, fuel=REPLAY_FUEL)
     dsg = analyze(lp, policy)
     alpha = Abstraction(lp, policy)

@@ -16,28 +16,16 @@ from __future__ import annotations
 
 import json
 import pathlib
-import random
 import sys
 
 import pytest
 
 from anfj.engine import analyze
-from anfj.syntax import load_program
 
-from helpers import CHAINS, corpus_names, gen_module, named_program
+from helpers import CHAINS, FANIN, corpus_names, named_program
 from test_byte_identity import POLICIES, policy_name
 
 TABLE = pathlib.Path(__file__).with_name("step_counts.json")
-FANIN = "fanin48"
-
-
-def _program(name: str):
-    if name == FANIN:
-        return load_program(
-            gen_module().fanin_program(48, random.Random(1)).source)
-    return named_program(name)
-
-
 NAMES = list(corpus_names()) + list(CHAINS) + [FANIN]
 
 
@@ -62,12 +50,12 @@ def test_table_covers_every_program(table):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_work_counters_unchanged(name, table):
-    assert counts(_program(name)) == table[name]
+    assert counts(named_program(name)) == table[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_step_counts.py --write")
-    result = {name: counts(_program(name)) for name in NAMES}
+    result = {name: counts(named_program(name)) for name in NAMES}
     TABLE.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(result)} programs to {TABLE}")
