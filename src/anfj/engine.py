@@ -620,7 +620,8 @@ class _PushdownEngine(_Engine):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
-        self.iecg.act[self.dsg.initial] = self.activation(self.dsg.initial)
+        q0 = self.dsg.initial
+        self.iecg.act[q0] = (lp.method_of[q0.stmt.label], q0.fp)
         self.roots_log: dict = {}      # activation -> its PSF, in arrival order
         self.roots_seen: dict = {}     # node -> the length of that log its
                                        # collection has taken
@@ -646,14 +647,11 @@ class _PushdownEngine(_Engine):
     def new_edge(self, s1, act, s2) -> None:
         self.pending_edges.append((s1, act, s2))
 
-    def activation(self, s):
-        """The key of the activation s runs in: its method and frame
-        pointer."""
-        return (self.lp.method_of[s.stmt.label], s.fp)
-
     def add_node(self, s) -> bool:
+        """The core's, which also records the key of the activation s
+        runs in: its method and frame pointer."""
         if super().add_node(s):
-            self.iecg.act[s] = self.activation(s)
+            self.iecg.act[s] = (self.lp.method_of[s.stmt.label], s.fp)
             return True
         return False
 
@@ -668,14 +666,15 @@ class _PushdownEngine(_Engine):
         the part of the delta on s's own frame goes on along s's summary
         edges, and the objects it binds join those s's own frame
         holds."""
-        key = self.iecg.act[s]
-        log = self.roots_log.get(key, ())
-        seen = self.roots_seen.get(s)
-        if seen is not None and seen < len(log):
-            node.roots.update(log[seen:])
-        self.roots_seen[s] = len(log)
+        if self.policy.gc:
+            key = self.iecg.act[s]
+            log = self.roots_log.get(key, ())
+            seen = self.roots_seen.get(s)
+            if seen is not None and seen < len(log):
+                node.roots.update(log[seen:])
+            self.roots_seen[s] = len(log)
         sigma, delta = super().stepped_store(s, node)
-        if node.collection is not None and node.collection.pending:
+        if self.policy.gc and node.collection.pending:
             waiting = self.waiting.setdefault(key, {})
             for p in node.collection.pending:
                 waiting.setdefault(p, set()).add(s)

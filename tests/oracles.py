@@ -343,7 +343,7 @@ def reference_analysis(lp, policy: Policy) -> DSG:
                     changed = True
         if pushdown:
             closed, tf2, psf2, pfp = _stack_closure(q0, edges)
-            for w, act, s2 in sorted(closed, key=_edge_key):
+            for w, act, s2 in closed:
                 if act == EPSILON:
                     own = own_frame(visible.get(w, {}), w.fp)
                     joined = store_join(full[s2], own)
@@ -363,10 +363,6 @@ def reference_analysis(lp, policy: Policy) -> DSG:
                        else visible)
     dsg.diagnostics = diags
     return dsg
-
-
-def _edge_key(e):
-    return (state_key(e[0]), state_key(e[2]))
 
 
 def _objects_beneath(edges: set, visible: dict) -> dict:
