@@ -57,11 +57,12 @@ beneath each activation it calls). Handler frames and the empty-stack
 marker own no bindings and never enter it. Every node of an activation
 (a method and a frame pointer) is epsilon-reachable from its entry and
 has the same stack beneath it, so at the fixpoint their summaries are
-equal, and the activation keeps one: it flows along push edges between
-activations, one dependency per pair, and grows by deltas (the
-dirty_psf records). A node's collection takes the pointers that joined
-its activation's summary since its last collection, and a new pointer
-wakes only the nodes whose last collection left out an address under it.
+equal, and the activation keeps one: it flows along the push edges,
+and the summary edges into throws, between activations, one dependency
+per pair, and grows by deltas (the dirty_psf records). A node's
+collection takes the pointers that joined its activation's summary
+since its last collection, and a new pointer wakes only the nodes
+whose last collection left out an address under it.
 
 Per-node stores come in three layers. The full store is the monotone
 join of everything ever flowed into the node; growth of it or of TF
@@ -209,7 +210,8 @@ class IECG:
         self.act: dict = {}            # node -> its activation's key
         self.psf: dict = {}            # activation -> its stack summary
         self.psf_deps: dict = {}       # activation -> those its PSF flows to
-        self.held: dict = {}           # node -> objects its own frame holds
+        self.held: dict = {}           # call site -> objects its own frame
+                                       # holds
         self.held_deps: dict = {}      # call site -> activations it pushed to
         self.dirty_tf: list = []       # (node, the frame new in its TF)
         self.dirty_psf: list = []      # (activation, its new PSF pointers)
@@ -262,9 +264,10 @@ class IECG:
             self.dirty_psf.append((key, new))
 
     def add_held(self, s, ops) -> None:
-        """Join object pointers into those s's own frame holds. The new
-        ones are on the stack beneath every callee s pushed a call frame
-        to, so they join its PSF."""
+        """Join object pointers into those the own frame of s, a node
+        that pushed a call frame, holds. The new ones are on the stack
+        beneath every callee s pushed a call frame to, so they join its
+        PSF."""
         have = self.held.setdefault(s, set())
         new = [op for op in ops if op not in have]
         if new:
@@ -353,6 +356,11 @@ class DSG:
 
     def node_store(self, q) -> dict:
         return self.node_stores.get(q, {})
+
+
+def _objects(sigma: dict) -> set:
+    """The object pointers of the values sigma binds."""
+    return {v.op for vals in sigma.values() for v in vals}
 
 
 def heap_and_frame(sigma: dict, fp) -> dict:
@@ -622,7 +630,7 @@ class _PushdownEngine(_Engine):
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         q0 = self.dsg.initial
         self.iecg.act[q0] = (lp.method_of[q0.stmt.label], q0.fp)
-        self.roots_log: dict = {}      # activation -> its PSF, in arrival order
+        self.roots_log: dict = {}      # activation -> its PSF in arrival order
         self.roots_seen: dict = {}     # node -> the length of that log its
                                        # collection has taken
         self.waiting: dict = {}        # activation -> pointer -> nodes whose
@@ -666,24 +674,29 @@ class _PushdownEngine(_Engine):
         the part of the delta on s's own frame goes on along s's summary
         edges, and the objects it binds join those s's own frame
         holds."""
-        if self.policy.gc:
+        gc = self.policy.gc
+        if gc:
             key = self.iecg.act[s]
-            log = self.roots_log.get(key, ())
-            seen = self.roots_seen.get(s)
-            if seen is not None and seen < len(log):
-                node.roots.update(log[seen:])
-            self.roots_seen[s] = len(log)
+            log = self.roots_log.get(key)
+            if log:
+                seen = self.roots_seen.get(s)
+                if node.collection is None:
+                    self.roots_seen[s] = len(log)
+                elif seen is None or seen < len(log):
+                    node.roots.update(log[seen or 0:])
+                    self.roots_seen[s] = len(log)
         sigma, delta = super().stepped_store(s, node)
-        if self.policy.gc and node.collection.pending:
+        if gc and node.collection.pending:
             waiting = self.waiting.setdefault(key, {})
             for p in node.collection.pending:
                 waiting.setdefault(p, set()).add(s)
-        own = own_frame(sigma, s.fp, delta)
-        if own:
-            for s2 in self.summaries.get(s, ()):
-                self.join_store(s2, own)
-            self.iecg.add_held(s, {v.op for vals in own.values()
-                                   for v in vals})
+        targets = self.summaries.get(s)
+        if targets or s in self.iecg.held:
+            own = own_frame(sigma, s.fp, delta)
+            if own:
+                for s2 in targets or ():
+                    self.join_store(s2, own)
+                self.iecg.add_held(s, _objects(own))
         return sigma, delta
 
     def wake(self, key, ptrs) -> None:
@@ -770,6 +783,10 @@ class _PushdownEngine(_Engine):
                 if isinstance(act, Epsilon):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
+                    if (isinstance(act.frame, CallFrame)
+                            and s1 not in iecg.held):
+                        iecg.held[s1] = _objects(
+                            own_frame(self.dsg.node_stores[s1], s1.fp))
                     process_push(s1, act.frame, s2, iecg)
                 else:
                     key = (s1, act.frame)

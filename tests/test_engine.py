@@ -355,11 +355,13 @@ def test_psf_is_the_least_solution_of_its_spec(name):
         # the summary is kept per activation, the spec is per node
         psf = {s: iecg.stack(s) for s in nodes}
         for s in nodes:
-            # held: the objects bound in s's own frame, once collected
+            # held: the objects bound in a call site's own frame, once
+            # collected
             sigma = eagc(s, dsg.full_stores.get(s, {}), psf[s], lp, policy)
-            assert iecg.held.get(s, set()) == {
-                v.op for vals in own_frame(sigma, s.fp).values()
-                for v in vals}
+            if s in iecg.held_deps:
+                assert iecg.held[s] == {
+                    v.op for vals in own_frame(sigma, s.fp).values()
+                    for v in vals}
             assert psf[s] == update_psf(
                 s, iecg.top_frames, psf, push_preds, eps_preds, pushed_objs)
         least = least_psf(nodes, iecg.top_frames, push_preds, eps_preds,
