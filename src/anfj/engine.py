@@ -672,8 +672,8 @@ class _PushdownEngine(_Engine):
         addresses the collection left out are indexed by pointer, for
         drain to wake s when one of those pointers joins the summary;
         the part of the delta on s's own frame goes on along s's summary
-        edges, and the objects it binds join those s's own frame
-        holds."""
+        edges and, once s has pushed a call frame, the objects it binds
+        join those s's own frame holds."""
         gc = self.policy.gc
         if gc:
             key = self.iecg.act[s]
@@ -691,12 +691,14 @@ class _PushdownEngine(_Engine):
             for p in node.collection.pending:
                 waiting.setdefault(p, set()).add(s)
         targets = self.summaries.get(s)
-        if targets or s in self.iecg.held:
+        held = s in self.iecg.held     # a call site that has pushed
+        if targets or held:
             own = own_frame(sigma, s.fp, delta)
             if own:
                 for s2 in targets or ():
                     self.join_store(s2, own)
-                self.iecg.add_held(s, _objects(own))
+                if held:
+                    self.iecg.add_held(s, _objects(own))
         return sigma, delta
 
     def wake(self, key, ptrs) -> None:
