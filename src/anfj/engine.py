@@ -52,7 +52,7 @@ The stack summary (PSF) keeps pointers, not frames, because its one
 reader is the collection, whose stack roots are what the frames on the
 stack hold (the root set of Might & Shivers' Gamma-CFA): the frame
 pointers of the call frames, and the objects bound in the frames
-beneath (iecg.held, the objects a push source's own frame holds, taken
+beneath (iecg.held, the objects a call site's own frame holds, taken
 beneath each activation it calls). Handler frames and the empty-stack
 marker own no bindings and never enter it. Every node of an activation
 (a method and a frame pointer) is epsilon-reachable from its entry and
