@@ -122,8 +122,8 @@ def _write_export(dsg, fmt: str, path: str) -> None:
 
 def _write_trace(trace, out) -> None:
     """One JSON line per state, in the layout json.dumps(sort_keys=True)
-    gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i}.
-    Each frame pointer's text, which holds its whole label history, is
+    gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i},
+    where time is the frame's call history. Each frame pointer's text is
     rendered once per run, from the text of the nearest older history
     already rendered (`Time.json_body`), and each continuation's depth
     is counted once, from the depth of the one below it."""

@@ -12,9 +12,10 @@ Epsilon (untouched), Push(frame), or Pop(frame). Multi-frame unwinding
 the engine's pop edges re-enter the same control state to expose the
 frame beneath.
 
-Time stamps are the last k statement labels. k bounds the context
-fan-out: k=0 gives one frame pointer per call site and one object pointer
-per allocation site. With object sensitivity on, object pointers also
+Time stamps are the last k call-site labels: the concrete machine's
+call history, cut to its newest k calls. k bounds the context fan-out:
+k=0 gives one frame pointer per call site and one object pointer per
+allocation site. With object sensitivity on, object pointers also
 carry the allocation site of the allocating method's receiver. Pointers,
 addresses and values are the concrete machine's records, on these times.
 """

@@ -34,7 +34,7 @@ from .engine import DSG
 from .machine import Addr, Value
 
 FORMAT_NAME = "anfj-dsg"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # -- JSON pieces --------------------------------------------------------------
@@ -76,8 +76,7 @@ def action_to_json(act):
 
 def policy_to_json(p: Policy) -> dict:
     return {"k": p.k, "objSensitivity": p.obj_sensitivity, "gc": p.gc,
-            "liveness": p.liveness, "mode": p.mode,
-            "storeMode": "per-node"}   # constant: every node has its own store
+            "liveness": p.liveness, "mode": p.mode}
 
 
 # -- whole graphs -------------------------------------------------------------

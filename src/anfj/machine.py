@@ -1,20 +1,34 @@
 """Concrete small-step machine for ANFJ.
 
 States are (statement, frame pointer, store, continuation stack, time).
-Time is the label history, most recent first, so (label, time) pairs
-handed out by the allocator are fresh at every step. A history is a
-linked `Time` cell that ticking extends and successive states share, so
-a tick, a pointer hash and an equality test of a fresh pointer cost
-O(1) rather than O(steps so far). The store maps
+Time is the call history: the labels of the calls made so far, most
+recent first, as in the analyzer, and a count of the call frames
+popped so far. Only a call ticks, consing its label onto the history,
+as `domain.tick` does; a step that pops a call frame, by a return or by
+a throw unwinding past it, counts the pop; every other step carries the
+history object unchanged. Pointers are (label, time) pairs, and are
+fresh at every allocation: each call makes a longer history than any
+before it, and ANFJ has no loops, so within one activation no label
+runs twice between two calls. Two activations of one method can each
+run the same allocation after their last call, the inner one first;
+the pop that leaves the inner one lies between the two, and the pop
+count tells them apart. The analyzer's times are the newest k call
+labels, so a concrete time abstracts to its first k labels, and the
+pop count is forgotten.
+
+A history is a linked `Time` cell that a call extends and successive
+states share, so a tick, a pointer hash and an equality test of a fresh
+pointer cost O(1) rather than O(calls so far). The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
-strongly. The analyzer shares the pointer, address and value records,
-with tuples of its last k call-site labels as times. Stores are immutable `Store` mappings that successive states
-share rather than copy: a step writes a few addresses into a new store
-that keeps its predecessor's entries by reference, so a step costs
-O(sqrt(|store|)) amortized, not O(|store|). Continuations are a
-linked stack of call frames and handler frames; exception dispatch walks
-it one frame per step, which is what the abstract pushdown system later
-mirrors edge for edge.
+strongly. The analyzer shares the pointer, address and value records.
+Stores are immutable `Store` mappings that successive states share
+rather than copy: a step writes a few addresses into a new store that
+keeps its predecessor's entries by reference, so a step costs
+O(sqrt(|store|)) amortized, not O(|store|). Continuations are a linked
+stack of call frames and handler frames; exception dispatch walks it
+one frame per step, which is what the abstract pushdown system later
+mirrors edge for edge. States, continuation frames and outcomes are
+tuple records, like pointers and addresses.
 
 The machine is deterministic: at most one rule applies to any state.
 Non-terminal states with no applicable rule are stuck (unbound reads,
@@ -24,7 +38,6 @@ failed dispatch), reported as an Outcome rather than an exception.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .syntax import (
@@ -33,21 +46,25 @@ from .syntax import (
 )
 
 class Time:
-    """A label history, most recent first: a cons cell (label, rest)
-    over the empty history T0. Histories are immutable and shared, so
-    a tick makes one cell and copies nothing. Each cell caches its hash
-    and length when it is made, and the text of its labels once asked
-    for (`json_body`). Equality is structural, so separate runs compare
-    equal: histories that differ in hash or length are unequal at once;
-    otherwise a walk down both stops at the first labels that differ or
-    at a cell the two share. Iteration gives the labels, most recent
-    first."""
+    """A call history, most recent call first: a cons cell (label, rest)
+    over the empty history T0, with `pops`, the number of call frames
+    popped so far. Histories are immutable and shared, so a tick makes
+    one cell and copies nothing. Each cell caches its hash and length
+    when it is made, and the text of its labels once asked for
+    (`json_body`). Equality is structural, so separate runs compare
+    equal: two histories are equal when their labels and pop counts
+    are. Histories that differ in hash, length or pops are unequal at
+    once; otherwise a walk down both stops at the first labels that
+    differ or at a cell the two share. The hash is the labels' alone:
+    histories that differ only in pops are rare in one store. Iteration
+    gives the labels, most recent first."""
 
-    __slots__ = ("label", "rest", "_len", "_hash", "_text")
+    __slots__ = ("label", "rest", "pops", "_len", "_hash", "_text")
 
     def __init__(self, label: int, rest: Time):
         self.label = label
         self.rest = rest
+        self.pops = rest.pops
         self._len = rest._len + 1
         self._hash = hash((label, rest._hash))
         self._text = None
@@ -67,7 +84,8 @@ class Time:
     def __eq__(self, other):
         if not isinstance(other, Time):
             return NotImplemented
-        if self._hash != other._hash or self._len != other._len:
+        if (self._hash != other._hash or self._len != other._len
+                or self.pops != other.pops):
             return False
         a, b = self, other
         while a is not b:          # equal lengths reach T0 together
@@ -91,16 +109,28 @@ class Time:
         return self._text
 
     def __repr__(self):
-        return f"Time({', '.join(map(str, self))})"
+        pops = f", pops={self.pops}" if self.pops else ""
+        return f"Time({', '.join(map(str, self))}{pops})"
 
 
 # the empty history: the one cell with no label and no rest
 T0 = object.__new__(Time)
-T0.label, T0.rest, T0._len, T0._hash, T0._text = None, None, 0, hash(()), ""
+T0.label, T0.rest, T0.pops, T0._len, T0._hash, T0._text = (
+    None, None, 0, 0, hash(()), "")
 
 
 def tick(label: int, t: Time) -> Time:
+    """The history after a call at label: the one rule that ticks."""
     return Time(label, t)
+
+
+def _popped(t: Time) -> Time:
+    """The history after a call frame is popped: t's calls, one more pop."""
+    out = object.__new__(Time)
+    out.label, out.rest, out._len, out._hash, out._text = (
+        t.label, t.rest, t._len, t._hash, t._text)
+    out.pops = t.pops + 1
+    return out
 
 
 # Pointers, addresses and values are tuple records: each hashes as its
@@ -152,55 +182,48 @@ class Value(NamedTuple):
 
 # continuations ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(NamedTuple):
+    """The empty continuation."""
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
 def _kont_eq(a, b) -> bool:
-    # iterative: chains can be thousands of frames deep
-    while True:
-        if a is b:
-            return True
-        if type(a) is not type(b):
+    # iterative: chains can be thousands of frames deep. A frame's last
+    # field is the frame beneath; the slice before it is a plain tuple.
+    while a is not b:
+        if a.__class__ is not b.__class__:
             return False
-        if isinstance(a, Halt):
+        if a.__class__ is Halt:
             return True
-        if isinstance(a, Fun):
-            if a.var != b.var or a.target != b.target or a.fp != b.fp:
-                return False
-        else:
-            if (a.class_name != b.class_name or a.var != b.var
-                    or a.target != b.target or a.fp != b.fp):
-                return False
-        a, b = a.next, b.next
+        if a[:-1] != b[:-1]:
+            return False
+        a, b = a[-1], b[-1]
+    return True
 
 
-@dataclass(frozen=True, eq=False)
-class Fun:
+def _kont_ne(a, b) -> bool:
+    return not _kont_eq(a, b)
+
+
+class Fun(NamedTuple):
     var: str                       # caller variable receiving the result
     target: Stmt                   # statement to resume at
     fp: FramePtr                   # caller frame pointer
-    next: "Kont"
-
-    def __eq__(self, other):
-        return isinstance(other, (Fun, Handle, Halt)) and _kont_eq(self, other)
+    next: Kont
+    __eq__, __ne__ = _kont_eq, _kont_ne
 
     def __hash__(self):
         # shallow on purpose: hashing must not walk the chain
         return hash(("Fun", self.var, self.target, self.fp))
 
 
-@dataclass(frozen=True, eq=False)
-class Handle:
+class Handle(NamedTuple):
     class_name: str                # caught class
     var: str                       # catch variable
     target: Stmt                   # handler head
     fp: FramePtr
-    next: "Kont"
-
-    def __eq__(self, other):
-        return isinstance(other, (Fun, Handle, Halt)) and _kont_eq(self, other)
+    next: Kont
+    __eq__, __ne__ = _kont_eq, _kont_ne
 
     def __hash__(self):
         return hash(("Handle", self.class_name, self.var, self.target, self.fp))
@@ -280,34 +303,34 @@ class Store(Mapping):
 
 # states and outcomes ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConcreteState:
+class ConcreteState(NamedTuple):
     stmt: Stmt
     fp: FramePtr
     store: Mapping[Addr, Value]      # a Store; a plain dict is accepted
     kont: Kont
     time: Time
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(NamedTuple):
     value: Value
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Uncaught:
+class Uncaught(NamedTuple):
     value: Value
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     state: ConcreteState
     reason: str
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(NamedTuple):
     state: ConcreteState
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
 Outcome = Halted | Uncaught | Stuck | FuelExhausted
@@ -327,11 +350,11 @@ def inject(lp: LabeledProgram) -> ConcreteState:
 
 
 def is_terminal(st: ConcreteState) -> bool:
-    return isinstance(st.kont, Halt) and isinstance(st.stmt, (Return, Throw))
+    return type(st.kont) is Halt and type(st.stmt) in (Return, Throw)
 
 
-def _lookup(st: ConcreteState, var: str) -> Value:
-    v = st.store.get(Addr(var, st.fp))
+def _lookup(sigma: Mapping, fp: FramePtr, var: str) -> Value:
+    v = sigma.get(Addr(var, fp))
     if v is None:
         raise StuckError(f"unbound variable {var!r}")
     return v
@@ -380,35 +403,38 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
     ValueError on terminal states."""
     if is_terminal(st):
         raise ValueError("step on terminal state")
-    s, fp, sigma, kont, t = st.stmt, st.fp, st.store, st.kont, st.time
+    return _step(lp, st)
+
+
+def _step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
+    """The transition from a state that is not terminal."""
+    s, fp, sigma, kont, t = st
     if not isinstance(sigma, Store):
         sigma = Store(sigma)
-    t2 = tick(s.label, t)
+    kind = type(s)
 
-    if isinstance(s, Assign):
+    if kind is Assign:
         e = s.exp
-        if isinstance(e, VarRef):
-            d = _lookup(st, e.var)
+        ekind = type(e)
+        if ekind is VarRef or ekind is Cast:
+            # a cast moves the value unchanged; the named class is not consulted
+            d = _lookup(sigma, fp, e.var)
             return ConcreteState(_succ(lp, s), fp,
-                                 sigma.set({Addr(s.var, fp): d}), kont, t2)
-        if isinstance(e, Cast):
-            # the value moves unchanged; the named class is not consulted
-            d = _lookup(st, e.var)
-            return ConcreteState(_succ(lp, s), fp,
-                                 sigma.set({Addr(s.var, fp): d}), kont, t2)
-        if isinstance(e, FieldRef):
-            d = _lookup(st, e.var)
+                                 sigma.set({Addr(s.var, fp): d}), kont, t)
+        if ekind is FieldRef:
+            d = _lookup(sigma, fp, e.var)
             fv = sigma.get(Addr(e.field, d.op))
             if fv is None:
                 raise StuckError(f"unbound field {e.field!r} on {d.class_name}")
             return ConcreteState(_succ(lp, s), fp,
-                                 sigma.set({Addr(s.var, fp): fv}), kont, t2)
-        if isinstance(e, Invoke):
-            d0 = _lookup(st, e.receiver)
+                                 sigma.set({Addr(s.var, fp): fv}), kont, t)
+        if ekind is Invoke:
+            d0 = _lookup(sigma, fp, e.receiver)
             method = lp.method_lookup(d0.class_name, e.method)
             if method is None:
                 raise StuckError(f"no method {e.method!r} on class {d0.class_name!r}")
-            argv = [_lookup(st, a) for a in e.args]
+            argv = [_lookup(sigma, fp, a) for a in e.args]
+            t2 = tick(s.label, t)
             fp2 = FramePtr(s.label, t2)
             frame = {Addr(THIS, fp2): d0}
             for (_, pname), val in zip(method.params, argv):
@@ -416,46 +442,44 @@ def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
             kont2 = Fun(s.var, _succ(lp, s), fp, kont)
             return ConcreteState(lp.first_stmt(method), fp2, sigma.set(frame),
                                  kont2, t2)
-        if isinstance(e, New):
-            argv = tuple(_lookup(st, a) for a in e.args)
-            op = ObjPtr(s.label, t2)
+        if ekind is New:
+            argv = tuple(_lookup(sigma, fp, a) for a in e.args)
+            op = ObjPtr(s.label, t)
             delta, op = apply_constructor(lp, e.class_name, op, argv)
             delta[Addr(s.var, fp)] = Value(e.class_name, op)
-            return ConcreteState(_succ(lp, s), fp, sigma.set(delta), kont, t2)
+            return ConcreteState(_succ(lp, s), fp, sigma.set(delta), kont, t)
         raise StuckError(f"unknown expression {e!r}")
 
-    if isinstance(s, TryCatch):
+    if kind is TryCatch:
         kont2 = Handle(s.catch_class, s.catch_var, s.handler[0], fp, kont)
-        return ConcreteState(_succ(lp, s), fp, sigma, kont2, t2)
+        return ConcreteState(_succ(lp, s), fp, sigma, kont2, t)
 
-    if isinstance(s, Return):
-        d = _lookup(st, s.var)
-        if isinstance(kont, Fun):
+    if kind is Return:
+        d = _lookup(sigma, fp, s.var)
+        if type(kont) is Fun:
             return ConcreteState(kont.target, kont.fp,
                                  sigma.set({Addr(kont.var, kont.fp): d}),
-                                 kont.next, t2)
-        if isinstance(kont, Handle):
-            return ConcreteState(s, fp, sigma, kont.next, t2)
-        raise StuckError("return with empty continuation")  # unreachable, run() handles
+                                 kont.next, _popped(t))
+        # a handler frame: not terminal, so not the halt continuation
+        return ConcreteState(s, fp, sigma, kont.next, t)
 
-    if isinstance(s, Throw):
-        d = _lookup(st, s.var)
-        if isinstance(kont, Handle):
+    if kind is Throw:
+        d = _lookup(sigma, fp, s.var)
+        if type(kont) is Handle:
             if lp.subtype(d.class_name, kont.class_name):
                 return ConcreteState(kont.target, kont.fp,
                                      sigma.set({Addr(kont.var, kont.fp): d}),
-                                     kont.next, t2)
-            return ConcreteState(s, fp, sigma, kont.next, t2)
-        if isinstance(kont, Fun):
-            return ConcreteState(s, fp, sigma, kont.next, t2)
-        raise StuckError("throw with empty continuation")  # unreachable, run() handles
+                                     kont.next, t)
+            return ConcreteState(s, fp, sigma, kont.next, t)
+        # a call frame, unwound
+        return ConcreteState(s, fp, sigma, kont.next, _popped(t))
 
-    if isinstance(s, PopHandler):
-        if isinstance(kont, Handle):
-            return ConcreteState(_succ(lp, s), fp, sigma, kont.next, t2)
+    if kind is PopHandler:
+        if type(kont) is Handle:
+            return ConcreteState(_succ(lp, s), fp, sigma, kont.next, t)
         raise StuckError("pophandler without a handler frame on top")
 
-    raise StuckError(f"unknown statement {type(s).__name__}")
+    raise StuckError(f"unknown statement {kind.__name__}")
 
 
 DEFAULT_FUEL = 100_000
@@ -477,15 +501,15 @@ def run(lp: LabeledProgram, state0: Optional[ConcreteState] = None,
         if len(trace) == fuel:
             return FuelExhausted(st), trace
         try:
-            st = step(lp, st)
+            st = _step(lp, st)
         except StuckError as err:
             return Stuck(st, err.reason), trace
         trace.append(st)
     s = st.stmt
     try:
-        d = _lookup(st, s.var)
+        d = _lookup(st.store, st.fp, s.var)
     except StuckError as err:
         return Stuck(st, err.reason), trace
-    if isinstance(s, Return):
+    if type(s) is Return:
         return Halted(d), trace
     return Uncaught(d), trace

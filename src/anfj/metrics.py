@@ -155,12 +155,10 @@ class MetricsReport:
 
 
 def describe_policy(policy) -> str:
-    # every node keeps its own store; "store=per-node" stays in the text
-    # so that the report format does not change
     return (f"k={policy.k} obj={'on' if policy.obj_sensitivity else 'off'} "
             f"gc={'on' if policy.gc else 'off'} "
             f"liveness={'on' if policy.liveness else 'off'} "
-            f"mode={policy.mode} store=per-node")
+            f"mode={policy.mode}")
 
 
 def report(dsg: DSG) -> MetricsReport:

@@ -15,7 +15,7 @@ from anfj.domain import (
     state_key, store_join,
 )
 from anfj.engine import DSG
-from anfj.export import FORMAT_NAME
+from anfj.export import FORMAT_NAME, FORMAT_VERSION
 from anfj.machine import Addr, Value
 from anfj.syntax import THIS, PopHandler, Return, Throw
 
@@ -588,6 +588,9 @@ def dsg_from_json(lp, data) -> DSG:
     from exported JSON. Worklist internals start empty."""
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a state-graph document")
+    if data.get("version") != FORMAT_VERSION:
+        raise ValueError(f"state-graph format version {data.get('version')!r}, "
+                         f"not {FORMAT_VERSION}")
     policy = policy_from_json(data["policy"])
     states = {}
     stores = {}

@@ -109,7 +109,7 @@ def test_node_ids_are_dense_and_ordered():
     dsg = analyze(corpus_program("var_chain"), Policy(k=0))
     doc = json.loads(export_dsg(dsg, "json"))
     assert [n["id"] for n in doc["nodes"]] == list(range(len(doc["nodes"])))
-    assert doc["format"] == "anfj-dsg" and doc["version"] == 1
+    assert doc["format"] == "anfj-dsg" and doc["version"] == 2
     assert 0 <= doc["initial"] < len(doc["nodes"])
 
 
@@ -130,6 +130,8 @@ def test_malformed_documents_rejected():
     lp = corpus_program("minimal")
     with pytest.raises(ValueError):
         dsg_from_json(lp, {"format": "something-else"})
+    with pytest.raises(ValueError):
+        dsg_from_json(lp, {"format": "anfj-dsg", "version": 1})
     with pytest.raises(ValueError):
         ptr_from_json(["zz", 1, []])
     with pytest.raises(ValueError):

@@ -3,9 +3,11 @@
 Every corpus program's outcome was worked out by hand from the transition
 rules before being frozen here. The invariant tests then sweep all traces:
 determinism, time evolution, pointer freshness, stack discipline, handler
-matching, and store-domain growth. The shared-store tests replay every
-trace against plain dicts copied and written at each step. The history
-tests check `Time` against the label lists it stands for.
+matching, and store-domain growth; a state's time is the calls before
+it, and two programs check that allocations after a return or a throw
+stay fresh. The shared-store tests replay every trace against plain
+dicts copied and written at each step. The history tests check `Time`
+against the label lists it stands for.
 """
 
 import json
@@ -16,13 +18,14 @@ from hypothesis import given, strategies
 from anfj.machine import (
     FP0, T0, Addr, ConcreteState, FramePtr, Fun, FuelExhausted, Halt,
     Halted, Handle, ObjPtr, Store, Stuck, Time, Uncaught, Value,
-    apply_constructor, inject, is_terminal, kont_frames, run, step, tick,
+    _popped, apply_constructor, inject, is_terminal, kont_frames, run, step,
+    tick,
 )
 from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef, load_program,
 )
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, corpus_names, corpus_program, named_program
 
 # name -> (outcome class, class name of the result value or None)
 EXPECTED = {
@@ -249,6 +252,23 @@ def _pointers_of(st: ConcreteState) -> set:
     return ptrs
 
 
+def _is_call(s) -> bool:
+    return isinstance(s, Assign) and isinstance(s.exp, Invoke)
+
+
+def _pops_call_frame(prev: ConcreteState, cur: ConcreteState) -> bool:
+    return isinstance(prev.kont, Fun) and cur.kont is prev.kont.next
+
+
+def _assert_allocations_fresh(prev: ConcreteState, cur: ConcreteState):
+    if isinstance(prev.stmt, Assign):
+        e = prev.stmt.exp
+        if isinstance(e, Invoke):
+            assert FramePtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
+        elif isinstance(e, New):
+            assert ObjPtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_trace_invariants(name):
     # 400 states is past every terminating corpus run and deep enough
@@ -264,18 +284,21 @@ def test_trace_invariants(name):
         assert a == b
 
     for prev, cur in zip(trace1, trace1[1:]):
-        # time evolution: each step prepends the stepped label to the
-        # history it shares with the state before
-        assert cur.time.label == prev.stmt.label
-        assert cur.time.rest is prev.time
+        # time evolution: a call conses its label onto the history before;
+        # a step that pops a call frame keeps its calls and counts the
+        # pop; any other step keeps the same history object
+        if _is_call(prev.stmt):
+            assert cur.time.label == prev.stmt.label
+            assert cur.time.rest is prev.time
+        elif _pops_call_frame(prev, cur):
+            assert cur.time.label == prev.time.label
+            assert cur.time.rest is prev.time.rest
+            assert cur.time.pops == prev.time.pops + 1
+        else:
+            assert cur.time is prev.time
 
         # pointer freshness at allocating steps
-        if isinstance(prev.stmt, Assign):
-            e = prev.stmt.exp
-            if isinstance(e, Invoke):
-                assert FramePtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
-            elif isinstance(e, New):
-                assert ObjPtr(prev.stmt.label, cur.time) not in _pointers_of(prev)
+        _assert_allocations_fresh(prev, cur)
 
         # stack discipline: at most one frame pushed or popped, suffix shared
         diff = len(kont_frames(cur.kont)) - len(kont_frames(prev.kont))
@@ -306,6 +329,139 @@ def test_trace_invariants(name):
         assert isinstance(trace1[-1].stmt, Return)
     if isinstance(out1, Uncaught):
         assert isinstance(trace1[-1].stmt, Throw)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED) + list(CHAINS))
+def test_history_is_the_calls_before(name):
+    # a state's history holds the labels of the calls before it, most
+    # recent first, and counts the call frames popped before it
+    _, trace = run(named_program(name), fuel=FUEL)
+    calls, pops = [], 0
+    assert trace[0].time == T0
+    for prev, cur in zip(trace, trace[1:]):
+        if _is_call(prev.stmt):
+            calls.insert(0, prev.stmt.label)
+        elif _pops_call_frame(prev, cur):
+            pops += 1
+        assert list(cur.time) == calls and cur.time.pops == pops
+
+
+# Two activations of `Cons.walk` each allocate a Pair at one site after
+# their last call, the inner one first, with no call in between: the
+# inner one returns its Pair, or throws it to the outer one's handler.
+# The outer Pair must be a new object. Were it the inner one, its `first`
+# would be overwritten with the outer `t`, a Cons, in place of the List.
+RETURN_THEN_ALLOCATE = """\
+class Pair extends Object {
+  Object first;
+  Object rest;
+  Pair(Object first, Object rest) { super(); this.first = first; this.rest = rest; }
+}
+class List extends Object {
+  List() { super(); }
+  Object walk() {
+    Object a;
+    a = new Object();
+    return a;
+  }
+}
+class Cons extends List {
+  List tail;
+  Cons(List tail) { super(); this.tail = tail; }
+  Object walk() {
+    List t;
+    Object r;
+    Pair p;
+    t = this.tail;
+    r = t.walk();
+    p = new Pair(t, r);
+    return p;
+  }
+}
+class Main extends Object {
+  Main() { super(); }
+  Object main() {
+    List n;
+    Cons c1;
+    Cons c2;
+    Pair p;
+    Pair q;
+    Object o;
+    n = new List();
+    c1 = new Cons(n);
+    c2 = new Cons(c1);
+    p = c2.walk();
+    q = p.rest;
+    o = q.first;
+    return o;
+  }
+}
+"""
+
+THROW_THEN_ALLOCATE = """\
+class E extends Object { E() { super(); } }
+class Pair extends E {
+  Object first;
+  Object rest;
+  Pair(Object first, Object rest) { super(); this.first = first; this.rest = rest; }
+}
+class List extends Object {
+  List() { super(); }
+  Object walk() {
+    E e;
+    e = new E();
+    throw e;
+  }
+}
+class Cons extends List {
+  List tail;
+  Cons(List tail) { super(); this.tail = tail; }
+  Object walk() {
+    List t;
+    Object r;
+    Pair p;
+    t = this.tail;
+    try {
+      r = t.walk();
+    } catch (E x) {
+      p = new Pair(t, x);
+      throw p;
+    }
+    return r;
+  }
+}
+class Main extends Object {
+  Main() { super(); }
+  Object main() {
+    List n;
+    Cons c1;
+    Cons c2;
+    Object r;
+    Pair q;
+    Object o;
+    n = new List();
+    c1 = new Cons(n);
+    c2 = new Cons(c1);
+    try {
+      r = c2.walk();
+    } catch (Pair p) {
+      q = p.rest;
+      o = q.first;
+      return o;
+    }
+    return r;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("source", [RETURN_THEN_ALLOCATE, THROW_THEN_ALLOCATE],
+                         ids=["return", "throw"])
+def test_allocations_after_a_pop_stay_fresh(source):
+    out, trace = run(load_program(source), fuel=FUEL)
+    assert isinstance(out, Halted) and out.value.class_name == "List"
+    for prev, cur in zip(trace, trace[1:]):
+        _assert_allocations_fresh(prev, cur)
 
 
 def test_step_refuses_terminal():
@@ -341,7 +497,6 @@ def _copying_writes(lp, st: ConcreteState) -> dict:
     off the rules directly: a copying machine writes exactly these into
     a copy of st's store."""
     s, fp, sigma, kont = st.stmt, st.fp, st.store, st.kont
-    t2 = hist(s.label, *st.time)
     if isinstance(s, Assign):
         e = s.exp
         if isinstance(e, (VarRef, Cast)):
@@ -352,12 +507,12 @@ def _copying_writes(lp, st: ConcreteState) -> dict:
         if isinstance(e, Invoke):
             d0 = sigma[Addr(e.receiver, fp)]
             method = lp.method_lookup(d0.class_name, e.method)
-            fp2 = FramePtr(s.label, t2)
+            fp2 = FramePtr(s.label, tick(s.label, st.time))
             out = {Addr("this", fp2): d0}
             for (_, pname), arg in zip(method.params, e.args):
                 out[Addr(pname, fp2)] = sigma[Addr(arg, fp)]
             return out
-        op = ObjPtr(s.label, t2)
+        op = ObjPtr(s.label, st.time)
         argv = tuple(sigma[Addr(a, fp)] for a in e.args)
         out, _ = apply_constructor(lp, e.class_name, op, argv)
         out[Addr(s.var, fp)] = Value(e.class_name, op)
@@ -447,6 +602,9 @@ def test_history_equality_is_structural(labels):
     assert a == b and hash(a) == hash(b)
     assert tick(7, a) == tick(7, b) and hash(tick(7, a)) == hash(tick(7, b))
     assert a != tuple(labels)  # a history never equals a tuple
+    # a pop keeps the calls and makes a history unequal to the one before
+    assert list(_popped(a)) == labels and _popped(a) == _popped(b)
+    assert _popped(a) != a and tick(7, _popped(a)) != tick(7, a)
 
 
 @given(LABELS.filter(bool), strategies.data())

@@ -8,6 +8,8 @@ the collected store of the node it reads from. The programs are the
 corpus, the generated CHAINS and the generated FANIN program.
 """
 
+from itertools import islice
+
 import pytest
 
 from anfj.domain import (
@@ -31,19 +33,14 @@ NAMES = sorted(corpus_names()) + list(CHAINS) + [FANIN]
 
 class Abstraction:
     """Concrete-to-abstract mapping for a fixed policy: pointers keep
-    their site, histories are filtered to call-site labels then cut to
-    the newest k."""
+    their site, call histories are cut to the newest k calls, and the
+    count of popped call frames is forgotten."""
 
-    def __init__(self, lp, policy):
+    def __init__(self, policy):
         self.policy = policy
-        self.invoke_labels = {
-            l for l in lp.all_labels()
-            if isinstance(lp.stmt(l), Assign)
-            and isinstance(lp.stmt(l).exp, Invoke)}
 
     def time(self, t):
-        kept = tuple(l for l in t if l in self.invoke_labels)
-        return kept[:self.policy.k]
+        return tuple(islice(t, self.policy.k))
 
     def fp(self, fp):
         if fp.site is None:
@@ -84,7 +81,7 @@ def kont_action(alpha, before, after):
 def replay_violations(lp, policy):
     _, trace = run(lp, fuel=REPLAY_FUEL)
     dsg = analyze(lp, policy)
-    alpha = Abstraction(lp, policy)
+    alpha = Abstraction(policy)
     bad = []
     for i, st in enumerate(trace):
         q = alpha.state(st)
@@ -150,7 +147,7 @@ def test_collected_store_retains_every_read(name, policy):
     lp = named_program(name)
     _, trace = run(lp, fuel=REPLAY_FUEL)
     dsg = analyze(lp, policy)
-    alpha = Abstraction(lp, policy)
+    alpha = Abstraction(policy)
     for i in range(len(trace) - 1):
         st = trace[i]
         q = alpha.state(st)
