@@ -55,18 +55,22 @@ class Time:
     equal: two histories are equal when their labels and pop counts
     are. Histories that differ in hash, length or pops are unequal at
     once; otherwise a walk down both stops at the first labels that
-    differ or at a cell the two share. The hash is the labels' alone:
-    histories that differ only in pops are rare in one store. Iteration
-    gives the labels, most recent first."""
+    differ or at a cell the two share. The hash covers the pops as well
+    as the labels (`_lhash`, the labels' hash, is what a new cell builds
+    on): the activations of a recursion that each allocate after their
+    last call share their labels and differ only in pops, and one hash
+    for all of them would make every store probe walk through them all.
+    Iteration gives the labels, most recent first."""
 
-    __slots__ = ("label", "rest", "pops", "_len", "_hash", "_text")
+    __slots__ = ("label", "rest", "pops", "_len", "_lhash", "_hash", "_text")
 
     def __init__(self, label: int, rest: Time):
         self.label = label
         self.rest = rest
         self.pops = rest.pops
         self._len = rest._len + 1
-        self._hash = hash((label, rest._hash))
+        self._lhash = lhash = hash((label, rest._lhash))
+        self._hash = hash((lhash, self.pops))
         self._text = None
 
     def __len__(self):
@@ -115,8 +119,9 @@ class Time:
 
 # the empty history: the one cell with no label and no rest
 T0 = object.__new__(Time)
-T0.label, T0.rest, T0.pops, T0._len, T0._hash, T0._text = (
-    None, None, 0, 0, hash(()), "")
+T0.label, T0.rest, T0.pops, T0._len, T0._text = None, None, 0, 0, ""
+T0._lhash = hash(())
+T0._hash = hash((T0._lhash, 0))
 
 
 def tick(label: int, t: Time) -> Time:
@@ -127,9 +132,10 @@ def tick(label: int, t: Time) -> Time:
 def _popped(t: Time) -> Time:
     """The history after a call frame is popped: t's calls, one more pop."""
     out = object.__new__(Time)
-    out.label, out.rest, out._len, out._hash, out._text = (
-        t.label, t.rest, t._len, t._hash, t._text)
-    out.pops = t.pops + 1
+    out.label, out.rest, out._len, out._lhash, out._text = (
+        t.label, t.rest, t._len, t._lhash, t._text)
+    out.pops = pops = t.pops + 1
+    out._hash = hash((t._lhash, pops))
     return out
 
 

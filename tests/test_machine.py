@@ -464,6 +464,35 @@ def test_allocations_after_a_pop_stay_fresh(source):
         _assert_allocations_fresh(prev, cur)
 
 
+def _deep_return_then_allocate(depth: int) -> str:
+    """RETURN_THEN_ALLOCATE's classes under a main that walks a list of
+    depth Cons cells: every level allocates its Pair after its last
+    call, so the Pairs' histories have one set of labels."""
+    classes = RETURN_THEN_ALLOCATE.split("class Main")[0]
+    decls = "".join(f"    Cons c{i};\n" for i in range(1, depth + 1))
+    news = "".join(f"    c{i} = new Cons(c{i - 1});\n"
+                   for i in range(1, depth + 1))
+    return (classes + "class Main extends Object {\n"
+            "  Main() { super(); }\n"
+            "  Object main() {\n"
+            "    List c0;\n    Object p;\n" + decls +
+            "    c0 = new List();\n" + news +
+            f"    p = c{depth}.walk();\n"
+            "    return p;\n  }\n}\n")
+
+
+def test_pointers_after_pops_hash_apart():
+    # equal hashes would put the Pairs, and each of their field
+    # addresses, in one probe chain of every store dict
+    depth = 1000
+    out, trace = run(load_program(_deep_return_then_allocate(depth)),
+                     fuel=10 * depth)
+    assert isinstance(out, Halted) and out.value.class_name == "Pair"
+    pairs = {v.op for v in trace[-1].store.values() if v.class_name == "Pair"}
+    assert len(pairs) == depth
+    assert len({hash(p) for p in pairs}) == depth
+
+
 def test_step_refuses_terminal():
     lp = corpus_program("minimal")
     _, trace = run(lp, fuel=FUEL)
@@ -605,6 +634,7 @@ def test_history_equality_is_structural(labels):
     # a pop keeps the calls and makes a history unequal to the one before
     assert list(_popped(a)) == labels and _popped(a) == _popped(b)
     assert _popped(a) != a and tick(7, _popped(a)) != tick(7, a)
+    assert hash(_popped(a)) == hash(_popped(b)) != hash(a)
 
 
 @given(LABELS.filter(bool), strategies.data())
