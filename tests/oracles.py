@@ -17,7 +17,7 @@ from anfj.domain import (
 from anfj.engine import DSG
 from anfj.export import FORMAT_NAME, FORMAT_VERSION
 from anfj.machine import Addr, Value
-from anfj.syntax import THIS, PopHandler, Return, Throw
+from anfj.syntax import THIS, ParseError, PopHandler, Return, Throw
 
 
 def _cfg_key(cfg):
@@ -607,3 +607,44 @@ def dsg_from_json(lp, data) -> DSG:
     dsg.diagnostics = {(lbl, reason)
                        for lbl, reason in data.get("diagnostics", ())}
     return dsg
+
+
+def reference_tokens(src: str) -> list[tuple[str, str, int, int]]:
+    """The source as (kind, text, line, column) tokens, one character
+    at a time: kind is "ident", "punct" or "eof", the last token. Space,
+    tab and CR are one column each; a "//" comment runs to the end of
+    its line, and a character that starts no token is a ParseError."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "/" and i + 1 < n and src[i + 1] == "/":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c in "{}();,=.":
+            toks.append(("punct", c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
