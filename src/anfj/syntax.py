@@ -7,7 +7,10 @@ try/catch blocks; expressions are variable reads, field reads, method
 invocations, allocations, and casts. Fields are written only by
 constructors.
 
-This module parses source text into labeled statements: the parser
+This module parses source text into labeled statements. One regular
+expression splits the source into tokens, each a plain string; a
+ParseError's line and column are worked out from the source only when
+it is raised, so parsing a valid program computes none. The parser
 gives each statement an integer label as it reads it, in program order,
 and appends the synthetic PopHandler statement to every try body. It
 then derives the static tables the interpreters need: statement
@@ -19,7 +22,9 @@ their own stacks, so try blocks may nest to any depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 OBJECT = "Object"
@@ -178,60 +183,51 @@ class Program:
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# A token is its text. One pattern finds them all: a comment, a
+# punctuation mark, a word, or any other character but the four
+# whitespace ones (space, tab, CR, LF), which is an error. `\w` is
+# exactly str.isalnum() or "_", so a word reads as far as an identifier
+# does; one whose first character is neither alphabetic nor "_" is an
+# error too. Only comments match without the group, and `findall`
+# returns "" for them.
 
-_PUNCT = {"{", "}", "(", ")", ";", ",", "=", "."}
+_PUNCT = frozenset("{}();,=.")
+_TOKEN = re.compile(r"//[^\n]*|([{}();,=.]|\w+|[^ \t\r\n])")
+_NOT_NAMES = KEYWORDS | _PUNCT | {""}       # "" is the end of input
+_NOT_OPERANDS = _NOT_NAMES - {THIS}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # "ident", "punct", "eof"
-    text: str
-    line: int
-    col: int
+def _tokenize(src: str) -> list[str]:
+    """The tokens of src, then three "": the end of input and two more,
+    so that the parser can look two tokens ahead of any it stands on."""
+    toks = list(filter(None, _TOKEN.findall(src)))
+    bad = {t for t in set(toks)
+           if t not in _PUNCT and not (t[0].isalpha() or t[0] == "_")}
+    if bad:
+        at = next(i for i, t in enumerate(toks) if t in bad)
+        raise ParseError(f"unexpected character {toks[at][0]!r}", *_position(src, at))
+    return toks + ["", "", ""]
 
 
-def _tokenize(src: str) -> list[Token]:
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _position(src: str, index: int) -> tuple[int, int]:
+    """The line and column of src's token at index, or of the end of
+    input past the last token. Lines start at LF; every other
+    character, tab and CR too, is one column."""
+    starts = (m.start() for m in _TOKEN.finditer(src) if m.lastindex)
+    offset = next(islice(starts, index, None), len(src))
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 class _Parser:
+    """Reads tokens at self.pos; a check reads the token before it
+    steps past it, so an error names the index it stopped at."""
+
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
         self.labels = 0
@@ -242,54 +238,58 @@ class _Parser:
         self.labels += 1
         return self.labels
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> Token:
+    def error(self, msg: str, at: int | None = None):
+        """Raise a ParseError at token index at, by default the next
+        token's."""
+        raise ParseError(msg, *_position(self.src, self.pos if at is None else at))
+
+    def expect(self, text: str):
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def error(self, msg: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise ParseError(msg, t.line, t.col)
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            self.error(f"expected {text!r}, found {t.text!r}", t)
-        return t
+        if t != text:
+            self.error(f"expected {text!r}, found {t!r}")
+        self.pos += 1
 
     def ident(self, what: str = "identifier") -> str:
-        t = self.next()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.error(f"expected {what}, found {t.text!r}", t)
-        return t.text
+        t = self.toks[self.pos]
+        if t in _NOT_NAMES:
+            self.error(f"expected {what}, found {t!r}")
+        self.pos += 1
+        return t
 
     def operand(self) -> str:
         # a variable position; `this` is allowed
-        t = self.next()
-        if t.kind != "ident" or (t.text in KEYWORDS and t.text != THIS):
-            self.error(f"expected variable, found {t.text!r}", t)
-        self._check_atomic(t)
-        return t.text
+        t = self.toks[self.pos]
+        if t in _NOT_OPERANDS:
+            self.error(f"expected variable, found {t!r}")
+        self.pos += 1
+        self._check_atomic()
+        return t
 
-    def _check_atomic(self, t: Token):
-        nxt = self.peek()
-        if nxt.text in (".", "("):
-            self.error("non-atomic argument", nxt)
+    def _check_atomic(self):
+        if self.toks[self.pos] in (".", "("):
+            self.error("non-atomic argument")
+
+    def declaration(self) -> tuple[str, str] | None:
+        """The (class, name) of a `Class name;` declaration, read past,
+        or None, reading nothing, if the next tokens are not one."""
+        a, b, c = self.toks[self.pos:self.pos + 3]
+        if a in _NOT_NAMES or b in _NOT_NAMES or c != ";":
+            return None
+        self.pos += 3
+        return a, b
 
     def program(self) -> Program:
         classes = []
         seen = {OBJECT}
-        while self.peek().text == "class":
+        while self.peek() == "class":
             decl = self.class_decl(seen)
             seen.add(decl.name)
             classes.append(decl)
-        t = self.peek()
-        if t.kind != "eof":
-            self.error(f"expected 'class', found {t.text!r}", t)
+        if self.peek():
+            self.error(f"expected 'class', found {self.peek()!r}")
         if not classes:
             self.error("empty program")
         entries = [(c.name, m.name) for c in classes for m in c.methods
@@ -303,46 +303,39 @@ class _Parser:
     def class_decl(self, seen: set[str]) -> ClassDecl:
         """A class; seen holds the class names declared so far."""
         self.expect("class")
-        name_tok = self.peek()
+        at = self.pos
         name = self.ident("class name")
         if name in seen:
-            self.error(f"duplicate class {name!r}", name_tok)
+            self.error(f"duplicate class {name!r}", at)
         self.expect("extends")
-        parent_tok = self.next()
-        if parent_tok.kind != "ident" or parent_tok.text in KEYWORDS:
-            self.error("expected parent class name", parent_tok)
+        parent = self.peek()
+        if parent in _NOT_NAMES:
+            self.error("expected parent class name")
+        self.pos += 1
         self.expect("{")
         fields: dict[str, str] = {}             # name -> class
-        # field declarations: IDENT IDENT ';' until we hit the constructor,
-        # recognized by its name matching the class followed by '('
-        while True:
-            a, b, c = self.peek(0), self.peek(1), self.peek(2)
-            if a.kind == "ident" and a.text == name and b.text == "(":
-                break
-            if a.kind == "ident" and a.text not in KEYWORDS and \
-                    b.kind == "ident" and b.text not in KEYWORDS and c.text == ";":
-                fcls = self.ident("field class")
-                fname = self.ident("field name")
-                if fname in fields:
-                    self.error(f"duplicate field in class {name!r}", b)
-                self.expect(";")
-                fields[fname] = fcls
-                continue
-            self.error(f"expected field declaration or constructor {name!r}", a)
+        # field declarations until the constructor, recognized by its
+        # name matching the class followed by '('
+        while not (self.peek() == name and self.peek(1) == "("):
+            decl = self.declaration()
+            if decl is None:
+                self.error(f"expected field declaration or constructor {name!r}")
+            fcls, fname = decl
+            if fname in fields:
+                self.error(f"duplicate field in class {name!r}", self.pos - 2)
+            fields[fname] = fcls
         konst = self.konst(name)
         methods: dict[str, MethodDecl] = {}
-        while self.peek().text != "}":
+        while self.peek() != "}":
             m = self.method_decl(name, methods)
             methods[m.name] = m
         self.expect("}")
-        return ClassDecl(name=name, parent=parent_tok.text,
+        return ClassDecl(name=name, parent=parent,
                          fields=tuple((c, f) for f, c in fields.items()),
                          konst=konst, methods=tuple(methods.values()))
 
     def konst(self, class_name: str) -> Konst:
-        tok = self.next()
-        if tok.text != class_name:
-            self.error(f"constructor must be named {class_name!r}", tok)
+        self.expect(class_name)
         params = self.param_list()
         self.expect("{")
         self.expect("super")
@@ -350,8 +343,8 @@ class _Parser:
         super_args = self.arg_list()
         self.expect(";")
         inits = []
-        while self.peek().text == "this":
-            self.next()
+        while self.peek() == "this":
+            self.pos += 1
             self.expect(".")
             fname = self.ident("field name")
             self.expect("=")
@@ -365,13 +358,13 @@ class _Parser:
     def param_list(self) -> tuple[tuple[str, str], ...]:
         self.expect("(")
         params = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             while True:
                 pcls = self.ident("parameter class")
                 pname = self.ident("parameter name")
                 params.append((pcls, pname))
-                if self.peek().text == ",":
-                    self.next()
+                if self.peek() == ",":
+                    self.pos += 1
                     continue
                 break
         self.expect(")")
@@ -380,11 +373,11 @@ class _Parser:
     def arg_list(self) -> tuple[str, ...]:
         # caller has consumed '('
         args = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             while True:
                 args.append(self.operand())
-                if self.peek().text == ",":
-                    self.next()
+                if self.peek() == ",":
+                    self.pos += 1
                     continue
                 break
         self.expect(")")
@@ -393,20 +386,15 @@ class _Parser:
     def method_decl(self, owner: str, siblings: dict[str, MethodDecl]) -> MethodDecl:
         """A method of class owner; siblings holds its earlier methods."""
         rcls = self.ident("return class")
-        name_tok = self.peek()
+        at = self.pos
         name = self.ident("method name")
         if name in siblings:
-            self.error(f"duplicate method in class {owner!r}", name_tok)
+            self.error(f"duplicate method in class {owner!r}", at)
         params = self.param_list()
         self.expect("{")
         locals_ = []
-        while (self.peek(0).kind == "ident" and self.peek(0).text not in KEYWORDS
-               and self.peek(1).kind == "ident" and self.peek(1).text not in KEYWORDS
-               and self.peek(2).text == ";"):
-            lcls = self.ident("local class")
-            lname = self.ident("local name")
-            self.expect(";")
-            locals_.append((lcls, lname))
+        while (decl := self.declaration()) is not None:
+            locals_.append(decl)
         body = self.stmt_seq()
         self.expect("}")
         return MethodDecl(return_class=rcls, name=name, params=params,
@@ -422,13 +410,13 @@ class _Parser:
         open_trys: list[tuple] = []
         while True:
             t = self.peek()
-            if t.text == "try":
-                self.next()
+            if t == "try":
+                self.pos += 1
                 self.expect("{")
                 open_trys.append((stmts, self.label()))
                 stmts = []
                 continue
-            if t.text != "}" and t.kind != "eof":
+            if t != "}" and t:
                 stmts.append(self.stmt())
                 continue
             if not stmts:
@@ -455,55 +443,51 @@ class _Parser:
     def stmt(self) -> Stmt:
         """A statement other than try, which stmt_seq reads itself."""
         t = self.peek()
-        if t.text == "return":
-            self.next()
+        if t == "return":
+            self.pos += 1
             v = self.operand()
             self.expect(";")
             return Return(self.label(), v)
-        if t.text == "throw":
-            self.next()
+        if t == "throw":
+            self.pos += 1
             v = self.operand()
             self.expect(";")
             return Throw(self.label(), v)
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            v = self.ident("variable")
+        if t not in _NOT_NAMES:
+            self.pos += 1
             self.expect("=")
             e = self.exp()
             self.expect(";")
-            return Assign(self.label(), v, e)
-        self.error(f"expected statement, found {t.text!r}", t)
+            return Assign(self.label(), t, e)
+        self.error(f"expected statement, found {t!r}")
 
     def exp(self) -> Exp:
         t = self.peek()
-        if t.text == "new":
-            self.next()
+        if t == "new":
+            self.pos += 1
             cname = self.ident("class name")
             self.expect("(")
             return New(cname, self.arg_list())
-        if t.text == "(":
-            self.next()
+        if t == "(":
+            self.pos += 1
             cname = self.ident("cast class")
             self.expect(")")
             v = self.operand()
             return Cast(cname, v)
-        if t.kind == "ident" and (t.text not in KEYWORDS or t.text == THIS):
-            base = self.next().text
-            if self.peek().text == ".":
-                self.next()
+        if t not in _NOT_OPERANDS:
+            self.pos += 1
+            if self.peek() == ".":
+                self.pos += 1
                 member = self.ident("member name")
-                if self.peek().text == "(":
-                    self.next()
-                    return Invoke(base, member, self.arg_list())
-                self._check_atomic_member()
-                return FieldRef(base, member)
-            self._check_atomic(t)
-            return VarRef(base)
-        self.error(f"expected expression, found {t.text!r}", t)
-
-    def _check_atomic_member(self):
-        nxt = self.peek()
-        if nxt.text == ".":
-            self.error("non-atomic argument", nxt)
+                if self.peek() == "(":
+                    self.pos += 1
+                    return Invoke(t, member, self.arg_list())
+                if self.peek() == ".":
+                    self.error("non-atomic argument")
+                return FieldRef(t, member)
+            self._check_atomic()
+            return VarRef(t)
+        self.error(f"expected expression, found {t!r}")
 
 
 def parse_program(src: str) -> Program:

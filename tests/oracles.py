@@ -613,7 +613,11 @@ def reference_tokens(src: str) -> list[tuple[str, str, int, int]]:
     """The source as (kind, text, line, column) tokens, one character
     at a time: kind is "ident", "punct" or "eof", the last token. Space,
     tab and CR are one column each; a "//" comment runs to the end of
-    its line, and a character that starts no token is a ParseError."""
+    its line, and a character that starts no token is a ParseError.
+
+    Where it differs from the parser's tokenizer: the comment loop does
+    not advance the column, so an end of input that follows a comment
+    on the last line takes the comment's first column."""
     toks = []
     line, col = 1, 1
     i, n = 0, len(src)

@@ -1,16 +1,21 @@
 import random
+import string
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from anfj.syntax import (
     Assign, Cast, ElaborationError, FieldRef, Invoke, New, ParseError, PopHandler,
     Return, Throw, TryCatch, VarRef, compute_liveness, elaborate, iter_stmts,
     load_program, parse_program, stmt_defs, stmt_uses,
 )
+from anfj.syntax import _position, _tokenize
+
+from oracles import reference_tokens
 
 from helpers import (
-    CHAINS, corpus_names, corpus_program, deep_try_source, gen_module,
-    named_program,
+    CHAINS, corpus_names, corpus_program, corpus_source, deep_try_source,
+    gen_module, named_program,
 )
 
 SIMPLE = """
@@ -177,6 +182,68 @@ def test_duplicate_declaration_points_at_its_name(src, message, line, col):
         parse_program(src + MAIN)
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
     assert str(err.value) == f"{message} at {line}:{col}"
+
+
+# -- tokens and their positions -----------------------------------------------
+
+WORD_CHARS = string.ascii_letters + string.digits + "_" + "\u00e9\u00b2\u216b\u0663"
+# text drawn from words that may start with a digit, every punctuation
+# mark, the four whitespace characters, characters that look like
+# whitespace but are errors, and comments that may end the input
+SOURCE_TEXT = strategies.lists(strategies.one_of(
+    strategies.text(WORD_CHARS, min_size=1, max_size=4),
+    strategies.sampled_from(string.punctuation),
+    strategies.sampled_from([" ", "\t", "\n", "\r", "\r\n"]),
+    strategies.sampled_from(["\f", "\v", "\xa0", "\u2028", "\x1c"]),
+    strategies.text(WORD_CHARS + " \t\r/{}\u2028", max_size=6).map("//".__add__),
+), max_size=40).map("".join)
+
+
+def _tokens_and_positions(src: str):
+    """The (kind, text, line, column) tokens of src, as the reference
+    tokenizer gives them, or its ParseError's (message, line, column)."""
+    try:
+        toks = _tokenize(src)
+    except ParseError as err:
+        return err.message, err.line, err.col
+    kinds = {t: "punct" for t in "{}();,=."} | {"": "eof"}
+    return [(kinds.get(t, "ident"), t, *_position(src, i))
+            for i, t in enumerate(toks[:toks.index("") + 1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SOURCE_TEXT)
+def test_tokens_match_the_reference_tokenizer(src):
+    try:
+        expected = reference_tokens(src)
+    except ParseError as err:
+        assert _tokens_and_positions(src) == (err.message, err.line, err.col)
+        return
+    # the one declared difference: the reference does not move past a
+    # comment on the last line, so its end of input is the comment's
+    # first column there; the end of input is where the input ends
+    last_line = src[src.rfind("\n") + 1:]
+    end = ("eof", "", src.count("\n") + 1, len(last_line) + 1)
+    assert expected[-1] == end or "//" in last_line
+    assert _tokens_and_positions(src) == expected[:-1] + [end]
+
+
+def test_end_of_input_after_a_comment_is_where_the_input_ends():
+    src = corpus_source("minimal")
+    src = src[:src.rindex("}")] + "   // unterminated"
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected return class, found ''", 9, 19)
+
+
+@pytest.mark.parametrize("src, col", [("1x", 1), ("a \u00b2x", 3), ("a\t\u216b", 3),
+                                      ("a\f", 2), ("a\u2028b", 2), ("a / b", 3)])
+def test_unexpected_characters_stay_errors(src, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"unexpected character {src[col - 1]!r}", 1, col)
 
 
 def test_labels_are_program_ordered_and_dense():
