@@ -27,7 +27,7 @@ from .syntax import AnfjError, load_program
 
 def _load(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             src = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise AnfjError(f"cannot read {path}: {err}") from err

@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -176,6 +177,17 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {bad}: ")
     assert "Traceback" not in err
+
+
+def test_byte_order_mark_is_read_past(tmp_path, capsys):
+    plain = pathlib.Path(SCOPED).read_bytes()
+    marked = tmp_path / "marked.anfj"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    for argv in (["run", "--trace", "--json"], ["analyze"], ["analyze", "--mode", "finite"]):
+        assert main([argv[0], SCOPED, *argv[1:]]) == 0
+        expected = capsys.readouterr()
+        assert main([argv[0], str(marked), *argv[1:]]) == 0
+        assert capsys.readouterr() == expected
 
 
 def test_parse_error_is_input_error(tmp_path, capsys):
