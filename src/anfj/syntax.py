@@ -184,16 +184,17 @@ class Program:
 # ---------------------------------------------------------------------------
 # Tokenizer
 #
-# A token is its text. One pattern finds them all: a comment, a
-# punctuation mark, a word, or any other character but the four
-# whitespace ones (space, tab, CR, LF), which is an error. `\w` is
+# A token is its text. One pattern finds them all: after the four
+# whitespace characters (space, tab, CR, LF), a comment, a punctuation
+# mark, a word, or any other character, which is an error. `\w` is
 # exactly str.isalnum() or "_", so a word reads as far as an identifier
 # does; one whose first character is neither alphabetic nor "_" is an
-# error too. Only comments match without the group, and `findall`
-# returns "" for them.
+# error too. A comment, or the end of input after whitespace, matches
+# outside the group, and `findall` returns "" for it; matching the end
+# keeps trailing whitespace from being rescanned from each position.
 
 _PUNCT = frozenset("{}();,=.")
-_TOKEN = re.compile(r"//[^\n]*|([{}();,=.]|\w+|[^ \t\r\n])")
+_TOKEN = re.compile(r"[ \t\r\n]*(?://[^\n]*|([{}();,=.]|\w+|[^ \t\r\n])|\Z)")
 _NOT_NAMES = KEYWORDS | _PUNCT | {""}       # "" is the end of input
 _NOT_OPERANDS = _NOT_NAMES - {THIS}
 
@@ -214,7 +215,7 @@ def _position(src: str, index: int) -> tuple[int, int]:
     """The line and column of src's token at index, or of the end of
     input past the last token. Lines start at LF; every other
     character, tab and CR too, is one column."""
-    starts = (m.start() for m in _TOKEN.finditer(src) if m.lastindex)
+    starts = (m.start(1) for m in _TOKEN.finditer(src) if m.lastindex)
     offset = next(islice(starts, index, None), len(src))
     return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 

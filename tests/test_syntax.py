@@ -1,5 +1,6 @@
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -244,6 +245,17 @@ def test_unexpected_characters_stay_errors(src, col):
         parse_program(src)
     assert (err.value.message, err.value.line, err.value.col) == (
         f"unexpected character {src[col - 1]!r}", 1, col)
+
+
+def test_trailing_whitespace_is_read_once():
+    # a pattern that rescanned it from each of its positions would take
+    # seconds here
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_program("x" + " \t\r\n" * 5_000)
+    assert time.perf_counter() - t0 < 1
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected 'class', found 'x'", 1, 1)
 
 
 def test_labels_are_program_ordered_and_dense():
