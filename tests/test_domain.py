@@ -8,17 +8,19 @@ import pytest
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
-    ObjPtr, Policy, Pop, Push, decide_stack_action, inject_abstract,
-    next as abstract_next, state_key, store_extend, store_join, tick, alloc,
+    ObjPtr, Policy, Pop, Push, decide_stack_action, frame_key,
+    inject_abstract, next as abstract_next, sorted_values, state_key,
+    store_extend, store_join, tick, alloc,
 )
 from anfj.engine import analyze
+from anfj.gc import eagc
 from anfj.machine import T0, Addr, Time, Value
 from anfj.syntax import (
-    THIS, Assign, FieldRef, Invoke, New, Throw, TryCatch, VarRef,
-    load_program,
+    THIS, Assign, Cast, FieldRef, Invoke, New, PopHandler, Return, Throw,
+    TryCatch, VarRef, load_program,
 )
 
-from helpers import corpus_program
+from helpers import corpus_names, corpus_program
 from oracles import explore_configs, store_leq
 
 
@@ -419,6 +421,165 @@ def next_new_var(lp):
         if isinstance(s, Assign) and isinstance(s.exp, New) and s.exp.args:
             return s.var
     raise AssertionError("no constructor call with arguments")
+
+
+# -- the rule table ---------------------------------------------------------------
+
+RULE_POLICIES = [Policy(k=k, obj_sensitivity=obj)
+                 for k in (0, 1) for obj in (False, True)]
+
+
+def _assert_writes(sigma, sg2, bindings):
+    """sg2 is a new store: sigma with each of bindings joined in."""
+    assert type(sg2) is dict and sg2 is not sigma
+    assert sg2.keys() == sigma.keys() | bindings.keys()
+    for a, vals in sg2.items():
+        assert vals == sigma.get(a, frozenset()) | bindings.get(a, frozenset())
+
+
+def _assert_new(lp, policy, q, sigma, sg2, arg_sets):
+    """sg2 is a new store: sigma with the allocation at q joined in, one
+    object per receiver allocation site under object sensitivity, each
+    field of each object bound to one argument's value set."""
+    s, fp, t = q.stmt, q.fp, q.time
+    assert type(sg2) is dict and sg2 is not sigma
+    sites = (sorted({v.op.site for v in sigma.get(Addr(THIS, fp), ())})
+             if policy.obj_sensitivity else [])
+    made = {Value(s.exp.class_name, ObjPtr(s.label, t, site))
+            for site in sites or [None]}
+    fields, _ = lp.class_lookup(s.exp.class_name)
+    field_addrs = {Addr(f, v.op) for v in made for f in fields}
+    dest = Addr(s.var, fp)
+    assert sg2.keys() == sigma.keys() | field_addrs | {dest}
+    assert sg2[dest] == sigma.get(dest, frozenset()) | made
+    for a, vals in sg2.items():
+        old = sigma.get(a, frozenset())
+        if a in field_addrs:
+            assert any(vals == old | arg for arg in arg_sets)
+        elif a != dest:
+            assert vals == old
+
+
+def _check_rule(lp, policy, q, sigma, top, succs):
+    s, fp, t = q.stmt, q.fp, q.time
+    nxt = lp.succ_map.get(s.label)
+    here = ControlState(nxt, fp, t)
+    if isinstance(s, Assign):
+        e = s.exp
+        dest = Addr(s.var, fp)
+        if isinstance(e, (VarRef, Cast)):
+            vals = sigma.get(Addr(e.var, fp))
+            if not vals:
+                assert succs == []
+                return
+            [(q2, act, sg2)] = succs
+            assert (q2, act) == (here, EPSILON)
+            _assert_writes(sigma, sg2, {dest: vals})
+        elif isinstance(e, FieldRef):
+            pool = frozenset().union(*(
+                sigma.get(Addr(e.field, v.op), frozenset())
+                for v in sigma.get(Addr(e.var, fp), ())))
+            if not pool:
+                assert succs == []
+                return
+            [(q2, act, sg2)] = succs
+            assert (q2, act) == (here, EPSILON)
+            _assert_writes(sigma, sg2, {dest: pool})
+        elif isinstance(e, Invoke):
+            sets = [sigma.get(Addr(a, fp)) for a in (e.receiver, *e.args)]
+            if not all(sets):
+                assert succs == []
+                return
+            tc = tick(s.label, t, policy)
+            fp2 = FramePtr(s.label, tc)
+            receivers = [rv for rv in sorted_values(sets[0])
+                         if lp.method_lookup(rv.class_name, e.method)]
+            assert len(succs) == len(receivers)
+            for rv, (q2, act, sg2) in zip(receivers, succs):
+                m = lp.method_lookup(rv.class_name, e.method)
+                assert q2 == ControlState(m.body[0], fp2, tc)
+                assert act == Push(CallFrame(s.var, nxt, fp))
+                bindings = {Addr(THIS, fp2): frozenset((rv,))}
+                for (_, pname), vals in zip(m.params, sets[1:]):
+                    bindings[Addr(pname, fp2)] = vals
+                _assert_writes(sigma, sg2, bindings)
+        else:
+            assert isinstance(e, New)
+            sets = [sigma.get(Addr(a, fp)) for a in e.args]
+            if not all(sets):
+                assert succs == []
+                return
+            [(q2, act, sg2)] = succs
+            assert (q2, act) == (here, EPSILON)
+            _assert_new(lp, policy, q, sigma, sg2, sets)
+        return
+    if isinstance(s, TryCatch):
+        frame = HandlerFrame(s.catch_class, s.catch_var, s.handler[0], fp)
+        [(q2, act, sg2)] = succs
+        assert (q2, act) == (ControlState(s.body[0], fp, t), Push(frame))
+        assert sg2 is sigma
+        return
+    if isinstance(s, PopHandler):
+        if not isinstance(top, HandlerFrame):
+            assert succs == []
+            return
+        [(q2, act, sg2)] = succs
+        assert (q2, act) == (here, Pop(top)) and sg2 is sigma
+        return
+    assert isinstance(s, (Return, Throw))
+    vals = sigma.get(Addr(s.var, fp))
+    if not vals or top is None:
+        assert succs == []
+        return
+    caught = ControlState(top.target, top.fp, t)
+    bound = Addr(top.var, top.fp)
+    if isinstance(s, Return):
+        [(q2, act, sg2)] = succs
+        if isinstance(top, CallFrame):
+            assert (q2, act) == (caught, Pop(top))
+            _assert_writes(sigma, sg2, {bound: vals})
+        else:                          # over a handler frame, to itself
+            assert (q2, act) == (q, Pop(top)) and sg2 is sigma
+        return
+    if isinstance(top, CallFrame):     # unwound, to itself
+        [(q2, act, sg2)] = succs
+        assert (q2, act) == (q, Pop(top)) and sg2 is sigma
+        return
+    hits = [v for v in sorted_values(vals)
+            if lp.subtype(v.class_name, top.class_name)]
+    passed = [x for x in succs if x[2] is sigma]
+    catches = [x for x in succs if x[2] is not sigma]
+    assert [(q2, act) for q2, act, _ in passed] == \
+        [(q, Pop(top))] * (len(hits) < len(vals))
+    assert len(catches) == len(hits)
+    for v, (q2, act, sg2) in zip(hits, catches):
+        assert (q2, act) == (caught, Pop(top))
+        _assert_writes(sigma, sg2, {bound: frozenset((v,))})
+
+
+@pytest.mark.parametrize("policy", RULE_POLICIES,
+                         ids=["k0", "k0-obj", "k1", "k1-obj"])
+@pytest.mark.parametrize("name", corpus_names())
+def test_rule_table(name, policy):
+    # each rule's stack action, successors and stores, on every pushdown
+    # node's stepped store under each of its top frames: an assignment
+    # that is not a call is epsilon, a call pushes its call frame, a try
+    # its handler frame, and a return, throw or handler pop pops the top
+    # frame. A rule that writes a binding returns a new store, sigma with
+    # the binding joined in; one that writes none (a try, a handler pop,
+    # and the pops to the node itself that only expose the frame
+    # beneath) returns sigma itself. sigma is left as it was.
+    lp = corpus_program(name)
+    dsg = analyze(lp, policy)
+    for q in sorted(dsg.nodes, key=state_key):
+        sigma = eagc(q, dsg.full_stores.get(q, {}), dsg.iecg.stack(q), lp,
+                     policy)
+        for kappa in sorted(dsg.iecg.tf(q), key=frame_key):
+            top = None if kappa is BOTTOM else kappa
+            before = dict(sigma)
+            succs = abstract_next(lp, q, sigma, top, policy)
+            assert sigma == before
+            _check_rule(lp, policy, q, sigma, top, succs)
 
 
 # -- properties over explored graphs ---------------------------------------------
