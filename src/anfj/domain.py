@@ -6,11 +6,14 @@ it monotonically. Stores map addresses to value SETS and every update is
 weak (set union), so a store only ever grows along one transition.
 
 The stack never appears in a state either. `next` sees at most one frame,
-the current top of stack, and reports what it did to it as a StackAction:
-Epsilon (untouched), Push(frame), or Pop(frame). Multi-frame unwinding
-(exception dispatch, returns over handlers) happens one frame per edge;
-the engine's pop edges re-enter the same control state to expose the
-frame beneath.
+the current top of stack, and each of its rules names its own action on
+it, as the pushdown system's edges are labelled: an assignment that is
+not a call is Epsilon, a call pushes its CallFrame, a try its
+HandlerFrame, and a return, a throw or a handler pop pops the top frame.
+Multi-frame unwinding (exception dispatch, returns over handlers)
+happens one frame per edge; the engine's pop edges re-enter the same
+control state to expose the frame beneath. Each rule collects its
+bindings and writes them into one copy of the store.
 
 Time stamps are the last k call-site labels: the concrete machine's
 call history, cut to its newest k calls. k bounds the context fan-out:
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .machine import Addr, FramePtr, ObjPtr, Value, constructor_levels
+from .machine import Addr, FramePtr, ObjPtr, Value, constructor_inits
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -187,11 +190,14 @@ def store_join(a: dict, b: dict, grew: Optional[set] = None) -> dict:
     return a if out is None else out
 
 
-def store_extend(sigma: dict, addr: Addr, vals: frozenset) -> dict:
-    """sigma with vals joined in at addr (weak update)."""
+def _bind(sigma: dict, bindings: dict) -> dict:
+    """A new store: sigma with each binding joined in (weak update). It
+    is a copy even when sigma holds every binding already, so a rule
+    returns sigma itself exactly when it writes no binding."""
     out = dict(sigma)
-    old = out.get(addr)
-    out[addr] = vals if old is None else old | vals
+    for addr, vals in bindings.items():
+        old = out.get(addr)
+        out[addr] = vals if old is None else old | vals
     return out
 
 
@@ -209,52 +215,8 @@ def tick(label: int, t: ATime, policy: Policy) -> ATime:
     return ((label,) + t)[: policy.k]
 
 
-def alloc(label: int, t: ATime, policy: Policy, kind: str = "frame",
-          receiver_site: Optional[int] = None) -> FramePtr | ObjPtr:
-    """A pointer for the activation or object born at label under time t.
-
-    Frame pointers are always (label, time). Object pointers gain the
-    receiver's allocation site when object sensitivity is on."""
-    if kind == "frame":
-        return FramePtr(label, t)
-    if kind == "object":
-        recv = receiver_site if policy.obj_sensitivity else None
-        return ObjPtr(label, t, recv)
-    raise ValueError(f"unknown alloc kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Stack-action classification (one-frame views)
-
-def decide_stack_action(before: tuple, after: tuple) -> StackAction:
-    """Compare one-frame continuation views around a transition.
-
-    Equal views are Epsilon; after extending before by one frame is a
-    Push; before extending after by one frame is a Pop."""
-    if before == after:
-        return EPSILON
-    if after[1:] == before:
-        return Push(after[0])
-    if before[1:] == after:
-        return Pop(before[0])
-    raise ValueError("continuation views differ by more than one frame")
-
-
 # ---------------------------------------------------------------------------
 # The abstract transition function
-
-def _constructor_delta(lp: LabeledProgram, class_name: str, op: ObjPtr,
-                       arg_sets: tuple) -> dict:
-    """Abstract constructor chain: each field address gets the value set of
-    the parameter it is initialised from."""
-    delta: dict = {}
-    for konst, env in constructor_levels(lp, class_name, arg_sets):
-        for fname, pname in konst.inits:
-            addr = Addr(fname, op)
-            old = delta.get(addr, frozenset())
-            delta[addr] = old | env[pname]
-    return delta
-
 
 def _value_key(v: Value):
     op = v.op
@@ -273,13 +235,15 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
     """All abstract one-step successors of q under sigma with the given
     top-of-stack frame (None when the stack may be empty).
 
-    Returns (state, action, store) triples; each store is sigma extended
-    by that rule's own bindings, and is sigma itself, the same object,
-    exactly when the rule adds none. So a pop that only exposes the
-    frame beneath (a return over a handler frame, a throw over a call
-    frame or past a handler it does not match) is a self-edge carrying
-    sigma itself, which the finite baseline drops. Unbound reads yield
-    no successors and are recorded in diags when given.
+    Returns (state, action, store) triples. Each store is sigma with
+    that rule's own bindings joined in, written into one new copy even
+    when sigma already holds them all; it is sigma itself, the same
+    object, exactly when the rule writes no binding. So a pop that only
+    exposes the frame beneath (a return over a handler frame, a throw
+    over a call frame or past a handler it does not match) is a
+    self-edge carrying sigma itself, which the finite baseline tells by
+    identity and drops. Unbound reads yield no successors and are
+    recorded in diags when given.
 
     When reads is given, every address the rule looked up in sigma is
     added to it: variables (unbound ones too), the field of each
@@ -291,7 +255,6 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
     on this to skip re-steps."""
     s = q.stmt
     fp, t = q.fp, q.time
-    before = () if top_frame is None else (top_frame,)
     out: list[tuple[ControlState, StackAction, dict]] = []
     if reads is None:
         reads = set()
@@ -309,19 +272,25 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
             return None
         return vals
 
-    def emit(stmt2: Stmt, fp2: FramePtr, sigma2: dict, after: tuple,
-             time2: ATime = t):
-        out.append((ControlState(stmt2, fp2, time2),
-                    decide_stack_action(before, after), sigma2))
+    def read_all(names) -> Optional[list]:
+        """The value sets of names in order; None at the first unbound."""
+        sets = []
+        for name in names:
+            vals = read(name)
+            if vals is None:
+                return None
+            sets.append(vals)
+        return sets
 
     if isinstance(s, Assign):
         e = s.exp
         nxt = lp.succ_map.get(s.label)
+        dest = Addr(s.var, fp)
         if isinstance(e, (VarRef, Cast)):
-            src = e.var
-            vals = read(src)
+            vals = read(e.var)
             if vals is not None and nxt is not None:
-                emit(nxt, fp, store_extend(sigma, Addr(s.var, fp), vals), before)
+                out.append((ControlState(nxt, fp, t), EPSILON,
+                            _bind(sigma, {dest: vals})))
         elif isinstance(e, FieldRef):
             vals = read(e.var)
             if vals is not None and nxt is not None:
@@ -332,99 +301,85 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
                     reads.add(addr)
                     pool |= sigma.get(addr, frozenset())
                 if pool:
-                    emit(nxt, fp, store_extend(sigma, Addr(s.var, fp), pool), before)
+                    out.append((ControlState(nxt, fp, t), EPSILON,
+                                _bind(sigma, {dest: pool})))
                 else:
                     note(f"unbound field {e.field!r}")
         elif isinstance(e, Invoke):
             recv = read(e.receiver)
-            if recv is not None and nxt is not None:
-                arg_sets = []
-                ok = True
-                for a in e.args:
-                    vals = read(a)
-                    if vals is None:
-                        ok = False
-                        break
-                    arg_sets.append(vals)
-                if ok:
-                    tc = tick(s.label, t, policy)
-                    fp2 = alloc(s.label, tc, policy, "frame")
-                    frame = CallFrame(s.var, nxt, fp)
-                    for rv in sorted_values(recv):
-                        m = lp.method_lookup(rv.class_name, e.method)
-                        if m is None:
-                            note(f"no method {e.method!r} on {rv.class_name!r}")
-                            continue
-                        sigma2 = store_extend(sigma, Addr(THIS, fp2), frozenset((rv,)))
-                        for (_, pname), vals in zip(m.params, arg_sets):
-                            sigma2 = store_extend(sigma2, Addr(pname, fp2), vals)
-                        emit(m.body[0], fp2, sigma2, (frame,) + before, tc)
+            arg_sets = (None if recv is None or nxt is None
+                        else read_all(e.args))
+            if arg_sets is not None:
+                tc = tick(s.label, t, policy)
+                fp2 = FramePtr(s.label, tc)
+                push = Push(CallFrame(s.var, nxt, fp))
+                for rv in sorted_values(recv):
+                    m = lp.method_lookup(rv.class_name, e.method)
+                    if m is None:
+                        note(f"no method {e.method!r} on {rv.class_name!r}")
+                        continue
+                    bindings = {Addr(THIS, fp2): frozenset((rv,))}
+                    for (_, pname), vals in zip(m.params, arg_sets):
+                        bindings[Addr(pname, fp2)] = vals
+                    out.append((ControlState(m.body[0], fp2, tc), push,
+                                _bind(sigma, bindings)))
         elif isinstance(e, New):
-            arg_sets = []
-            ok = True
-            for a in e.args:
-                vals = read(a)
-                if vals is None:
-                    ok = False
-                    break
-                arg_sets.append(vals)
-            if ok and nxt is not None:
+            arg_sets = read_all(e.args)
+            if arg_sets is not None and nxt is not None:
+                recv_sites = [None]
                 if policy.obj_sensitivity:
                     reads.add(Addr(THIS, fp))
-                    this_vals = sigma.get(Addr(THIS, fp), frozenset())
+                    this_vals = sigma.get(Addr(THIS, fp), ())
                     recv_sites = sorted({v.op.site for v in this_vals}) or [None]
-                else:
-                    recv_sites = [None]
-                sigma2 = sigma
+                inits = list(constructor_inits(lp, e.class_name, arg_sets))
+                bindings = {}
                 made = []
                 for rs in recv_sites:
-                    op = alloc(s.label, t, policy, "object", rs)
-                    delta = _constructor_delta(lp, e.class_name, op, tuple(arg_sets))
-                    for addr, vals in delta.items():
-                        sigma2 = store_extend(sigma2, addr, vals)
+                    op = ObjPtr(s.label, t, rs)
+                    for fname, vals in inits:
+                        bindings[Addr(fname, op)] = vals
                     made.append(Value(e.class_name, op))
-                sigma2 = store_extend(sigma2, Addr(s.var, fp), frozenset(made))
-                emit(nxt, fp, sigma2, before)
+                bindings[dest] = frozenset(made)
+                out.append((ControlState(nxt, fp, t), EPSILON,
+                            _bind(sigma, bindings)))
         return out
 
     if isinstance(s, TryCatch):
         frame = HandlerFrame(s.catch_class, s.catch_var, s.handler[0], fp)
-        emit(s.body[0], fp, sigma, (frame,) + before)
-        return out
+        return [(ControlState(s.body[0], fp, t), Push(frame), sigma)]
 
     if isinstance(s, Return):
         vals = read(s.var)
         if vals is None or top_frame is None:
             return out                      # unbound, or halt level: terminal
         if isinstance(top_frame, CallFrame):
-            sigma2 = store_extend(sigma, Addr(top_frame.var, top_frame.fp), vals)
-            emit(top_frame.target, top_frame.fp, sigma2, ())
-        else:                               # step over the handler frame
-            emit(s, fp, sigma, ())
-        return out
+            sigma2 = _bind(sigma, {Addr(top_frame.var, top_frame.fp): vals})
+            return [(ControlState(top_frame.target, top_frame.fp, t),
+                     Pop(top_frame), sigma2)]
+        return [(q, Pop(top_frame), sigma)]  # step over the handler frame
 
     if isinstance(s, Throw):
         vals = read(s.var)
         if vals is None or top_frame is None:
             return out                      # unbound, or uncaught terminal
+        pop = Pop(top_frame)
         if isinstance(top_frame, CallFrame):
-            emit(s, fp, sigma, ())
-        else:
-            missed = False
-            for v in sorted_values(vals):
-                if lp.subtype(v.class_name, top_frame.class_name):
-                    sigma2 = store_extend(
-                        sigma, Addr(top_frame.var, top_frame.fp), frozenset((v,)))
-                    emit(top_frame.target, top_frame.fp, sigma2, ())
-                elif not missed:
-                    missed = True
-                    emit(s, fp, sigma, ())
+            return [(q, pop, sigma)]
+        caught = ControlState(top_frame.target, top_frame.fp, t)
+        dest = Addr(top_frame.var, top_frame.fp)
+        missed = False
+        for v in sorted_values(vals):
+            if lp.subtype(v.class_name, top_frame.class_name):
+                out.append((caught, pop, _bind(sigma, {dest: frozenset((v,))})))
+            elif not missed:
+                missed = True
+                out.append((q, pop, sigma))
         return out
 
     if isinstance(s, PopHandler):
         nxt = lp.succ_map.get(s.label)
         if isinstance(top_frame, HandlerFrame) and nxt is not None:
-            emit(nxt, fp, sigma, ())
+            out.append((ControlState(nxt, fp, t), Pop(top_frame), sigma))
         return out
 
     raise TypeError(f"unknown statement {type(s).__name__}")

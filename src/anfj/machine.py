@@ -373,35 +373,24 @@ def _succ(lp: LabeledProgram, s: Stmt) -> Stmt:
     return nxt
 
 
-def constructor_levels(lp: LabeledProgram, class_name: str,
-                       args: tuple) -> list:
-    """The constructors of class_name's chain as (konst, env) pairs, root
-    first: env binds each parameter to its argument, and each super call
-    forwards the arguments it names. The walk is iterative, so a chain
-    of any depth fits in the interpreter's stack."""
+def constructor_inits(lp: LabeledProgram, class_name: str, args):
+    """The field initialisations of class_name's constructor chain, as
+    (field, argument) pairs, root class first: each constructor binds
+    its parameters to its arguments positionally, its super call
+    forwards the arguments it names, and each this.f = x init gives f
+    the argument bound to x. The walk is iterative, so a chain of any
+    depth fits in the interpreter's stack."""
     levels = []
-    cname, argv = class_name, list(args)
+    cname, argv = class_name, args
     while cname != OBJECT:
         _, konst = lp.class_lookup(cname)
         env = {name: val for (_, name), val in zip(konst.params, argv)}
-        levels.append((konst, env))
+        levels.append((konst.inits, env))
         cname = lp.classes[cname].parent
         argv = [env[a] for a in konst.super_args]
-    levels.reverse()
-    return levels
-
-
-def apply_constructor(lp: LabeledProgram, class_name: str, op: ObjPtr,
-                      args: tuple[Value, ...]) -> tuple[dict[Addr, Value], ObjPtr]:
-    """Run the constructor chain for class_name against the fresh object
-    pointer op: parameters bind positionally, the super call forwards its
-    parameter prefix, and each this.f = x init writes one field address,
-    root class first. Returns the store delta and op."""
-    delta: dict[Addr, Value] = {}
-    for konst, env in constructor_levels(lp, class_name, args):
-        for fname, pname in konst.inits:
-            delta[Addr(fname, op)] = env[pname]
-    return delta, op
+    for inits, env in reversed(levels):
+        for fname, pname in inits:
+            yield fname, env[pname]
 
 
 def step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
@@ -449,9 +438,10 @@ def _step(lp: LabeledProgram, st: ConcreteState) -> ConcreteState:
             return ConcreteState(lp.first_stmt(method), fp2, sigma.set(frame),
                                  kont2, t2)
         if ekind is New:
-            argv = tuple(_lookup(sigma, fp, a) for a in e.args)
+            argv = [_lookup(sigma, fp, a) for a in e.args]
             op = ObjPtr(s.label, t)
-            delta, op = apply_constructor(lp, e.class_name, op, argv)
+            delta = {Addr(fname, op): val for fname, val
+                     in constructor_inits(lp, e.class_name, argv)}
             delta[Addr(s.var, fp)] = Value(e.class_name, op)
             return ConcreteState(_succ(lp, s), fp, sigma.set(delta), kont, t)
         raise StuckError(f"unknown expression {e!r}")

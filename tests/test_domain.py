@@ -8,9 +8,8 @@ import pytest
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
-    ObjPtr, Policy, Pop, Push, decide_stack_action, frame_key,
-    inject_abstract, next as abstract_next, sorted_values, state_key,
-    store_extend, store_join, tick, alloc,
+    ObjPtr, Policy, Pop, Push, frame_key, inject_abstract,
+    next as abstract_next, sorted_values, state_key, store_join, tick,
 )
 from anfj.engine import analyze
 from anfj.gc import eagc
@@ -48,32 +47,7 @@ def test_tick_k2_keeps_two_newest():
     assert tick(3, (2, 1), Policy(k=2)) == (3, 2)
 
 
-# -- alloc --------------------------------------------------------------------
-
-def test_alloc_k0_one_frame_pointer_per_site():
-    p = Policy(k=0)
-    assert alloc(4, (), p) == FramePtr(4, ())
-    assert alloc(4, tick(9, (), p), p) == FramePtr(4, ())
-
-
-def test_alloc_k1_distinct_histories_distinct_pointers():
-    p = Policy(k=1)
-    fp_a = alloc(4, tick(1, (), p), p)
-    fp_b = alloc(4, tick(2, (), p), p)
-    assert fp_a != fp_b
-
-
-def test_alloc_object_receiver_component():
-    on = Policy(obj_sensitivity=True)
-    off = Policy(obj_sensitivity=False)
-    assert alloc(5, (), on, "object", receiver_site=9) == ObjPtr(5, (), 9)
-    assert alloc(5, (), off, "object", receiver_site=9) == ObjPtr(5, (), None)
-
-
-def test_alloc_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        alloc(1, (), Policy(), "stack")
-
+# -- object sensitivity -------------------------------------------------------
 
 def test_object_sensitivity_splits_by_receiver_site():
     # one allocation site inside a factory method, two factory objects:
@@ -175,28 +149,6 @@ def test_store_join_returns_first_store_unless_it_grows():
         assert (joined is a) == store_leq(b, a)
         assert store_join(joined, b) is joined
         assert store_join(a, {}) is a
-
-
-def test_store_extend_is_weak():
-    fp = FramePtr(1, ())
-    v1 = Value("A", ObjPtr(1, ()))
-    v2 = Value("B", ObjPtr(2, ()))
-    sigma = {Addr("x", fp): frozenset((v1,))}
-    out = store_extend(sigma, Addr("x", fp), frozenset((v2,)))
-    assert out[Addr("x", fp)] == frozenset((v1, v2))
-    assert sigma[Addr("x", fp)] == frozenset((v1,))  # input untouched
-
-
-# -- decide_stack_action --------------------------------------------------------
-
-def test_decide_stack_action_cases():
-    f = CallFrame("x", None, FP0A)
-    g = HandlerFrame("E", "e", None, FP0A)
-    assert decide_stack_action((f,), (f,)) == EPSILON
-    assert decide_stack_action((), (g,)) == Push(g)
-    assert decide_stack_action((f,), ()) == Pop(f)
-    with pytest.raises(ValueError):
-        decide_stack_action((), (f, g))
 
 
 # -- transition rules -----------------------------------------------------------
@@ -423,7 +375,7 @@ def next_new_var(lp):
     raise AssertionError("no constructor call with arguments")
 
 
-# -- the rule table ---------------------------------------------------------------
+# -- the rule table -----------------------------------------------------------
 
 RULE_POLICIES = [Policy(k=k, obj_sensitivity=obj)
                  for k in (0, 1) for obj in (False, True)]

@@ -18,7 +18,7 @@ from hypothesis import given, strategies
 from anfj.machine import (
     FP0, T0, Addr, ConcreteState, FramePtr, Fun, FuelExhausted, Halt,
     Halted, Handle, ObjPtr, Store, Stuck, Time, Uncaught, Value,
-    _popped, apply_constructor, inject, is_terminal, kont_frames, run, step,
+    _popped, constructor_inits, inject, is_terminal, kont_frames, run, step,
     tick,
 )
 from anfj.syntax import (
@@ -114,36 +114,27 @@ def test_inject_locals_unbound():
     assert Addr("x", st.fp) not in st.store
 
 
-# -- apply_constructor --------------------------------------------------------
+# -- constructor_inits --------------------------------------------------------
 
 def test_apply_constructor_no_fields():
     lp = corpus_program("minimal")
-    op = ObjPtr(99, hist(99))
-    delta, out_op = apply_constructor(lp, "Main", op, ())
-    assert delta == {} and out_op is op
+    assert list(constructor_inits(lp, "Main", ())) == []
 
 
 def test_apply_constructor_single_field():
     lp = corpus_program("field_read")
-    op = ObjPtr(7, hist(7))
     arg = Value("A", ObjPtr(1, hist(1)))
-    delta, _ = apply_constructor(lp, "Box", op, (arg,))
-    assert delta == {Addr("item", op): arg}
+    assert list(constructor_inits(lp, "Box", (arg,))) == [("item", arg)]
 
 
 def test_apply_constructor_super_chain():
-    # Pt3 forwards (x, y) to Pt2; all three fields land on the same op
+    # Pt3 forwards (x, y) to Pt2, which inits its fields first
     lp = corpus_program("ctor_chain")
-    op = ObjPtr(50, hist(50))
     vx = Value("Object", ObjPtr(1, hist(1)))
     vy = Value("Object", ObjPtr(2, hist(2)))
     vz = Value("Object", ObjPtr(3, hist(3)))
-    delta, _ = apply_constructor(lp, "Pt3", op, (vx, vy, vz))
-    assert delta == {
-        Addr("x", op): vx,
-        Addr("y", op): vy,
-        Addr("z", op): vz,
-    }
+    assert list(constructor_inits(lp, "Pt3", (vx, vy, vz))) == [
+        ("x", vx), ("y", vy), ("z", vz)]
 
 
 def test_constructed_fields_readable():
@@ -542,8 +533,9 @@ def _copying_writes(lp, st: ConcreteState) -> dict:
                 out[Addr(pname, fp2)] = sigma[Addr(arg, fp)]
             return out
         op = ObjPtr(s.label, st.time)
-        argv = tuple(sigma[Addr(a, fp)] for a in e.args)
-        out, _ = apply_constructor(lp, e.class_name, op, argv)
+        argv = [sigma[Addr(a, fp)] for a in e.args]
+        out = {Addr(f, op): val
+               for f, val in constructor_inits(lp, e.class_name, argv)}
         out[Addr(s.var, fp)] = Value(e.class_name, op)
         return out
     if isinstance(s, Return) and isinstance(kont, Fun):
