@@ -517,6 +517,7 @@ class LabeledProgram:
         self.stmt_by_label: dict[int, Stmt] = {}
         self.succ_map: dict[int, Stmt] = {}
         self.method_of: dict[int, MethodDecl] = {}
+        self.uses: dict[int, frozenset[str]] = {}     # variables each label reads
         self.lives: dict[int, frozenset[str]] = {}
         self.handler_heads: dict[int, TryCatch] = {}
         self.enclosing_try: dict[int, TryCatch] = {}   # innermost try whose body holds the label
@@ -766,7 +767,8 @@ class _Elaborator:
                 lp.method_of[s.label] = m
                 if inside is not None:
                     lp.enclosing_try[s.label] = inside
-                self._check_stmt(decl, m, s, env)
+                uses = lp.uses[s.label] = stmt_uses(s)
+                self._check_stmt(decl, m, s, env, uses)
                 if isinstance(s, (Assign, PopHandler)):
                     if nxt is not None:
                         lp.succ_map[s.label] = nxt
@@ -781,16 +783,15 @@ class _Elaborator:
             else:
                 stack.pop()
 
-    def _check_stmt(self, decl: ClassDecl, m: MethodDecl, s: Stmt, env: dict[str, str]):
-        """Every variable s reads or writes is in scope, and every class,
-        field and method it names exists and takes the arguments given."""
+    def _check_stmt(self, decl: ClassDecl, m: MethodDecl, s: Stmt,
+                    env: dict[str, str], uses: frozenset[str]):
+        """Every variable s writes or reads (uses) is in scope, and every
+        class, field and method it names exists and takes the arguments
+        given."""
         table = self.lp.classes
+        names = sorted(uses)
         if isinstance(s, Assign):
-            names = (s.var, *sorted(_exp_uses(s.exp)))
-        elif isinstance(s, (Return, Throw)):
-            names = (s.var,)
-        else:
-            names = ()
+            names.insert(0, s.var)
         for v in names:
             if v not in env:
                 raise ElaborationError(
@@ -845,10 +846,11 @@ def elaborate(program: Program) -> LabeledProgram:
 
 def compute_liveness(lp: LabeledProgram, method: MethodDecl) -> dict[int, frozenset[str]]:
     """Backward may-liveness per label:
-    lives(l) = use(l) | (out(l) - def(l)), where out(l) is the live set
-    of l's successor plus X(T) for the innermost try T whose body holds
-    l, and X(T) = lives(handler head of T) | X(the try whose body holds
-    T): a statement flows to the head of every handler around it.
+    lives(l) = use(l) | (out(l) - def(l)), where use(l) is lp.uses[l],
+    computed once at elaboration; out(l) is the live set of l's
+    successor plus X(T) for the innermost try T whose body holds l; and
+    X(T) = lives(handler head of T) | X(the try whose body holds T): a
+    statement flows to the head of every handler around it.
 
     Every flow edge goes to a larger label, so one pass in descending
     label order (reversed pre-order) reaches the least fixpoint. X(T) is
@@ -863,7 +865,7 @@ def compute_liveness(lp: LabeledProgram, method: MethodDecl) -> dict[int, frozen
                                | exc_out[lp.enclosing_try.get(inside.label)])
         nxt = lp.succ_map.get(s.label)
         out = exc_out[inside] if nxt is None else lives[nxt.label] | exc_out[inside]
-        lives[s.label] = stmt_uses(s) | (out - stmt_defs(s))
+        lives[s.label] = lp.uses[s.label] | (out - stmt_defs(s))
     return lives
 
 
