@@ -126,7 +126,14 @@ from .domain import (
 )
 from .gc import Collection, eagc
 from .machine import FramePtr, ObjPtr
-from .syntax import LabeledProgram
+from .syntax import LabeledProgram, Stmt
+
+
+def activation(lp: LabeledProgram, stmt: Stmt, fp) -> tuple:
+    """The key of the activation that runs stmt under the frame pointer
+    fp: its method and fp. The pushdown engine keys its stack summaries
+    by it, the finite baseline its table."""
+    return lp.method_of[stmt.label], fp
 
 
 @dataclass
@@ -629,7 +636,7 @@ class _PushdownEngine(_Engine):
         self.iecg = self.dsg.iecg
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         q0 = self.dsg.initial
-        self.iecg.act[q0] = (lp.method_of[q0.stmt.label], q0.fp)
+        self.iecg.act[q0] = activation(lp, q0.stmt, q0.fp)
         self.roots_log: dict = {}      # activation -> its PSF in arrival order
         self.roots_seen: dict = {}     # node -> the length of that log its
                                        # collection has taken
@@ -659,7 +666,7 @@ class _PushdownEngine(_Engine):
         """The core's, which also records the key of the activation s
         runs in: its method and frame pointer."""
         if super().add_node(s):
-            self.iecg.act[s] = (self.lp.method_of[s.stmt.label], s.fp)
+            self.iecg.act[s] = activation(self.lp, s.stmt, s.fp)
             return True
         return False
 

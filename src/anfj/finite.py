@@ -3,7 +3,8 @@ away.
 
 Instead of tracking frames, every call and every armed handler is
 recorded in a global table keyed by activation level: the (method,
-frame pointer) pair of the activation that owns it. Records never go
+frame pointer) key of the activation that owns it, as the pushdown
+engine keys its stack summaries (engine.activation). Records never go
 away - there is no popping - so a handler stays visible to the rest of
 its method after its try completes, and to every callee forever. That
 conflation is the point of the baseline: it is what a pushdown stack
@@ -39,14 +40,9 @@ from .domain import (
     BOTTOM, CallFrame, EPSILON, Push, frame_key, next as abstract_next,
     store_join,
 )
-from .engine import _Engine
+from .engine import _Engine, activation
 from .gc import eagc
-from .syntax import LabeledProgram, PopHandler, Return, Stmt, Throw
-
-
-def _level(lp: LabeledProgram, stmt: Stmt, fp):
-    m = lp.method_of_label(stmt.label)
-    return ((m.owner, m.name), fp)
+from .syntax import PopHandler, Return, Throw
 
 
 class _FiniteEngine(_Engine):
@@ -62,7 +58,7 @@ class _FiniteEngine(_Engine):
     def __init__(self, lp, policy, budget):
         super().__init__(lp, policy, budget)
         q0 = self.dsg.initial
-        self.table: dict = {_level(lp, q0.stmt, q0.fp): {BOTTOM}}
+        self.table: dict = {activation(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.step_deps: dict = {}      # level -> nodes whose contexts read it
         self.gc_deps: dict = {}        # level -> nodes whose gc read it
 
@@ -79,7 +75,7 @@ class _FiniteEngine(_Engine):
         if isinstance(entry, CallFrame):
             for n in self.gc_deps.get(level, ()):
                 fps = {entry.fp}
-                self.reach(n, _level(self.lp, entry.target, entry.fp), fps)
+                self.reach(n, activation(self.lp, entry.target, entry.fp), fps)
                 self.add_roots(n, fps, "table")
 
     # -- level walks ------------------------------------------------------
@@ -91,7 +87,7 @@ class _FiniteEngine(_Engine):
         while stack:
             for e in self.table.get(stack.pop(), ()):
                 if isinstance(e, CallFrame):
-                    nxt = _level(self.lp, e.target, e.fp)
+                    nxt = activation(self.lp, e.target, e.fp)
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -112,7 +108,7 @@ class _FiniteEngine(_Engine):
             for e in self.table.get(cur, ()):
                 if isinstance(e, CallFrame):
                     fps.add(e.fp)
-                    stack.append(_level(self.lp, e.target, e.fp))
+                    stack.append(activation(self.lp, e.target, e.fp))
 
     # -- the core's hooks ---------------------------------------------------
 
@@ -120,14 +116,14 @@ class _FiniteEngine(_Engine):
         """The stand-in for the pushdown engine's stack summary: the
         call records at every level q's activation can return through."""
         fps: set = set()
-        self.reach(q, _level(self.lp, q.stmt, q.fp), fps)
+        self.reach(q, activation(self.lp, q.stmt, q.fp), fps)
         return fps
 
     def contexts(self, q):
         s = q.stmt
         if not isinstance(s, (Return, Throw, PopHandler)):
             return (None,)
-        levels = [_level(self.lp, s, q.fp)]
+        levels = [activation(self.lp, s, q.fp)]
         if isinstance(s, Throw):
             levels = self.reachable_levels(levels[0])
         tops: set = set()
@@ -145,7 +141,8 @@ class _FiniteEngine(_Engine):
                                           self.policy, diags, reads):
             if isinstance(act, Push):
                 owner = q2 if isinstance(act.frame, CallFrame) else q
-                self.record(_level(self.lp, owner.stmt, owner.fp), act.frame)
+                self.record(activation(self.lp, owner.stmt, owner.fp),
+                            act.frame)
             elif q2 == q and sg2 is sigma:
                 continue
             yield q2, EPSILON, sg2

@@ -452,8 +452,7 @@ def _stack_closure(q0, edges: set):
 def _level(lp, q: ControlState):
     """The finite table's key of q's activation: its method and frame
     pointer."""
-    m = lp.method_of_label(q.stmt.label)
-    return ((m.owner, m.name), q.fp)
+    return lp.method_of[q.stmt.label], q.fp
 
 
 def finite_stack_fps(lp, table: dict, q: ControlState) -> set:
