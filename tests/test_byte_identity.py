@@ -1,8 +1,8 @@
 """Byte identity of every analysis and run output across changes.
 
-`byte_identity.json` holds one sha256 digest per (program, policy): the
-JSON export, the DOT export and the metrics report's JSON, concatenated.
-The programs are the whole corpus plus two generated call chains; the
+`byte_identity.json` holds three sha256 digests per (program, policy):
+one each of the JSON export, the DOT export and the metrics report's
+JSON, so a change of one output shows as that digest alone. The programs are the whole corpus plus two generated call chains; the
 policies are k in {0, 1} x gc on/off x pushdown/finite. Each program
 also has the digest of the standard output of `anfj run` with the flags
 in RUN_ARGV, the concrete trace line by line. A change that alters any
@@ -45,17 +45,21 @@ def policy_name(policy: Policy) -> str:
     return f"k={policy.k} gc={'on' if policy.gc else 'off'} {policy.mode}"
 
 
-def analysis_digest(dsg) -> str:
-    """sha256 of an analysis's JSON export, DOT export and report."""
-    h = hashlib.sha256()
-    h.update(export_dsg(dsg, "json"))
-    h.update(export_dsg(dsg, "dot"))
-    h.update(json.dumps(report(dsg).to_dict(), sort_keys=True).encode())
-    return h.hexdigest()
+def analysis_digest(dsg) -> dict:
+    """Output name -> sha256 of an analysis's JSON export, DOT export
+    and report."""
+    outputs = {
+        "json": export_dsg(dsg, "json"),
+        "dot": export_dsg(dsg, "dot"),
+        "report": json.dumps(report(dsg).to_dict(), sort_keys=True).encode(),
+    }
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()}
 
 
 def digests(source: str) -> dict:
-    """Policy name -> sha256 of the program's three outputs."""
+    """Policy name -> the digests of the program's three outputs under
+    it, and the digest of its concrete run."""
     lp = load_program(source)
     out = {policy_name(policy): analysis_digest(analyze(lp, policy))
            for policy in POLICIES}
