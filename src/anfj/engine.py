@@ -1,7 +1,7 @@
 """Dyck state graph synthesis, on the fixpoint core both analyses share.
 
-The core (_Engine) owns the worklist, the full, stepped and visible
-stores, the nodes and edges, the budgets and clock, the collection
+The core (_Engine) owns the worklist, the full and stepped stores,
+the nodes and edges, the budgets and clock, the collection
 before each step, the memo of each step and the delta passes it allows,
 the fixpoint diagnostics and DSG.stats. A stack abstraction supplies
 the same two things to it: the top frames a node is stepped under, and
@@ -64,17 +64,20 @@ collection takes the pointers that joined its activation's summary
 since its last collection, and a new pointer wakes only the nodes
 whose last collection left out an address under it.
 
-Per-node stores come in three layers. The full store is the monotone
-join of everything ever flowed into the node; growth of it or of TF
-re-enqueues the node, and monotonicity is what makes the fixpoint
+The analysis keeps two stores per node. The full store is the
+monotone join of everything ever flowed into the node; growth of it or
+of TF re-enqueues the node, and monotonicity is what makes the fixpoint
 terminate even though the graph has cycles. The stepped store is the
-garbage-collected view of the full store, which the steps see; with gc
-off the two are the same object. The visible store, which export and
-metrics read, is built once after the fixpoint (final_stores): the
-stepped store plus the bindings of the frames beneath the node, reached
-through its push sources. The finite baseline has no push/pop matching
-and carries every binding along every edge, so its visible stores are
-its stepped ones.
+garbage-collected view of the full store, which the steps see, and
+which export and metrics read; with gc off the two are the same object.
+A node's visible store adds the bindings of the frames beneath it.
+Those are bindings its push sources' stepped stores hold already, so
+the result keeps each node's push sources (DSG.sources, pfp flattened
+over frames) instead of copies, and DSG.node_store builds the visible
+stores (visible_stores) only when a caller asks for one. The finite
+baseline has no push/pop matching and carries every binding along
+every edge, so it has no push sources and its visible stores are its
+stepped ones.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
@@ -345,10 +348,12 @@ def process_pop(s1, frame, s2, iecg: IECG) -> list:
 @dataclass
 class DSG:
     """Analysis result: the explored graph, per-node stores, the closure
-    maps, and run metadata. node_stores holds the visible stores, which
-    export and metrics read; full_stores the raw monotone joins behind
-    the stepped (collected) stores. Stores are shared between nodes and
-    must not be mutated."""
+    maps, and run metadata. node_stores holds the stepped (collected)
+    stores, which export and metrics read; full_stores the raw monotone
+    joins behind them; sources each node's push sources, none in the
+    finite baseline. node_store(q) is q's visible store, built for all
+    nodes on the first call. Stores are shared between nodes and must
+    not be mutated."""
 
     lp: LabeledProgram
     policy: Policy
@@ -357,12 +362,100 @@ class DSG:
     edges: set = field(default_factory=set)
     node_stores: dict = field(default_factory=dict)
     full_stores: dict = field(default_factory=dict)
+    sources: dict = field(default_factory=dict)
     iecg: IECG = field(default_factory=IECG)
     diagnostics: set = field(default_factory=set)
     stats: dict = field(default_factory=dict)
+    _visible: dict | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def node_store(self, q) -> dict:
-        return self.node_stores.get(q, {})
+        """q's visible store: its stepped store plus the bindings of the
+        frames beneath it."""
+        if self._visible is None:
+            self._visible = visible_stores(self.node_stores, self.sources)
+        return self._visible.get(q, {})
+
+
+def push_sources(pfp: dict) -> dict:
+    """Node -> the frozenset of its push sources, over all its top
+    frames, for the nodes that have any."""
+    srcs: dict = {}
+    for (s, _), ws in pfp.items():
+        srcs.setdefault(s, set()).update(ws)
+    return {s: frozenset(ws) for s, ws in srcs.items()}
+
+
+def visible_stores(stepped: dict, sources: dict) -> dict:
+    """Each node's stepped store plus the bindings of the frames beneath
+    it: those its push sources see, on frame pointers other than its
+    own. A push source's frames are its own and those beneath it, so
+    this is a least fixpoint over the sources. The frames beneath depend
+    only on the node's push sources and frame pointer, which the nodes
+    of one activation mostly share, so they are built once per such key,
+    each after the keys of its sources; only a recursive call, which
+    pushes back to where it came from, makes rounds repeat until nothing
+    grows."""
+    key_of = {s: (ws, s.fp) for s, ws in sources.items()}
+    deps = {}
+    for key in key_of.values():
+        if key not in deps:
+            deps[key] = {key_of[w] for w in key[0] if w in key_of}
+    order, cyclic = _after_sources(deps)
+    beneath: dict = {}                 # key -> bindings of the frames beneath
+    while True:
+        grew = False
+        for key in order:
+            ws, fp = key
+            own = {fp}                 # a set: hashing skips most __eq__
+            below: dict = {}
+            for w in ws:
+                items = list(stepped[w].items())
+                if w in key_of:
+                    items += beneath.get(key_of[w], {}).items()
+                for a, vals in items:
+                    if type(a.ptr) is FramePtr and a.ptr not in own:
+                        old = below.get(a)
+                        if old is None:
+                            below[a] = vals
+                        elif not vals <= old:
+                            below[a] = old | vals
+            if cyclic and not grew:
+                grew = below != beneath.get(key)
+            beneath[key] = below
+        if not grew:
+            break
+    return {s: store_join(beneath[key_of[s]], sigma) if s in key_of
+            else sigma for s, sigma in stepped.items()}
+
+
+def _after_sources(deps: dict) -> tuple:
+    """The keys of deps, each after those it depends on (a post-order of
+    a depth-first walk), and whether the walk met a cycle, which no
+    order can respect."""
+    order: list = []
+    done: set = set()
+    cyclic = False
+    for root in deps:
+        if root in done:
+            continue
+        path = {root}
+        stack = [(root, iter(deps[root]))]
+        while stack:
+            k, pending = stack[-1]
+            for d in pending:
+                if d in path:
+                    cyclic = True
+                elif d not in done:
+                    path.add(d)
+                    stack.append((d, iter(deps[d])))
+                    break
+            else:
+                stack.pop()
+                path.discard(k)
+                done.add(k)
+                order.append(k)
+    return order, cyclic
 
 
 def _objects(sigma: dict) -> set:
@@ -414,8 +507,8 @@ class _Engine:
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
     the work a step leaves behind; and `stack_fps(s)`, the GC-root
     pointers of s's stack at its first collection (eagc). It may refine
-    `new_contexts(s, memo)`, the contexts of s no step has visited, and
-    `final_stores()`, the visible stores. Root pointers that join s's
+    `new_contexts(s, memo)`, the contexts of s no step has visited. Root
+    pointers that join s's
     stack later go into the node's roots for its next collection
     (Collection.extend); `add_roots` puts them there and wakes s when
     they would change its stepped store.
@@ -465,11 +558,6 @@ class _Engine:
 
     def stack_fps(self, s):
         raise NotImplementedError
-
-    def final_stores(self) -> dict:
-        """The visible stores export and metrics read, once the fixpoint
-        is reached: by default the ones the steps saw."""
-        return self.dsg.node_stores
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -604,7 +692,7 @@ class _Engine:
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
-        self.dsg.node_stores = self.final_stores()
+        self.dsg.sources = push_sources(self.dsg.iecg.pfp)
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
             for node in self.stepped.values()
@@ -731,52 +819,6 @@ class _PushdownEngine(_Engine):
     def after_step(self) -> None:
         self.drain()
 
-    def final_stores(self) -> dict:
-        """Each node's stepped store plus the bindings of the frames
-        beneath it: those its push sources see, on frame pointers other
-        than its own. A push source's frames are its own and those
-        beneath it, so this is a least fixpoint over pfp. The frames
-        beneath depend only on the node's push sources and frame
-        pointer, which the nodes of one activation mostly share, so
-        they are built once per such key, each after the keys of its
-        sources; only a recursive call, which pushes back to where it
-        came from, makes rounds repeat until nothing grows."""
-        stepped = self.dsg.node_stores
-        srcs: dict = {}
-        for (s, _), ws in self.iecg.pfp.items():
-            srcs.setdefault(s, set()).update(ws)
-        key_of = {s: (frozenset(ws), s.fp) for s, ws in srcs.items()}
-        deps = {}
-        for key in key_of.values():
-            if key not in deps:
-                deps[key] = {key_of[w] for w in key[0] if w in key_of}
-        order, cyclic = _after_sources(deps)
-        beneath: dict = {}             # key -> bindings of the frames beneath
-        while True:
-            grew = False
-            for key in order:
-                ws, fp = key
-                own = {fp}             # a set: hashing skips most __eq__
-                below: dict = {}
-                for w in ws:
-                    items = list(stepped[w].items())
-                    if w in key_of:
-                        items += beneath.get(key_of[w], {}).items()
-                    for a, vals in items:
-                        if type(a.ptr) is FramePtr and a.ptr not in own:
-                            old = below.get(a)
-                            if old is None:
-                                below[a] = vals
-                            elif not vals <= old:
-                                below[a] = old | vals
-                if cyclic and not grew:
-                    grew = below != beneath.get(key)
-                beneath[key] = below
-            if not grew:
-                break
-        return {s: store_join(beneath[key_of[s]], sigma) if s in key_of
-                else sigma for s, sigma in stepped.items()}
-
     def drain(self) -> None:
         """Dispatch pending edges into the closure maps and chase every
         consequence (summaries, PSF growth, re-enqueues) to a fixpoint.
@@ -828,34 +870,6 @@ class _PushdownEngine(_Engine):
                 continue
             return
 
-
-def _after_sources(deps: dict) -> tuple:
-    """The keys of deps, each after those it depends on (a post-order of
-    a depth-first walk), and whether the walk met a cycle, which no
-    order can respect."""
-    order: list = []
-    done: set = set()
-    cyclic = False
-    for root in deps:
-        if root in done:
-            continue
-        path = {root}
-        stack = [(root, iter(deps[root]))]
-        while stack:
-            k, pending = stack[-1]
-            for d in pending:
-                if d in path:
-                    cyclic = True
-                elif d not in done:
-                    path.add(d)
-                    stack.append((d, iter(deps[d])))
-                    break
-            else:
-                stack.pop()
-                path.discard(k)
-                done.add(k)
-                order.append(k)
-    return order, cyclic
 
 
 def analyze(lp: LabeledProgram, policy: Policy | None = None,

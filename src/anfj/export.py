@@ -7,6 +7,13 @@ bytes. The internal worklist bookkeeping is not serialized. This module
 only writes; the reader, which rebuilds a graph from the JSON form given
 the same program, is a specification in the tests (tests/oracles.py).
 
+A JSON node holds its stepped store ("store") and the sorted ids of its
+push sources ("sources", empty in the finite baseline). Its visible
+store, the stepped one plus the frames beneath it, is not written: it
+is engine.visible_stores over those two members, which a reader can
+also rebuild from the edges alone (the push sources are pfp flattened
+over frames).
+
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from
 fragments rather than dumped from one nested object. Neighbouring node
@@ -34,7 +41,7 @@ from .engine import DSG
 from .machine import Addr, Value
 
 FORMAT_NAME = "anfj-dsg"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # -- JSON pieces --------------------------------------------------------------
@@ -135,8 +142,10 @@ def dsg_to_json(dsg: DSG) -> str:
     render_store = _store_renderer(stores)
 
     def node_text(i: int, q: ControlState) -> str:
+        sources = sorted(ids[w] for w in dsg.sources.get(q, ()))
         return _object({"fp": _dumps(ptr_to_json(q.fp)), "id": str(i),
                         "label": _dumps(q.stmt.label),
+                        "sources": _dumps(sources),
                         "store": render_store(stores[i]),
                         "time": _dumps(list(q.time))})
 

@@ -34,11 +34,15 @@ POPULATION_NOTE = (
 def points_to_union(dsg: DSG) -> dict:
     """Addr -> union of its value sets across every node store.
 
-    Node stores share their value-set objects, so most sets met are the
+    It reads the stepped stores: what a visible store adds, the frames
+    beneath its node, are bindings of its push sources' stepped stores,
+    so the union is the same without building any visible store. Node
+    stores share their value-set objects, so most sets met are the
     union so far or a subset of it; those skip building a new set."""
     union: dict = {}
+    stores = dsg.node_stores
     for n in dsg.nodes:
-        for a, vals in dsg.node_store(n).items():
+        for a, vals in stores.get(n, {}).items():
             have = union.get(a)
             if have is None:
                 union[a] = vals
@@ -48,11 +52,13 @@ def points_to_union(dsg: DSG) -> dict:
 
 
 def thrown_classes(dsg: DSG) -> set:
-    """Classes of values a throw statement may actually throw."""
+    """Classes of values a throw statement may actually throw. The
+    thrown variable is on the throw's own frame, which its stepped store
+    holds."""
     out = set()
     for n in dsg.nodes:
         if isinstance(n.stmt, Throw):
-            vals = dsg.node_store(n).get(Addr(n.stmt.var, n.fp), ())
+            vals = dsg.node_stores.get(n, {}).get(Addr(n.stmt.var, n.fp), ())
             out.update(v.class_name for v in vals)
     return out
 

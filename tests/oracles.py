@@ -282,8 +282,9 @@ def collect(q: ControlState, sigma: dict, fps, lp, policy: Policy) -> dict:
 # carries only the heap and that activation's frame, and every epsilon
 # edge, summaries included, carries at least its source's own frame.
 # The collection's stack roots are the call frames' pointers plus the
-# objects the frames beneath hold. The visible stores exported add the
-# frames beneath each node, rebuilt from its push sources.
+# objects the frames beneath hold. The result holds these stepped
+# stores and each node's push sources; frames_beneath rebuilds the
+# visible stores from its edges.
 
 def own_frame(sigma: dict, fp) -> dict:
     """The bindings of sigma on the frame pointer fp."""
@@ -298,7 +299,8 @@ def heap_and_frame(sigma: dict, fp) -> dict:
 
 def reference_analysis(lp, policy: Policy) -> DSG:
     """The least fixpoint the engine must reach, as a DSG holding the
-    nodes, edges, full and visible stores and diagnostics."""
+    nodes, edges, full and stepped stores, push sources and
+    diagnostics."""
     q0 = inject_abstract(lp)
     nodes = {q0}
     edges: set = set()
@@ -359,8 +361,8 @@ def reference_analysis(lp, policy: Policy) -> DSG:
     dsg = DSG(lp=lp, policy=policy, initial=q0)
     dsg.nodes, dsg.edges = nodes, edges
     dsg.full_stores = full
-    dsg.node_stores = (with_frames_beneath(visible, tf, pfp) if pushdown
-                       else visible)
+    dsg.node_stores = visible
+    dsg.sources = flat_sources(pfp) if pushdown else {}
     dsg.diagnostics = diags
     return dsg
 
@@ -405,6 +407,25 @@ def with_frames_beneath(stepped: dict, tf: dict, pfp: dict) -> dict:
                         vis[s] = joined
                         changed = True
     return vis
+
+
+def flat_sources(pfp: dict) -> dict:
+    """Node -> the frozenset of its push sources over all its top
+    frames, for the nodes that have any."""
+    out: dict = {}
+    for (s, _), ws in pfp.items():
+        if ws:
+            out[s] = out.get(s, frozenset()) | ws
+    return out
+
+
+def frames_beneath(dsg: DSG) -> tuple:
+    """(push sources, visible stores) of a graph, rebuilt from its edges
+    and stepped stores alone: the top frames and push sources of
+    _stack_closure over the edges, and with_frames_beneath over
+    those."""
+    _, tf, _, pfp = _stack_closure(dsg.initial, dsg.edges)
+    return flat_sources(pfp), with_frames_beneath(dsg.node_stores, tf, pfp)
 
 
 def _stack_closure(q0, edges: set):
@@ -583,8 +604,9 @@ def policy_from_json(data) -> Policy:
 
 
 def dsg_from_json(lp, data) -> DSG:
-    """Rebuild the structural graph (nodes, edges, stores, diagnostics)
-    from exported JSON. Worklist internals start empty."""
+    """Rebuild the structural graph (nodes, edges, stepped stores, push
+    sources, diagnostics) from exported JSON. Worklist internals start
+    empty. The push sources written must be those the edges imply."""
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a state-graph document")
     if data.get("version") != FORMAT_VERSION:
@@ -603,8 +625,14 @@ def dsg_from_json(lp, data) -> DSG:
     dsg.edges = {(states[i], action_from_json(lp, act), states[j])
                  for i, act, j in data["edges"]}
     dsg.node_stores = stores
+    dsg.sources = {states[obj["id"]]: frozenset(states[i]
+                                                for i in obj["sources"])
+                   for obj in data["nodes"] if obj["sources"]}
     dsg.diagnostics = {(lbl, reason)
                        for lbl, reason in data.get("diagnostics", ())}
+    _, _, _, pfp = _stack_closure(dsg.initial, dsg.edges)
+    if dsg.sources != flat_sources(pfp):
+        raise ValueError("push sources disagree with the edges")
     return dsg
 
 

@@ -10,10 +10,12 @@ from anfj.engine import analyze
 from anfj.export import dsg_to_dot, export_dsg, ptr_to_json
 from anfj.syntax import TryCatch, load_program
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, FANIN, corpus_names, corpus_program, named_program
 from oracles import (
-    action_from_json, dsg_from_json, frame_from_json, ptr_from_json,
+    action_from_json, dsg_from_json, frame_from_json, frames_beneath,
+    ptr_from_json,
 )
+from test_byte_identity import POLICIES
 
 SINGLE_NODE = """
 // the graph cannot leave the entry statement: x is never bound
@@ -79,6 +81,7 @@ def test_json_round_trip(name, policy):
     assert back.nodes == dsg.nodes
     assert back.edges == dsg.edges
     assert back.node_stores == dsg.node_stores
+    assert back.sources == dsg.sources
     assert back.diagnostics == dsg.diagnostics
     assert back.initial == dsg.initial
     assert back.policy == policy
@@ -109,8 +112,44 @@ def test_node_ids_are_dense_and_ordered():
     dsg = analyze(corpus_program("var_chain"), Policy(k=0))
     doc = json.loads(export_dsg(dsg, "json"))
     assert [n["id"] for n in doc["nodes"]] == list(range(len(doc["nodes"])))
-    assert doc["format"] == "anfj-dsg" and doc["version"] == 2
+    assert doc["format"] == "anfj-dsg" and doc["version"] == 3
     assert 0 <= doc["initial"] < len(doc["nodes"])
+    for n in doc["nodes"]:
+        assert n["sources"] == sorted(set(n["sources"]))
+        assert all(0 <= i < len(doc["nodes"]) for i in n["sources"])
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_every_node_names_its_sources(mode):
+    # the member is there on every node, and empty in the finite
+    # baseline, which has no push edges
+    doc = json.loads(export_dsg(
+        analyze(corpus_program("deep_throw"), Policy(mode=mode)), "json"))
+    assert all("sources" in n for n in doc["nodes"])
+    assert any(n["sources"] for n in doc["nodes"]) == (mode == "pushdown")
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
+def test_rebuilt_visible_stores_equal_node_store(name):
+    # the export holds stepped stores and push sources; a reader
+    # rebuilds the visible stores from the edges alone, without the
+    # engine, and they are DSG.node_store's
+    lp = named_program(name)
+    for policy in POLICIES:
+        dsg = analyze(lp, policy)
+        back = dsg_from_json(lp, json.loads(export_dsg(dsg, "json")))
+        sources, visible = frames_beneath(back)
+        assert sources == back.sources == dsg.sources, policy
+        assert visible == {q: dsg.node_store(q) for q in dsg.nodes}, policy
+
+
+def test_written_sources_must_match_the_edges():
+    lp = corpus_program("deep_throw")
+    doc = json.loads(export_dsg(analyze(lp, Policy()), "json"))
+    node = next(n for n in doc["nodes"] if n["sources"])
+    node["sources"] = []
+    with pytest.raises(ValueError):
+        dsg_from_json(lp, doc)
 
 
 def test_object_pointer_receiver_survives_round_trip():
@@ -131,7 +170,7 @@ def test_malformed_documents_rejected():
     with pytest.raises(ValueError):
         dsg_from_json(lp, {"format": "something-else"})
     with pytest.raises(ValueError):
-        dsg_from_json(lp, {"format": "anfj-dsg", "version": 1})
+        dsg_from_json(lp, {"format": "anfj-dsg", "version": 2})
     with pytest.raises(ValueError):
         ptr_from_json(["zz", 1, []])
     with pytest.raises(ValueError):

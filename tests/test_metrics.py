@@ -11,11 +11,12 @@ from anfj.machine import Addr, Value, run
 from anfj.metrics import (
     POPULATION_NOTE, SideBudgetExceeded, compare, count_methods,
     metric_ec_links, metric_throws, metric_var_points_to, points_to_union,
-    report,
+    report, thrown_classes,
 )
 from anfj.syntax import Throw, load_program
 
-from helpers import corpus_names, corpus_program
+from helpers import CHAINS, FANIN, corpus_names, corpus_program, named_program
+from test_byte_identity import POLICIES
 
 NOGC = Policy(k=0, gc=False, liveness=False)
 
@@ -50,6 +51,26 @@ def test_empty_population_is_none_not_zero():
               nodes={real.initial}, node_stores={real.initial: {}})
     assert metric_var_points_to(dsg) is None
     assert metric_throws(dsg) is None
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
+def test_stepped_stores_give_the_visible_stores_metrics(name):
+    # the metrics read the stepped stores: a visible store adds only
+    # bindings that its push sources' stepped stores hold, and the
+    # thrown variable is on the throw's own frame
+    lp = named_program(name)
+    for policy in POLICIES:
+        dsg = analyze(lp, policy)
+        union: dict = {}
+        thrown = set()
+        for q in dsg.nodes:
+            for a, vals in dsg.node_store(q).items():
+                union[a] = union.get(a, frozenset()) | vals
+            if isinstance(q.stmt, Throw):
+                thrown |= {v.class_name for v in dsg.node_store(q).get(
+                    Addr(q.stmt.var, q.fp), ())}
+        assert points_to_union(dsg) == union, policy
+        assert thrown_classes(dsg) == thrown, policy
 
 
 # -- variable points-to --------------------------------------------------------
