@@ -508,10 +508,9 @@ class _Engine:
     the work a step leaves behind; and `stack_fps(s)`, the GC-root
     pointers of s's stack at its first collection (eagc). It may refine
     `new_contexts(s, memo)`, the contexts of s no step has visited. Root
-    pointers that join s's
-    stack later go into the node's roots for its next collection
-    (Collection.extend); `add_roots` puts them there and wakes s when
-    they would change its stepped store.
+    pointers that join s's stack later go into the node's roots for its
+    next collection (Collection.extend); `add_roots` puts them there and
+    wakes s when they would change its stepped store.
 
     A dequeued node is stepped in full under a context only when the
     context is new to it or the stepped store changed at an address the

@@ -362,7 +362,7 @@ def reference_analysis(lp, policy: Policy) -> DSG:
     dsg.nodes, dsg.edges = nodes, edges
     dsg.full_stores = full
     dsg.node_stores = visible
-    dsg.sources = flat_sources(pfp) if pushdown else {}
+    dsg.sources = flat_sources(pfp)
     dsg.diagnostics = diags
     return dsg
 
@@ -571,9 +571,20 @@ def addr_from_json(data) -> Addr:
     return Addr(data[0], ptr_from_json(data[1]))
 
 
-def store_from_json(data) -> dict:
-    return {addr_from_json(a): frozenset(value_from_json(v) for v in vals)
-            for a, vals in data}
+def store_from_json(data, seen: dict) -> dict:
+    """One node's store. seen, shared by the stores of one document,
+    maps the text of each address and value list already read to what
+    it was read as: neighbouring stores repeat them, so each is read
+    once and shared, as the engine shares them."""
+    out = {}
+    for a, vals in data:
+        ka, kv = repr(a), repr(vals)
+        if ka not in seen:
+            seen[ka] = addr_from_json(a)
+        if kv not in seen:
+            seen[kv] = frozenset(value_from_json(v) for v in vals)
+        out[seen[ka]] = seen[kv]
+    return out
 
 
 def frame_from_json(lp, data):
@@ -606,7 +617,8 @@ def policy_from_json(data) -> Policy:
 def dsg_from_json(lp, data) -> DSG:
     """Rebuild the structural graph (nodes, edges, stepped stores, push
     sources, diagnostics) from exported JSON. Worklist internals start
-    empty. The push sources written must be those the edges imply."""
+    empty; frames_beneath rebuilds the visible stores, and the push
+    sources the edges imply."""
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a state-graph document")
     if data.get("version") != FORMAT_VERSION:
@@ -615,11 +627,12 @@ def dsg_from_json(lp, data) -> DSG:
     policy = policy_from_json(data["policy"])
     states = {}
     stores = {}
+    seen: dict = {}
     for obj in data["nodes"]:
         q = ControlState(lp.stmt(obj["label"]),
                          ptr_from_json(obj["fp"]), tuple(obj["time"]))
         states[obj["id"]] = q
-        stores[q] = store_from_json(obj["store"])
+        stores[q] = store_from_json(obj["store"], seen)
     dsg = DSG(lp=lp, policy=policy, initial=states[data["initial"]])
     dsg.nodes = set(states.values())
     dsg.edges = {(states[i], action_from_json(lp, act), states[j])
@@ -630,9 +643,6 @@ def dsg_from_json(lp, data) -> DSG:
                    for obj in data["nodes"] if obj["sources"]}
     dsg.diagnostics = {(lbl, reason)
                        for lbl, reason in data.get("diagnostics", ())}
-    _, _, _, pfp = _stack_closure(dsg.initial, dsg.edges)
-    if dsg.sources != flat_sources(pfp):
-        raise ValueError("push sources disagree with the edges")
     return dsg
 
 

@@ -2,7 +2,8 @@
 
 `byte_identity.json` holds three sha256 digests per (program, policy):
 one each of the JSON export, the DOT export and the metrics report's
-JSON, so a change of one output shows as that digest alone. The programs are the whole corpus plus two generated call chains; the
+JSON, so a change of one output shows as that digest alone. The
+programs are the whole corpus plus two generated call chains; the
 policies are k in {0, 1} x gc on/off x pushdown/finite. Each program
 also has the digest of the standard output of `anfj run` with the flags
 in RUN_ARGV, the concrete trace line by line. A change that alters any
