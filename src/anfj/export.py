@@ -7,41 +7,55 @@ bytes. The internal worklist bookkeeping is not serialized. This module
 only writes; the reader, which rebuilds a graph from the JSON form given
 the same program, is a specification in the tests (tests/oracles.py).
 
-A JSON node holds its stepped store ("store") and the sorted ids of its
-push sources ("sources", empty in the finite baseline). Its visible
-store, the stepped one plus the frames beneath it, is not written: it
-is engine.visible_stores over those two members, which a reader can
-also rebuild from the edges alone (the push sources are pfp flattened
-over frames).
+A JSON node (format 4) writes its stepped store as a delta over a base
+node, after Johnson, Labich, Might & Van Horn ("Optimizing Abstract
+Abstract Machines", ICFP 2013): "base" names that node's id or is null,
+"store" holds the entries that differ from what the base passes on, and
+"drop" the addresses the base passes on that the node does not bind. A
+base passes on its whole stepped store in finite mode and when it has
+the node's frame pointer; otherwise it passes on what a push or pop edge
+carries, engine.heap_and_frame: the heap and the node's own frame. The
+candidates are the node's edge predecessors one breadth-first level
+nearer to the initial node, over every edge, so the bases form a tree
+and a reader rebuilds each store from its base's. The candidate with
+the fewest written entries wins, the lowest id on a tie, and the store
+is written in full with a null base when that is no larger. The choice
+reads only the graph and compares stores and value sets by ==, so no
+worklist or hash order reaches it. Each node also writes the sorted ids
+of its push sources ("sources", empty in the finite baseline). Its
+visible store, the stepped one plus the frames beneath it, is not
+written: it is engine.visible_stores over the stepped stores and
+sources, which a reader can also rebuild from the edges alone (the push
+sources are pfp flattened over frames).
 
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from
-fragments rather than dumped from one nested object. Neighbouring node
-stores mostly hold the same addresses bound to the same (shared) value
-sets, so one export renders each distinct address and each distinct
-value set once: the addresses of all stores are sorted by addr_key
-once, each store's entries are ordered by that integer rank, and the
-value-set text is memoized on the frozenset. Every fragment comes from
-the encoder json.dumps uses with those settings, so string escaping is
-json's own; the splicing only adds brackets, commas and object keys,
-and one routine (_object) orders every object's keys as sort_keys
-does.
+fragments rather than dumped from one nested object. One export renders
+each distinct address, value set, frame pointer, time and object key
+once: the written addresses are sorted by addr_key once, each store's
+entries are ordered by that integer rank, and the other texts are
+memoized on their value. Every fragment comes from the encoder
+json.dumps uses with those settings, so string escaping is json's own;
+the splicing only adds brackets, commas and object keys, and one
+routine (_object) orders every object's keys as sort_keys does.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from operator import itemgetter
 
 from .domain import (
     CallFrame, ControlState, Epsilon, FramePtr, HandlerFrame,
     ObjPtr, Policy, Pop, Push, action_key, addr_key, frame_key, state_key,
     sorted_values,
 )
-from .engine import DSG
+from .engine import DSG, heap_and_frame
 from .machine import Addr, Value
 
 FORMAT_NAME = "anfj-dsg"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 # -- JSON pieces --------------------------------------------------------------
@@ -93,6 +107,12 @@ def policy_to_json(p: Policy) -> dict:
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+@functools.cache
+def _key_text(key: str) -> str:
+    """An object key's JSON text and its colon. The keys are this
+    module's own literals."""
+    return _dumps(key) + ":"
+
 
 def _object(members: dict) -> str:
     """A JSON object from already-rendered member texts, keys in the
@@ -101,24 +121,79 @@ def _object(members: dict) -> str:
     document."""
     pieces = []
     for key, text in sorted(members.items()):
-        pieces += (",", _dumps(key), ":", text)
+        pieces += (",", _key_text(key), text)
     pieces[0] = "{"
     pieces.append("}")
     return "".join(pieces)
 
 
+def _levels(initial: int, edges: list, n: int) -> list:
+    """Each of the n node ids' breadth-first distance from initial over
+    the (source id, target id) edges; None where initial does not reach."""
+    succ: list = [[] for _ in range(n)]
+    for i, j in edges:
+        succ[i].append(j)
+    level = [None] * n
+    level[initial] = 0
+    frontier = [initial]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for i in frontier:
+            for j in succ[i]:
+                if level[j] is None:
+                    level[j] = depth
+                    nxt.append(j)
+        frontier = nxt
+    return level
 
-def _store_renderer(stores: list):
-    """A function rendering any one of `stores` (Addr -> value set) as
-    the JSON text of its sorted entry list. Each distinct address is
-    ranked and rendered once; each distinct value set is rendered on
-    first use."""
-    addrs = sorted(set().union(*stores), key=addr_key)
+
+def _store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
+                  edges: list) -> list:
+    """Per node, in id order, what format 4 writes for its stepped store:
+    (base id or None, the entries that differ from what the base passes
+    on, the addresses the base passes on that the node does not bind).
+    nodes and stores are in id order, initial and the (source, target)
+    edges are ids. See the module docstring for the rule."""
+    level = _levels(initial, edges, len(nodes))
+    candidates: list = [set() for _ in nodes]
+    for i, j in edges:
+        if level[i] is not None and level[j] == level[i] + 1:
+            candidates[j].add(i)
+    pushdown = policy.mode == "pushdown"
+    out = []
+    for q, sigma, bases in zip(nodes, stores, candidates):
+        best, size = (None, sigma, ()), len(sigma)
+        for b in sorted(bases):
+            passed = stores[b]
+            if pushdown and nodes[b].fp != q.fp:
+                passed = heap_and_frame(passed, q.fp)
+            delta = {a: vals for a, vals in sigma.items()
+                     if (was := passed.get(a)) is not vals and was != vals}
+            # passed binds the entries of sigma outside delta alike, so
+            # it binds more than sigma only if it is larger than those
+            drop = ([a for a in passed if a not in sigma]
+                    if len(passed) > len(sigma) - len(delta) else [])
+            if len(delta) + len(drop) < size:
+                best, size = (b, delta, drop), len(delta) + len(drop)
+        out.append(best)
+    return out
+
+
+def _renderers(written: list) -> tuple:
+    """Functions rendering an entry list (Addr -> value set) and an
+    address list as JSON text, sorted, for the stores and drops of
+    `written`. Each distinct address is ranked and rendered once; each
+    distinct value set is rendered on first use."""
+    addrs = sorted(set().union(*(sigma.keys() | drop
+                                 for _, sigma, drop in written)),
+                   key=addr_key)
     rank = {a: i for i, a in enumerate(addrs)}
-    entry_head = {a: "[" + _dumps(addr_to_json(a)) + "," for a in addrs}
+    addr_text = {a: _dumps(addr_to_json(a)) for a in addrs}
     vals_text: dict = {}
 
-    def render(sigma: dict) -> str:
+    def render_store(sigma: dict) -> str:
         parts = []
         for a in sorted(sigma, key=rank.__getitem__):
             vals = sigma[a]
@@ -126,11 +201,14 @@ def _store_renderer(stores: list):
             if text is None:
                 text = vals_text[vals] = _dumps(
                     [value_to_json(v) for v in sorted_values(vals)])
-            parts.append(entry_head[a] + text + "]")
+            parts.append("[" + addr_text[a] + "," + text + "]")
         return "[" + ",".join(parts) + "]"
 
-    return render
+    def render_addrs(drop) -> str:
+        return "[" + ",".join(addr_text[a] for a in
+                              sorted(drop, key=rank.__getitem__)) + "]"
 
+    return render_store, render_addrs
 
 
 def dsg_to_json(dsg: DSG) -> str:
@@ -138,19 +216,28 @@ def dsg_to_json(dsg: DSG) -> str:
     under re-export."""
     nodes = sorted(dsg.nodes, key=state_key)
     ids = {q: i for i, q in enumerate(nodes)}
-    stores = [dsg.node_stores.get(q, {}) for q in nodes]
-    render_store = _store_renderer(stores)
+    edges = sorted((((ids[s1], action_key(act), ids[s2]), act)
+                    for s1, act, s2 in dsg.edges), key=itemgetter(0))
+    written = _store_deltas(dsg.policy, nodes,
+                            [dsg.node_stores.get(q, {}) for q in nodes],
+                            ids[dsg.initial], [(i, j) for (i, _, j), _ in edges])
+    render_store, render_addrs = _renderers(written)
+    fp_text = functools.cache(lambda fp: _dumps(ptr_to_json(fp)))
+    time_text = functools.cache(lambda time: _dumps(list(time)))
+    label_text = functools.cache(_dumps)
+    sources_text = functools.cache(
+        lambda ws: _dumps(sorted(ids[w] for w in ws)))
 
     def node_text(i: int, q: ControlState) -> str:
-        sources = sorted(ids[w] for w in dsg.sources.get(q, ()))
-        return _object({"fp": _dumps(ptr_to_json(q.fp)), "id": str(i),
-                        "label": _dumps(q.stmt.label),
-                        "sources": _dumps(sources),
-                        "store": render_store(stores[i]),
-                        "time": _dumps(list(q.time))})
+        base, sigma, drop = written[i]
+        return _object({"base": "null" if base is None else str(base),
+                        "drop": render_addrs(drop),
+                        "fp": fp_text(q.fp), "id": str(i),
+                        "label": label_text(q.stmt.label),
+                        "sources": sources_text(dsg.sources.get(q, ())),
+                        "store": render_store(sigma),
+                        "time": time_text(q.time)})
 
-    edges = sorted(dsg.edges,
-                   key=lambda e: (ids[e[0]], action_key(e[1]), ids[e[2]]))
     out = {
         "format": _dumps(FORMAT_NAME),
         "version": _dumps(FORMAT_VERSION),
@@ -158,8 +245,8 @@ def dsg_to_json(dsg: DSG) -> str:
         "initial": str(ids[dsg.initial]),
         "nodes": "[" + ",".join(node_text(i, q)
                                 for i, q in enumerate(nodes)) + "]",
-        "edges": _dumps([[ids[s1], action_to_json(act), ids[s2]]
-                         for s1, act, s2 in edges]),
+        "edges": _dumps([[i, action_to_json(act), j]
+                         for (i, _, j), act in edges]),
         "diagnostics": _dumps(sorted([lbl, reason]
                                      for lbl, reason in dsg.diagnostics)),
     }
@@ -175,21 +262,21 @@ def _ptr_label(ptr) -> str:
     return f"op({ptr.site};{t}{recv})"
 
 
-
-def _frame_label(f) -> str:
-    if isinstance(f, CallFrame):
-        return f"call {f.var}<-L{f.target.label} {_ptr_label(f.fp)}"
-    return f"handle {f.class_name} {f.var}->L{f.target.label} {_ptr_label(f.fp)}"
-
-
-
 def dsg_to_dot(dsg: DSG) -> str:
     nodes = sorted(dsg.nodes, key=state_key)
     ids = {q: i for i, q in enumerate(nodes)}
+    ptr_label = functools.cache(_ptr_label)
+
+    def frame_label(f) -> str:
+        if isinstance(f, CallFrame):
+            return f"call {f.var}<-L{f.target.label} {ptr_label(f.fp)}"
+        return (f"handle {f.class_name} {f.var}->L{f.target.label} "
+                f"{ptr_label(f.fp)}")
+
     lines = ["digraph dsg {", "  rankdir=LR;", "  node [shape=box];"]
     for i, q in enumerate(nodes):
         kind = type(q.stmt).__name__.lower()
-        label = f"L{q.stmt.label} {kind}\\n{_ptr_label(q.fp)}"
+        label = f"L{q.stmt.label} {kind}\\n{ptr_label(q.fp)}"
         extra = " penwidth=2" if q == dsg.initial else ""
         lines.append(f'  n{i} [label="{label}"{extra}];')
     edges = sorted(dsg.edges,
@@ -198,9 +285,9 @@ def dsg_to_dot(dsg: DSG) -> str:
         if isinstance(act, Epsilon):
             attr = 'style=dashed label=""'
         elif isinstance(act, Push):
-            attr = f'label="g+ {_frame_label(act.frame)}"'
+            attr = f'label="g+ {frame_label(act.frame)}"'
         else:
-            attr = f'label="g- {_frame_label(act.frame)}"'
+            attr = f'label="g- {frame_label(act.frame)}"'
         lines.append(f"  n{ids[s1]} -> n{ids[s2]} [{attr}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -625,25 +625,68 @@ def dsg_from_json(lp, data) -> DSG:
         raise ValueError(f"state-graph format version {data.get('version')!r}, "
                          f"not {FORMAT_VERSION}")
     policy = policy_from_json(data["policy"])
-    states = {}
-    stores = {}
-    seen: dict = {}
-    for obj in data["nodes"]:
-        q = ControlState(lp.stmt(obj["label"]),
-                         ptr_from_json(obj["fp"]), tuple(obj["time"]))
-        states[obj["id"]] = q
-        stores[q] = store_from_json(obj["store"], seen)
+    objs = {obj["id"]: obj for obj in data["nodes"]}
+    states = {i: ControlState(lp.stmt(obj["label"]), ptr_from_json(obj["fp"]),
+                              tuple(obj["time"]))
+              for i, obj in objs.items()}
+    stores = stepped_stores_from_json(objs, states, policy)
     dsg = DSG(lp=lp, policy=policy, initial=states[data["initial"]])
     dsg.nodes = set(states.values())
     dsg.edges = {(states[i], action_from_json(lp, act), states[j])
                  for i, act, j in data["edges"]}
-    dsg.node_stores = stores
-    dsg.sources = {states[obj["id"]]: frozenset(states[i]
-                                                for i in obj["sources"])
-                   for obj in data["nodes"] if obj["sources"]}
+    dsg.node_stores = {states[i]: sigma for i, sigma in stores.items()}
+    dsg.sources = {states[i]: frozenset(states[j] for j in obj["sources"])
+                   for i, obj in objs.items() if obj["sources"]}
     dsg.diagnostics = {(lbl, reason)
                        for lbl, reason in data.get("diagnostics", ())}
     return dsg
+
+
+def bfs_levels(dsg: DSG) -> dict:
+    """Node -> the fewest edges on a path to it from the initial node."""
+    succ: dict = {}
+    for s1, _act, s2 in dsg.edges:
+        succ.setdefault(s1, set()).add(s2)
+    level = {dsg.initial: 0}
+    queue = deque([dsg.initial])
+    while queue:
+        s = queue.popleft()
+        for s2 in succ.get(s, ()):
+            if s2 not in level:
+                level[s2] = level[s] + 1
+                queue.append(s2)
+    return level
+
+
+def stepped_stores_from_json(objs: dict, states: dict, policy: Policy) -> dict:
+    """Node id -> its stepped store, each rebuilt from its base's: what
+    the base passes on (its whole store, or only its heap and the node's
+    own frame when the base is a pushdown node of another frame), less
+    the node's "drop", with its "store" written over. A base chain can
+    be as long as the graph is deep, so each is walked up with a list,
+    not by recursion, and then rebuilt downwards."""
+    pushdown = policy.mode == "pushdown"
+    stores: dict = {}
+    seen: dict = {}
+    for i in objs:
+        chain = []
+        while i is not None and i not in stores:
+            if len(chain) > len(objs):
+                raise ValueError("the node bases form a cycle")
+            chain.append(i)
+            i = objs[i]["base"]
+        for j in reversed(chain):
+            obj, base = objs[j], objs[j]["base"]
+            sigma = {} if base is None else stores[base]
+            if (pushdown and base is not None
+                    and states[base].fp != states[j].fp):
+                sigma = heap_and_frame(sigma, states[j].fp)
+            sigma = dict(sigma)
+            for a in obj["drop"]:
+                del sigma[addr_from_json(a)]
+            sigma.update(store_from_json(obj["store"], seen))
+            stores[j] = sigma
+    return stores
 
 
 def reference_tokens(src: str) -> list[tuple[str, str, int, int]]:

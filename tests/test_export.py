@@ -5,15 +5,15 @@ from collections import Counter
 
 import pytest
 
-from anfj.domain import EPSILON, FramePtr, ObjPtr, Policy
+from anfj.domain import EPSILON, FramePtr, ObjPtr, Policy, state_key
 from anfj.engine import analyze
 from anfj.export import dsg_to_dot, export_dsg, ptr_to_json
 from anfj.syntax import TryCatch, load_program
 
 from helpers import CHAINS, FANIN, corpus_names, corpus_program, named_program
 from oracles import (
-    action_from_json, dsg_from_json, frame_from_json, frames_beneath,
-    ptr_from_json,
+    action_from_json, bfs_levels, dsg_from_json, frame_from_json,
+    frames_beneath, ptr_from_json,
 )
 from test_byte_identity import POLICIES
 
@@ -112,23 +112,41 @@ def test_node_ids_are_dense_and_ordered():
     dsg = analyze(corpus_program("var_chain"), Policy(k=0))
     doc = json.loads(export_dsg(dsg, "json"))
     assert [n["id"] for n in doc["nodes"]] == list(range(len(doc["nodes"])))
-    assert doc["format"] == "anfj-dsg" and doc["version"] == 3
+    assert doc["format"] == "anfj-dsg" and doc["version"] == 4
     assert 0 <= doc["initial"] < len(doc["nodes"])
     for n in doc["nodes"]:
         assert n["sources"] == sorted(set(n["sources"]))
         assert all(0 <= i < len(doc["nodes"]) for i in n["sources"])
+        assert n["base"] is None or 0 <= n["base"] < len(doc["nodes"])
 
 
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
 def test_rebuilt_visible_stores_equal_node_store(name):
-    # the export holds stepped stores and push sources; a reader
-    # rebuilds both the push sources and the visible stores from the
-    # edges alone, without the engine: the sources are those written,
-    # and the stores DSG.node_store's
+    # the export holds each stepped store as a delta over a base node,
+    # and push sources; a reader rebuilds the stepped stores along the
+    # bases, and the push sources and the visible stores from the edges
+    # alone, without the engine: the stores are the engine's, the
+    # sources those written, the visible stores DSG.node_store's, and
+    # the rebuilt graph exports the same bytes
     lp = named_program(name)
     for policy in POLICIES:
         dsg = analyze(lp, policy)
-        back = dsg_from_json(lp, json.loads(export_dsg(dsg, "json")))
+        blob = export_dsg(dsg, "json")
+        doc = json.loads(blob)
+        back = dsg_from_json(lp, doc)
+        assert back.node_stores == dsg.node_stores, policy
+        assert export_dsg(back, "json") == blob, policy
+        # each base is an edge predecessor one breadth-first level
+        # nearer to the initial node, so the bases form a tree
+        states = {n["id"]: q for n, q in
+                  zip(doc["nodes"], sorted(back.nodes, key=state_key))}
+        level = bfs_levels(back)
+        preds = {(s1, s2) for s1, _act, s2 in back.edges}
+        for n in doc["nodes"]:
+            if n["base"] is not None:
+                b, q = states[n["base"]], states[n["id"]]
+                assert (b, q) in preds, policy
+                assert level[b] == level[q] - 1, policy
         sources, visible = frames_beneath(back)
         assert sources == back.sources == dsg.sources, policy
         assert visible == {q: dsg.node_store(q) for q in dsg.nodes}, policy
@@ -152,7 +170,11 @@ def test_malformed_documents_rejected():
     with pytest.raises(ValueError):
         dsg_from_json(lp, {"format": "something-else"})
     with pytest.raises(ValueError):
-        dsg_from_json(lp, {"format": "anfj-dsg", "version": 2})
+        dsg_from_json(lp, {"format": "anfj-dsg", "version": 3})
+    doc = json.loads(export_dsg(analyze(lp, Policy(k=0)), "json"))
+    doc["nodes"][0]["base"] = doc["nodes"][0]["id"]
+    with pytest.raises(ValueError):
+        dsg_from_json(lp, doc)
     with pytest.raises(ValueError):
         ptr_from_json(["zz", 1, []])
     with pytest.raises(ValueError):
