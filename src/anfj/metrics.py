@@ -63,30 +63,38 @@ def thrown_classes(dsg: DSG) -> set:
     return out
 
 
-def _mean(sizes: list) -> Optional[float]:
-    if not sizes:
-        return None
-    return sum(sizes) / len(sizes)
-
-
-def _role_mean(union: dict, exc: set, exception_role: bool) -> Optional[float]:
-    """Mean size of the unions holding at least one class of the given
-    role (exception role: a member of exc)."""
-    sizes = [len(vals) for vals in union.values()
-             if any((v.class_name in exc) == exception_role for v in vals)]
-    return _mean(sizes)
+def _role_means(union: dict, exc: set) -> tuple:
+    """(VarPointsTo, Throws): the mean size of the unions holding at
+    least one class outside exc, and of those holding at least one
+    class in exc, each None when no union qualifies. One pass; the
+    sizes are summed as integers, so each mean is the same float as
+    the mean of the list of sizes."""
+    var_sum = var_n = thr_sum = thr_n = 0
+    for vals in union.values():
+        size, hits = len(vals), 0
+        for v in vals:
+            if v.class_name in exc:
+                hits += 1
+        if hits < size:
+            var_sum += size
+            var_n += 1
+        if hits:
+            thr_sum += size
+            thr_n += 1
+    return (var_sum / var_n if var_n else None,
+            thr_sum / thr_n if thr_n else None)
 
 
 def metric_var_points_to(dsg: DSG) -> Optional[float]:
     """Mean points-to cardinality over addresses holding at least one
     non-exception-role class."""
-    return _role_mean(points_to_union(dsg), thrown_classes(dsg), False)
+    return _role_means(points_to_union(dsg), thrown_classes(dsg))[0]
 
 
 def metric_throws(dsg: DSG) -> Optional[float]:
     """Mean points-to cardinality over addresses holding at least one
     exception-role class."""
-    return _role_mean(points_to_union(dsg), thrown_classes(dsg), True)
+    return _role_means(points_to_union(dsg), thrown_classes(dsg))[1]
 
 
 def metric_ec_links(dsg: DSG) -> tuple:
@@ -169,11 +177,12 @@ def describe_policy(policy) -> str:
 
 def report(dsg: DSG) -> MetricsReport:
     links, avg = metric_ec_links(dsg)
-    union, exc = points_to_union(dsg), thrown_classes(dsg)
+    var_points_to, throws = _role_means(points_to_union(dsg),
+                                        thrown_classes(dsg))
     return MetricsReport(
         policy_desc=describe_policy(dsg.policy),
-        var_points_to=_role_mean(union, exc, False),
-        throws=_role_mean(union, exc, True),
+        var_points_to=var_points_to,
+        throws=throws,
         ec_links=sorted(links),
         ec_avg=avg,
         nodes=len(dsg.nodes),
