@@ -30,8 +30,7 @@ def named_program(name: str) -> LabeledProgram:
     if name in CHAINS:
         return load_program(chain_sources()[name])
     if name == FANIN:
-        return load_program(
-            gen_module().fanin_program(48, random.Random(1)).source)
+        return load_program(fanin_source(48))
     return corpus_program(name)
 
 
@@ -55,6 +54,11 @@ def chain_sources() -> dict:
     `perfbench/gen.py` generates for seed 1."""
     return {p.name: p.source for p in gen_module().generate("chain", 1)
             if p.name in CHAINS}
+
+
+def fanin_source(n: int) -> str:
+    """`perfbench/gen.py`'s fan-in program of n call sites for seed 1."""
+    return gen_module().fanin_program(n, random.Random(1)).source
 
 
 def long_method_source(n: int) -> str:
@@ -105,9 +109,10 @@ if __name__ == "__main__":
     # python tests/helpers.py long-method N: print long_method_source(N)
     # python tests/helpers.py deep-try N: print deep_try_source(N)
     # python tests/helpers.py chain N: print chain_source(N)
+    # python tests/helpers.py fanin N: print fanin_source(N)
     sources = {"long-method": long_method_source, "deep-try": deep_try_source,
-               "chain": chain_source}
+               "chain": chain_source, "fanin": fanin_source}
     if len(sys.argv) == 3 and sys.argv[1] in sources:
         print(sources[sys.argv[1]](int(sys.argv[2])), end="")
     else:
-        sys.exit("usage: helpers.py long-method|deep-try|chain N")
+        sys.exit("usage: helpers.py long-method|deep-try|chain|fanin N")
