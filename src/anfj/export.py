@@ -31,10 +31,11 @@ sources are pfp flattened over frames).
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from
 fragments rather than dumped from one nested object. One export renders
-each distinct address, value set, frame pointer, time and object key
-once: the written addresses are sorted by addr_key once, each store's
-entries are ordered by that integer rank, and the other texts are
-memoized on their value. Every fragment comes from the encoder
+each distinct address, value set, frame pointer, time, push-source set
+and object key once: the written addresses are sorted by addr_key once,
+each store's entries are ordered by that integer rank, and the other
+texts are memoized on their value (_Memo), as the DOT export memoizes
+its pointer labels. Every fragment comes from the encoder
 json.dumps uses with those settings, so string escaping is json's own;
 the splicing only adds brackets, commas and object keys, and one
 routine (_object) orders every object's keys as sort_keys does.
@@ -42,7 +43,6 @@ routine (_object) orders every object's keys as sort_keys does.
 
 from __future__ import annotations
 
-import functools
 import json
 from operator import itemgetter
 
@@ -107,11 +107,24 @@ def policy_to_json(p: Policy) -> dict:
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-@functools.cache
-def _key_text(key: str) -> str:
-    """An object key's JSON text and its colon. The keys are this
-    module's own literals."""
-    return _dumps(key) + ":"
+class _Memo(dict):
+    """The text of each distinct value, rendered on its first lookup:
+    memo[value]. One export keeps one per kind of value."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value):
+        text = self[value] = self.render(value)
+        return text
+
+
+# an object key's JSON text and its colon; the keys are this module's
+# own literals
+_key_text = _Memo(lambda key: _dumps(key) + ":")
 
 
 def _object(members: dict) -> str:
@@ -121,7 +134,7 @@ def _object(members: dict) -> str:
     document."""
     pieces = []
     for key, text in sorted(members.items()):
-        pieces += (",", _key_text(key), text)
+        pieces += (",", _key_text[key], text)
     pieces[0] = "{"
     pieces.append("}")
     return "".join(pieces)
@@ -165,6 +178,9 @@ def _store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
     out = []
     for q, sigma, bases in zip(nodes, stores, candidates):
         best, size = (None, sigma, ()), len(sigma)
+        if not sigma:                  # no base can write less
+            out.append(best)
+            continue
         for b in sorted(bases):
             passed = stores[b]
             if pushdown and nodes[b].fp != q.fp:
@@ -186,14 +202,17 @@ def _renderers(written: list) -> tuple:
     address list as JSON text, sorted, for the stores and drops of
     `written`. Each distinct address is ranked and rendered once; each
     distinct value set is rendered on first use."""
-    addrs = sorted(set().union(*(sigma.keys() | drop
-                                 for _, sigma, drop in written)),
-                   key=addr_key)
+    addrs = set()
+    for _, sigma, drop in written:
+        addrs.update(sigma, drop)
+    addrs = sorted(addrs, key=addr_key)
     rank = {a: i for i, a in enumerate(addrs)}
     addr_text = {a: _dumps(addr_to_json(a)) for a in addrs}
     vals_text: dict = {}
 
     def render_store(sigma: dict) -> str:
+        if not sigma:
+            return "[]"
         parts = []
         for a in sorted(sigma, key=rank.__getitem__):
             vals = sigma[a]
@@ -205,6 +224,8 @@ def _renderers(written: list) -> tuple:
         return "[" + ",".join(parts) + "]"
 
     def render_addrs(drop) -> str:
+        if not drop:
+            return "[]"
         return "[" + ",".join(addr_text[a] for a in
                               sorted(drop, key=rank.__getitem__)) + "]"
 
@@ -222,21 +243,19 @@ def dsg_to_json(dsg: DSG) -> str:
                             [dsg.node_stores.get(q, {}) for q in nodes],
                             ids[dsg.initial], [(i, j) for (i, _, j), _ in edges])
     render_store, render_addrs = _renderers(written)
-    fp_text = functools.cache(lambda fp: _dumps(ptr_to_json(fp)))
-    time_text = functools.cache(lambda time: _dumps(list(time)))
-    label_text = functools.cache(_dumps)
-    sources_text = functools.cache(
-        lambda ws: _dumps(sorted(ids[w] for w in ws)))
+    fp_text = _Memo(lambda fp: _dumps(ptr_to_json(fp)))
+    time_text = _Memo(lambda time: _dumps(list(time)))
+    sources_text = _Memo(lambda ws: _dumps(sorted(ids[w] for w in ws)))
 
     def node_text(i: int, q: ControlState) -> str:
         base, sigma, drop = written[i]
         return _object({"base": "null" if base is None else str(base),
                         "drop": render_addrs(drop),
-                        "fp": fp_text(q.fp), "id": str(i),
-                        "label": label_text(q.stmt.label),
-                        "sources": sources_text(dsg.sources.get(q, ())),
+                        "fp": fp_text[q.fp], "id": str(i),
+                        "label": str(q.stmt.label),
+                        "sources": sources_text[dsg.sources.get(q, ())],
                         "store": render_store(sigma),
-                        "time": time_text(q.time)})
+                        "time": time_text[q.time]})
 
     out = {
         "format": _dumps(FORMAT_NAME),
@@ -265,18 +284,18 @@ def _ptr_label(ptr) -> str:
 def dsg_to_dot(dsg: DSG) -> str:
     nodes = sorted(dsg.nodes, key=state_key)
     ids = {q: i for i, q in enumerate(nodes)}
-    ptr_label = functools.cache(_ptr_label)
+    ptr_label = _Memo(_ptr_label)
 
     def frame_label(f) -> str:
         if isinstance(f, CallFrame):
-            return f"call {f.var}<-L{f.target.label} {ptr_label(f.fp)}"
+            return f"call {f.var}<-L{f.target.label} {ptr_label[f.fp]}"
         return (f"handle {f.class_name} {f.var}->L{f.target.label} "
-                f"{ptr_label(f.fp)}")
+                f"{ptr_label[f.fp]}")
 
     lines = ["digraph dsg {", "  rankdir=LR;", "  node [shape=box];"]
     for i, q in enumerate(nodes):
         kind = type(q.stmt).__name__.lower()
-        label = f"L{q.stmt.label} {kind}\\n{ptr_label(q.fp)}"
+        label = f"L{q.stmt.label} {kind}\\n{ptr_label[q.fp]}"
         extra = " penwidth=2" if q == dsg.initial else ""
         lines.append(f'  n{i} [label="{label}"{extra}];')
     edges = sorted(dsg.edges,
