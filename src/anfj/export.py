@@ -208,20 +208,15 @@ def _renderers(written: list) -> tuple:
     addrs = sorted(addrs, key=addr_key)
     rank = {a: i for i, a in enumerate(addrs)}
     addr_text = {a: _dumps(addr_to_json(a)) for a in addrs}
-    vals_text: dict = {}
+    vals_text = _Memo(lambda vals: _dumps(
+        [value_to_json(v) for v in sorted_values(vals)]))
 
     def render_store(sigma: dict) -> str:
         if not sigma:
             return "[]"
-        parts = []
-        for a in sorted(sigma, key=rank.__getitem__):
-            vals = sigma[a]
-            text = vals_text.get(vals)
-            if text is None:
-                text = vals_text[vals] = _dumps(
-                    [value_to_json(v) for v in sorted_values(vals)])
-            parts.append("[" + addr_text[a] + "," + text + "]")
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(
+            "[" + addr_text[a] + "," + vals_text[sigma[a]] + "]"
+            for a in sorted(sigma, key=rank.__getitem__)) + "]"
 
     def render_addrs(drop) -> str:
         if not drop:
