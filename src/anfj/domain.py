@@ -13,7 +13,8 @@ HandlerFrame, and a return, a throw or a handler pop pops the top frame.
 Multi-frame unwinding (exception dispatch, returns over handlers)
 happens one frame per edge; the engine's pop edges re-enter the same
 control state to expose the frame beneath. Each rule collects its
-bindings and writes them into one copy of the store.
+bindings and writes them into one new store (machine.Store.set), which
+shares its unchanged entries with sigma rather than copying them.
 
 Time stamps are the last k call-site labels: the concrete machine's
 call history, cut to its newest k calls. k bounds the context fan-out:
@@ -27,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from collections.abc import Mapping
 from typing import Iterable, Optional
 
-from .machine import Addr, FramePtr, ObjPtr, Value, constructor_inits
+from .machine import Addr, FramePtr, ObjPtr, Store, Value, constructor_inits
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -159,46 +161,31 @@ class Policy:
 
 
 # ---------------------------------------------------------------------------
-# Stores: dict Addr -> frozenset[Value], used as immutable values.
+# Stores: machine.Store, Addr -> frozenset[Value], updated weakly only, so
+# each delta entry is a superset of the base entry it overrides.
 
-AbstractStore = dict
-
-
-def store_join(a: dict, b: dict, grew: Optional[set] = None) -> dict:
+def store_join(a: Mapping, b: Mapping, grew: Optional[dict] = None) -> Mapping:
     """Pointwise union. Returns a itself when b adds nothing to it, so
     `store_join(a, b) is a` tests growth; b itself when a is empty and
-    b is not; otherwise a new store. Neither argument is modified, and
+    b is not; otherwise a new Store. Neither argument is modified, and
     as stores are never mutated the result may share either of them.
-    When grew is given, the addresses whose value set the join changed
-    are added to it."""
-    if not a and b:
-        if grew is not None:
-            grew.update(b)
-        return b
-    out = None
-    for addr, vals in b.items():
-        old = a.get(addr)
-        if old is not None:
-            if vals <= old:
-                continue
-            vals = old | vals
-        if out is None:
-            out = dict(a)
-        out[addr] = vals
-        if grew is not None:
-            grew.add(addr)
-    return a if out is None else out
+    When a and b share a base, only b's delta is read (Store.join).
+    When grew is given, each address whose value set the join changed
+    is written into it with its new value set, so over a run of joins
+    into one store grew holds the store's delta since it was emptied."""
+    joined = (a if type(a) is Store else Store(a)).join(b, grew)
+    return a if joined is None else joined
 
 
-def _bind(sigma: dict, bindings: dict) -> dict:
+def _bind(sigma: Mapping, bindings: dict) -> Store:
     """A new store: sigma with each binding joined in (weak update). It
-    is a copy even when sigma holds every binding already, so a rule
-    returns sigma itself exactly when it writes no binding."""
-    out = dict(sigma)
-    for addr, vals in bindings.items():
-        old = out.get(addr)
-        out[addr] = vals if old is None else old | vals
-    return out
+    is a new store even when sigma holds every binding already, so a
+    rule returns sigma itself exactly when it writes no binding."""
+    sigma = sigma if type(sigma) is Store else Store(sigma)
+    joined = sigma.join(bindings)
+    if joined is None:                 # sigma holds them all already
+        return sigma.set({})
+    return sigma.set(bindings) if joined is bindings else joined
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +215,15 @@ def sorted_values(vals: Iterable[Value]) -> list[Value]:
     return sorted(vals, key=_value_key)
 
 
-def next(lp: LabeledProgram, q: ControlState, sigma: dict,
+def next(lp: LabeledProgram, q: ControlState, sigma: Mapping,
          top_frame: Optional[Frame], policy: Policy,
          diags: Optional[list] = None,
-         reads: Optional[set] = None) -> list[tuple[ControlState, StackAction, dict]]:
+         reads: Optional[set] = None) -> list[tuple[ControlState, StackAction, Mapping]]:
     """All abstract one-step successors of q under sigma with the given
     top-of-stack frame (None when the stack may be empty).
 
     Returns (state, action, store) triples. Each store is sigma with
-    that rule's own bindings joined in, written into one new copy even
+    that rule's own bindings joined in, written into one new Store even
     when sigma already holds them all; it is sigma itself, the same
     object, exactly when the rule writes no binding. So a pop that only
     exposes the frame beneath (a return over a handler frame, a throw
@@ -255,7 +242,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: dict,
     on this to skip re-steps."""
     s = q.stmt
     fp, t = q.fp, q.time
-    out: list[tuple[ControlState, StackAction, dict]] = []
+    out: list[tuple[ControlState, StackAction, Mapping]] = []
     if reads is None:
         reads = set()
 

@@ -70,6 +70,12 @@ of TF re-enqueues the node, and monotonicity is what makes the fixpoint
 terminate even though the graph has cycles. The stepped store is the
 garbage-collected view of the full store, which the steps see, and
 which export and metrics read; with gc off the two are the same object.
+Every store is a machine.Store, the concrete machine's: a base shared
+by many stores under a small delta of its own. A rule's successor
+store is its node's stepped store with a few bindings set, a join
+writes a few more, and a collection's view grows the same way, so the
+stores along a path share their bases, and a join of two stores over
+one base reads one delta (Store.join), not the store.
 A node's visible store adds the bindings of the frames beneath it.
 Those are bindings its push sources' stepped stores hold already, so
 the result keeps each node's push sources (DSG.sources, pfp flattened
@@ -81,8 +87,10 @@ stepped ones.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
-full store and the root pointers new on its stack, which gives the
-stepped delta: the addresses whose stepped binding changed. A new root
+full store, which the joins since its last dequeue wrote down with
+their new value sets, and the root pointers new on its stack. That
+gives the stepped delta: the addresses whose stepped binding changed,
+with their value sets, a store delta that a delta pass joins as it is. A new root
 pointer is kept for the node's next collection, and wakes the node only
 when its last collection left out an address under it; otherwise the
 stepped store would not change. A node is stepped per context (here,
@@ -117,18 +125,21 @@ later is dropped.
 from __future__ import annotations
 
 import time as _time
+from collections.abc import Mapping
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import itemgetter
 
 # eagc, abstract_next and store_join are called through this module's
 # globals, where the traced benchmark (perfbench/layers.py) wraps them
 from .domain import (
     BOTTOM, CallFrame, ControlState, Epsilon, EPSILON, Policy, Push,
-    frame_key, inject_abstract, next as abstract_next, state_key, store_join,
+    action_key, frame_key, inject_abstract, next as abstract_next, state_key,
+    store_join,
 )
 from .gc import Collection, eagc
-from .machine import FramePtr, ObjPtr
+from .machine import EMPTY, FramePtr, ObjPtr, Store
 from .syntax import LabeledProgram, Stmt
 
 
@@ -368,13 +379,28 @@ class DSG:
     stats: dict = field(default_factory=dict)
     _visible: dict | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    _order: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
-    def node_store(self, q) -> dict:
+    def node_store(self, q) -> Mapping:
         """q's visible store: its stepped store plus the bindings of the
         frames beneath it."""
         if self._visible is None:
             self._visible = visible_stores(self.node_stores, self.sources)
-        return self._visible.get(q, {})
+        return self._visible.get(q, EMPTY)
+
+    def order(self) -> tuple:
+        """(nodes, ids, edges), the order both exports write in: the
+        nodes sorted by state_key, each node's index among them, and the
+        edges as ((source id, action_key, target id), action) pairs in
+        the order of that key. Sorted on the first call only."""
+        if self._order is None:
+            nodes = sorted(self.nodes, key=state_key)
+            ids = {q: i for i, q in enumerate(nodes)}
+            edges = sorted((((ids[s1], action_key(act), ids[s2]), act)
+                            for s1, act, s2 in self.edges), key=itemgetter(0))
+            self._order = nodes, ids, edges
+        return self._order
 
 
 def push_sources(pfp: dict) -> dict:
@@ -458,30 +484,29 @@ def _after_sources(deps: dict) -> tuple:
     return order, cyclic
 
 
-def _objects(sigma: dict) -> set:
+def _objects(sigma: Mapping) -> set:
     """The object pointers of the values sigma binds."""
     return {v.op for vals in sigma.values() for v in vals}
 
 
-def heap_and_frame(sigma: dict, fp) -> dict:
+def heap_and_frame(sigma: Mapping, fp) -> Store:
     """The bindings of sigma on object pointers and on the frame pointer
     fp: what a push or pop edge carries into the activation fp."""
     own = {fp}                         # a set: hashing skips most __eq__
-    return {a: vals for a, vals in sigma.items()
-            if type(a.ptr) is ObjPtr or a.ptr in own}
+    return Store({a: vals for a, vals in sigma.items()
+                  if type(a.ptr) is ObjPtr or a.ptr in own})
 
 
-def own_frame(sigma: dict, fp, addrs=None) -> dict:
-    """The bindings of sigma on the frame pointer fp, among addrs when
-    given."""
+def own_frame(sigma: Mapping, fp) -> Store:
+    """The bindings of sigma on the frame pointer fp."""
     own = {fp}
-    return {a: sigma[a] for a in (sigma if addrs is None else addrs)
-            if a.ptr in own}
+    return Store({a: vals for a, vals in sigma.items() if a.ptr in own})
 
 
 class _Stepped:
-    """What the core keeps about a node it has stepped: the addresses
-    its full store grew at since its last dequeue, its collection, the
+    """What the core keeps about a node it has stepped: the delta of its
+    full store since its last dequeue (each address that grew, with its
+    new value set), its collection, the
     root pointers new on its stack since that collection, and the memo
     of the last full step under each context (the addresses read, the
     successor states and the diagnostics)."""
@@ -489,7 +514,7 @@ class _Stepped:
     __slots__ = ("grown", "collection", "roots", "memo")
 
     def __init__(self):
-        self.grown = None              # a set once the first step began
+        self.grown = None              # a dict once the first step began
         self.collection = None
         self.roots: set = set()
         self.memo: dict = {}
@@ -532,7 +557,7 @@ class _Engine:
         q0 = inject_abstract(lp)
         self.dsg = DSG(lp=lp, policy=policy, initial=q0)
         self.dsg.nodes.add(q0)
-        self.dsg.node_stores[q0] = {}
+        self.dsg.node_stores[q0] = EMPTY
         self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
         self.stepped: dict = {}        # node -> _Stepped
@@ -546,7 +571,7 @@ class _Engine:
         """The contexts of s that no step of s has visited yet."""
         return [ctx for ctx in self.contexts(s) if ctx not in memo]
 
-    def step(self, s, ctx, sigma: dict, reads: set, diags: list):
+    def step(self, s, ctx, sigma: Mapping, reads: set, diags: list):
         raise NotImplementedError
 
     def new_edge(self, s1, act, s2) -> None:
@@ -560,13 +585,13 @@ class _Engine:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def join_store(self, s, sigma2: dict) -> None:
+    def join_store(self, s, sigma2: Mapping) -> None:
         """Join into the monotone layer; only growth there re-enqueues
         (the collected view may shrink bindings a predecessor keeps
         re-delivering, which must not count as progress). The grown
-        addresses of a node already stepped are kept for its next
-        collection."""
-        old = self.dsg.full_stores.get(s, {})
+        addresses of a node already stepped are kept, with their value
+        sets, for its next collection."""
+        old = self.dsg.full_stores.get(s, EMPTY)
         node = self.stepped.get(s)
         joined = store_join(old, sigma2, None if node is None else node.grown)
         if joined is not old:
@@ -583,8 +608,8 @@ class _Engine:
             raise BudgetExceeded("nodes", len(self.dsg.nodes),
                                  len(self.dsg.edges), self.elapsed())
         self.dsg.nodes.add(s)
-        self.dsg.node_stores.setdefault(s, {})
-        self.dsg.full_stores.setdefault(s, {})
+        self.dsg.node_stores.setdefault(s, EMPTY)
+        self.dsg.full_stores.setdefault(s, EMPTY)
         self.work.push(s, "new_node")
         return True
 
@@ -625,9 +650,9 @@ class _Engine:
     def stepped_store(self, s, node: _Stepped):
         """Collect s's full store; return the stepped store and the
         delta since s's last dequeue (None at its first): the addresses
-        whose binding in it changed."""
-        full = self.dsg.full_stores.get(s, {})
-        grown, node.grown = node.grown, set()
+        whose binding in it changed, each with its new value set."""
+        full = self.dsg.full_stores.get(s, EMPTY)
+        grown, node.grown = node.grown, {}
         if not self.policy.gc:
             return full, grown
         if grown is None:
@@ -685,9 +710,13 @@ class _Engine:
                 delta_passes += 1
                 delta_addrs += len(delta)
                 if passed is None:
-                    passed = {a: sigma[a] for a in delta}
+                    passed = Store(delta)
                 for q2 in last[1]:
-                    join_store(q2, passed)
+                    # sigma adds to q2 what the delta does, and reads
+                    # less when its delta over q2's base is smaller
+                    own = sigma.delta_over(self.dsg.full_stores[q2])
+                    join_store(q2, sigma if own is not None
+                               and len(own) < len(delta) else passed)
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
@@ -787,7 +816,7 @@ class _PushdownEngine(_Engine):
         targets = self.summaries.get(s)
         held = s in self.iecg.held     # a call site that has pushed
         if targets or held:
-            own = own_frame(sigma, s.fp, delta)
+            own = own_frame(sigma if delta is None else delta, s.fp)
             if own:
                 for s2 in targets or ():
                     self.join_store(s2, own)

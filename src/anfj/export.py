@@ -2,8 +2,9 @@
 
 Both formats are deterministic: nodes are sorted by (label, frame
 pointer, time), edges by (source, action, destination), store entries
-by address then value. Exporting the same graph twice yields identical
-bytes. The internal worklist bookkeeping is not serialized. This module
+by address then value. The node and edge order is sorted once per graph
+(DSG.order) and shared by both formats. Exporting the same graph twice
+yields identical bytes. The internal worklist bookkeeping is not serialized. This module
 only writes; the reader, which rebuilds a graph from the JSON form given
 the same program, is a specification in the tests (tests/oracles.py).
 
@@ -44,15 +45,13 @@ routine (_object) orders every object's keys as sort_keys does.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 
 from .domain import (
     CallFrame, ControlState, Epsilon, FramePtr, HandlerFrame,
-    ObjPtr, Policy, Pop, Push, action_key, addr_key, frame_key, state_key,
-    sorted_values,
+    ObjPtr, Policy, Pop, Push, addr_key, sorted_values,
 )
 from .engine import DSG, heap_and_frame
-from .machine import Addr, Value
+from .machine import EMPTY, Addr, Store, Value
 
 FORMAT_NAME = "anfj-dsg"
 FORMAT_VERSION = 4
@@ -167,8 +166,10 @@ def _store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
     """Per node, in id order, what format 4 writes for its stepped store:
     (base id or None, the entries that differ from what the base passes
     on, the addresses the base passes on that the node does not bind).
-    nodes and stores are in id order, initial and the (source, target)
-    edges are ids. See the module docstring for the rule."""
+    nodes and stores (Stores) are in id order, initial and the (source,
+    target) edges are ids. See the module docstring for the rule. A node
+    and a base whose stores share a base dict are compared over their
+    two deltas only (Store.diff)."""
     level = _levels(initial, edges, len(nodes))
     candidates: list = [set() for _ in nodes]
     for i, j in edges:
@@ -185,12 +186,7 @@ def _store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
             passed = stores[b]
             if pushdown and nodes[b].fp != q.fp:
                 passed = heap_and_frame(passed, q.fp)
-            delta = {a: vals for a, vals in sigma.items()
-                     if (was := passed.get(a)) is not vals and was != vals}
-            # passed binds the entries of sigma outside delta alike, so
-            # it binds more than sigma only if it is larger than those
-            drop = ([a for a in passed if a not in sigma]
-                    if len(passed) > len(sigma) - len(delta) else [])
+            delta, drop = sigma.diff(passed)
             if len(delta) + len(drop) < size:
                 best, size = (b, delta, drop), len(delta) + len(drop)
         out.append(best)
@@ -230,12 +226,10 @@ def _renderers(written: list) -> tuple:
 def dsg_to_json(dsg: DSG) -> str:
     """The graph as canonical JSON text (no trailing newline), stable
     under re-export."""
-    nodes = sorted(dsg.nodes, key=state_key)
-    ids = {q: i for i, q in enumerate(nodes)}
-    edges = sorted((((ids[s1], action_key(act), ids[s2]), act)
-                    for s1, act, s2 in dsg.edges), key=itemgetter(0))
+    nodes, ids, edges = dsg.order()
     written = _store_deltas(dsg.policy, nodes,
-                            [dsg.node_stores.get(q, {}) for q in nodes],
+                            [Store.of(dsg.node_stores.get(q, EMPTY))
+                             for q in nodes],
                             ids[dsg.initial], [(i, j) for (i, _, j), _ in edges])
     render_store, render_addrs = _renderers(written)
     fp_text = _Memo(lambda fp: _dumps(ptr_to_json(fp)))
@@ -277,8 +271,7 @@ def _ptr_label(ptr) -> str:
 
 
 def dsg_to_dot(dsg: DSG) -> str:
-    nodes = sorted(dsg.nodes, key=state_key)
-    ids = {q: i for i, q in enumerate(nodes)}
+    nodes, ids, edges = dsg.order()
     ptr_label = _Memo(_ptr_label)
 
     def frame_label(f) -> str:
@@ -293,16 +286,14 @@ def dsg_to_dot(dsg: DSG) -> str:
         label = f"L{q.stmt.label} {kind}\\n{ptr_label[q.fp]}"
         extra = " penwidth=2" if q == dsg.initial else ""
         lines.append(f'  n{i} [label="{label}"{extra}];')
-    edges = sorted(dsg.edges,
-                   key=lambda e: (ids[e[0]], action_key(e[1]), ids[e[2]]))
-    for s1, act, s2 in edges:
+    for (i, _, j), act in edges:
         if isinstance(act, Epsilon):
             attr = 'style=dashed label=""'
         elif isinstance(act, Push):
             attr = f'label="g+ {frame_label(act.frame)}"'
         else:
             attr = f'label="g- {frame_label(act.frame)}"'
-        lines.append(f"  n{ids[s1]} -> n{ids[s2]} [{attr}];")
+        lines.append(f"  n{i} -> n{j} [{attr}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,10 @@ view changed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .domain import ControlState, Policy
+from .machine import EMPTY, Store
 from .syntax import THIS, LabeledProgram
 
 
@@ -36,10 +39,12 @@ class Collection:
     pointer when liveness pruning is off), whose present and future
     addresses are all kept, plus the node's own locals named in live.
     pending indexes, by pointer, the addresses of the last collected
-    store that are not kept, so reaching a pointer later finds them
-    without a pass over the store."""
+    store that are not kept, with their value sets, so reaching a
+    pointer later finds them without a pass over the store, or a
+    lookup in it. Its pointers are never in ptrs, so an address that
+    is neither kept nor pending is new."""
 
-    __slots__ = ("fp", "live", "sigma", "visible", "keep", "ptrs", "pending")
+    __slots__ = ("fp", "live", "visible", "keep", "ptrs", "pending")
 
     def __init__(self, q: ControlState, lp: LabeledProgram, policy: Policy):
         self.fp = q.fp
@@ -52,59 +57,55 @@ class Collection:
             self.live = lp.lives.get(q.stmt.label, frozenset()) | {THIS}
         else:
             self.ptrs.add(q.fp)
-        self.sigma: dict = {}          # the full store last collected
-        self.visible: dict = {}        # sigma restricted to keep
+        self.visible: Mapping = EMPTY  # the store collected last, restricted
+                                       # to keep
         self.keep: set = set()
-        self.pending: dict = {}        # pointer -> its unkept addresses
+        self.pending: dict = {}        # pointer -> its unkept addresses ->
+                                       # their value sets
 
-    def extend(self, sigma: dict, grown, fps) -> list:
+    def extend(self, sigma: Mapping, grown: Mapping, fps) -> dict:
         """Collect sigma, a store above the one collected last, in which
-        grown holds every address whose value set changed since then
-        (new ones included), under a stack whose root pointers are the
-        last one's plus fps (which may repeat old ones). Returns the
-        visible delta: the addresses newly kept plus the kept ones that
-        grew, each once."""
-        keep, ptrs, pending, old = self.keep, self.ptrs, self.pending, self.sigma
-        fp, live = self.fp, self.live
-        delta = []
-        for a in grown:
-            if a in keep:
-                delta.append(a)
-            elif a not in old:
-                if a.ptr in ptrs or (a.base in live and a.ptr == fp):
-                    keep.add(a)
-                    delta.append(a)
-                else:
-                    pending.setdefault(a.ptr, []).append(a)
-        for fp in fps:
-            if fp not in ptrs:
-                ptrs.add(fp)
-                for a in pending.pop(fp, ()):
-                    keep.add(a)
-                    delta.append(a)
-        frontier = list(delta)
+        grown maps every address whose value set changed since then
+        (new ones included) to its value set, under a stack whose root
+        pointers are the last one's plus fps (which may repeat old ones).
+        Returns the visible delta: the addresses newly kept plus the kept
+        ones that grew, each with its value set, in the order kept."""
+        keep, ptrs, pending = self.keep, self.ptrs, self.pending
+        live, own = self.live, {self.fp}   # a set: hashing skips most __eq__
+        delta = {}
+        for a, vals in grown.items():
+            if a in keep or a.ptr in ptrs or (a.base in live and a.ptr in own):
+                keep.add(a)
+                delta[a] = vals
+            else:                      # new, or pending already
+                pending.setdefault(a.ptr, {})[a] = vals
+        for p in fps:
+            if p not in ptrs:
+                ptrs.add(p)
+                found = pending.pop(p, None)
+                if found:
+                    keep.update(found)
+                    delta.update(found)
+        frontier = list(delta.values())
         while frontier:
-            for val in sigma[frontier.pop()]:
+            for val in frontier.pop():
                 op = val.op
                 if op not in ptrs:
                     ptrs.add(op)
-                    for a in pending.pop(op, ()):
-                        keep.add(a)
-                        delta.append(a)
-                        frontier.append(a)
-        self.sigma = sigma
-        if len(keep) == len(sigma):
+                    found = pending.pop(op, None)
+                    if found:
+                        keep.update(found)
+                        delta.update(found)
+                        frontier += found.values()
+        if not pending:                # every address is kept
             self.visible = sigma
         elif delta:
-            visible = dict(self.visible)
-            for a in delta:
-                visible[a] = sigma[a]
-            self.visible = visible
+            self.visible = Store.of(self.visible).set(delta)
         return delta
 
 
-def eagc(q: ControlState, sigma: dict, fps, lp: LabeledProgram,
-         policy: Policy, state: Collection | None = None) -> dict:
+def eagc(q: ControlState, sigma: Mapping, fps, lp: LabeledProgram,
+         policy: Policy, state: Collection | None = None) -> Mapping:
     """sigma restricted to what q can still touch under a stack whose
     root pointers are fps; identity when off or when everything is
     kept. state, a fresh Collection of q, keeps the collection for

@@ -20,11 +20,11 @@ A history is a linked `Time` cell that a call extends and successive
 states share, so a tick, a pointer hash and an equality test of a fresh
 pointer cost O(1) rather than O(calls so far). The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
-strongly. The analyzer shares the pointer, address and value records.
-Stores are immutable `Store` mappings that successive states share
-rather than copy: a step writes a few addresses into a new store that
-keeps its predecessor's entries by reference, so a step costs
-O(sqrt(|store|)) amortized, not O(|store|). Continuations are a linked
+strongly. The analyzer shares the pointer, address and value records,
+and the store type. Stores are immutable `Store` mappings that
+successive states share rather than copy: a step writes a few
+addresses into a new store that keeps its predecessor's entries by
+reference, so a step costs O(sqrt(|store|)) amortized, not O(|store|). Continuations are a linked
 stack of call frames and handler frames; exception dispatch walks it
 one frame per step, which is what the abstract pushdown system later
 mirrors edge for edge. States, continuation frames and outcomes are
@@ -250,21 +250,38 @@ def kont_frames(k: Kont) -> list[Kont]:
 # stores ----------------------------------------------------------------------
 
 class Store(Mapping):
-    """An immutable store: a base dict, shared by many stores, under a
-    small delta dict of this store's own, whose entries win.
+    """An immutable store, the one store type of both machines: a base
+    dict, shared by many stores, under a small delta dict of this
+    store's own, whose entries win.
 
     `set` copies only the delta. Once the delta's size squared exceeds
     the base's size, it folds the delta into a fresh base instead, so a
     write costs O(sqrt(n)) amortized for a store of n entries, with no
     constant to tune. Neither dict is ever written after the store that
     owns it is made, so stores may share them freely. Iteration follows
-    the insertion order a dict updated in place would have."""
+    the insertion order a dict updated in place would have. `==` and
+    `diff` compare two stores over one base by their deltas alone.
 
-    __slots__ = ("_base", "_delta")
+    The concrete machine updates strongly. The analyzer's stores map
+    addresses to value sets and are only ever updated weakly, by union
+    (`join`), so in them every delta entry is a superset of the base
+    entry it overrides, and every store over a base holds each of the
+    base's entries, alike or larger. That weak-update invariant lets
+    `join` and `delta_over` read only a delta where two stores share a
+    base, and `layers` read each base once; the concrete machine calls
+    none of the three."""
+
+    __slots__ = ("_base", "_delta", "_len")
 
     def __init__(self, entries=()):
         self._base = dict(entries)
         self._delta = {}
+        self._len = None
+
+    @staticmethod
+    def of(entries: Mapping) -> "Store":
+        """entries itself when it is a Store, else a Store of them."""
+        return entries if type(entries) is Store else Store(entries)
 
     def set(self, updates: dict) -> "Store":
         """This store with updates written over it."""
@@ -273,24 +290,145 @@ class Store(Mapping):
         if len(delta) ** 2 > len(base):
             base = {**base, **delta}
             delta = {}
-        out = object.__new__(Store)
-        out._base, out._delta = base, delta
-        return out
+        return _over(base, delta)
 
+    def delta_over(self, other: Mapping) -> Optional[dict]:
+        """This store's delta, not to be written, when other is a Store
+        over the same base; None otherwise. Under the weak-update
+        invariant other holds every base entry alike or larger, so the
+        delta holds every entry of this store that other may lack or
+        bind to a smaller set."""
+        if type(other) is Store and other._base is self._base:
+            return self._delta
+        return None
+
+    def join(self, other: Mapping, grew: Optional[dict] = None):
+        """The analyzer's join: this store with each of other's value
+        sets unioned into its own, as a new Store; other itself when
+        this store is empty and other is not; None when other adds
+        nothing. Over a shared base only other's delta is read
+        (`delta_over`). When grew is given, each address whose value set
+        the join changes is written into it with its new value set."""
+        base, delta = self._base, self._delta
+        entries = other
+        if type(other) is Store:
+            entries = other._delta
+            if other._base is not base:
+                entries = {**other._base, **entries} if entries else other._base
+        if not base and not delta:
+            if not entries:
+                return None
+            if grew is not None:
+                grew.update(entries)
+            return other
+        # Each address is looked up in the delta, unless it is empty,
+        # and then in the base; or once, in the merged copy a fold would
+        # make, made up front when the entries alone may fold.
+        merged = None
+        if not delta:
+            get, get2 = base.get, None
+        elif len(entries) ** 2 > len(base):
+            merged = {**base, **delta}
+            get, get2 = merged.get, None
+        else:
+            get, get2 = delta.get, base.get
+        updates = None
+        for addr, vals in entries.items():
+            old = get(addr)
+            if old is None and get2 is not None:
+                old = get2(addr)
+            if old is not None:
+                if vals <= old:
+                    continue
+                vals = old | vals
+            if updates is None:
+                updates = {}
+            updates[addr] = vals
+        if updates is None:
+            return None
+        if grew is not None:
+            grew.update(updates)
+        if merged is None:
+            return self.set(updates)
+        delta = {**delta, **updates}
+        if len(delta) ** 2 > len(base):    # set's fold, on the copy made
+            merged.update(updates)
+            base, delta = merged, {}
+        return _over(base, delta)
+
+    def diff(self, other: Mapping) -> tuple[dict, list]:
+        """(changed, dropped): the entries of this store that other
+        lacks or binds otherwise, compared by identity and then by ==,
+        and the addresses other binds that this store does not. When
+        other is a Store over the same base, the entries outside both
+        deltas are the base's own, so only the deltas are read."""
+        if type(other) is Store and other._base is self._base:
+            base, mine, theirs = self._base, self._delta, other._delta
+            changed = {a: v for a, v in mine.items()
+                       if (w := other.get(a)) is not v and w != v}
+            dropped = []
+            for a, w in theirs.items():
+                if a not in mine:
+                    v = base.get(a)
+                    if v is None:
+                        dropped.append(a)
+                    elif v is not w and v != w:
+                        changed[a] = v
+            return changed, dropped
+        changed = {a: v for a, v in self.items()
+                   if (w := other.get(a)) is not v and w != v}
+        # other binds the entries outside changed alike, so it binds
+        # more than this store only if it is larger than those
+        dropped = ([a for a in other if a not in self]
+                   if len(other) > len(self) - len(changed) else [])
+        return changed, dropped
+
+    @staticmethod
+    def layers(stores):
+        """Mappings that hold every entry of stores between them: each
+        distinct base once and each Store's delta, and any other mapping
+        whole. Under the weak-update invariant a union of value sets
+        over the layers is the union over the stores themselves."""
+        bases: dict = {}               # id -> base, kept alive
+        for sigma in stores:
+            if type(sigma) is not Store:
+                yield sigma
+                continue
+            base = sigma._base
+            if id(base) not in bases:
+                bases[id(base)] = base
+                yield base
+            if sigma._delta:
+                yield sigma._delta
+
+    def _dict(self) -> dict:
+        """The entries as one dict: the base itself when the delta is
+        empty, else a merged copy. Not to be written."""
+        delta = self._delta
+        return {**self._base, **delta} if delta else self._base
+
+    # Values are never None, so one probe of the delta tells whether it
+    # binds addr: an equal key that is another object costs an __eq__
+    # call in Python, which a second probe would pay again.
     def __getitem__(self, addr):
         delta = self._delta
-        if addr in delta:
-            return delta[addr]
+        if delta:
+            v = delta.get(addr)
+            if v is not None:
+                return v
         return self._base[addr]
 
     def get(self, addr, default=None):
         delta = self._delta
-        if addr in delta:
-            return delta[addr]
+        if delta:
+            v = delta.get(addr)
+            if v is not None:
+                return v
         return self._base.get(addr, default)
 
     def __contains__(self, addr):
-        return addr in self._delta or addr in self._base
+        delta = self._delta
+        return (delta and addr in delta) or addr in self._base
 
     def __iter__(self):
         base = self._base
@@ -299,12 +437,50 @@ class Store(Mapping):
             if addr not in base:
                 yield addr
 
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __bool__(self):
+        return bool(self._base) or bool(self._delta)
+
     def __len__(self):
-        base = self._base
-        return len(base) + sum(1 for addr in self._delta if addr not in base)
+        n = self._len
+        if n is None:
+            base, delta = self._base, self._delta
+            n = self._len = (len(base) + len(delta)
+                             - sum(map(base.__contains__, delta)))
+        return n
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is Store:
+            if other._base is self._base:
+                changed, dropped = self.diff(other)
+                return not changed and not dropped
+            other = other._dict()
+        elif not isinstance(other, Mapping):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        return self._dict() == (other if isinstance(other, dict)
+                                else dict(other.items()))
 
     def __repr__(self):
-        return f"Store({dict(self.items())!r})"
+        return f"Store({self._dict()!r})"
+
+
+def _over(base: dict, delta: dict) -> Store:
+    """The store of base under delta, both dicts that no one writes."""
+    out = object.__new__(Store)
+    out._base, out._delta, out._len = base, delta, None
+    return out
+
+
+EMPTY = Store()
 
 
 # states and outcomes ---------------------------------------------------------

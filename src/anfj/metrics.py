@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import DSG, analyze, Budget, BudgetExceeded
-from .machine import Addr
+from .machine import EMPTY, Addr, Store
 from .syntax import Throw
 
 
@@ -37,12 +37,14 @@ def points_to_union(dsg: DSG) -> dict:
     It reads the stepped stores: what a visible store adds, the frames
     beneath its node, are bindings of its push sources' stepped stores,
     so the union is the same without building any visible store. Node
-    stores share their value-set objects, so most sets met are the
-    union so far or a subset of it; those skip building a new set."""
+    stores share their bases, so it reads each distinct base once and
+    each store's delta (Store.layers), and they share their value-set
+    objects, so most sets met are the union so far or a subset of it;
+    those skip building a new set."""
     union: dict = {}
     stores = dsg.node_stores
-    for n in dsg.nodes:
-        for a, vals in stores.get(n, {}).items():
+    for layer in Store.layers(stores.get(n, EMPTY) for n in dsg.nodes):
+        for a, vals in layer.items():
             have = union.get(a)
             if have is None:
                 union[a] = vals
@@ -58,7 +60,7 @@ def thrown_classes(dsg: DSG) -> set:
     out = set()
     for n in dsg.nodes:
         if isinstance(n.stmt, Throw):
-            vals = dsg.node_stores.get(n, {}).get(Addr(n.stmt.var, n.fp), ())
+            vals = dsg.node_stores.get(n, EMPTY).get(Addr(n.stmt.var, n.fp), ())
             out.update(v.class_name for v in vals)
     return out
 

@@ -15,7 +15,7 @@ from anfj.domain import (
     state_key, store_join,
 )
 from anfj.engine import DSG
-from anfj.export import FORMAT_NAME, FORMAT_VERSION
+from anfj.export import FORMAT_NAME, FORMAT_VERSION, _levels
 from anfj.machine import Addr, Value
 from anfj.syntax import THIS, ParseError, PopHandler, Return, Throw
 
@@ -547,6 +547,50 @@ def _finite_successors(lp, policy: Policy, q: ControlState, sigma: dict,
 def store_leq(a: dict, b: dict) -> bool:
     """a is below b in the store order: every binding of a is in b."""
     return all(addr in b and vals <= b[addr] for addr, vals in a.items())
+
+
+# -- readers of every entry -----------------------------------------------------
+#
+# The store readers as they were when every store was a plain dict: each
+# reads every entry of every store it is given. The shared-base readers
+# (metrics.points_to_union, export._store_deltas) must agree with them
+# on plain dict copies of the same stores.
+
+def points_to_union(dsg: DSG) -> dict:
+    """Addr -> the union of its value sets over every node store."""
+    union: dict = {}
+    for n in dsg.nodes:
+        for a, vals in dict(dsg.node_stores.get(n, {})).items():
+            have = union.get(a)
+            union[a] = vals if have is None else have | vals
+    return union
+
+
+def store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
+                 edges: list) -> list:
+    """export._store_deltas over plain dict stores: per node, in id
+    order, (base id or None, the entries that differ from what the base
+    passes on, the addresses the base passes on that the node does not
+    bind), each candidate base's store diffed entry by entry."""
+    level = _levels(initial, edges, len(nodes))
+    candidates: list = [set() for _ in nodes]
+    for i, j in edges:
+        if level[i] is not None and level[j] == level[i] + 1:
+            candidates[j].add(i)
+    out = []
+    for q, sigma, bases in zip(nodes, stores, candidates):
+        best, size = (None, sigma, ()), len(sigma)
+        for b in sorted(bases) if sigma else ():
+            passed = stores[b]
+            if policy.mode == "pushdown" and nodes[b].fp != q.fp:
+                passed = heap_and_frame(passed, q.fp)
+            delta = {a: vals for a, vals in sigma.items()
+                     if passed.get(a) != vals}
+            drop = [a for a in passed if a not in sigma]
+            if len(delta) + len(drop) < size:
+                best, size = (b, delta, drop), len(delta) + len(drop)
+        out.append(best)
+    return out
 
 
 # -- the JSON export's reader ---------------------------------------------------

@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
@@ -13,7 +14,7 @@ from anfj.domain import (
 )
 from anfj.engine import analyze
 from anfj.gc import eagc
-from anfj.machine import T0, Addr, Time, Value
+from anfj.machine import T0, Addr, Store, Time, Value
 from anfj.syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, New, PopHandler, Return, Throw,
     TryCatch, VarRef, load_program,
@@ -92,15 +93,45 @@ def _random_store(rng, n_addrs=6):
     return sigma
 
 
+def _weak_set(sigma: Store, updates: dict) -> Store:
+    """sigma with updates written as the analyzer writes: joined in."""
+    return sigma.set({a: sigma.get(a, frozenset()) | vals
+                      for a, vals in updates.items()})
+
+
+def _shared_stores(rng, n=10) -> list:
+    """n Stores grown from one random store by chains of weak sets and
+    joins, each a few entries: they share bases, and the chains cross
+    folds into fresh bases."""
+    stores = [Store(_random_store(rng))]
+    while len(stores) < n:
+        sigma = rng.choice(stores)
+        grown = _weak_set(sigma, _random_store(rng, 2))
+        if rng.random() < 0.5:
+            grown = store_join(rng.choice(stores), grown)
+        stores.append(grown)
+    return stores
+
+
+def _store_triples(rng, count=200):
+    """Triples of plain dict stores, then of Stores that share bases."""
+    for _ in range(count):
+        yield tuple(_random_store(rng) for _ in range(3))
+    for _ in range(count):
+        yield tuple(rng.sample(_shared_stores(rng), 3))
+
+
 def test_store_join_lattice_laws():
     rng = random.Random(11)
-    for _ in range(200):
-        a, b, c = (_random_store(rng) for _ in range(3))
+    shared = 0
+    for a, b, c in _store_triples(rng):
+        shared += type(a) is Store and a.delta_over(b) is not None
         assert store_join(a, b) == store_join(b, a)
         assert store_join(a, store_join(b, c)) == store_join(store_join(a, b), c)
         assert store_join(a, a) == a
         assert store_leq(a, store_join(a, b))
         assert store_leq(a, a)
+    assert shared > 20
 
 
 def test_cached_hash_is_the_field_hash_and_not_a_field():
@@ -141,14 +172,83 @@ def test_records_hash_as_their_fields_and_equal_only_their_own_type():
 
 def test_store_join_returns_first_store_unless_it_grows():
     rng = random.Random(12)
-    for _ in range(200):
-        a, b = _random_store(rng), _random_store(rng)
-        before = dict(a)
-        joined = store_join(a, b)
+    shared = 0
+    for a, b, _ in _store_triples(rng):
+        shared += type(a) is Store and a.delta_over(b) is not None
+        before = dict(a.items())
+        grew: dict = {}
+        joined = store_join(a, b, grew)
         assert a == before
         assert (joined is a) == store_leq(b, a)
+        assert grew == {x: vals for x, vals in joined.items()
+                        if before.get(x) != vals}
         assert store_join(joined, b) is joined
         assert store_join(a, {}) is a
+        assert store_join(a, Store()) is a
+        if b:
+            assert store_join({}, b) is b and store_join(Store(), b) is b
+    assert shared > 20
+
+
+# Stores as the analyzer uses them: a pool of stores, each made from an
+# earlier one by a weak set or a join, against a pool of plain dicts
+# made the same way.
+_ADDRS = [Addr(f"v{i % 4}", FramePtr(i // 4, ())) for i in range(12)]
+_VALUES = [Value("A", ObjPtr(i, ())) for i in range(5)]
+_STORE_OPS = strategies.lists(strategies.tuples(
+    strategies.sampled_from(["set", "join", "join-dict"]),
+    strategies.integers(0, 63), strategies.integers(0, 63),
+    strategies.dictionaries(
+        strategies.sampled_from(_ADDRS),
+        strategies.frozensets(strategies.sampled_from(_VALUES),
+                              min_size=1, max_size=3),
+        max_size=6)), max_size=40)
+
+
+def _dict_join(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for addr, vals in b.items():
+        out[addr] = out.get(addr, frozenset()) | vals
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STORE_OPS)
+def test_store_matches_a_dict_model_under_weak_sets_and_joins(ops):
+    stores, models = [Store()], [{}]
+    written = []                       # (a base or delta dict, its copy)
+    for kind, i, j, updates in ops:
+        sigma, model = stores[i % len(stores)], models[i % len(models)]
+        if kind == "set":
+            new = {a: sigma.get(a, frozenset()) | v for a, v in updates.items()}
+            out, want = sigma.set(new), {**model, **new}
+        else:
+            other, want_other = ((stores[j % len(stores)],
+                                  models[j % len(models)])
+                                 if kind == "join" else (updates, updates))
+            grew: dict = {}
+            out = store_join(sigma, other, grew)
+            want = _dict_join(model, want_other)
+            assert (out is sigma) == (want == model)
+            assert grew == {a: v for a, v in want.items() if model.get(a) != v}
+            if out is other:
+                continue               # sigma was empty: other itself
+        assert type(out) is Store
+        assert len(out) == len(want) and bool(out) == bool(want)
+        assert list(out) == list(want)
+        assert list(out.items()) == list(want.items())
+        assert out == want and want == out
+        assert all(out.get(a) == want.get(a) for a in _ADDRS)
+        written += [(out._base, dict(out._base)), (out._delta, dict(out._delta))]
+        stores.append(out)
+        models.append(want)
+    for x, (sigma, model) in enumerate(zip(stores, models)):
+        assert sigma == model
+        for other, want in zip(stores[x:], models[x:]):
+            assert (sigma == other) == (model == want)
+            assert (sigma != other) == (model != want)
+    for d, copy in written:
+        assert d == copy and list(d) == list(copy)
 
 
 # -- transition rules -----------------------------------------------------------
@@ -383,7 +483,7 @@ RULE_POLICIES = [Policy(k=k, obj_sensitivity=obj)
 
 def _assert_writes(sigma, sg2, bindings):
     """sg2 is a new store: sigma with each of bindings joined in."""
-    assert type(sg2) is dict and sg2 is not sigma
+    assert type(sg2) is Store and sg2 is not sigma
     assert sg2.keys() == sigma.keys() | bindings.keys()
     for a, vals in sg2.items():
         assert vals == sigma.get(a, frozenset()) | bindings.get(a, frozenset())
@@ -394,7 +494,7 @@ def _assert_new(lp, policy, q, sigma, sg2, arg_sets):
     object per receiver allocation site under object sensitivity, each
     field of each object bound to one argument's value set."""
     s, fp, t = q.stmt, q.fp, q.time
-    assert type(sg2) is dict and sg2 is not sigma
+    assert type(sg2) is Store and sg2 is not sigma
     sites = (sorted({v.op.site for v in sigma.get(Addr(THIS, fp), ())})
              if policy.obj_sensitivity else [])
     made = {Value(s.exp.class_name, ObjPtr(s.label, t, site))

@@ -5,9 +5,12 @@ from collections import Counter
 
 import pytest
 
-from anfj.domain import EPSILON, FramePtr, ObjPtr, Policy, state_key
+import oracles
+from anfj.domain import EPSILON, FramePtr, ObjPtr, Policy, addr_key, state_key
 from anfj.engine import analyze
-from anfj.export import dsg_to_dot, export_dsg, ptr_to_json
+from anfj.export import _store_deltas, dsg_to_dot, export_dsg, ptr_to_json
+from anfj.machine import Store
+from anfj.metrics import points_to_union
 from anfj.syntax import TryCatch, load_program
 
 from helpers import CHAINS, FANIN, corpus_names, corpus_program, named_program
@@ -150,6 +153,30 @@ def test_rebuilt_visible_stores_equal_node_store(name):
         sources, visible = frames_beneath(back)
         assert sources == back.sources == dsg.sources, policy
         assert visible == {q: dsg.node_store(q) for q in dsg.nodes}, policy
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
+def test_shared_store_readers_equal_the_dict_readers(name):
+    # the points-to union and the export's store deltas read only the
+    # deltas of stores that share a base; on plain dict copies of the
+    # same stores, the readers of every entry give the same results
+    lp = named_program(name)
+    for policy in POLICIES:
+        dsg = analyze(lp, policy)
+        assert points_to_union(dsg) == oracles.points_to_union(dsg), policy
+        nodes, ids, edges = dsg.order()
+        pairs = [(i, j) for (i, _, j), _ in edges]
+        stores = [dsg.node_stores[q] for q in nodes]
+        assert all(type(sigma) is Store for sigma in stores), policy
+        got = _store_deltas(policy, nodes, stores, ids[dsg.initial], pairs)
+        want = oracles.store_deltas(policy, nodes,
+                                    [dict(sigma) for sigma in stores],
+                                    ids[dsg.initial], pairs)
+        assert len(got) == len(want) == len(nodes), policy
+        for (b1, d1, x1), (b2, d2, x2) in zip(got, want):
+            assert b1 == b2, policy
+            assert dict(d1.items()) == d2, policy
+            assert sorted(x1, key=addr_key) == sorted(x2, key=addr_key)
 
 
 def test_object_pointer_receiver_survives_round_trip():

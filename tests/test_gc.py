@@ -248,7 +248,7 @@ def test_collection_extension_matches_from_scratch_on_random_growth():
             state = Collection(q, lp, policy)
             visible = eagc(q, sigma, fps, lp, policy, state=state)
             for _ in range(rng.randrange(1, 6)):
-                grew: set = set()
+                grew: dict = {}
                 sigma = store_join(sigma, _random_cyclic_store(rng, 12), grew)
                 if rng.random() < 0.3:
                     fps = fps | {rng.choice([FP0A, FP1])}
