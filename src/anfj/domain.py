@@ -26,9 +26,9 @@ addresses and values are the concrete machine's records, on these times.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from collections.abc import Mapping
 from typing import Iterable, Optional
 
 from .machine import Addr, FramePtr, ObjPtr, Store, Value, constructor_inits
@@ -181,11 +181,14 @@ def _bind(sigma: Mapping, bindings: dict) -> Store:
     """A new store: sigma with each binding joined in (weak update). It
     is a new store even when sigma holds every binding already, so a
     rule returns sigma itself exactly when it writes no binding."""
-    sigma = sigma if type(sigma) is Store else Store(sigma)
-    joined = sigma.join(bindings)
-    if joined is None:                 # sigma holds them all already
-        return sigma.set({})
-    return sigma.set(bindings) if joined is bindings else joined
+    if type(sigma) is not Store:
+        sigma = Store(sigma)
+    get = sigma.get
+    joined = {}
+    for addr, vals in bindings.items():
+        old = get(addr)
+        joined[addr] = vals if old is None else old | vals
+    return sigma.set(joined)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: Mapping,
     out: list[tuple[ControlState, StackAction, Mapping]] = []
     if reads is None:
         reads = set()
+    get = sigma.get
 
     def note(reason: str):
         if diags is not None:
@@ -253,7 +257,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: Mapping,
     def read(var: str) -> Optional[frozenset]:
         addr = Addr(var, fp)
         reads.add(addr)
-        vals = sigma.get(addr)
+        vals = get(addr)
         if not vals:
             note(f"unbound read of {var!r}")
             return None
@@ -286,7 +290,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: Mapping,
                 for v in sorted_values(vals):
                     addr = Addr(e.field, v.op)
                     reads.add(addr)
-                    pool |= sigma.get(addr, frozenset())
+                    pool |= get(addr, frozenset())
                 if pool:
                     out.append((ControlState(nxt, fp, t), EPSILON,
                                 _bind(sigma, {dest: pool})))
@@ -316,7 +320,7 @@ def next(lp: LabeledProgram, q: ControlState, sigma: Mapping,
                 recv_sites = [None]
                 if policy.obj_sensitivity:
                     reads.add(Addr(THIS, fp))
-                    this_vals = sigma.get(Addr(THIS, fp), ())
+                    this_vals = get(Addr(THIS, fp), ())
                     recv_sites = sorted({v.op.site for v in this_vals}) or [None]
                 inits = list(constructor_inits(lp, e.class_name, arg_sets))
                 bindings = {}

@@ -712,11 +712,7 @@ class _Engine:
                 if passed is None:
                     passed = Store(delta)
                 for q2 in last[1]:
-                    # sigma adds to q2 what the delta does, and reads
-                    # less when its delta over q2's base is smaller
-                    own = sigma.delta_over(self.dsg.full_stores[q2])
-                    join_store(q2, sigma if own is not None
-                               and len(own) < len(delta) else passed)
+                    join_store(q2, passed)
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()

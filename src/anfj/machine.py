@@ -267,16 +267,14 @@ class Store(Mapping):
     (`join`), so in them every delta entry is a superset of the base
     entry it overrides, and every store over a base holds each of the
     base's entries, alike or larger. That weak-update invariant lets
-    `join` and `delta_over` read only a delta where two stores share a
-    base, and `layers` read each base once; the concrete machine calls
-    none of the three."""
+    `join` read only a delta where two stores share a base, and `layers`
+    read each base once; the concrete machine calls neither."""
 
-    __slots__ = ("_base", "_delta", "_len")
+    __slots__ = ("_base", "_delta")
 
     def __init__(self, entries=()):
         self._base = dict(entries)
         self._delta = {}
-        self._len = None
 
     @staticmethod
     def of(entries: Mapping) -> "Store":
@@ -285,29 +283,26 @@ class Store(Mapping):
 
     def set(self, updates: dict) -> "Store":
         """This store with updates written over it."""
-        base = self._base
-        delta = {**self._delta, **updates}
-        if len(delta) ** 2 > len(base):
-            base = {**base, **delta}
-            delta = {}
-        return _over(base, delta)
-
-    def delta_over(self, other: Mapping) -> Optional[dict]:
-        """This store's delta, not to be written, when other is a Store
-        over the same base; None otherwise. Under the weak-update
-        invariant other holds every base entry alike or larger, so the
-        delta holds every entry of this store that other may lack or
-        bind to a smaller set."""
-        if type(other) is Store and other._base is self._base:
-            return self._delta
-        return None
+        base, delta = self._base, self._delta
+        if delta:
+            delta = {**delta, **updates}
+            if len(delta) ** 2 > len(base):
+                base, delta = {**base, **delta}, {}
+        elif len(updates) ** 2 > len(base):
+            base, delta = {**base, **updates}, {}
+        else:
+            delta = dict(updates)
+        out = object.__new__(Store)
+        out._base, out._delta = base, delta
+        return out
 
     def join(self, other: Mapping, grew: Optional[dict] = None):
         """The analyzer's join: this store with each of other's value
         sets unioned into its own, as a new Store; other itself when
         this store is empty and other is not; None when other adds
-        nothing. Over a shared base only other's delta is read
-        (`delta_over`). When grew is given, each address whose value set
+        nothing. Over a shared base only other's delta is read: under
+        the weak-update invariant this store holds every base entry alike
+        or larger. When grew is given, each address whose value set
         the join changes is written into it with its new value set."""
         base, delta = self._base, self._delta
         entries = other
@@ -321,18 +316,8 @@ class Store(Mapping):
             if grew is not None:
                 grew.update(entries)
             return other
-        # Each address is looked up in the delta, unless it is empty,
-        # and then in the base; or once, in the merged copy a fold would
-        # make, made up front when the entries alone may fold.
-        merged = None
-        if not delta:
-            get, get2 = base.get, None
-        elif len(entries) ** 2 > len(base):
-            merged = {**base, **delta}
-            get, get2 = merged.get, None
-        else:
-            get, get2 = delta.get, base.get
-        updates = None
+        get, get2 = (delta.get, base.get) if delta else (base.get, None)
+        updates = {}
         for addr, vals in entries.items():
             old = get(addr)
             if old is None and get2 is not None:
@@ -341,20 +326,12 @@ class Store(Mapping):
                 if vals <= old:
                     continue
                 vals = old | vals
-            if updates is None:
-                updates = {}
             updates[addr] = vals
-        if updates is None:
+        if not updates:
             return None
         if grew is not None:
             grew.update(updates)
-        if merged is None:
-            return self.set(updates)
-        delta = {**delta, **updates}
-        if len(delta) ** 2 > len(base):    # set's fold, on the copy made
-            merged.update(updates)
-            base, delta = merged, {}
-        return _over(base, delta)
+        return self.set(updates)
 
     def diff(self, other: Mapping) -> tuple[dict, list]:
         """(changed, dropped): the entries of this store that other
@@ -438,21 +415,19 @@ class Store(Mapping):
                 yield addr
 
     def items(self):
-        return self._dict().items()
+        delta = self._delta
+        return ({**self._base, **delta} if delta else self._base).items()
 
     def values(self):
-        return self._dict().values()
+        delta = self._delta
+        return ({**self._base, **delta} if delta else self._base).values()
 
     def __bool__(self):
         return bool(self._base) or bool(self._delta)
 
     def __len__(self):
-        n = self._len
-        if n is None:
-            base, delta = self._base, self._delta
-            n = self._len = (len(base) + len(delta)
-                             - sum(map(base.__contains__, delta)))
-        return n
+        base, delta = self._base, self._delta
+        return len(base) + len(delta) - sum(map(base.__contains__, delta))
 
     def __eq__(self, other):
         if self is other:
@@ -471,13 +446,6 @@ class Store(Mapping):
 
     def __repr__(self):
         return f"Store({self._dict()!r})"
-
-
-def _over(base: dict, delta: dict) -> Store:
-    """The store of base under delta, both dicts that no one writes."""
-    out = object.__new__(Store)
-    out._base, out._delta, out._len = base, delta, None
-    return out
 
 
 EMPTY = Store()
