@@ -316,7 +316,17 @@ class Store(Mapping):
             if grew is not None:
                 grew.update(entries)
             return other
-        get, get2 = (delta.get, base.get) if delta else (base.get, None)
+        # one probe per entry: of the base alone when there is no delta,
+        # or of the merged copy a fold starts from when the entries are
+        # enough to fold; else of the delta, then the base
+        merged = None
+        if not delta:
+            get, get2 = base.get, None
+        elif len(entries) ** 2 > len(base):
+            merged = {**base, **delta}
+            get, get2 = merged.get, None
+        else:
+            get, get2 = delta.get, base.get
         updates = {}
         for addr, vals in entries.items():
             old = get(addr)
@@ -331,7 +341,17 @@ class Store(Mapping):
             return None
         if grew is not None:
             grew.update(updates)
-        return self.set(updates)
+        delta = {**delta, **updates}
+        if len(delta) ** 2 > len(base):      # set's fold
+            if merged is None:
+                base = {**base, **delta}
+            else:
+                merged.update(updates)
+                base = merged
+            delta = {}
+        out = object.__new__(Store)
+        out._base, out._delta = base, delta
+        return out
 
     def diff(self, other: Mapping) -> tuple[dict, list]:
         """(changed, dropped): the entries of this store that other
