@@ -372,12 +372,15 @@ class Store(Mapping):
                     elif v is not w and v != w:
                         changed[a] = v
             return changed, dropped
-        changed = {a: v for a, v in self.items()
+        mine = self._dict()
+        if type(other) is Store:
+            other = other._dict()
+        changed = {a: v for a, v in mine.items()
                    if (w := other.get(a)) is not v and w != v}
         # other binds the entries outside changed alike, so it binds
         # more than this store only if it is larger than those
-        dropped = ([a for a in other if a not in self]
-                   if len(other) > len(self) - len(changed) else [])
+        dropped = ([a for a in other if a not in mine]
+                   if len(other) > len(mine) - len(changed) else [])
         return changed, dropped
 
     @staticmethod
