@@ -316,9 +316,9 @@ class Store(Mapping):
             if grew is not None:
                 grew.update(entries)
             return other
-        # one probe per entry: of the base alone when there is no delta,
-        # or of the merged copy a fold starts from when the entries are
-        # enough to fold; else of the delta, then the base
+        # one probe per entry, of the base when there is no delta or of
+        # the merged copy a fold starts from when the entries are enough
+        # to fold; else two, of the delta and then the base
         merged = None
         if not delta:
             get, get2 = base.get, None
