@@ -74,8 +74,9 @@ Every store is a machine.Store, the concrete machine's: a base shared
 by many stores under a small delta of its own. A rule's successor
 store is its node's stepped store with a few bindings set, a join
 writes a few more, and a collection's view grows the same way, so the
-stores along a path share their bases, and a join of two stores over
-one base reads one delta (Store.join), not the store.
+stores along a path share their bases, and the export and metrics read
+each base once. A join reads the whole store it joins in: the engine's
+joins almost never meet two stores over one base.
 A node's visible store adds the bindings of the frames beneath it.
 Those are bindings its push sources' stepped stores hold already, so
 the result keeps each node's push sources (DSG.sources, pfp flattened
@@ -90,15 +91,15 @@ node's collection (gc.Collection) from the addresses that grew in its
 full store, which the joins since its last dequeue wrote down with
 their new value sets, and the root pointers new on its stack. That
 gives the stepped delta: the addresses whose stepped binding changed,
-with their value sets, a store delta that a delta pass joins as it is. A new root
-pointer is kept for the node's next collection, and wakes the node only
-when its last collection left out an address under it; otherwise the
-stepped store would not change. A node is stepped per context (here,
-per top frame), and each context's last full step is memoized with the
-addresses domain.next read. The context is stepped in full again only
-when it is new or the delta touches one of those reads; otherwise the
-delta is joined into the full stores of the memoized successors, which
-is exactly what the step would add.
+with their value sets, a store delta that a delta pass joins as it is.
+A new root pointer is kept for the node's next collection, and wakes
+the node only when its last collection left out an address under it;
+otherwise the stepped store would not change. A node is stepped per
+context (here, per top frame), and each context's last full step is
+memoized with the addresses domain.next read. The context is stepped
+in full again only when it is new or the delta touches one of those
+reads; otherwise the delta is joined into the full stores of the
+memoized successors, which is exactly what the step would add.
 
 The core's worklist (Worklist) steps the queued node that was
 discovered first. Upstream nodes are mostly found first, so a node is
@@ -435,17 +436,17 @@ def visible_stores(stepped: dict, sources: dict) -> dict:
             ws, fp = key
             own = {fp}                 # a set: hashing skips most __eq__
             below: dict = {}
-            for w in ws:
-                items = list(stepped[w].items())
-                if w in key_of:
-                    items += beneath.get(key_of[w], {}).items()
-                for a, vals in items:
+            for layer in Store.union_layers(
+                    sigma for w in ws for sigma in
+                    (stepped[w], beneath.get(key_of.get(w), EMPTY))):
+                for a, vals in layer.items():
                     if type(a.ptr) is FramePtr and a.ptr not in own:
                         old = below.get(a)
                         if old is None:
                             below[a] = vals
                         elif not vals <= old:
                             below[a] = old | vals
+            below = Store(below)
             if cyclic and not grew:
                 grew = below != beneath.get(key)
             beneath[key] = below
@@ -486,21 +487,27 @@ def _after_sources(deps: dict) -> tuple:
 
 def _objects(sigma: Mapping) -> set:
     """The object pointers of the values sigma binds."""
-    return {v.op for vals in sigma.values() for v in vals}
+    return {v.op for layer in Store.layers(sigma)
+            for vals in layer.values() for v in vals}
 
+
+# A dict written with a store's layers in turn holds the store's entries,
+# so the two below filter those layers rather than a merged copy.
 
 def heap_and_frame(sigma: Mapping, fp) -> Store:
     """The bindings of sigma on object pointers and on the frame pointer
     fp: what a push or pop edge carries into the activation fp."""
     own = {fp}                         # a set: hashing skips most __eq__
-    return Store({a: vals for a, vals in sigma.items()
+    return Store({a: vals for layer in Store.layers(sigma)
+                  for a, vals in layer.items()
                   if type(a.ptr) is ObjPtr or a.ptr in own})
 
 
 def own_frame(sigma: Mapping, fp) -> Store:
     """The bindings of sigma on the frame pointer fp."""
     own = {fp}
-    return Store({a: vals for a, vals in sigma.items() if a.ptr in own})
+    return Store({a: vals for layer in Store.layers(sigma)
+                  for a, vals in layer.items() if a.ptr in own})
 
 
 class _Stepped:

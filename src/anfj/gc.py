@@ -39,10 +39,9 @@ class Collection:
     pointer when liveness pruning is off), whose present and future
     addresses are all kept, plus the node's own locals named in live.
     pending indexes, by pointer, the addresses of the last collected
-    store that are not kept, each with its value set (an address that
-    grew while pending is listed again, with its new set), so reaching
-    a pointer later finds them without a pass over the store, or a
-    lookup in it. Its pointers are never in ptrs, so an address that
+    store that are not kept, each with its latest value set, so
+    reaching a pointer later finds them without a pass over the store,
+    or a lookup in it. Its pointers are never in ptrs, so an address that
     is neither kept nor pending is new."""
 
     __slots__ = ("fp", "live", "visible", "keep", "ptrs", "pending")
@@ -61,8 +60,8 @@ class Collection:
         self.visible: Mapping = EMPTY  # the store collected last, restricted
                                        # to keep
         self.keep: set = set()
-        self.pending: dict = {}        # pointer -> [(unkept address, its
-                                       # value set)]
+        self.pending: dict = {}        # pointer -> {unkept address: its
+                                       # value set}
 
     def extend(self, sigma: Mapping, grown: Mapping, fps) -> dict:
         """Collect sigma, a store above the one collected last, in which
@@ -74,20 +73,20 @@ class Collection:
         keep, ptrs, pending = self.keep, self.ptrs, self.pending
         live, own = self.live, {self.fp}   # a set: hashing skips most __eq__
         delta = {}
-        for a, vals in grown.items():
-            if a in keep:
-                delta[a] = vals
-            elif a.ptr in ptrs or (a.base in live and a.ptr in own):
-                keep.add(a)
-                delta[a] = vals
-            else:                      # new, or pending already
-                pending.setdefault(a.ptr, []).append((a, vals))
+        for layer in Store.layers(grown):  # a later layer's value sets win
+            for a, vals in layer.items():
+                if a in keep:
+                    delta[a] = vals
+                elif a.ptr in ptrs or (a.base in live and a.ptr in own):
+                    keep.add(a)
+                    delta[a] = vals
+                else:                  # new, or pending already
+                    pending.setdefault(a.ptr, {})[a] = vals
         for p in fps:
             if p not in ptrs:
                 ptrs.add(p)
                 found = pending.pop(p, None)
                 if found:
-                    found = dict(found)    # the latest value set wins
                     keep.update(found)
                     delta.update(found)
         frontier = list(delta.values())
@@ -98,7 +97,6 @@ class Collection:
                     ptrs.add(op)
                     found = pending.pop(op, None)
                     if found:
-                        found = dict(found)
                         keep.update(found)
                         delta.update(found)
                         frontier += found.values()

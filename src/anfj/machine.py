@@ -37,7 +37,7 @@ failed dispatch), reported as an Outcome rather than an exception.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from typing import NamedTuple, Optional
 
 from .syntax import (
@@ -265,10 +265,10 @@ class Store(Mapping):
     The concrete machine updates strongly. The analyzer's stores map
     addresses to value sets and are only ever updated weakly, by union
     (`join`), so in them every delta entry is a superset of the base
-    entry it overrides, and every store over a base holds each of the
-    base's entries, alike or larger. That weak-update invariant lets
-    `join` read only a delta where two stores share a base, and `layers`
-    read each base once; the concrete machine calls neither."""
+    entry it overrides. That weak-update invariant lets `join` and the
+    readers of value-set unions take a store by its `layers`, and many
+    stores by their `union_layers`, each base once, without merging a
+    delta into its base; the concrete machine calls neither."""
 
     __slots__ = ("_base", "_delta")
 
@@ -300,58 +300,34 @@ class Store(Mapping):
         """The analyzer's join: this store with each of other's value
         sets unioned into its own, as a new Store; other itself when
         this store is empty and other is not; None when other adds
-        nothing. Over a shared base only other's delta is read: under
-        the weak-update invariant this store holds every base entry alike
-        or larger. When grew is given, each address whose value set
-        the join changes is written into it with its new value set."""
+        nothing. When grew is given, each address whose value set the
+        join changes is written into it with its new value set."""
         base, delta = self._base, self._delta
-        entries = other
-        if type(other) is Store:
-            entries = other._delta
-            if other._base is not base:
-                entries = {**other._base, **entries} if entries else other._base
         if not base and not delta:
-            if not entries:
+            if not other:
                 return None
             if grew is not None:
-                grew.update(entries)
+                grew.update(other.items())
             return other
-        # one probe per entry, of the base when there is no delta or of
-        # the merged copy a fold starts from when the entries are enough
-        # to fold; else two, of the delta and then the base
-        merged = None
-        if not delta:
-            get, get2 = base.get, None
-        elif len(entries) ** 2 > len(base):
-            merged = {**base, **delta}
-            get, get2 = merged.get, None
-        else:
-            get, get2 = delta.get, base.get
+        dget, bget = delta.get, base.get
         updates = {}
-        for addr, vals in entries.items():
-            old = get(addr)
-            if old is None and get2 is not None:
-                old = get2(addr)
-            if old is not None:
-                if vals <= old:
-                    continue
-                vals = old | vals
-            updates[addr] = vals
+        # under the weak-update invariant other's layers hold its value
+        # sets between them, so its delta need not be merged first
+        for layer in Store.layers(other):
+            for addr, vals in layer.items():
+                old = dget(addr)       # as in get: values are never None
+                if old is None:
+                    old = bget(addr)
+                if old is not None:
+                    if vals <= old:
+                        continue
+                    vals = old | vals
+                updates[addr] = vals
         if not updates:
             return None
         if grew is not None:
             grew.update(updates)
-        delta = {**delta, **updates}
-        if len(delta) ** 2 > len(base):      # set's fold
-            if merged is None:
-                base = {**base, **delta}
-            else:
-                merged.update(updates)
-                base = merged
-            delta = {}
-        out = object.__new__(Store)
-        out._base, out._delta = base, delta
-        return out
+        return self.set(updates)
 
     def diff(self, other: Mapping) -> tuple[dict, list]:
         """(changed, dropped): the entries of this store that other
@@ -384,11 +360,22 @@ class Store(Mapping):
         return changed, dropped
 
     @staticmethod
-    def layers(stores):
-        """Mappings that hold every entry of stores between them: each
-        distinct base once and each Store's delta, and any other mapping
-        whole. Under the weak-update invariant a union of value sets
-        over the layers is the union over the stores themselves."""
+    def layers(sigma: Mapping) -> tuple:
+        """sigma's base, then its delta when it has one; a mapping that
+        is not a Store, alone. A dict written with them in turn holds
+        sigma's entries, in its order, and under the weak-update
+        invariant a union of value sets over them is the union over
+        sigma."""
+        if type(sigma) is not Store:
+            return (sigma,)
+        delta = sigma._delta
+        return (sigma._base, delta) if delta else (sigma._base,)
+
+    @staticmethod
+    def union_layers(stores):
+        """Mappings whose union of value sets is, under the weak-update
+        invariant, the union over stores: each distinct base once, each
+        Store's delta, and any other mapping whole."""
         bases: dict = {}               # id -> base, kept alive
         for sigma in stores:
             if type(sigma) is not Store:
@@ -437,13 +424,13 @@ class Store(Mapping):
             if addr not in base:
                 yield addr
 
+    # With a delta, the Mapping views read entry by entry rather than
+    # merge a copy; the hot readers of whole stores take their layers.
     def items(self):
-        delta = self._delta
-        return ({**self._base, **delta} if delta else self._base).items()
+        return ItemsView(self) if self._delta else self._base.items()
 
     def values(self):
-        delta = self._delta
-        return ({**self._base, **delta} if delta else self._base).values()
+        return ValuesView(self) if self._delta else self._base.values()
 
     def __bool__(self):
         return bool(self._base) or bool(self._delta)

@@ -38,12 +38,13 @@ def points_to_union(dsg: DSG) -> dict:
     beneath its node, are bindings of its push sources' stepped stores,
     so the union is the same without building any visible store. Node
     stores share their bases, so it reads each distinct base once and
-    each store's delta (Store.layers), and they share their value-set
-    objects, so most sets met are the union so far or a subset of it;
-    those skip building a new set."""
+    each store's delta (Store.union_layers), and they share their
+    value-set objects, so most sets met are the union so far or a
+    subset of it; those skip building a new set."""
     union: dict = {}
     stores = dsg.node_stores
-    for layer in Store.layers(stores.get(n, EMPTY) for n in dsg.nodes):
+    for layer in Store.union_layers(stores.get(n, EMPTY)
+                                     for n in dsg.nodes):
         for a, vals in layer.items():
             have = union.get(a)
             if have is None:

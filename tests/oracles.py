@@ -15,7 +15,7 @@ from anfj.domain import (
     state_key, store_join,
 )
 from anfj.engine import DSG
-from anfj.export import FORMAT_NAME, FORMAT_VERSION, _levels
+from anfj.export import FORMAT_NAME, FORMAT_VERSION
 from anfj.machine import Addr, Value
 from anfj.syntax import THIS, ParseError, PopHandler, Return, Throw
 
@@ -566,23 +566,26 @@ def points_to_union(dsg: DSG) -> dict:
     return union
 
 
-def store_deltas(policy: Policy, nodes: list, stores: list, initial: int,
-                 edges: list) -> list:
-    """export._store_deltas over plain dict stores: per node, in id
-    order, (base id or None, the entries that differ from what the base
-    passes on, the addresses the base passes on that the node does not
-    bind), each candidate base's store diffed entry by entry."""
-    level = _levels(initial, edges, len(nodes))
+def store_deltas(dsg: DSG, nodes: list, stores: list) -> list:
+    """export._store_deltas over plain dict stores: per node of nodes,
+    in that order, with its store at the same index of stores, (the
+    index of its base or None, the entries that differ from what the
+    base passes on, the addresses the base passes on that the node does
+    not bind), each candidate base's store diffed entry by entry. The
+    candidates are a node's predecessors one breadth-first level above
+    it (bfs_levels)."""
+    level = bfs_levels(dsg)
+    ids = {q: i for i, q in enumerate(nodes)}
     candidates: list = [set() for _ in nodes]
-    for i, j in edges:
-        if level[i] is not None and level[j] == level[i] + 1:
-            candidates[j].add(i)
+    for s1, _act, s2 in dsg.edges:
+        if s1 in level and level.get(s2) == level[s1] + 1:
+            candidates[ids[s2]].add(ids[s1])
     out = []
     for q, sigma, bases in zip(nodes, stores, candidates):
         best, size = (None, sigma, ()), len(sigma)
         for b in sorted(bases) if sigma else ():
             passed = stores[b]
-            if policy.mode == "pushdown" and nodes[b].fp != q.fp:
+            if dsg.policy.mode == "pushdown" and nodes[b].fp != q.fp:
                 passed = heap_and_frame(passed, q.fp)
             delta = {a: vals for a, vals in sigma.items()
                      if passed.get(a) != vals}

@@ -169,9 +169,8 @@ def test_shared_store_readers_equal_the_dict_readers(name):
         stores = [dsg.node_stores[q] for q in nodes]
         assert all(type(sigma) is Store for sigma in stores), policy
         got = _store_deltas(policy, nodes, stores, ids[dsg.initial], pairs)
-        want = oracles.store_deltas(policy, nodes,
-                                    [dict(sigma) for sigma in stores],
-                                    ids[dsg.initial], pairs)
+        want = oracles.store_deltas(dsg, nodes,
+                                    [dict(sigma) for sigma in stores])
         assert len(got) == len(want) == len(nodes), policy
         for (b1, d1, x1), (b2, d2, x2) in zip(got, want):
             assert b1 == b2, policy
