@@ -437,6 +437,8 @@ class Store(Mapping):
 
     def __len__(self):
         base, delta = self._base, self._delta
+        if not delta:
+            return len(base)
         return len(base) + len(delta) - sum(map(base.__contains__, delta))
 
     def __eq__(self, other):
