@@ -446,7 +446,7 @@ def visible_stores(stepped: dict, sources: dict) -> dict:
                             below[a] = vals
                         elif not vals <= old:
                             below[a] = old | vals
-            below = Store(below)
+            below = Store.adopt(below)
             if cyclic and not grew:
                 grew = below != beneath.get(key)
             beneath[key] = below
@@ -491,23 +491,20 @@ def _objects(sigma: Mapping) -> set:
             for vals in layer.values() for v in vals}
 
 
-# A dict written with a store's layers in turn holds the store's entries,
-# so the two below filter those layers rather than a merged copy.
-
 def heap_and_frame(sigma: Mapping, fp) -> Store:
     """The bindings of sigma on object pointers and on the frame pointer
     fp: what a push or pop edge carries into the activation fp."""
     own = {fp}                         # a set: hashing skips most __eq__
-    return Store({a: vals for layer in Store.layers(sigma)
-                  for a, vals in layer.items()
-                  if type(a.ptr) is ObjPtr or a.ptr in own})
+    return Store.adopt({a: vals for layer in Store.layers(sigma)
+                        for a, vals in layer.items()
+                        if type(a.ptr) is ObjPtr or a.ptr in own})
 
 
 def own_frame(sigma: Mapping, fp) -> Store:
     """The bindings of sigma on the frame pointer fp."""
     own = {fp}
-    return Store({a: vals for layer in Store.layers(sigma)
-                  for a, vals in layer.items() if a.ptr in own})
+    return Store.adopt({a: vals for layer in Store.layers(sigma)
+                        for a, vals in layer.items() if a.ptr in own})
 
 
 class _Stepped:
@@ -717,7 +714,7 @@ class _Engine:
                 delta_passes += 1
                 delta_addrs += len(delta)
                 if passed is None:
-                    passed = Store(delta)
+                    passed = Store.adopt(delta)
                 for q2 in last[1]:
                     join_store(q2, passed)
                 for q2 in last[3]:

@@ -281,6 +281,14 @@ class Store(Mapping):
         """entries itself when it is a Store, else a Store of them."""
         return entries if type(entries) is Store else Store(entries)
 
+    @staticmethod
+    def adopt(entries: dict) -> "Store":
+        """A Store over the dict entries itself, not a copy: for a dict
+        just built, which its maker never writes again."""
+        out = object.__new__(Store)
+        out._base, out._delta = entries, {}
+        return out
+
     def set(self, updates: dict) -> "Store":
         """This store with updates written over it."""
         base, delta = self._base, self._delta
@@ -309,20 +317,27 @@ class Store(Mapping):
             if grew is not None:
                 grew.update(other.items())
             return other
-        dget, bget = delta.get, base.get
+        # Under the weak-update invariant other's layers hold its value
+        # sets between them, and this store's delta holds its base's: so
+        # each entry probes the base alone, and what is set in the delta
+        # is checked again against it.
+        get = base.get
         updates = {}
-        # under the weak-update invariant other's layers hold its value
-        # sets between them, so its delta need not be merged first
         for layer in Store.layers(other):
             for addr, vals in layer.items():
-                old = dget(addr)       # as in get: values are never None
-                if old is None:
-                    old = bget(addr)
+                old = get(addr)
                 if old is not None:
                     if vals <= old:
                         continue
                     vals = old | vals
                 updates[addr] = vals
+        for addr, old in delta.items():
+            vals = updates.get(addr)
+            if vals is not None:
+                if vals <= old:
+                    del updates[addr]
+                else:
+                    updates[addr] = old | vals
         if not updates:
             return None
         if grew is not None:
