@@ -265,10 +265,12 @@ class Store(Mapping):
     The concrete machine updates strongly. The analyzer's stores map
     addresses to value sets and are only ever updated weakly, by union
     (`join`), so in them every delta entry is a superset of the base
-    entry it overrides. That weak-update invariant lets `join` and the
-    readers of value-set unions take a store by its `layers`, and many
-    stores by their `union_layers`, each base once, without merging a
-    delta into its base; the concrete machine calls neither."""
+    entry it overrides. That weak-update invariant lets `join` probe a
+    store's base alone and check only what its delta overrides, and
+    lets `join` and the readers of value-set unions take a store by its
+    `layers`, and many stores by their `union_layers`, each base once,
+    without merging a delta into its base; the concrete machine calls
+    neither."""
 
     __slots__ = ("_base", "_delta")
 
