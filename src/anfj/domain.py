@@ -22,16 +22,20 @@ k=0 gives one frame pointer per call site and one object pointer per
 allocation site. With object sensitivity on, object pointers also
 carry the allocation site of the allocating method's receiver. Pointers,
 addresses and values are the concrete machine's records, on these times.
+States, frames and stack actions are tuple records of the same kind:
+each equals only a record of its own type, so Push(f) != Pop(f).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
-from .machine import Addr, FramePtr, ObjPtr, Store, Value, constructor_inits
+from .machine import (
+    Addr, FramePtr, ObjPtr, Store, Value, _typed_eq, _typed_ne,
+    constructor_inits,
+)
 from .syntax import (
     THIS, Assign, Cast, FieldRef, Invoke, LabeledProgram, New, PopHandler,
     Return, Stmt, Throw, TryCatch, VarRef,
@@ -40,60 +44,30 @@ from .syntax import (
 ATime = tuple[int, ...]
 
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass used as a dict or set key
-    over and over: its hash, the same value the dataclass would compute
-    from its fields, is computed once per object and kept in an instance
-    attribute that is not a field, so repr, == and field order stay as
-    they were. The cache is dropped on pickling, because string hashes
-    differ between processes."""
-    key = attrgetter(*(f.name for f in fields(cls)))
-    cls._hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
 FP0A = FramePtr(None, ())
 T0: ATime = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
-class ControlState:
+class ControlState(NamedTuple):
     stmt: Stmt
     fp: FramePtr
     time: ATime
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@cached_hash
-@dataclass(frozen=True)
-class CallFrame:
+class CallFrame(NamedTuple):
     var: str                       # caller variable receiving the result
     target: Stmt                   # caller statement to resume at
     fp: FramePtr
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@cached_hash
-@dataclass(frozen=True)
-class HandlerFrame:
+class HandlerFrame(NamedTuple):
     class_name: str
     var: str
     target: Stmt                   # handler head
     fp: FramePtr
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
 Frame = CallFrame | HandlerFrame
@@ -118,20 +92,21 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
-class Epsilon:
+class Epsilon(NamedTuple):
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
+
     def __repr__(self):
         return "eps"
 
 
-@dataclass(frozen=True)
-class Push:
+class Push(NamedTuple):
     frame: Frame
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Pop:
+class Pop(NamedTuple):
     frame: Frame
+    __eq__, __ne__, __hash__ = _typed_eq, _typed_ne, tuple.__hash__
 
 
 StackAction = Epsilon | Push | Pop
@@ -169,7 +144,7 @@ def store_join(a: Mapping, b: Mapping, grew: Optional[dict] = None) -> Mapping:
     `store_join(a, b) is a` tests growth; b itself when a is empty and
     b is not; otherwise a new Store. Neither argument is modified, and
     as stores are never mutated the result may share either of them.
-    When a and b share a base, only b's delta is read (Store.join).
+    Store.join walks the whole of b, probing a for each address.
     When grew is given, each address whose value set the join changed
     is written into it with its new value set, so over a run of joins
     into one store grew holds the store's delta since it was emptied."""

@@ -80,11 +80,9 @@ joins almost never meet two stores over one base.
 A node's visible store adds the bindings of the frames beneath it.
 Those are bindings its push sources' stepped stores hold already, so
 the result keeps each node's push sources (DSG.sources, pfp flattened
-over frames) instead of copies, and DSG.node_store builds the visible
-stores (visible_stores) only when a caller asks for one. The finite
+over frames) instead of copies, and builds no visible store. The finite
 baseline has no push/pop matching and carries every binding along
-every edge, so it has no push sources and its visible stores are its
-stepped ones.
+every edge, so it has no push sources.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
@@ -114,8 +112,8 @@ A step with a stepped delta visits every context of its node once, by
 a full step ("full_steps") or by a delta pass ("delta_passes", which
 joined "delta_addrs" addresses in all). A step without one leaves every
 memo standing, so it visits only the contexts new since the node's
-last step (for the pushdown engine, the top frames that the dirty_tf
-records brought), each by a full step.
+last step (for the pushdown engine, the top frames new in its TF),
+each by a full step.
 
 Diagnostics (unbound reads and fields) are those of each context's last
 full step. An unbound read is a read, so the delta that binds it forces
@@ -140,7 +138,7 @@ from .domain import (
     store_join,
 )
 from .gc import Collection, eagc
-from .machine import EMPTY, FramePtr, ObjPtr, Store
+from .machine import EMPTY, ObjPtr, Store
 from .syntax import LabeledProgram, Stmt
 
 
@@ -235,7 +233,7 @@ class IECG:
         self.held: dict = {}           # call site -> objects its own frame
                                        # holds
         self.held_deps: dict = {}      # call site -> activations it pushed to
-        self.dirty_tf: list = []       # (node, the frame new in its TF)
+        self.dirty_tf: list = []       # nodes whose TF grew, once per frame
         self.dirty_psf: list = []      # (activation, its new PSF pointers)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
@@ -255,7 +253,7 @@ class IECG:
             if frame in have:
                 continue
             have.add(frame)
-            self.dirty_tf.append((s, frame))
+            self.dirty_tf.append(s)
             if isinstance(frame, CallFrame):
                 self.add_psf(self.act.get(s, s), (frame.fp,))
             work.extend(self.eps_next.get(s, ()))
@@ -363,9 +361,9 @@ class DSG:
     maps, and run metadata. node_stores holds the stepped (collected)
     stores, which export and metrics read; full_stores the raw monotone
     joins behind them; sources each node's push sources, none in the
-    finite baseline. node_store(q) is q's visible store, built for all
-    nodes on the first call. Stores are shared between nodes and must
-    not be mutated."""
+    finite baseline. A node's visible store follows from the stepped
+    stores and the edges, and is not built. Stores are shared between
+    nodes and must not be mutated."""
 
     lp: LabeledProgram
     policy: Policy
@@ -378,17 +376,8 @@ class DSG:
     iecg: IECG = field(default_factory=IECG)
     diagnostics: set = field(default_factory=set)
     stats: dict = field(default_factory=dict)
-    _visible: dict | None = field(default=None, init=False, repr=False,
-                                  compare=False)
     _order: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
-
-    def node_store(self, q) -> Mapping:
-        """q's visible store: its stepped store plus the bindings of the
-        frames beneath it."""
-        if self._visible is None:
-            self._visible = visible_stores(self.node_stores, self.sources)
-        return self._visible.get(q, EMPTY)
 
     def order(self) -> tuple:
         """(nodes, ids, edges), the order both exports write in: the
@@ -411,78 +400,6 @@ def push_sources(pfp: dict) -> dict:
     for (s, _), ws in pfp.items():
         srcs.setdefault(s, set()).update(ws)
     return {s: frozenset(ws) for s, ws in srcs.items()}
-
-
-def visible_stores(stepped: dict, sources: dict) -> dict:
-    """Each node's stepped store plus the bindings of the frames beneath
-    it: those its push sources see, on frame pointers other than its
-    own. A push source's frames are its own and those beneath it, so
-    this is a least fixpoint over the sources. The frames beneath depend
-    only on the node's push sources and frame pointer, which the nodes
-    of one activation mostly share, so they are built once per such key,
-    each after the keys of its sources; only a recursive call, which
-    pushes back to where it came from, makes rounds repeat until nothing
-    grows."""
-    key_of = {s: (ws, s.fp) for s, ws in sources.items()}
-    deps = {}
-    for key in key_of.values():
-        if key not in deps:
-            deps[key] = {key_of[w] for w in key[0] if w in key_of}
-    order, cyclic = _after_sources(deps)
-    beneath: dict = {}                 # key -> bindings of the frames beneath
-    while True:
-        grew = False
-        for key in order:
-            ws, fp = key
-            own = {fp}                 # a set: hashing skips most __eq__
-            below: dict = {}
-            for layer in Store.union_layers(
-                    sigma for w in ws for sigma in
-                    (stepped[w], beneath.get(key_of.get(w), EMPTY))):
-                for a, vals in layer.items():
-                    if type(a.ptr) is FramePtr and a.ptr not in own:
-                        old = below.get(a)
-                        if old is None:
-                            below[a] = vals
-                        elif not vals <= old:
-                            below[a] = old | vals
-            below = Store.adopt(below)
-            if cyclic and not grew:
-                grew = below != beneath.get(key)
-            beneath[key] = below
-        if not grew:
-            break
-    return {s: store_join(beneath[key_of[s]], sigma) if s in key_of
-            else sigma for s, sigma in stepped.items()}
-
-
-def _after_sources(deps: dict) -> tuple:
-    """The keys of deps, each after those it depends on (a post-order of
-    a depth-first walk), and whether the walk met a cycle, which no
-    order can respect."""
-    order: list = []
-    done: set = set()
-    cyclic = False
-    for root in deps:
-        if root in done:
-            continue
-        path = {root}
-        stack = [(root, iter(deps[root]))]
-        while stack:
-            k, pending = stack[-1]
-            for d in pending:
-                if d in path:
-                    cyclic = True
-                elif d not in done:
-                    path.add(d)
-                    stack.append((d, iter(deps[d])))
-                    break
-            else:
-                stack.pop()
-                path.discard(k)
-                done.add(k)
-                order.append(k)
-    return order, cyclic
 
 
 def _objects(sigma: Mapping) -> set:
@@ -535,8 +452,7 @@ class _Engine:
     read added to reads;
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
     the work a step leaves behind; and `stack_fps(s)`, the GC-root
-    pointers of s's stack at its first collection (eagc). It may refine
-    `new_contexts(s, memo)`, the contexts of s no step has visited. Root
+    pointers of s's stack at its first collection (eagc). Root
     pointers that join s's stack later go into the node's roots for its
     next collection (Collection.extend); `add_roots` puts them there and
     wakes s when they would change its stepped store.
@@ -572,7 +488,9 @@ class _Engine:
         raise NotImplementedError
 
     def new_contexts(self, s, memo):
-        """The contexts of s that no step of s has visited yet."""
+        """The contexts of s that no step of s has visited yet: every
+        visit memoizes each context it takes, so these are the ones
+        new since s's last step."""
         return [ctx for ctx in self.contexts(s) if ctx not in memo]
 
     def step(self, s, ctx, sigma: Mapping, reads: set, diags: list):
@@ -759,17 +677,11 @@ class _PushdownEngine(_Engine):
         self.waiting: dict = {}        # activation -> pointer -> nodes whose
                                        # collection left an address under it
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
-        self.new_tops: dict = {}       # node -> frames new in TF since its
-                                       # contexts were last taken
         self.summaries: dict = {}      # push source -> its summary targets
         self.pending_edges: deque = deque()
 
     def contexts(self, s):
-        self.new_tops.pop(s, None)
         return sorted(self.iecg.tf(s), key=frame_key)
-
-    def new_contexts(self, s, memo):
-        return sorted(self.new_tops.pop(s, ()), key=frame_key)
 
     def step(self, s, top, sigma, reads, diags):
         return abstract_next(self.lp, s, sigma, top, self.policy, diags,
@@ -885,9 +797,7 @@ class _PushdownEngine(_Engine):
                         self.add_summary(w, dst)
                 continue
             if iecg.dirty_tf:
-                s, f = iecg.dirty_tf.pop()
-                self.new_tops.setdefault(s, []).append(f)
-                self.work.push(s, "top_frames")
+                self.work.push(iecg.dirty_tf.pop(), "top_frames")
                 continue
             if iecg.dirty_psf:
                 key, new = iecg.dirty_psf.pop()

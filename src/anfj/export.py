@@ -25,9 +25,9 @@ reads only the graph and compares stores and value sets by ==, so no
 worklist or hash order reaches it. Each node also writes the sorted ids
 of its push sources ("sources", empty in the finite baseline). Its
 visible store, the stepped one plus the frames beneath it, is not
-written: it is engine.visible_stores over the stepped stores and
-sources, which a reader can also rebuild from the edges alone (the push
-sources are pfp flattened over frames).
+written: a reader rebuilds it from the stepped stores and the edges
+alone, as tests/oracles.py does (the push sources are pfp flattened
+over frames).
 
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from

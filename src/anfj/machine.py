@@ -139,9 +139,10 @@ def _popped(t: Time) -> Time:
     return out
 
 
-# Pointers, addresses and values are tuple records: each hashes as its
-# field tuple, in C, and equals only a record of its own type, never one
-# of another type with the same fields, nor a plain tuple.
+# Pointers, addresses and values are tuple records, as are the
+# analyzer's states, frames and stack actions: each hashes as its field
+# tuple, in C, and equals only a record of its own type, never one of
+# another type with the same fields, nor a plain tuple.
 _tuple_eq = tuple.__eq__
 
 

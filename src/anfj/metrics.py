@@ -88,18 +88,6 @@ def _role_means(union: dict, exc: set) -> tuple:
             thr_sum / thr_n if thr_n else None)
 
 
-def metric_var_points_to(dsg: DSG) -> Optional[float]:
-    """Mean points-to cardinality over addresses holding at least one
-    non-exception-role class."""
-    return _role_means(points_to_union(dsg), thrown_classes(dsg))[0]
-
-
-def metric_throws(dsg: DSG) -> Optional[float]:
-    """Mean points-to cardinality over addresses holding at least one
-    exception-role class."""
-    return _role_means(points_to_union(dsg), thrown_classes(dsg))[1]
-
-
 def metric_ec_links(dsg: DSG) -> tuple:
     """(links, average): every (throw label, handler-head label) pair
     connected by an edge, and links per linked throw site."""

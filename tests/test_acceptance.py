@@ -21,7 +21,7 @@ from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
 from helpers import corpus_names, corpus_program
 from oracles import (
     brute_reachable_addrs, call_fps, epsilon_closure, explore_configs,
-    net_empty_pairs,
+    frames_beneath, net_empty_pairs,
 )
 from test_gc import _random_cyclic_store
 from test_machine import EXPECTED, FUEL
@@ -88,15 +88,16 @@ def test_criterion_3_summary_oracle_equivalence():
             lp = corpus_program(name)
             policy = Policy(gc=False)
             dsg = analyze(lp, policy)
+            _, visible = frames_beneath(dsg)
             g = explore_configs(lp, policy, max_depth=MAX_STACK_DEPTH,
                                 max_configs=MAX_CONFIGS,
-                                stores=dsg.node_store)
+                                stores=lambda q: visible.get(q, {}))
             if g.truncated:
                 continue
             qualified += 1
             assert g.states() <= dsg.nodes, name
             pairs, truncated = net_empty_pairs(lp, policy, dsg.nodes,
-                                               dsg.node_store)
+                                               visible.get)
             assert not truncated, name
             assert epsilon_closure(dsg.edges) == pairs, name
             for q, tops in g.top_frames().items():
@@ -197,7 +198,7 @@ def test_criterion_6_gc_precision():
         def store_at_call(policy):
             dsg = analyze(lp, policy)
             [q] = [n for n in dsg.nodes if n.stmt.label == call.label]
-            return dsg.node_store(q), q
+            return frames_beneath(dsg)[1][q], q
 
         on, q = store_at_call(Policy(k=0))
         off, _ = store_at_call(Policy(k=0, liveness=False))

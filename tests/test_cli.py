@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from anfj import engine as engine_module
 from anfj.cli import build_parser, main, parse_policy_spec
 from anfj.domain import Policy
 from anfj.metrics import POPULATION_NOTE
@@ -143,19 +142,6 @@ def test_analyze_accepts_every_knob(tmp_path, capsys):
     assert doc["policy"]["gc"] is False
     assert doc["policy"]["liveness"] is False
     assert doc["policy"]["mode"] == "finite"
-
-
-def test_no_command_builds_visible_stores(tmp_path, monkeypatch, capsys):
-    # export and metrics read the stepped stores and push sources; the
-    # visible stores are a view no command pays for
-    def refuse(*args):
-        raise AssertionError("visible stores built")
-    monkeypatch.setattr(engine_module, "visible_stores", refuse)
-    assert main(["analyze", SCOPED, "--json", str(tmp_path / "g.json"),
-                 "--dot", str(tmp_path / "g.dot"), "--report-json"]) == 0
-    assert main(["compare", SCOPED, "--a", "k=0",
-                 "--b", "k=1,mode=finite", "--json"]) == 0
-    capsys.readouterr()
 
 
 # -- compare ---------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Abstract domain: context policies, stores, and the transition rules."""
 
-import dataclasses
 import pickle
 import random
 
@@ -21,7 +20,7 @@ from anfj.syntax import (
 )
 
 from helpers import corpus_names, corpus_program
-from oracles import explore_configs, store_leq
+from oracles import explore_configs, frames_beneath, store_leq
 
 
 def find_assign(lp, var, exp_type):
@@ -57,10 +56,10 @@ def test_object_sensitivity_splits_by_receiver_site():
     box_site = find_assign(lp, "b", New).label
 
     def box_ptrs(policy):
-        dsg = analyze(lp, policy)
+        _, visible = frames_beneath(analyze(lp, policy))
         ops = set()
-        for q in dsg.nodes:
-            for vals in dsg.node_store(q).values():
+        for sigma in visible.values():
+            for vals in sigma.values():
                 ops.update(v.op for v in vals if v.op.site == box_site)
         return ops
 
@@ -134,26 +133,14 @@ def test_store_join_lattice_laws():
     assert shared > 20
 
 
-def test_cached_hash_is_the_field_hash_and_not_a_field():
-    lp = corpus_program("var_chain")
-    q0 = inject_abstract(lp)
-    fp = FramePtr(1, (2,))
-    for obj in [q0, CallFrame("r", lp.stmt(1), fp),
-                HandlerFrame("E", "e", lp.stmt(1), fp)]:
-        fields = dataclasses.fields(obj)
-        assert hash(obj) == hash(tuple(getattr(obj, f.name) for f in fields))
-        assert "_hash" not in {f.name for f in fields}
-        assert "_hash" not in repr(obj)
-        # string hashes differ between processes, so pickles carry no cache
-        clone = pickle.loads(pickle.dumps(obj))
-        assert clone == obj and "_hash" not in vars(clone)
-        assert hash(clone) == hash(obj)
-
-
 def test_records_hash_as_their_fields_and_equal_only_their_own_type():
     fp, op = FramePtr(1, (2,)), ObjPtr(1, (2,))
+    lp = corpus_program("var_chain")
+    f = CallFrame("r", lp.stmt(1), fp)
     records = [fp, op, ObjPtr(3, (), 4), Addr("x", fp), Value("A", op),
-               FramePtr(1, Time(2, T0)), Addr("x", ObjPtr(1, Time(2, T0)))]
+               FramePtr(1, Time(2, T0)), Addr("x", ObjPtr(1, Time(2, T0))),
+               inject_abstract(lp), f, HandlerFrame("E", "e", lp.stmt(1), fp),
+               Push(f), Pop(f), EPSILON]
     for obj in records:
         assert hash(obj) == hash(tuple(obj))
         assert obj != tuple(obj) and tuple(obj) != obj
@@ -166,6 +153,10 @@ def test_records_hash_as_their_fields_and_equal_only_their_own_type():
     # same fields, same hash, different types
     assert Addr("A", op) != Value("A", op) and not Addr("A", op) == Value("A", op)
     assert len({fp, op, (1, (2,)), Addr("A", op), Value("A", op)}) == 5
+    # the engine's edge set tells a push from a pop of the same frame
+    assert Push(f) != Pop(f) and not Push(f) == Pop(f)
+    assert hash(Push(f)) == hash(Pop(f))
+    assert len({Push(f), Pop(f), (f,)}) == 3
     assert op.recv is None and ObjPtr(3, (), 4).recv == 4
     assert (fp.site, fp.time) == (1, (2,))
 

@@ -27,8 +27,9 @@ from helpers import (
     named_program,
 )
 from oracles import (
-    call_fps, epsilon_closure, explore_configs, heap_and_frame, least_psf,
-    net_empty_pairs, own_frame, store_leq, update_psf,
+    call_fps, epsilon_closure, explore_configs, frames_beneath,
+    heap_and_frame, least_psf, net_empty_pairs, own_frame, store_leq,
+    update_psf,
 )
 from test_byte_identity import POLICIES, analysis_digest
 
@@ -116,15 +117,15 @@ def test_analysis_result_is_a_fixpoint(name, policy):
     # the visible store adds to the stepped one only frames beneath
     lp = corpus_program(name)
     dsg = analyze(lp, policy)
+    _, visible = frames_beneath(dsg)
     stepped = {}
     for q in sorted(dsg.nodes, key=state_key):
         full = dsg.full_stores.get(q, {})
         psf = dsg.iecg.stack(q)
         sigma = stepped[q] = (eagc(q, full, psf, lp, policy) if policy.gc
                               else full)
-        assert heap_and_frame(dsg.node_store(q), q.fp) == \
-            heap_and_frame(sigma, q.fp)
-        assert store_leq(sigma, dsg.node_store(q))
+        assert heap_and_frame(visible[q], q.fp) == heap_and_frame(sigma, q.fp)
+        assert store_leq(sigma, visible[q])
         for kappa in dsg.iecg.tf(q):
             top = None if kappa is BOTTOM else kappa
             for q2, act, sg2 in abstract_next(lp, q, sigma, top, policy):
@@ -148,6 +149,7 @@ def test_unbound_reads_are_unbound_at_the_fixpoint(name):
     lp = named_program(name)
     for policy in POLICIES:
         dsg = analyze(lp, policy)
+        _, visible = frames_beneath(dsg)
         reads = {}
         for label, reason in dsg.diagnostics:
             m = re.fullmatch(r"unbound read of '(\w+)'", reason)
@@ -157,7 +159,7 @@ def test_unbound_reads_are_unbound_at_the_fixpoint(name):
             assert reads, policy
         for label, names in reads.items():
             for var in names:
-                assert any(not dsg.node_store(q).get(Addr(var, q.fp))
+                assert any(not visible[q].get(Addr(var, q.fp))
                            for q in dsg.nodes if q.stmt.label == label), \
                     (policy, label, var)
 
@@ -249,7 +251,7 @@ def test_step_gc_on_steps_the_collected_store():
                 and isinstance(lp.stmt(l).exp, Invoke))
     dsg_off = analyze(lp, Policy(gc=False))
     q = the_node(dsg_off, lambda s: s is call)
-    sigma = dsg_off.node_store(q)
+    sigma = frames_beneath(dsg_off)[1][q]
     b_addr = Addr("b", q.fp)
     assert b_addr in sigma
 
@@ -537,8 +539,7 @@ def test_analysis_is_deterministic():
     a = analyze(lp, Policy())
     b = analyze(lp, Policy())
     assert a.nodes == b.nodes and a.edges == b.edges
-    assert {q: a.node_store(q) for q in a.nodes} == \
-           {q: b.node_store(q) for q in b.nodes}
+    assert frames_beneath(a)[1] == frames_beneath(b)[1]
 
 
 # -- step causes ------------------------------------------------------------------
@@ -605,7 +606,10 @@ def test_summaries_match_bounded_explorer(name):
     lp = corpus_program(name)
     policy = Policy(gc=False)
     dsg = analyze(lp, policy)
-    stores = dsg.node_store
+    _, visible = frames_beneath(dsg)
+
+    def stores(q):
+        return visible.get(q, {})
 
     g = explore_configs(lp, policy, stores=stores)
     assert not g.truncated

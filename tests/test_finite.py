@@ -9,7 +9,7 @@ from anfj.metrics import metric_ec_links
 from anfj.syntax import Assign, Invoke, Return, Throw, load_program
 
 from helpers import CHAINS, corpus_names, corpus_program, named_program
-from oracles import reference_analysis, store_leq
+from oracles import frames_beneath, reference_analysis, store_leq
 from test_byte_identity import analysis_digest
 
 FINITE = Policy(mode="finite")
@@ -28,8 +28,7 @@ def test_matches_pushdown_on_call_free_straight_line():
         fin = analyze(lp, FINITE)
         pd = analyze(lp, Policy())
         assert fin.nodes == pd.nodes and fin.edges == pd.edges
-        assert {q: fin.node_store(q) for q in fin.nodes} == \
-               {q: pd.node_store(q) for q in pd.nodes}
+        assert frames_beneath(fin)[1] == frames_beneath(pd)[1]
 
 
 def test_return_binds_result_at_the_recorded_caller():
@@ -44,7 +43,7 @@ def test_return_binds_result_at_the_recorded_caller():
     bound = [e for e in dsg.edges if e[0] == ret and e[2].stmt is after]
     assert bound
     [target] = {e[2] for e in bound}
-    assert dsg.node_store(target).get(Addr(call.var, target.fp))
+    assert frames_beneath(dsg)[1][target].get(Addr(call.var, target.fp))
 
 
 def test_throw_dispatch_walks_call_records_transitively():
@@ -55,11 +54,12 @@ def test_throw_dispatch_walks_call_records_transitively():
     throw_label = next(l for l in lp.all_labels()
                        if isinstance(lp.stmt(l), Throw))
     assert any(t == throw_label for t, _ in links)
+    _, visible = frames_beneath(dsg)
     handler_nodes = [n for n in dsg.nodes if n.stmt.label in lp.handler_heads]
     assert any(
         any(v.class_name == "Boom" for v in vals)
         for n in handler_nodes
-        for a, vals in dsg.node_store(n).items())
+        for a, vals in visible[n].items())
 
 
 def test_handler_record_outlives_its_try_block():
@@ -95,8 +95,10 @@ def test_differs_from_pushdown_only_in_stack_handling(name, k, gc):
     pd = analyze(lp, Policy(k=k, gc=gc))
     fin = analyze(lp, Policy(k=k, gc=gc, mode="finite"))
     assert pd.nodes <= fin.nodes
+    _, pd_visible = frames_beneath(pd)
+    _, fin_visible = frames_beneath(fin)
     for q in pd.nodes:
-        assert store_leq(pd.node_store(q), fin.node_store(q)), q
+        assert store_leq(pd_visible[q], fin_visible[q]), q
     calls = {l for l in lp.all_labels() if isinstance(lp.stmt(l), Assign)
              and isinstance(lp.stmt(l).exp, Invoke)}
     for dsg in (pd, fin):
@@ -197,5 +199,4 @@ def test_finite_mode_is_deterministic():
     a = analyze(lp, FINITE)
     b = analyze(lp, FINITE)
     assert a.nodes == b.nodes and a.edges == b.edges
-    assert {q: a.node_store(q) for q in a.nodes} == \
-           {q: b.node_store(q) for q in b.nodes}
+    assert frames_beneath(a)[1] == frames_beneath(b)[1]

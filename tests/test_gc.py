@@ -17,7 +17,8 @@ from anfj.syntax import Invoke, Assign
 
 from helpers import corpus_program
 from oracles import (
-    brute_reachable_addrs, call_fps, collect, reachable, root, stack_root,
+    brute_reachable_addrs, call_fps, collect, frames_beneath, reachable,
+    root, stack_root,
 )
 
 FP1 = FramePtr(1, ())
@@ -198,7 +199,7 @@ def test_dead_wrapper_collected_at_call_node():
     def store_at_call(policy):
         dsg = analyze(lp, policy)
         [q] = [n for n in dsg.nodes if n.stmt.label == call_label]
-        return dsg.node_store(q), q
+        return frames_beneath(dsg)[1][q], q
 
     on, q_on = store_at_call(Policy())
     off, q_off = store_at_call(Policy(gc=False))
@@ -217,8 +218,10 @@ def test_gc_on_store_domains_within_gc_off():
         dsg_on = analyze(lp, Policy())
         dsg_off = analyze(lp, Policy(gc=False))
         assert dsg_on.nodes <= dsg_off.nodes
+        _, on = frames_beneath(dsg_on)
+        _, off = frames_beneath(dsg_off)
         for q in dsg_on.nodes:
-            assert set(dsg_on.node_store(q)) <= set(dsg_off.node_store(q))
+            assert set(on[q]) <= set(off[q])
 
 
 # -- incremental collection ------------------------------------------------------

@@ -10,12 +10,12 @@ from anfj.export import export_dsg
 from anfj.machine import Addr, Value, run
 from anfj.metrics import (
     POPULATION_NOTE, SideBudgetExceeded, compare, count_methods,
-    metric_ec_links, metric_throws, metric_var_points_to, points_to_union,
-    report, thrown_classes,
+    metric_ec_links, points_to_union, report, thrown_classes,
 )
 from anfj.syntax import Throw, load_program
 
 from helpers import CHAINS, FANIN, corpus_names, corpus_program, named_program
+from oracles import frames_beneath
 from test_byte_identity import POLICIES
 
 NOGC = Policy(k=0, gc=False, liveness=False)
@@ -40,8 +40,9 @@ def test_mean_of_sizes_one_and_three_is_two():
     }
     dsg = DSG(lp=lp, policy=NOGC, initial=q, nodes={q},
               node_stores={q: store})
-    assert metric_var_points_to(dsg) == 2.0
-    assert metric_throws(dsg) is None  # no throw nodes, so no such role
+    r = report(dsg)
+    assert r.var_points_to == 2.0
+    assert r.throws is None  # no throw nodes, so no such role
 
 
 def test_empty_population_is_none_not_zero():
@@ -49,8 +50,9 @@ def test_empty_population_is_none_not_zero():
     real = analyze(lp, NOGC)
     dsg = DSG(lp=lp, policy=NOGC, initial=real.initial,
               nodes={real.initial}, node_stores={real.initial: {}})
-    assert metric_var_points_to(dsg) is None
-    assert metric_throws(dsg) is None
+    r = report(dsg)
+    assert r.var_points_to is None
+    assert r.throws is None
 
 
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS) + [FANIN])
@@ -61,13 +63,14 @@ def test_stepped_stores_give_the_visible_stores_metrics(name):
     lp = named_program(name)
     for policy in POLICIES:
         dsg = analyze(lp, policy)
+        _, visible = frames_beneath(dsg)
         union: dict = {}
         thrown = set()
-        for q in dsg.nodes:
-            for a, vals in dsg.node_store(q).items():
+        for q, sigma in visible.items():
+            for a, vals in sigma.items():
                 union[a] = union.get(a, frozenset()) | vals
             if isinstance(q.stmt, Throw):
-                thrown |= {v.class_name for v in dsg.node_store(q).get(
+                thrown |= {v.class_name for v in sigma.get(
                     Addr(q.stmt.var, q.fp), ())}
         assert points_to_union(dsg) == union, policy
         assert thrown_classes(dsg) == thrown, policy
@@ -85,8 +88,8 @@ def test_local_reuse_rebinds_fresh_with_gc():
         assert sizes and all(s == 1 for s in sizes), (base, sizes)
     # tmp and tb union their two allocations across nodes, so the overall
     # mean sits above 1 even though every single node store is precise
-    assert metric_var_points_to(dsg) < metric_var_points_to(
-        analyze(lp, NOGC))
+    assert report(dsg).var_points_to < report(
+        analyze(lp, NOGC)).var_points_to
 
 
 def test_local_reuse_joins_without_gc():
@@ -94,22 +97,23 @@ def test_local_reuse_joins_without_gc():
     dsg = analyze(lp, NOGC)
     joined = union_sizes_by_base(dsg, "a2") + union_sizes_by_base(dsg, "b2")
     assert any(s >= 2 for s in joined)
-    assert metric_var_points_to(dsg) > 1.0
+    assert report(dsg).var_points_to > 1.0
 
 
 def test_all_throw_values_leave_var_population_empty():
     # the only binding is the thrown object itself
     lp = corpus_program("uncaught")
     dsg = analyze(lp, Policy(k=0))
-    assert metric_var_points_to(dsg) is None
-    assert metric_throws(dsg) == 1.0
+    r = report(dsg)
+    assert r.var_points_to is None
+    assert r.throws == 1.0
 
 
 # -- throws metric -------------------------------------------------------------
 
 def test_no_throws_reports_none():
     dsg = analyze(corpus_program("minimal"), Policy(k=0))
-    assert metric_throws(dsg) is None
+    assert report(dsg).throws is None
 
 
 TWO_CLASS_THROW = """
@@ -151,7 +155,7 @@ def test_two_classes_through_one_variable():
     # make bodies share one frame pointer, so e and x each hold {E1, E2}
     lp = load_program(TWO_CLASS_THROW)
     dsg = analyze(lp, NOGC)
-    assert metric_throws(dsg) == 2.0
+    assert report(dsg).throws == 2.0
 
 
 # -- exception-catcher links ----------------------------------------------------

@@ -25,6 +25,7 @@ from anfj.syntax import (
 )
 
 from helpers import CHAINS, FANIN, corpus_names, named_program
+from oracles import frames_beneath
 
 REPLAY_FUEL = 600  # long enough for every terminating corpus program;
                    # recursive ones are replayed on their trace prefix
@@ -146,12 +147,12 @@ def transition_reads(st):
 def test_collected_store_retains_every_read(name, policy):
     lp = named_program(name)
     _, trace = run(lp, fuel=REPLAY_FUEL)
-    dsg = analyze(lp, policy)
+    _, visible = frames_beneath(analyze(lp, policy))
     alpha = Abstraction(policy)
     for i in range(len(trace) - 1):
         st = trace[i]
         q = alpha.state(st)
-        sigma_hat = dsg.node_store(q)
+        sigma_hat = visible.get(q, {})
         for a in sorted(transition_reads(st), key=lambda a: a.base):
             if a not in st.store:
                 continue  # the machine would have gotten stuck instead
