@@ -5,7 +5,8 @@ the nodes and edges, the budgets and clock, the collection
 before each step, the memo of each step and the delta passes it allows,
 the fixpoint diagnostics and DSG.stats. A stack abstraction supplies
 the same two things to it: the top frames a node is stepped under, and
-the GC-root pointers of its stack. _PushdownEngine below is the
+one live set per activation of the GC-root pointers of its stack, whose
+growth it reports to the core. _PushdownEngine below is the
 pushdown abstraction; finite._FiniteEngine is the finite-state
 baseline, which differs from it in stack handling alone.
 
@@ -54,15 +55,16 @@ stack hold (the root set of Might & Shivers' Gamma-CFA): the frame
 pointers of the call frames, and the objects bound in the frames
 beneath (iecg.held, the objects a call site's own frame holds, taken
 beneath each activation it calls). Handler frames and the empty-stack
-marker own no bindings and never enter it. Every node of an activation
-(a method and a frame pointer) is epsilon-reachable from its entry and
-has the same stack beneath it, so at the fixpoint their summaries are
-equal, and the activation keeps one: it flows along the push edges,
-and the summary edges into throws, between activations, one dependency
-per pair, and grows by deltas (the dirty_psf records). A node's
-collection takes the pointers that joined its activation's summary
-since its last collection, and a new pointer wakes only the nodes
-whose last collection left out an address under it.
+marker own no bindings and never enter it. With GC off nothing reads
+it, so none is kept. Every node of an activation (a method and a frame
+pointer) is epsilon-reachable from its entry and has the same stack
+beneath it, so at the fixpoint their summaries are equal, and the
+activation keeps one: it flows along the push edges, and the summary
+edges into throws, between activations, one dependency per pair, and
+grows by deltas (the dirty_psf records). It is the activation's live
+root set: each collection of its nodes reads it by membership and
+copies none of it, and a new pointer goes only to the nodes whose last
+collection left out an address under it, and wakes them.
 
 The analysis keeps two stores per node. The full store is the
 monotone join of everything ever flowed into the node; growth of it or
@@ -87,12 +89,13 @@ every edge, so it has no push sources.
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
 full store, which the joins since its last dequeue wrote down with
-their new value sets, and the root pointers new on its stack. That
+their new value sets, and the root pointers handed to it since. That
 gives the stepped delta: the addresses whose stepped binding changed,
 with their value sets, a store delta that a delta pass joins as it is.
-A new root pointer is kept for the node's next collection, and wakes
-the node only when its last collection left out an address under it;
-otherwise the stepped store would not change. A node is stepped per
+A pointer joining the root set is handed to a node, and wakes it, only
+when the node's last collection left out an address under it (the
+core's pending-pointer index, waiting); otherwise the stepped store
+would not change. A node is stepped per
 context (here, per top frame), and each context's last full step is
 memoized with the addresses domain.next read. The context is stepped
 in full again only when it is new or the delta touches one of those
@@ -221,9 +224,12 @@ class IECG:
     share one summary, psf[key]. A node act does not map is an
     activation of its own. psf_deps holds one dependency per push edge,
     and per epsilon edge between activations, so drain can pass each
-    summary delta on."""
+    summary delta on. Their one reader is the collection, so with
+    stacks false (the pushdown engine under GC off) psf, psf_deps, held
+    and held_deps stay empty."""
 
     def __init__(self):
+        self.stacks = True             # keep the stack summaries
         self.eps_next: dict = {}       # node -> direct epsilon successors
         self.top_frames: dict = {}
         self.pfp: dict = {}
@@ -254,7 +260,7 @@ class IECG:
                 continue
             have.add(frame)
             self.dirty_tf.append(s)
-            if isinstance(frame, CallFrame):
+            if self.stacks and isinstance(frame, CallFrame):
                 self.add_psf(self.act.get(s, s), (frame.fp,))
             work.extend(self.eps_next.get(s, ()))
 
@@ -299,6 +305,8 @@ class IECG:
         """A push or epsilon edge made p a predecessor of s: everything
         on the stack at p is on the stack at s, now and after every later
         growth. Nothing flows within one activation."""
+        if not self.stacks:
+            return
         ks, kp = self.act.get(s, s), self.act.get(p, p)
         if ks == kp:
             return
@@ -332,7 +340,7 @@ def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     frame also puts the objects s1's own frame holds, now and later,
     beneath s2."""
     iecg.add_psf_pred(s2, s1)
-    if isinstance(frame, CallFrame):
+    if iecg.stacks and isinstance(frame, CallFrame):
         key = iecg.act.get(s2, s2)
         deps = iecg.held_deps.setdefault(s1, set())
         if key not in deps:
@@ -427,10 +435,10 @@ def own_frame(sigma: Mapping, fp) -> Store:
 class _Stepped:
     """What the core keeps about a node it has stepped: the delta of its
     full store since its last dequeue (each address that grew, with its
-    new value set), its collection, the
-    root pointers new on its stack since that collection, and the memo
-    of the last full step under each context (the addresses read, the
-    successor states and the diagnostics)."""
+    new value set), its collection, the root pointers that joined its
+    stack since that collection under an address it left out, and the
+    memo of the last full step under each context (the addresses read,
+    the successor states and the diagnostics)."""
 
     __slots__ = ("grown", "collection", "roots", "memo")
 
@@ -451,11 +459,14 @@ class _Engine:
     (None for BOTTOM) and sigma, the stepped store, with the addresses
     read added to reads;
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
-    the work a step leaves behind; and `stack_fps(s)`, the GC-root
-    pointers of s's stack at its first collection (eagc). Root
-    pointers that join s's stack later go into the node's roots for its
-    next collection (Collection.extend); `add_roots` puts them there and
-    wakes s when they would change its stepped store.
+    the work a step leaves behind; and `root_set(key)`, the live set of
+    the GC-root pointers of the stack of the activation key, which every
+    collection of its nodes reads by membership. The stack abstraction
+    grows that set and reports each growth to `wake`, the one path by
+    which new roots reach a collection: a node whose last collection
+    left out an address under a new pointer is handed the pointer for
+    its next collection (Collection.extend) and woken; any other keeps
+    its stepped store, and reads the pointer in the set later.
 
     A dequeued node is stepped in full under a context only when the
     context is new to it or the stepped store changed at an address the
@@ -481,6 +492,8 @@ class _Engine:
         self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
         self.stepped: dict = {}        # node -> _Stepped
+        self.waiting: dict = {}        # activation -> pointer -> nodes whose
+                                       # collection left an address under it
         self.t0 = _time.monotonic()
         self.deadline = self.t0 + budget.max_seconds
 
@@ -502,7 +515,7 @@ class _Engine:
     def after_step(self) -> None:
         pass
 
-    def stack_fps(self, s):
+    def root_set(self, key) -> set:
         raise NotImplementedError
 
     # -- bookkeeping ----------------------------------------------------
@@ -535,18 +548,20 @@ class _Engine:
         self.work.push(s, "new_node")
         return True
 
-    def add_roots(self, s, fps, cause: str) -> None:
-        """fps joined the root pointers of s's stack. A node not yet
-        collected takes its whole stack at its first collection; for
-        any other, fps are kept for the next one, and s is woken only
-        when its last collection left out an address under one of them,
-        as otherwise its stepped store stays the same."""
-        node = self.stepped.get(s)
-        if node is None or node.collection is None:
+    def wake(self, key, ptrs, cause: str) -> None:
+        """ptrs joined the root set of the activation key: each goes to
+        the nodes whose last collection left out an address under it,
+        for their next collection, and wakes them. The others' stepped
+        stores stay the same."""
+        waiting = self.waiting.get(key)
+        if not waiting:
             return
-        node.roots.update(fps)
-        if not node.collection.pending.keys().isdisjoint(fps):
-            self.work.push(s, cause)
+        for p in ptrs:
+            for s in waiting.pop(p, ()):
+                node = self.stepped[s]
+                if p in node.collection.pending:
+                    node.roots.add(p)
+                    self.work.push(s, cause)
 
     def add_edge(self, s1, act, s2) -> bool:
         """Record the edge; True when it is new."""
@@ -577,16 +592,25 @@ class _Engine:
         grown, node.grown = node.grown, {}
         if not self.policy.gc:
             return full, grown
+        lp = self.lp
+        collection = node.collection
         if grown is None:
-            node.collection = Collection(s, self.lp, self.policy)
-            sigma = eagc(s, full, self.stack_fps(s), self.lp, self.policy,
-                         state=node.collection)
+            collection = node.collection = Collection(s, lp, self.policy)
+            stack = self.root_set(activation(lp, s.stmt, s.fp))
+            sigma = eagc(s, full, stack, lp, self.policy, state=collection)
             delta = None
         else:
-            roots, node.roots = node.roots, set()
-            delta = node.collection.extend(full, grown, roots)
-            sigma = node.collection.visible
+            roots = node.roots
+            if roots:
+                node.roots = set()
+            delta = collection.extend(full, grown, roots)
+            sigma = collection.visible
         self.dsg.node_stores[s] = sigma
+        if collection.fresh:
+            waiting = self.waiting.setdefault(activation(lp, s.stmt, s.fp),
+                                              {})
+            for p in collection.fresh:
+                waiting.setdefault(p, set()).add(s)
         return sigma, delta
 
     def run(self) -> DSG:
@@ -660,22 +684,18 @@ class _PushdownEngine(_Engine):
     """The pushdown stack abstraction: top frames, stack summaries and
     summary edges, kept in the IECG and closed by drain after each
     step. A node's contexts are its top frames, its stack roots are its
-    activation's stack summary, and its stepped store holds its own
-    frame and the heap."""
+    activation's stack summary, kept under GC only, and its stepped
+    store holds its own frame and the heap."""
 
     causes = ("top_frames", "gc_roots")
 
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
+        self.iecg.stacks = policy.gc
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         q0 = self.dsg.initial
         self.iecg.act[q0] = activation(lp, q0.stmt, q0.fp)
-        self.roots_log: dict = {}      # activation -> its PSF in arrival order
-        self.roots_seen: dict = {}     # node -> the length of that log its
-                                       # collection has taken
-        self.waiting: dict = {}        # activation -> pointer -> nodes whose
-                                       # collection left an address under it
         self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
         self.summaries: dict = {}      # push source -> its summary targets
         self.pending_edges: deque = deque()
@@ -698,33 +718,15 @@ class _PushdownEngine(_Engine):
             return True
         return False
 
-    def stack_fps(self, s):
-        return self.iecg.stack(s)
+    def root_set(self, key) -> set:
+        return self.iecg.psf.setdefault(key, set())
 
     def stepped_store(self, s, node: _Stepped):
-        """The core's collection, which takes the root pointers that
-        joined s's stack summary since its last one. After it, the
-        addresses the collection left out are indexed by pointer, for
-        drain to wake s when one of those pointers joins the summary;
-        the part of the delta on s's own frame goes on along s's summary
-        edges and, once s has pushed a call frame, the objects it binds
-        join those s's own frame holds."""
-        gc = self.policy.gc
-        if gc:
-            key = self.iecg.act[s]
-            log = self.roots_log.get(key)
-            if log:
-                seen = self.roots_seen.get(s)
-                if node.collection is None:
-                    self.roots_seen[s] = len(log)
-                elif seen is None or seen < len(log):
-                    node.roots.update(log[seen or 0:])
-                    self.roots_seen[s] = len(log)
+        """The core's collection. After it, the part of the delta on s's
+        own frame goes on along s's summary edges and, once s has pushed
+        a call frame under GC, the objects it binds join those s's own
+        frame holds."""
         sigma, delta = super().stepped_store(s, node)
-        if gc and node.collection.pending:
-            waiting = self.waiting.setdefault(key, {})
-            for p in node.collection.pending:
-                waiting.setdefault(p, set()).add(s)
         targets = self.summaries.get(s)
         held = s in self.iecg.held     # a call site that has pushed
         if targets or held:
@@ -735,18 +737,6 @@ class _PushdownEngine(_Engine):
                 if held:
                     self.iecg.add_held(s, _objects(own))
         return sigma, delta
-
-    def wake(self, key, ptrs) -> None:
-        """ptrs joined the stack summary of the activation key: wake each
-        of its nodes whose collection left out an address under one of
-        them. The others take them at their next collection."""
-        waiting = self.waiting.get(key)
-        if not waiting:
-            return
-        for p in ptrs:
-            for s in waiting.pop(p, ()):
-                if p in self.stepped[s].collection.pending:
-                    self.work.push(s, "gc_roots")
 
     def add_summary(self, w, s2) -> None:
         """A new summary edge (w, eps, s2) carries w's own-frame bindings
@@ -774,7 +764,7 @@ class _PushdownEngine(_Engine):
                 if isinstance(act, Epsilon):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
-                    if (isinstance(act.frame, CallFrame)
+                    if (iecg.stacks and isinstance(act.frame, CallFrame)
                             and s1 not in iecg.held):
                         iecg.held[s1] = _objects(
                             own_frame(self.dsg.node_stores[s1], s1.fp))
@@ -803,8 +793,7 @@ class _PushdownEngine(_Engine):
                 key, new = iecg.dirty_psf.pop()
                 for dep in iecg.psf_deps.get(key, ()):
                     iecg.add_psf(dep, new)
-                self.roots_log.setdefault(key, []).extend(new)
-                self.wake(key, new)
+                self.wake(key, new, "gc_roots")
                 continue
             return
 

@@ -24,12 +24,15 @@ self-edge that adds no binding; it is dropped, as the table has no
 frame beneath. Self-edges with a new binding stay: a throw caught by
 its own handler, or a call whose callee starts with the same call.
 
-The stack roots of a node's collection are the call records at every
-level its activation can return through. A new record at a level a
-step consulted is a new context, stepped in full; a new call record
-at a level a collection consulted brings its new root pointers. Time
-is the pushdown engine's own: only calls tick it. So the two analyses
-differ in stack handling alone.
+The stack roots of a node's collection are the pointers of the call
+records at every level its activation can return through: one live
+set per level, walked once, which every collection at the level reads
+by membership. A new record at a level a step consulted is a new
+context, stepped in full; a new call record at a level a root set
+walked grows that set, and the core wakes only the collections that
+left out an address under one of its new pointers. Time is the
+pushdown engine's own: only calls tick it. So the two analyses differ
+in stack handling alone.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ from .syntax import PopHandler, Return, Throw
 class _FiniteEngine(_Engine):
     """The finite stack abstraction. Who consulted a table level is
     kept by purpose: a node whose contexts came from the level is
-    stepped again when it grows, and a node whose collection took its
-    call records is handed the new ones' root pointers. A handler
-    record owns no bindings, so it wakes no collection, as a handler
-    frame owns no root in the pushdown engine."""
+    stepped again when it grows, and a level whose root set read its
+    call records takes the new ones' root pointers, which the core
+    hands to that level's collections that left an address under them.
+    A handler record owns no bindings, so it grows no root set, as a
+    handler frame owns no root in the pushdown engine."""
 
     causes = ("table",)
 
@@ -60,12 +64,13 @@ class _FiniteEngine(_Engine):
         q0 = self.dsg.initial
         self.table: dict = {activation(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.step_deps: dict = {}      # level -> nodes whose contexts read it
-        self.gc_deps: dict = {}        # level -> nodes whose gc read it
+        self.root_sets: dict = {}      # level -> its root set
+        self.gc_deps: dict = {}        # level -> levels whose root set read it
 
     def record(self, level, entry):
         """Table write; growth wakes every node whose contexts came
-        from the level, and a call record every node whose collection
-        did, with the root pointers it brings."""
+        from the level, and a call record grows the root set of every
+        level that read this one by the root pointers it brings."""
         have = self.table.setdefault(level, set())
         if entry in have:
             return
@@ -73,10 +78,14 @@ class _FiniteEngine(_Engine):
         for n in self.step_deps.get(level, ()):
             self.work.push(n, "table")
         if isinstance(entry, CallFrame):
-            for n in self.gc_deps.get(level, ()):
+            for lv in self.gc_deps.get(level, ()):
                 fps = {entry.fp}
-                self.reach(n, activation(self.lp, entry.target, entry.fp), fps)
-                self.add_roots(n, fps, "table")
+                self.reach(lv, activation(self.lp, entry.target, entry.fp),
+                           fps)
+                roots = self.root_sets[lv]
+                new = fps - roots
+                roots |= new
+                self.wake(lv, new, "table")
 
     # -- level walks ------------------------------------------------------
 
@@ -93,18 +102,17 @@ class _FiniteEngine(_Engine):
                         stack.append(nxt)
         return seen
 
-    def reach(self, node, level, fps) -> None:
-        """Extend node's collection to level and every level reachable
-        from it that the collection has not consulted yet, registering
-        node on each and adding the pointers of the call records there
-        to fps."""
+    def reach(self, lv, level, fps) -> None:
+        """Extend the root set of lv to level and every level reachable
+        from it that the set has not read yet, registering lv on each
+        and adding the pointers of the call records there to fps."""
         stack = [level]
         while stack:
             cur = stack.pop()
             deps = self.gc_deps.setdefault(cur, set())
-            if node in deps:
+            if lv in deps:
                 continue
-            deps.add(node)
+            deps.add(lv)
             for e in self.table.get(cur, ()):
                 if isinstance(e, CallFrame):
                     fps.add(e.fp)
@@ -112,11 +120,15 @@ class _FiniteEngine(_Engine):
 
     # -- the core's hooks ---------------------------------------------------
 
-    def stack_fps(self, q):
+    def root_set(self, level):
         """The stand-in for the pushdown engine's stack summary: the
-        call records at every level q's activation can return through."""
-        fps: set = set()
-        self.reach(q, activation(self.lp, q.stmt, q.fp), fps)
+        pointers of the call records at every level the activation can
+        return through, walked at its first collection and grown by
+        record."""
+        fps = self.root_sets.get(level)
+        if fps is None:
+            fps = self.root_sets[level] = set()
+            self.reach(level, level, fps)
         return fps
 
     def contexts(self, q):

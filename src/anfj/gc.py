@@ -14,12 +14,15 @@ either flag can be switched off independently.
 
 A node's keep-set can only grow: its live set is fixed by its label,
 its stack only gains root pointers and its full store only gains
-bindings. So the engine keeps one Collection per node. The first
-collection is eagc, which is an extension of an empty Collection; every
-later one extends the keep-set from the root pointers new on the stack
-and the addresses that grew in the full store since the last one, and
-reports the visible delta, the addresses whose binding in the collected
-view changed.
+bindings. So the engine keeps one Collection per node. Its stack's root
+pointers are one live set per activation, which the stack abstraction
+grows and every collection of the activation's nodes reads by
+membership, without a copy. The first collection is eagc, which is an
+extension of an empty Collection; every later one extends the keep-set
+from the addresses that grew in the full store since the last one and
+the root pointers that joined the stack under an address it left out,
+and reports the visible delta, the addresses whose binding in the
+collected view changed.
 """
 
 from __future__ import annotations
@@ -34,22 +37,28 @@ from .syntax import THIS, LabeledProgram
 class Collection:
     """One node's collection, kept between its steps.
 
-    The keep-set holds whole pointers (ptrs: the stack's root pointers,
-    every object reached from a kept value, and the node's own frame
-    pointer when liveness pruning is off), whose present and future
-    addresses are all kept, plus the node's own locals named in live.
-    pending indexes, by pointer, the addresses of the last collected
-    store that are not kept, each with its latest value set, so
-    reaching a pointer later finds them without a pass over the store,
-    or a lookup in it. Its pointers are never in ptrs, so an address that
-    is neither kept nor pending is new."""
+    The keep-set holds whole pointers, whose present and future
+    addresses are all kept: those of stack, the live root set of the
+    node's activation, which the stack abstraction grows and this reads
+    without a copy, and ptrs (every object reached from a kept value,
+    the stack pointers an extension was handed, and the node's own
+    frame pointer when liveness pruning is off); plus the node's own
+    locals named in live. pending indexes, by pointer, the addresses of
+    the last collected store that are not kept, each with its latest
+    value set, so reaching a pointer later finds them without a pass
+    over the store, or a lookup in it. Its pointers are never in ptrs,
+    nor in stack but for those that joined it since, which the next
+    extension is handed; so an address that is neither kept nor pending
+    is new. fresh lists the pointers the last extension put in it."""
 
-    __slots__ = ("fp", "live", "visible", "keep", "ptrs", "pending")
+    __slots__ = ("fp", "live", "visible", "keep", "ptrs", "stack", "pending",
+                 "fresh")
 
     def __init__(self, q: ControlState, lp: LabeledProgram, policy: Policy):
         self.fp = q.fp
         self.live: frozenset = frozenset()
         self.ptrs: set = set()
+        self.stack = frozenset()       # eagc sets the activation's root set
         if policy.liveness:
             # the receiver is always a root while its activation runs:
             # it is the activation's identity, and the allocation policy
@@ -62,6 +71,7 @@ class Collection:
         self.keep: set = set()
         self.pending: dict = {}        # pointer -> {unkept address: its
                                        # value set}
+        self.fresh: list = []
 
     def extend(self, sigma: Mapping, grown: Mapping, fps) -> dict:
         """Collect sigma, a store above the one collected last, in which
@@ -70,25 +80,32 @@ class Collection:
         pointers are the last one's plus fps (which may repeat old ones).
         Returns the visible delta: the addresses newly kept plus the kept
         ones that grew, each with its value set, in the order kept."""
-        keep, ptrs, pending = self.keep, self.ptrs, self.pending
+        keep, ptrs, stack, pending = (self.keep, self.ptrs, self.stack,
+                                      self.pending)
         live, own = self.live, {self.fp}   # a set: hashing skips most __eq__
         delta = {}
-        for layer in Store.layers(grown):  # a later layer's value sets win
-            for a, vals in layer.items():
-                if a in keep:
-                    delta[a] = vals
-                elif a.ptr in ptrs or (a.base in live and a.ptr in own):
-                    keep.add(a)
-                    delta[a] = vals
-                else:                  # new, or pending already
-                    pending.setdefault(a.ptr, {})[a] = vals
-        for p in fps:
+        fresh = self.fresh = []
+        for p in fps:                  # before grown, whose value sets win
             if p not in ptrs:
                 ptrs.add(p)
                 found = pending.pop(p, None)
                 if found:
                     keep.update(found)
                     delta.update(found)
+        for layer in Store.layers(grown):  # a later layer's value sets win
+            for a, vals in layer.items():
+                if a in keep:
+                    delta[a] = vals
+                elif (a.ptr in ptrs or a.ptr in stack
+                      or (a.base in live and a.ptr in own)):
+                    keep.add(a)
+                    delta[a] = vals
+                else:                  # new, or pending already
+                    at = pending.get(a.ptr)
+                    if at is None:
+                        at = pending[a.ptr] = {}
+                        fresh.append(a.ptr)
+                    at[a] = vals
         frontier = list(delta.values())
         while frontier:
             for val in frontier.pop():
@@ -112,10 +129,11 @@ def eagc(q: ControlState, sigma: Mapping, fps, lp: LabeledProgram,
     """sigma restricted to what q can still touch under a stack whose
     root pointers are fps; identity when off or when everything is
     kept. state, a fresh Collection of q, keeps the collection for
-    later extension."""
+    later extension, and reads fps, a live set, as it grows."""
     if not policy.gc:
         return sigma
     if state is None:
         state = Collection(q, lp, policy)
-    state.extend(sigma, sigma, fps)
+    state.stack = fps
+    state.extend(sigma, sigma, ())
     return state.visible

@@ -240,14 +240,6 @@ Kont = Halt | Fun | Handle
 HALT = Halt()
 
 
-def kont_frames(k: Kont) -> list[Kont]:
-    out = []
-    while not isinstance(k, Halt):
-        out.append(k)
-        k = k.next
-    return out
-
-
 # stores ----------------------------------------------------------------------
 
 class Store(Mapping):

@@ -570,9 +570,6 @@ class LabeledProgram:
     def method_of_label(self, label: int) -> MethodDecl:
         return self.method_of[label]
 
-    def all_labels(self) -> list[int]:
-        return sorted(self.stmt_by_label)
-
 
 def _object_info() -> ClassInfo:
     decl = ClassDecl(name=OBJECT, parent=OBJECT, fields=(),

@@ -5,12 +5,27 @@ import pathlib
 import random
 import sys
 
+from anfj.machine import Halt
 from anfj.syntax import LabeledProgram, load_program
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 PERFBENCH_DIR = pathlib.Path(__file__).parents[1] / "perfbench"
 CHAINS = ("chain7", "chain10")
 FANIN = "fanin48"
+
+
+def all_labels(lp: LabeledProgram) -> list[int]:
+    """Every statement label of lp, in order."""
+    return sorted(lp.stmt_by_label)
+
+
+def kont_frames(k) -> list:
+    """The frames of a concrete continuation, innermost first."""
+    out = []
+    while not isinstance(k, Halt):
+        out.append(k)
+        k = k.next
+    return out
 
 
 def corpus_source(name: str) -> str:

@@ -18,7 +18,7 @@ from anfj.machine import Addr, run
 from anfj.metrics import metric_ec_links, points_to_union
 from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
 
-from helpers import corpus_names, corpus_program
+from helpers import all_labels, corpus_names, corpus_program
 from oracles import (
     brute_reachable_addrs, call_fps, epsilon_closure, explore_configs,
     frames_beneath, net_empty_pairs,
@@ -102,8 +102,16 @@ def test_criterion_3_summary_oracle_equivalence():
             assert epsilon_closure(dsg.edges) == pairs, name
             for q, tops in g.top_frames().items():
                 assert tops <= dsg.iecg.tf(q), name
-            for q, frames in g.stack_frames().items():
-                assert call_fps(frames) <= dsg.iecg.stack(q), name
+            # the stack summaries are kept under GC only: check them on
+            # a GC-on run, against real stacks explored with its stores
+            on = analyze(lp, Policy())
+            _, visible_on = frames_beneath(on)
+            g_on = explore_configs(lp, Policy(), max_depth=MAX_STACK_DEPTH,
+                                   max_configs=MAX_CONFIGS,
+                                   stores=lambda q: visible_on.get(q, {}))
+            assert not g_on.truncated, name
+            for q, frames in g_on.stack_frames().items():
+                assert call_fps(frames) <= on.iecg.stack(q), name
         assert qualified >= MIN_ORACLE_QUALIFIERS
     _verdict(3, "summary oracle equivalence", check)
 
@@ -136,7 +144,7 @@ def test_criterion_5_graph_shape_suite():
         lp = corpus_program("try_complete")
         dsg = analyze(lp, Policy(k=0))
         try_q = next(q for q in dsg.nodes if isinstance(q.stmt, TryCatch))
-        pop_h = next(s for l in lp.all_labels()
+        pop_h = next(s for l in all_labels(lp)
                      for s in [lp.stmt(l)] if isinstance(s, PopHandler))
         after = lp.successor(pop_h.label)
         assert any(s1 == try_q and act is EPSILON
@@ -190,7 +198,7 @@ def test_criterion_6_gc_precision():
         assert any(s >= 2 for s in joined)
 
         lp = corpus_program("dead_before_call")
-        call = next(s for l in lp.all_labels()
+        call = next(s for l in all_labels(lp)
                     for s in [lp.stmt(l)]
                     if isinstance(s, Assign) and isinstance(s.exp, Invoke)
                     and s.var == "r")

@@ -19,12 +19,12 @@ from anfj.syntax import (
     TryCatch, VarRef, load_program,
 )
 
-from helpers import corpus_names, corpus_program
+from helpers import all_labels, corpus_names, corpus_program
 from oracles import explore_configs, frames_beneath, store_leq
 
 
 def find_assign(lp, var, exp_type):
-    for ell in lp.all_labels():
+    for ell in all_labels(lp):
         s = lp.stmt(ell)
         if isinstance(s, Assign) and s.var == var and isinstance(s.exp, exp_type):
             return s
@@ -284,14 +284,14 @@ def test_unbound_read_yields_nothing_and_a_diagnostic():
 
 def _throw_state_from_snippet(lp):
     # SNIPPET has no throw; synthesize one against an existing label
-    ret = lp.stmt(max(lp.all_labels()))
+    ret = lp.stmt(max(all_labels(lp)))
     s = Throw(label=ret.label, var=ret.var)
     return s, ControlState(s, FP0A, ())
 
 
 def test_try_pushes_handler_frame():
     lp = corpus_program("try_catch_local")
-    trys = [lp.stmt(l) for l in lp.all_labels()
+    trys = [lp.stmt(l) for l in all_labels(lp)
             if isinstance(lp.stmt(l), TryCatch)]
     s = trys[0]
     q = ControlState(s, FP0A, ())
@@ -424,7 +424,7 @@ def test_invoke_ticks_time_and_new_does_not():
 
 def test_return_binds_at_caller_and_skips_handler_frames():
     lp = load_program(SNIPPET)
-    ret = lp.stmt(max(lp.all_labels()))
+    ret = lp.stmt(max(all_labels(lp)))
     v = Value("Object", ObjPtr(1, ()))
     sigma = {Addr(ret.var, FP0A): frozenset((v,))}
     caller_fp = FramePtr(9, ())
@@ -459,7 +459,7 @@ def test_constructor_chain_initializes_inherited_fields():
 
 
 def next_new_var(lp):
-    for ell in lp.all_labels():
+    for ell in all_labels(lp):
         s = lp.stmt(ell)
         if isinstance(s, Assign) and isinstance(s.exp, New) and s.exp.args:
             return s.var
@@ -672,13 +672,13 @@ def test_reachable_control_space_is_finite_and_stable():
         g2 = explore_configs(lp, Policy())
         assert not g1.truncated
         assert g1.states() == g2.states()
-        assert len(g1.states()) <= 4 * len(lp.all_labels())
+        assert len(g1.states()) <= 4 * len(all_labels(lp))
 
 
 def test_entry_state_shape():
     lp = corpus_program("minimal")
     q0 = inject_abstract(lp)
-    assert q0.fp == FP0A and q0.time == () and q0.stmt.label == min(lp.all_labels())
+    assert q0.fp == FP0A and q0.time == () and q0.stmt.label == min(all_labels(lp))
 
 
 def test_bottom_is_a_singleton_marker():

@@ -2,6 +2,7 @@
 
 import re
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -23,8 +24,8 @@ from anfj.syntax import (
 )
 
 from helpers import (
-    CHAINS, FANIN, corpus_names, corpus_program, long_method_source,
-    named_program,
+    CHAINS, FANIN, all_labels, corpus_names, corpus_program,
+    long_method_source, named_program,
 )
 from oracles import (
     call_fps, epsilon_closure, explore_configs, frames_beneath,
@@ -49,7 +50,7 @@ def the_node(dsg, pred):
 def test_analyze_straight_line_is_a_linear_epsilon_chain():
     lp = corpus_program("minimal")
     dsg = analyze(lp, Policy())
-    assert len(dsg.nodes) == len(lp.all_labels())
+    assert len(dsg.nodes) == len(all_labels(lp))
     assert all(act == EPSILON for _, act, _ in dsg.edges)
     ret = the_node(dsg, lambda s: isinstance(s, Return))
     assert not [e for e in dsg.edges if e[0] == ret]
@@ -220,7 +221,7 @@ def test_recursion_terminates_and_reuses_nodes():
 
 def test_step_dead_configuration_has_no_successors():
     lp = corpus_program("var_chain")
-    s = next(lp.stmt(l) for l in lp.all_labels()
+    s = next(lp.stmt(l) for l in all_labels(lp)
              if isinstance(lp.stmt(l), Assign)
              and isinstance(lp.stmt(l).exp, VarRef))
     q = ControlState(s, FP0A, ())
@@ -231,7 +232,7 @@ def test_step_dead_configuration_has_no_successors():
 
 def test_step_throw_over_two_classes_yields_two_records():
     lp = corpus_program("throw_across_call")
-    s = next(lp.stmt(l) for l in lp.all_labels()
+    s = next(lp.stmt(l) for l in all_labels(lp)
              if isinstance(lp.stmt(l), Throw))
     hit = Value("Boom", ObjPtr(1, ()))
     miss = Value("Ok", ObjPtr(2, ()))
@@ -246,7 +247,7 @@ def test_step_throw_over_two_classes_yields_two_records():
 def test_step_gc_on_steps_the_collected_store():
     # the dead wrapper binding must not leak into callee-entry stores
     lp = corpus_program("dead_before_call")
-    call = next(lp.stmt(l) for l in lp.all_labels()
+    call = next(lp.stmt(l) for l in all_labels(lp)
                 if isinstance(lp.stmt(l), Assign)
                 and isinstance(lp.stmt(l).exp, Invoke))
     dsg_off = analyze(lp, Policy(gc=False))
@@ -275,7 +276,7 @@ def test_step_gc_on_steps_the_collected_store():
 
 def test_step_try_pushes_one_handler_frame():
     lp = corpus_program("try_complete")
-    s = next(lp.stmt(l) for l in lp.all_labels()
+    s = next(lp.stmt(l) for l in all_labels(lp)
              if isinstance(lp.stmt(l), TryCatch))
     q = ControlState(s, FP0A, ())
     policy = Policy()
@@ -288,7 +289,7 @@ def test_step_try_pushes_one_handler_frame():
 # -- closure map algebra -----------------------------------------------------------
 
 def _states(lp, n):
-    labels = lp.all_labels()[:n]
+    labels = all_labels(lp)[:n]
     return [ControlState(lp.stmt(l), FP0A, ()) for l in labels]
 
 
@@ -339,9 +340,10 @@ def test_update_psf_examples():
 @pytest.mark.parametrize("name", corpus_names())
 def test_psf_is_the_least_solution_of_its_spec(name):
     # the deltas drain pushes add up to what re-unioning every
-    # predecessor's whole PSF would give, and to no more
+    # predecessor's whole PSF would give, and to no more; the summaries
+    # are kept under GC only, their one reader
     lp = corpus_program(name)
-    for policy in [p for p in POLICIES if p.mode == "pushdown"]:
+    for policy in [p for p in POLICIES if p.mode == "pushdown" and p.gc]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
         push_preds: dict = {}
@@ -485,8 +487,10 @@ def test_iecg_invariants(name, policy):
     # eps_next holds exactly the graph's epsilon edges, summaries included
     assert {(s, s2) for s, succs in iecg.eps_next.items() for s2 in succs} \
         == {(s1, s2) for s1, act, s2 in dsg.edges if act == EPSILON}
-    for s in dsg.nodes:
-        assert call_fps(iecg.tf(s)) <= iecg.stack(s)
+    # the stack summaries are kept under GC only
+    on = dsg if policy.gc else analyze(lp, replace(policy, gc=True))
+    for s in on.nodes:
+        assert call_fps(on.iecg.tf(s)) <= on.iecg.stack(s)
     for (s, f) in iecg.pfp:
         assert f in iecg.tf(s)
     assert BOTTOM in iecg.tf(dsg.initial)
@@ -511,6 +515,8 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
             for f in tf:
                 assert (iecg.pfp.get((p, f), set())
                         <= iecg.pfp.get((n, f), set()))
+        if not policy.gc:              # no stack summary to follow
+            continue
         deps = {(p, s) for p, ss in iecg.psf_deps.items() for s in ss}
         act = iecg.act
         assert deps <= {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
@@ -621,5 +627,25 @@ def test_summaries_match_bounded_explorer(name):
 
     for q, tops in g.top_frames().items():
         assert tops <= dsg.iecg.tf(q)
-    for q, frames in g.stack_frames().items():
-        assert call_fps(frames) <= dsg.iecg.stack(q)
+    # the stack summaries are kept under GC only: check them on a GC-on
+    # run, against real stacks explored with its stores
+    on = analyze(lp, Policy())
+    _, visible_on = frames_beneath(on)
+    g_on = explore_configs(lp, Policy(),
+                           stores=lambda q: visible_on.get(q, {}))
+    assert not g_on.truncated
+    for q, frames in g_on.stack_frames().items():
+        assert call_fps(frames) <= on.iecg.stack(q)
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_gc_off_keeps_no_stack_summary(name):
+    # the stack summaries' one reader is the collection: with GC off
+    # the pushdown engine builds none, and indexes no pending pointer
+    lp = named_program(name)
+    for policy in [p for p in POLICIES
+                   if p.mode == "pushdown" and not p.gc]:
+        eng = _PushdownEngine(lp, policy, Budget())
+        iecg = eng.run().iecg
+        assert not (iecg.psf or iecg.psf_deps or iecg.held
+                    or iecg.held_deps or iecg.dirty_psf or eng.waiting)

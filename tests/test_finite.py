@@ -3,13 +3,18 @@
 import pytest
 
 from anfj.domain import EPSILON, Policy
-from anfj.engine import Budget, BudgetExceeded, analyze
+from anfj.engine import Budget, BudgetExceeded, activation, analyze
+from anfj.finite import _FiniteEngine
 from anfj.machine import Addr
 from anfj.metrics import metric_ec_links
 from anfj.syntax import Assign, Invoke, Return, Throw, load_program
 
-from helpers import CHAINS, corpus_names, corpus_program, named_program
-from oracles import frames_beneath, reference_analysis, store_leq
+from helpers import (
+    CHAINS, all_labels, corpus_names, corpus_program, named_program,
+)
+from oracles import (
+    finite_stack_fps, frames_beneath, reference_analysis, store_leq,
+)
 from test_byte_identity import analysis_digest
 
 FINITE = Policy(mode="finite")
@@ -36,7 +41,7 @@ def test_return_binds_result_at_the_recorded_caller():
     dsg = analyze(lp, FINITE)
     ret = next(n for n in dsg.nodes if isinstance(n.stmt, Return)
                and lp.method_of_label(n.stmt.label).name == "id")
-    call = next(lp.stmt(l) for l in lp.all_labels()
+    call = next(lp.stmt(l) for l in all_labels(lp)
                 if isinstance(lp.stmt(l), Assign)
                 and isinstance(lp.stmt(l).exp, Invoke))
     after = lp.successor(call.label)
@@ -51,7 +56,7 @@ def test_throw_dispatch_walks_call_records_transitively():
     lp = corpus_program("deep_throw")
     dsg = analyze(lp, FINITE)
     links, _ = metric_ec_links(dsg)
-    throw_label = next(l for l in lp.all_labels()
+    throw_label = next(l for l in all_labels(lp)
                        if isinstance(lp.stmt(l), Throw))
     assert any(t == throw_label for t, _ in links)
     _, visible = frames_beneath(dsg)
@@ -99,7 +104,7 @@ def test_differs_from_pushdown_only_in_stack_handling(name, k, gc):
     _, fin_visible = frames_beneath(fin)
     for q in pd.nodes:
         assert store_leq(pd_visible[q], fin_visible[q]), q
-    calls = {l for l in lp.all_labels() if isinstance(lp.stmt(l), Assign)
+    calls = {l for l in all_labels(lp) if isinstance(lp.stmt(l), Assign)
              and isinstance(lp.stmt(l).exp, Invoke)}
     for dsg in (pd, fin):
         assert all(set(q.time) <= calls for q in dsg.nodes), dsg.policy.mode
@@ -200,3 +205,19 @@ def test_finite_mode_is_deterministic():
     b = analyze(lp, FINITE)
     assert a.nodes == b.nodes and a.edges == b.edges
     assert frames_beneath(a)[1] == frames_beneath(b)[1]
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_level_root_sets_are_the_call_records_they_reach(name):
+    # one root set per table level, grown as records arrive: at the
+    # fixpoint it holds the pointers of the call records at every level
+    # reachable from its own, and each collection at the level reads it
+    # rather than a copy
+    lp = named_program(name)
+    for k in (0, 1):
+        eng = _FiniteEngine(lp, Policy(mode="finite", k=k), Budget())
+        eng.run()
+        for q, node in eng.stepped.items():
+            roots = eng.root_sets[activation(lp, q.stmt, q.fp)]
+            assert roots == finite_stack_fps(lp, eng.table, q), (k, q)
+            assert node.collection.stack is roots

@@ -15,7 +15,7 @@ from anfj.gc import Collection, eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import Invoke, Assign
 
-from helpers import corpus_program
+from helpers import all_labels, corpus_program
 from oracles import (
     brute_reachable_addrs, call_fps, collect, frames_beneath, reachable,
     root, stack_root,
@@ -52,7 +52,7 @@ def test_stack_root_empty_frames():
 # -- root ----------------------------------------------------------------------
 
 def _call_node(lp):
-    for ell in lp.all_labels():
+    for ell in all_labels(lp):
         s = lp.stmt(ell)
         if isinstance(s, Assign) and isinstance(s.exp, Invoke):
             return s

@@ -18,14 +18,15 @@ from hypothesis import given, strategies
 from anfj.machine import (
     FP0, T0, Addr, ConcreteState, FramePtr, Fun, FuelExhausted, Halt,
     Halted, Handle, ObjPtr, Store, Stuck, Time, Uncaught, Value,
-    _popped, constructor_inits, inject, is_terminal, kont_frames, run, step,
-    tick,
+    _popped, constructor_inits, inject, is_terminal, run, step, tick,
 )
 from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef, load_program,
 )
 
-from helpers import CHAINS, corpus_names, corpus_program, named_program
+from helpers import (
+    CHAINS, corpus_names, corpus_program, kont_frames, named_program,
+)
 
 # name -> (outcome class, class name of the result value or None)
 EXPECTED = {

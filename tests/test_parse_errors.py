@@ -22,7 +22,7 @@ import pytest
 
 from anfj.syntax import AnfjError, load_program
 
-from helpers import corpus_names, corpus_source
+from helpers import all_labels, corpus_names, corpus_source
 from oracles import reference_tokens
 
 TABLE = pathlib.Path(__file__).with_name("parse_errors.json")
@@ -41,7 +41,7 @@ def outcome(src: str) -> list:
         lp = load_program(src)
     except AnfjError as err:
         return [type(err).__name__, err.message, err.line, err.col]
-    return ["loads", len(lp.all_labels())]
+    return ["loads", len(all_labels(lp))]
 
 
 def outcomes(src: str) -> list[list]:

@@ -17,14 +17,12 @@ from anfj.domain import (
     Policy, Pop, Push,
 )
 from anfj.engine import analyze
-from anfj.machine import (
-    Addr, FramePtr, Fun, Value, kont_frames, run,
-)
+from anfj.machine import Addr, FramePtr, Fun, Value, run
 from anfj.syntax import (
     Assign, Cast, FieldRef, Invoke, New, Return, Throw, VarRef,
 )
 
-from helpers import CHAINS, FANIN, corpus_names, named_program
+from helpers import CHAINS, FANIN, corpus_names, kont_frames, named_program
 from oracles import frames_beneath
 
 REPLAY_FUEL = 600  # long enough for every terminating corpus program;

@@ -15,8 +15,8 @@ from anfj.syntax import _position, _tokenize
 from oracles import reference_tokens
 
 from helpers import (
-    CHAINS, corpus_names, corpus_program, corpus_source, deep_try_source,
-    gen_module, named_program,
+    CHAINS, all_labels, corpus_names, corpus_program, corpus_source,
+    deep_try_source, gen_module, named_program,
 )
 
 SIMPLE = """
@@ -260,7 +260,7 @@ def test_trailing_whitespace_is_read_once():
 
 def test_labels_are_program_ordered_and_dense():
     lp = load_program(TRYPROG)
-    labels = lp.all_labels()
+    labels = all_labels(lp)
     assert labels == list(range(1, len(labels) + 1))
     # textual order: try, body stmts, inserted pophandler, handler stmts, return
     kinds = [type(lp.stmt(ell)).__name__ for ell in labels]
@@ -367,8 +367,8 @@ def test_iter_stmts_walks_a_3000_deep_try_nest():
 def test_elaboration_idempotent_on_labeled_structure():
     lp1 = load_program(TRYPROG)
     lp2 = elaborate(lp1.program)
-    assert lp1.all_labels() == lp2.all_labels()
-    for ell in lp1.all_labels():
+    assert all_labels(lp1) == all_labels(lp2)
+    for ell in all_labels(lp1):
         assert type(lp1.stmt(ell)) is type(lp2.stmt(ell))
         s1, s2 = lp1.succ_map.get(ell), lp2.succ_map.get(ell)
         assert (s1 is None) == (s2 is None)
