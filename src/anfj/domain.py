@@ -75,8 +75,8 @@ Frame = CallFrame | HandlerFrame
 
 class _Bottom:
     """Marker for 'the stack may be empty here'. Lives in top-frame sets
-    next to real frames and rides along into the possible-stack-frame
-    summaries; it is not a Frame, and stack-root computation skips it."""
+    next to real frames; it is not a Frame and owns no bindings, so it
+    never enters the stack roots, which hold pointers."""
 
     _instance = None
 

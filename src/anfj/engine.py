@@ -3,10 +3,11 @@
 The core (_Engine) owns the worklist, the full and stepped stores,
 the nodes and edges, the budgets and clock, the collection
 before each step, the memo of each step and the delta passes it allows,
-the fixpoint diagnostics and DSG.stats. A stack abstraction supplies
-the same two things to it: the top frames a node is stepped under, and
-one live set per activation of the GC-root pointers of its stack, whose
-growth it reports to the core. _PushdownEngine below is the
+the fixpoint diagnostics, DSG.stats and, under GC, the root graph of
+the stacks (RootGraph): one live set per activation of the GC-root
+pointers of its stack. A stack abstraction supplies the same two
+things to it: the top frames a node is stepped under, and the edges
+and pointers that grow the root graph. _PushdownEngine below is the
 pushdown abstraction; finite._FiniteEngine is the finite-state
 baseline, which differs from it in stack handling alone.
 
@@ -14,12 +15,10 @@ The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
 epsilon edges as they are discovered (Earl et al.'s epsilon-closure
-graph). The bookkeeping lives in four maps:
+graph). The bookkeeping lives in three maps:
 
   eps_next              each node's direct epsilon successors
   top_frames (TF)       every frame observed on top of the stack at a node
-  psf                   per activation, the stack summary: the root
-                        pointers of the frames on its stack
   pfp                   (node, frame) -> push sources: who pushed that
                         frame onto a balanced path reaching the node
 
@@ -47,24 +46,26 @@ later growth of them when w is dequeued, as a delta pass does to
 memoized successors. A throw that unwinds a call frame stays at its own
 node (a pop self-edge), so the caller bindings its handler needs arrive
 there by summary edges; they lie on the frame pointers of its top
-frames, which its stack summary holds, so its collection keeps them.
+frames, which their activation's root set holds, so its collection
+keeps them.
 
-The stack summary (PSF) keeps pointers, not frames, because its one
-reader is the collection, whose stack roots are what the frames on the
-stack hold (the root set of Might & Shivers' Gamma-CFA): the frame
-pointers of the call frames, and the objects bound in the frames
-beneath (iecg.held, the objects a call site's own frame holds, taken
-beneath each activation it calls). Handler frames and the empty-stack
-marker own no bindings and never enter it. With GC off nothing reads
-it, so none is kept. Every node of an activation (a method and a frame
-pointer) is epsilon-reachable from its entry and has the same stack
-beneath it, so at the fixpoint their summaries are equal, and the
-activation keeps one: it flows along the push edges, and the summary
-edges into throws, between activations, one dependency per pair, and
-grows by deltas (the dirty_psf records). It is the activation's live
-root set: each collection of its nodes reads it by membership and
-copies none of it, and a new pointer goes only to the nodes whose last
-collection left out an address under it, and wakes them.
+The stack summary (PSF) is the root graph's set of the activation. It
+keeps pointers, not frames, because its one reader is the collection,
+whose stack roots are what the frames on the stack hold (the root set
+of Might & Shivers' Gamma-CFA): the frame pointers of the call frames,
+and the objects bound in the frames beneath. Every node of an
+activation (a method and a frame pointer) is epsilon-reachable from its
+entry and has the same stack beneath it, so the activation keeps one
+set. A call frame on top at one of its nodes adds its frame pointer
+(add_tf); each push edge, and each summary edge into a throw, between
+activations puts the source's stack beneath the target's (propagate,
+process_push), one graph edge per pair; and a call site is a key of its
+own, holding the objects its own frame binds, beneath each activation
+it pushed a call frame to. Handler frames and the empty-stack marker
+own no bindings and never enter it. The graph passes each new pointer
+on by deltas and records it, and drain hands it, through the core's
+wake, only to the nodes whose last collection left out an address
+under it. With GC off nothing reads it, so no graph is built.
 
 The analysis keeps two stores per node. The full store is the
 monotone join of everything ever flowed into the node; growth of it or
@@ -147,8 +148,8 @@ from .syntax import LabeledProgram, Stmt
 
 def activation(lp: LabeledProgram, stmt: Stmt, fp) -> tuple:
     """The key of the activation that runs stmt under the frame pointer
-    fp: its method and fp. The pushdown engine keys its stack summaries
-    by it, the finite baseline its table."""
+    fp: its method and fp. The root graph keys its root sets by it, the
+    finite baseline its table."""
     return lp.method_of[stmt.label], fp
 
 
@@ -211,47 +212,89 @@ class Worklist:
         return heappop(self.heap)[1]
 
 
+class RootGraph:
+    """The GC-root pointers of every stack, one live set per key, with
+    the keys whose stacks hold each key's stack: the root set of Might
+    & Shivers' Gamma-CFA, read from the whole stack. A key's set holds
+    its own pointers and those of every key beneath it.
+
+    add joins pointers into a key's set and passes the new ones on to
+    every key above it, semi-naively; beneath records that one key's
+    stack holds another's and passes on what the lower one holds. Each
+    growth is recorded in grown as (key, its new pointers), which the
+    core's wake drains. A collection reads the set of its activation by
+    membership, and never copies it."""
+
+    __slots__ = ("ptrs", "above", "grown")
+
+    def __init__(self):
+        self.ptrs: dict = {}           # key -> its root pointers
+        self.above: dict = {}          # key -> the keys whose stacks hold it
+        self.grown: list = []          # (key, its new pointers), for wake
+
+    def add(self, key, ptrs: set) -> None:
+        """ptrs are on the stack of key and of every key above it."""
+        ptrs_of, above, grown = self.ptrs, self.above, self.grown
+        work = [((key,), ptrs)]
+        while work:
+            keys, ptrs = work.pop()
+            for key in keys:
+                have = ptrs_of.get(key)
+                if have is None:
+                    have = ptrs_of[key] = set()
+                new = ptrs - have
+                if new:
+                    have |= new
+                    grown.append((key, new))
+                    ups = above.get(key)
+                    if ups:
+                        work.append((ups, new))
+
+    def beneath(self, below, key) -> None:
+        """The stack of key holds the stack of below, now and after
+        every later growth. A key is beneath itself already."""
+        if below == key:
+            return
+        ups = self.above.setdefault(below, set())
+        if key not in ups:
+            ups.add(key)
+            have = self.ptrs.get(below)
+            if have:
+                self.add(key, have)
+
+
 class IECG:
-    """The four closure maps plus change bookkeeping for the engine.
+    """The three closure maps plus change bookkeeping for the engine.
 
     Map mutations funnel through the add_* helpers so growth is recorded
     in the dirty_* lists; the engine drains those to schedule re-steps
     and summary creation. add_tf and add_pfp walk eps_next on their own
     stack, never by recursion.
 
-    The stack summary is kept per activation: act maps a node to the
-    key of the activation it runs in, and the nodes of one activation
-    share one summary, psf[key]. A node act does not map is an
-    activation of its own. psf_deps holds one dependency per push edge,
-    and per epsilon edge between activations, so drain can pass each
-    summary delta on. Their one reader is the collection, so with
-    stacks false (the pushdown engine under GC off) psf, psf_deps, held
-    and held_deps stay empty."""
+    act maps a node to the key of the activation it runs in; a node it
+    does not map is an activation of its own. roots is the core's root
+    graph, in either mode, None when nothing collects (GC off): a call
+    frame on top at a node is on the stack of its activation (add_tf),
+    and each push or epsilon edge between activations puts the source's
+    stack beneath the target's (propagate and process_push). A call
+    site is a key of its own, whose pointers are the objects its own
+    frame holds, beneath every activation it pushed a call frame to."""
 
-    def __init__(self):
-        self.stacks = True             # keep the stack summaries
+    def __init__(self, roots: RootGraph | None = None):
+        self.roots = roots
         self.eps_next: dict = {}       # node -> direct epsilon successors
         self.top_frames: dict = {}
         self.pfp: dict = {}
         self.act: dict = {}            # node -> its activation's key
-        self.psf: dict = {}            # activation -> its stack summary
-        self.psf_deps: dict = {}       # activation -> those its PSF flows to
-        self.held: dict = {}           # call site -> objects its own frame
-                                       # holds
-        self.held_deps: dict = {}      # call site -> activations it pushed to
         self.dirty_tf: list = []       # nodes whose TF grew, once per frame
-        self.dirty_psf: list = []      # (activation, its new PSF pointers)
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
     def tf(self, s) -> set:
         return self.top_frames.get(s, set())
 
-    def stack(self, s) -> set:
-        """PSF(s): the stack summary of s's activation."""
-        return self.psf.get(self.act.get(s, s), set())
-
     def add_tf(self, s, frame) -> None:
         """frame is on top at s and at everything epsilon-after s."""
+        roots = self.roots if isinstance(frame, CallFrame) else None
         work = [s]
         while work:
             s = work.pop()
@@ -260,8 +303,8 @@ class IECG:
                 continue
             have.add(frame)
             self.dirty_tf.append(s)
-            if self.stacks and isinstance(frame, CallFrame):
-                self.add_psf(self.act.get(s, s), (frame.fp,))
+            if roots is not None:
+                roots.add(self.act.get(s, s), {frame.fp})
             work.extend(self.eps_next.get(s, ()))
 
     def add_pfp(self, s, frame, src) -> None:
@@ -276,45 +319,6 @@ class IECG:
             self.dirty_pfp.append((s, frame, src))
             work.extend(self.eps_next.get(s, ()))
 
-    def add_psf(self, key, ptrs) -> None:
-        """Join root pointers into the stack summary of the activation
-        key. The ones that are new are recorded in dirty_psf, for drain
-        to pass on to psf_deps[key] and to the collections of the
-        activation's nodes."""
-        have = self.psf.get(key)
-        if have is None:
-            have = self.psf[key] = set()
-        new = [p for p in ptrs if p not in have]
-        if new:
-            have.update(new)
-            self.dirty_psf.append((key, new))
-
-    def add_held(self, s, ops) -> None:
-        """Join object pointers into those the own frame of s, a node
-        that pushed a call frame, holds. The new ones are on the stack
-        beneath every callee s pushed a call frame to, so they join its
-        PSF."""
-        have = self.held.setdefault(s, set())
-        new = [op for op in ops if op not in have]
-        if new:
-            have.update(new)
-            for key in self.held_deps.get(s, ()):
-                self.add_psf(key, new)
-
-    def add_psf_pred(self, s, p) -> None:
-        """A push or epsilon edge made p a predecessor of s: everything
-        on the stack at p is on the stack at s, now and after every later
-        growth. Nothing flows within one activation."""
-        if not self.stacks:
-            return
-        ks, kp = self.act.get(s, s), self.act.get(p, p)
-        if ks == kp:
-            return
-        deps = self.psf_deps.setdefault(kp, set())
-        if ks not in deps:
-            deps.add(ks)
-            self.add_psf(ks, self.psf.get(kp, ()))
-
 
 def propagate(s1, s2, iecg: IECG) -> IECG:
     """Record an epsilon edge s1 -> s2 and close the maps over it.
@@ -322,30 +326,28 @@ def propagate(s1, s2, iecg: IECG) -> IECG:
     s2 takes s1's top frames and push sources, which add_tf and add_pfp
     pass on to everything epsilon-after s2; those of s1's epsilon
     predecessors are already at s1. When the edge leaves s1's activation
-    (a summary edge into a throw), PSF(s2) depends on s1 along this edge
-    only; drain carries it on along the later edges."""
+    (a summary edge into a throw), s1's stack is beneath s2's."""
     iecg.eps_next.setdefault(s1, set()).add(s2)
     for f in list(iecg.tf(s1)):
         iecg.add_tf(s2, f)
         for w in list(iecg.pfp.get((s1, f), ())):
             iecg.add_pfp(s2, f, w)
-    iecg.add_psf_pred(s2, s1)
+    if iecg.roots is not None:
+        iecg.roots.beneath(iecg.act.get(s1, s1), iecg.act.get(s2, s2))
     return iecg
 
 
 def process_push(s1, frame, s2, iecg: IECG) -> IECG:
     """A push edge (s1, push frame, s2): the frame is now on top at s2
-    and at everything epsilon-reachable from s2, pushed from s1. The
-    stack summary depends on s1 at s2 alone, as in propagate; a call
-    frame also puts the objects s1's own frame holds, now and later,
-    beneath s2."""
-    iecg.add_psf_pred(s2, s1)
-    if iecg.stacks and isinstance(frame, CallFrame):
+    and at everything epsilon-reachable from s2, pushed from s1. s1's
+    stack is beneath s2's, as in propagate, and a call frame also puts
+    the call site, the objects s1's own frame holds, beneath it."""
+    roots = iecg.roots
+    if roots is not None:
         key = iecg.act.get(s2, s2)
-        deps = iecg.held_deps.setdefault(s1, set())
-        if key not in deps:
-            deps.add(key)
-            iecg.add_psf(key, iecg.held.get(s1, ()))
+        roots.beneath(iecg.act.get(s1, s1), key)
+        if isinstance(frame, CallFrame):
+            roots.beneath(s1, key)
     iecg.add_tf(s2, frame)
     iecg.add_pfp(s2, frame, s1)
     return iecg
@@ -459,14 +461,18 @@ class _Engine:
     (None for BOTTOM) and sigma, the stepped store, with the addresses
     read added to reads;
     `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
-    the work a step leaves behind; and `root_set(key)`, the live set of
-    the GC-root pointers of the stack of the activation key, which every
-    collection of its nodes reads by membership. The stack abstraction
-    grows that set and reports each growth to `wake`, the one path by
-    which new roots reach a collection: a node whose last collection
-    left out an address under a new pointer is handed the pointer for
-    its next collection (Collection.extend) and woken; any other keeps
-    its stepped store, and reads the pointer in the set later.
+    the work a step leaves behind; and `root_cause`, the step cause of
+    root growth.
+
+    Under GC the core owns the root graph of the stacks (RootGraph,
+    which the result keeps as iecg.roots), keyed by activation, and
+    every collection of an activation's nodes reads the activation's
+    set by membership. The stack abstraction grows the graph and calls
+    `wake`, the one path by which new roots reach a collection: a node
+    whose last collection left out an address under a new pointer is
+    handed the pointer for its next collection (Collection.extend) and
+    woken; any other keeps its stepped store, and reads the pointer in
+    the set later. With GC off no graph is built.
 
     A dequeued node is stepped in full under a context only when the
     context is new to it or the stepped store changed at an address the
@@ -486,7 +492,9 @@ class _Engine:
         self.policy = policy
         self.budget = budget
         q0 = inject_abstract(lp)
-        self.dsg = DSG(lp=lp, policy=policy, initial=q0)
+        self.roots = RootGraph() if policy.gc else None
+        self.dsg = DSG(lp=lp, policy=policy, initial=q0,
+                       iecg=IECG(self.roots))
         self.dsg.nodes.add(q0)
         self.dsg.node_stores[q0] = EMPTY
         self.work = Worklist(("new_node", "store") + self.causes)
@@ -514,9 +522,6 @@ class _Engine:
 
     def after_step(self) -> None:
         pass
-
-    def root_set(self, key) -> set:
-        raise NotImplementedError
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -548,20 +553,26 @@ class _Engine:
         self.work.push(s, "new_node")
         return True
 
-    def wake(self, key, ptrs, cause: str) -> None:
-        """ptrs joined the root set of the activation key: each goes to
-        the nodes whose last collection left out an address under it,
-        for their next collection, and wakes them. The others' stepped
-        stores stay the same."""
-        waiting = self.waiting.get(key)
-        if not waiting:
+    def wake(self) -> None:
+        """Drain the root graph's growth: each pointer that joined the
+        root set of an activation goes to the nodes whose last
+        collection left out an address under it, for their next
+        collection, and wakes them. The others' stepped stores stay the
+        same."""
+        roots = self.roots
+        if roots is None:
             return
-        for p in ptrs:
-            for s in waiting.pop(p, ()):
-                node = self.stepped[s]
-                if p in node.collection.pending:
-                    node.roots.add(p)
-                    self.work.push(s, cause)
+        waiting_at, stepped = self.waiting, self.stepped
+        for key, ptrs in roots.grown:
+            waiting = waiting_at.get(key)
+            if waiting:
+                for p in ptrs:
+                    for s in waiting.pop(p, ()):
+                        node = stepped[s]
+                        if p in node.collection.pending:
+                            node.roots.add(p)
+                            self.work.push(s, self.root_cause)
+        roots.grown.clear()
 
     def add_edge(self, s1, act, s2) -> bool:
         """Record the edge; True when it is new."""
@@ -596,7 +607,8 @@ class _Engine:
         collection = node.collection
         if grown is None:
             collection = node.collection = Collection(s, lp, self.policy)
-            stack = self.root_set(activation(lp, s.stmt, s.fp))
+            stack = self.roots.ptrs.setdefault(activation(lp, s.stmt, s.fp),
+                                               set())
             sigma = eagc(s, full, stack, lp, self.policy, state=collection)
             delta = None
         else:
@@ -681,18 +693,19 @@ class _Engine:
 
 
 class _PushdownEngine(_Engine):
-    """The pushdown stack abstraction: top frames, stack summaries and
+    """The pushdown stack abstraction: top frames, push sources and
     summary edges, kept in the IECG and closed by drain after each
-    step. A node's contexts are its top frames, its stack roots are its
-    activation's stack summary, kept under GC only, and its stepped
-    store holds its own frame and the heap."""
+    step, which also grows the root graph under GC. A node's contexts
+    are its top frames, its stack roots are the call frames on top at
+    its activation's nodes and everything beneath them, and its
+    stepped store holds its own frame and the heap."""
 
     causes = ("top_frames", "gc_roots")
+    root_cause = "gc_roots"
 
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
-        self.iecg.stacks = policy.gc
         self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         q0 = self.dsg.initial
         self.iecg.act[q0] = activation(lp, q0.stmt, q0.fp)
@@ -718,24 +731,21 @@ class _PushdownEngine(_Engine):
             return True
         return False
 
-    def root_set(self, key) -> set:
-        return self.iecg.psf.setdefault(key, set())
-
     def stepped_store(self, s, node: _Stepped):
         """The core's collection. After it, the part of the delta on s's
         own frame goes on along s's summary edges and, once s has pushed
-        a call frame under GC, the objects it binds join those s's own
-        frame holds."""
+        a call frame under GC, the objects it binds join the root set of
+        s as a call site."""
         sigma, delta = super().stepped_store(s, node)
         targets = self.summaries.get(s)
-        held = s in self.iecg.held     # a call site that has pushed
-        if targets or held:
+        site = self.roots is not None and s in self.roots.ptrs
+        if targets or site:
             own = own_frame(sigma if delta is None else delta, s.fp)
             if own:
                 for s2 in targets or ():
                     self.join_store(s2, own)
-                if held:
-                    self.iecg.add_held(s, _objects(own))
+                if site:
+                    self.roots.add(s, _objects(own))
         return sigma, delta
 
     def add_summary(self, w, s2) -> None:
@@ -751,10 +761,10 @@ class _PushdownEngine(_Engine):
 
     def drain(self) -> None:
         """Dispatch pending edges into the closure maps and chase every
-        consequence (summaries, PSF growth, re-enqueues) to a fixpoint.
+        consequence (summaries, re-enqueues, root growth) to a fixpoint.
         The time budget is checked on every round, since one step's
         edges can start a long chase."""
-        iecg = self.iecg
+        iecg, roots = self.iecg, self.roots
         clock, deadline = _time.monotonic, self.deadline
         while True:
             if clock() > deadline:
@@ -764,10 +774,10 @@ class _PushdownEngine(_Engine):
                 if isinstance(act, Epsilon):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
-                    if (iecg.stacks and isinstance(act.frame, CallFrame)
-                            and s1 not in iecg.held):
-                        iecg.held[s1] = _objects(
-                            own_frame(self.dsg.node_stores[s1], s1.fp))
+                    if (roots is not None and isinstance(act.frame, CallFrame)
+                            and s1 not in roots.ptrs):
+                        roots.add(s1, _objects(
+                            own_frame(self.dsg.node_stores[s1], s1.fp)))
                     process_push(s1, act.frame, s2, iecg)
                 else:
                     key = (s1, act.frame)
@@ -789,14 +799,8 @@ class _PushdownEngine(_Engine):
             if iecg.dirty_tf:
                 self.work.push(iecg.dirty_tf.pop(), "top_frames")
                 continue
-            if iecg.dirty_psf:
-                key, new = iecg.dirty_psf.pop()
-                for dep in iecg.psf_deps.get(key, ()):
-                    iecg.add_psf(dep, new)
-                self.wake(key, new, "gc_roots")
-                continue
+            self.wake()
             return
-
 
 
 def analyze(lp: LabeledProgram, policy: Policy | None = None,

@@ -3,8 +3,8 @@ away.
 
 Instead of tracking frames, every call and every armed handler is
 recorded in a global table keyed by activation level: the (method,
-frame pointer) key of the activation that owns it, as the pushdown
-engine keys its stack summaries (engine.activation). Records never go
+frame pointer) key of the activation that owns it, as the core's
+root graph keys its sets (engine.activation). Records never go
 away - there is no popping - so a handler stays visible to the rest of
 its method after its try completes, and to every callee forever. That
 conflation is the point of the baseline: it is what a pushdown stack
@@ -25,14 +25,15 @@ frame beneath. Self-edges with a new binding stay: a throw caught by
 its own handler, or a call whose callee starts with the same call.
 
 The stack roots of a node's collection are the pointers of the call
-records at every level its activation can return through: one live
-set per level, walked once, which every collection at the level reads
-by membership. A new record at a level a step consulted is a new
-context, stepped in full; a new call record at a level a root set
-walked grows that set, and the core wakes only the collections that
-left out an address under one of its new pointers. Time is the
-pushdown engine's own: only calls tick it. So the two analyses differ
-in stack handling alone.
+records at every level its activation can return through: the level's
+set in the core's root graph, the one the pushdown engine grows,
+which every collection at the level reads by membership. A call
+record adds its frame pointer to its level's set and puts the stack of
+the level it returns to beneath its level's, and the core wakes only
+the collections that left out an address under a new pointer. A new
+record at a level a step consulted is a new context, stepped in full.
+Time is the pushdown engine's own: only calls tick it. So the two
+analyses differ in stack handling alone.
 """
 
 from __future__ import annotations
@@ -49,43 +50,38 @@ from .syntax import PopHandler, Return, Throw
 
 
 class _FiniteEngine(_Engine):
-    """The finite stack abstraction. Who consulted a table level is
-    kept by purpose: a node whose contexts came from the level is
-    stepped again when it grows, and a level whose root set read its
-    call records takes the new ones' root pointers, which the core
-    hands to that level's collections that left an address under them.
-    A handler record owns no bindings, so it grows no root set, as a
-    handler frame owns no root in the pushdown engine."""
+    """The finite stack abstraction. A node whose contexts came from a
+    table level is stepped again when the level grows. Under GC a call
+    record at a level puts its frame pointer in the level's root set
+    and the stack of the level it returns to beneath the level's, in
+    the core's root graph, which hands the new pointers to the
+    collections that left an address under them. A handler record owns
+    no bindings, so it grows no root set, as a handler frame owns no
+    root in the pushdown engine."""
 
     causes = ("table",)
+    root_cause = "table"
 
     def __init__(self, lp, policy, budget):
         super().__init__(lp, policy, budget)
         q0 = self.dsg.initial
         self.table: dict = {activation(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.step_deps: dict = {}      # level -> nodes whose contexts read it
-        self.root_sets: dict = {}      # level -> its root set
-        self.gc_deps: dict = {}        # level -> levels whose root set read it
 
     def record(self, level, entry):
         """Table write; growth wakes every node whose contexts came
-        from the level, and a call record grows the root set of every
-        level that read this one by the root pointers it brings."""
+        from the level, and a call record grows the root graph."""
         have = self.table.setdefault(level, set())
         if entry in have:
             return
         have.add(entry)
         for n in self.step_deps.get(level, ()):
             self.work.push(n, "table")
-        if isinstance(entry, CallFrame):
-            for lv in self.gc_deps.get(level, ()):
-                fps = {entry.fp}
-                self.reach(lv, activation(self.lp, entry.target, entry.fp),
-                           fps)
-                roots = self.root_sets[lv]
-                new = fps - roots
-                roots |= new
-                self.wake(lv, new, "table")
+        if self.roots is not None and isinstance(entry, CallFrame):
+            self.roots.add(level, {entry.fp})
+            self.roots.beneath(activation(self.lp, entry.target, entry.fp),
+                               level)
+            self.wake()
 
     # -- level walks ------------------------------------------------------
 
@@ -102,34 +98,7 @@ class _FiniteEngine(_Engine):
                         stack.append(nxt)
         return seen
 
-    def reach(self, lv, level, fps) -> None:
-        """Extend the root set of lv to level and every level reachable
-        from it that the set has not read yet, registering lv on each
-        and adding the pointers of the call records there to fps."""
-        stack = [level]
-        while stack:
-            cur = stack.pop()
-            deps = self.gc_deps.setdefault(cur, set())
-            if lv in deps:
-                continue
-            deps.add(lv)
-            for e in self.table.get(cur, ()):
-                if isinstance(e, CallFrame):
-                    fps.add(e.fp)
-                    stack.append(activation(self.lp, e.target, e.fp))
-
     # -- the core's hooks ---------------------------------------------------
-
-    def root_set(self, level):
-        """The stand-in for the pushdown engine's stack summary: the
-        pointers of the call records at every level the activation can
-        return through, walked at its first collection and grown by
-        record."""
-        fps = self.root_sets.get(level)
-        if fps is None:
-            fps = self.root_sets[level] = set()
-            self.reach(level, level, fps)
-        return fps
 
     def contexts(self, q):
         s = q.stmt

@@ -15,9 +15,10 @@ either flag can be switched off independently.
 A node's keep-set can only grow: its live set is fixed by its label,
 its stack only gains root pointers and its full store only gains
 bindings. So the engine keeps one Collection per node. Its stack's root
-pointers are one live set per activation, which the stack abstraction
-grows and every collection of the activation's nodes reads by
-membership, without a copy. The first collection is eagc, which is an
+pointers are one live set per activation in the engine's root graph
+(engine.RootGraph), which the stack abstraction grows and every
+collection of the activation's nodes reads by membership, without a
+copy. The first collection is eagc, which is an
 extension of an empty Collection; every later one extends the keep-set
 from the addresses that grew in the full store since the last one and
 the root pointers that joined the stack under an address it left out,
@@ -39,7 +40,7 @@ class Collection:
 
     The keep-set holds whole pointers, whose present and future
     addresses are all kept: those of stack, the live root set of the
-    node's activation, which the stack abstraction grows and this reads
+    node's activation in the engine's root graph, which this reads
     without a copy, and ptrs (every object reached from a kept value,
     the stack pointers an extension was handed, and the node's own
     frame pointer when liveness pruning is off); plus the node's own

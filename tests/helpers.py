@@ -5,6 +5,7 @@ import pathlib
 import random
 import sys
 
+from anfj.engine import activation
 from anfj.machine import Halt
 from anfj.syntax import LabeledProgram, load_program
 
@@ -17,6 +18,16 @@ FANIN = "fanin48"
 def all_labels(lp: LabeledProgram) -> list[int]:
     """Every statement label of lp, in order."""
     return sorted(lp.stmt_by_label)
+
+
+def stack_roots(dsg, s) -> set:
+    """The root set of the activation node s runs in, in either mode:
+    the live set its collections read, or an empty set when the
+    analysis kept no root graph (GC off)."""
+    roots = dsg.iecg.roots
+    if roots is None:
+        return set()
+    return roots.ptrs.get(activation(dsg.lp, s.stmt, s.fp), set())
 
 
 def kont_frames(k) -> list:

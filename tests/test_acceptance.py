@@ -18,7 +18,7 @@ from anfj.machine import Addr, run
 from anfj.metrics import metric_ec_links, points_to_union
 from anfj.syntax import Assign, Invoke, PopHandler, Return, Throw, TryCatch
 
-from helpers import all_labels, corpus_names, corpus_program
+from helpers import all_labels, corpus_names, corpus_program, stack_roots
 from oracles import (
     brute_reachable_addrs, call_fps, epsilon_closure, explore_configs,
     frames_beneath, net_empty_pairs,
@@ -111,7 +111,7 @@ def test_criterion_3_summary_oracle_equivalence():
                                    stores=lambda q: visible_on.get(q, {}))
             assert not g_on.truncated, name
             for q, frames in g_on.stack_frames().items():
-                assert call_fps(frames) <= on.iecg.stack(q), name
+                assert call_fps(frames) <= stack_roots(on, q), name
         assert qualified >= MIN_ORACLE_QUALIFIERS
     _verdict(3, "summary oracle equivalence", check)
 

@@ -22,6 +22,7 @@ from anfj.syntax import load_program
 
 from helpers import (
     CHAINS, FANIN, chain_source, corpus_names, gen_module, named_program,
+    stack_roots,
 )
 from oracles import collect, finite_stack_fps, reference_analysis
 from test_byte_identity import POLICIES, analysis_digest
@@ -66,7 +67,7 @@ def test_incremental_collection_equals_from_scratch(name, monkeypatch):
     # stepped_store collects once per dequeue
     lp = named_program(name)
     seen = []
-    stacks = {_PushdownEngine: lambda eng, s: eng.iecg.stack(s),
+    stacks = {_PushdownEngine: lambda eng, s: stack_roots(eng.dsg, s),
               _FiniteEngine: lambda eng, s: finite_stack_fps(
                   eng.lp, eng.table, s)}
 

@@ -19,7 +19,7 @@ from anfj.syntax import (
     TryCatch, VarRef, load_program,
 )
 
-from helpers import all_labels, corpus_names, corpus_program
+from helpers import all_labels, corpus_names, corpus_program, stack_roots
 from oracles import explore_configs, frames_beneath, store_leq
 
 
@@ -615,7 +615,7 @@ def test_rule_table(name, policy):
     lp = corpus_program(name)
     dsg = analyze(lp, policy)
     for q in sorted(dsg.nodes, key=state_key):
-        sigma = eagc(q, dsg.full_stores.get(q, {}), dsg.iecg.stack(q), lp,
+        sigma = eagc(q, dsg.full_stores.get(q, {}), stack_roots(dsg, q), lp,
                      policy)
         for kappa in sorted(dsg.iecg.tf(q), key=frame_key):
             top = None if kappa is BOTTOM else kappa

@@ -13,9 +13,10 @@ from anfj.domain import (
     ObjPtr, Policy, Pop, Push, next as abstract_next, state_key, store_join,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, Worklist, _PushdownEngine, analyze,
-    process_pop, process_push, propagate,
+    Budget, BudgetExceeded, IECG, RootGraph, Worklist, _PushdownEngine,
+    analyze, process_pop, process_push, propagate,
 )
+from anfj.finite import _FiniteEngine
 from anfj.gc import eagc
 from anfj.machine import Addr, Value
 from anfj.syntax import (
@@ -25,7 +26,7 @@ from anfj.syntax import (
 
 from helpers import (
     CHAINS, FANIN, all_labels, corpus_names, corpus_program,
-    long_method_source, named_program,
+    long_method_source, named_program, stack_roots,
 )
 from oracles import (
     call_fps, epsilon_closure, explore_configs, frames_beneath,
@@ -122,7 +123,7 @@ def test_analysis_result_is_a_fixpoint(name, policy):
     stepped = {}
     for q in sorted(dsg.nodes, key=state_key):
         full = dsg.full_stores.get(q, {})
-        psf = dsg.iecg.stack(q)
+        psf = stack_roots(dsg, q)
         sigma = stepped[q] = (eagc(q, full, psf, lp, policy) if policy.gc
                               else full)
         assert heap_and_frame(visible[q], q.fp) == heap_and_frame(sigma, q.fp)
@@ -339,13 +340,14 @@ def test_update_psf_examples():
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_psf_is_the_least_solution_of_its_spec(name):
-    # the deltas drain pushes add up to what re-unioning every
-    # predecessor's whole PSF would give, and to no more; the summaries
-    # are kept under GC only, their one reader
+    # the deltas the root graph passes on add up to what re-unioning
+    # every predecessor's whole PSF would give, and to no more; the
+    # graph is kept under GC only, for its one reader
     lp = corpus_program(name)
     for policy in [p for p in POLICIES if p.mode == "pushdown" and p.gc]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
+        held = iecg.roots.ptrs
         push_preds: dict = {}
         eps_preds: dict = {}
         for s1, act, s2 in dsg.edges:
@@ -356,17 +358,16 @@ def test_psf_is_the_least_solution_of_its_spec(name):
         pushed_objs: dict = {}
         for s1, act, s2 in dsg.edges:
             if isinstance(act, Push) and isinstance(act.frame, CallFrame):
-                pushed_objs.setdefault(s2, set()).update(
-                    iecg.held.get(s1, ()))
+                pushed_objs.setdefault(s2, set()).update(held.get(s1, ()))
         nodes = sorted(dsg.nodes, key=state_key)
         # the summary is kept per activation, the spec is per node
-        psf = {s: iecg.stack(s) for s in nodes}
+        psf = {s: stack_roots(dsg, s) for s in nodes}
         for s in nodes:
-            # held: the objects bound in a call site's own frame, once
-            # collected
+            # a call site's root set: the objects bound in its own
+            # frame, once collected
             sigma = eagc(s, dsg.full_stores.get(s, {}), psf[s], lp, policy)
-            if s in iecg.held_deps:
-                assert iecg.held[s] == {
+            if s in iecg.roots.above:
+                assert held[s] == {
                     v.op for vals in own_frame(sigma, s.fp).values()
                     for v in vals}
             assert psf[s] == update_psf(
@@ -398,17 +399,18 @@ def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
     lp = corpus_program("var_chain")
     s1, s2 = _states(lp, 2)
     fp1 = FramePtr(1, ())
-    iecg = IECG()
+    roots = RootGraph()
+    iecg = IECG(roots)
     h = HandlerFrame("E", "e", lp.stmt(1), fp1)
     r = CallFrame("r", lp.stmt(1), fp1)
     q = CallFrame("q", lp.stmt(2), fp1)
     process_push(s1, h, s2, iecg)
-    assert iecg.dirty_psf == [] and not iecg.psf.get(s2)  # owns no root
+    assert roots.grown == [] and not roots.ptrs.get(s2)  # owns no root
     process_push(s1, r, s2, iecg)
-    assert iecg.dirty_psf == [(s2, [fp1])]
+    assert roots.grown == [(s2, {fp1})]
     process_push(s1, q, s2, iecg)
-    assert iecg.dirty_psf == [(s2, [fp1])]    # same pointer, same roots
-    assert iecg.psf[s2] == {fp1}
+    assert roots.grown == [(s2, {fp1})]       # same pointer, same roots
+    assert roots.ptrs[s2] == {fp1}
 
 
 def test_process_pop_empty_pfp_is_inert():
@@ -425,19 +427,19 @@ def test_process_pop_single_source_behaves_as_propagate():
     q0, s1, s2 = _states(lp, 3)
     g = CallFrame("r", lp.stmt(1), FP0A)
 
-    popped = IECG()
+    popped = IECG(RootGraph())
     popped.top_frames[s1] = {g}
     popped.pfp[(s1, g)] = {q0}
     pairs = process_pop(s1, g, s2, popped)
     assert pairs == [(q0, s2)]
 
-    plain = IECG()
+    plain = IECG(RootGraph())
     plain.top_frames[s1] = {g}
     plain.pfp[(s1, g)] = {q0}
     propagate(q0, s2, plain)
     assert popped.eps_next == plain.eps_next
     assert popped.top_frames == plain.top_frames
-    assert popped.psf == plain.psf
+    assert popped.roots.ptrs == plain.roots.ptrs
 
 
 def test_pop_self_edge_exposes_the_frame_beneath():
@@ -490,7 +492,7 @@ def test_iecg_invariants(name, policy):
     # the stack summaries are kept under GC only
     on = dsg if policy.gc else analyze(lp, replace(policy, gc=True))
     for s in on.nodes:
-        assert call_fps(on.iecg.tf(s)) <= on.iecg.stack(s)
+        assert call_fps(on.iecg.tf(s)) <= stack_roots(on, s)
     for (s, f) in iecg.pfp:
         assert f in iecg.tf(s)
     assert BOTTOM in iecg.tf(dsg.initial)
@@ -500,9 +502,10 @@ def test_iecg_invariants(name, policy):
 def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
     # propagate reads top frames and push sources at an edge's source
     # alone, which holds only if every epsilon edge's target already has
-    # those of its source; and a stack-summary dependency is recorded
-    # per push or epsilon edge between two activations, not per
-    # reachable pair
+    # those of its source; and an edge of the root graph is recorded
+    # per push or epsilon edge between two activations, and per call
+    # site and activation it pushed a call frame to, not per reachable
+    # pair
     lp = named_program(name)
     for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
@@ -515,12 +518,15 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
             for f in tf:
                 assert (iecg.pfp.get((p, f), set())
                         <= iecg.pfp.get((n, f), set()))
-        if not policy.gc:              # no stack summary to follow
+        if not policy.gc:              # no root graph to follow
             continue
-        deps = {(p, s) for p, ss in iecg.psf_deps.items() for s in ss}
+        deps = {(p, s) for p, ss in iecg.roots.above.items() for s in ss}
         act = iecg.act
-        assert deps <= {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
-                        if not isinstance(a, Pop) and act[s1] != act[s2]}
+        sites = {(s1, act[s2]) for s1, a, s2 in dsg.edges
+                 if isinstance(a, Push) and isinstance(a.frame, CallFrame)}
+        assert deps <= sites | {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
+                                if not isinstance(a, Pop)
+                                and act[s1] != act[s2]}
 
 
 def test_long_shared_method_closes_without_recursion():
@@ -550,6 +556,7 @@ def test_analysis_is_deterministic():
 
 # -- step causes ------------------------------------------------------------------
 
+ENGINES = {"pushdown": _PushdownEngine, "finite": _FiniteEngine}
 CAUSES = {"pushdown": {"new_node", "store", "top_frames", "gc_roots"},
           "finite": {"new_node", "store", "table"}}
 
@@ -565,6 +572,48 @@ def test_every_step_has_one_cause(name, mode, gc):
     assert causes["new_node"] == len(dsg.nodes) - 1
     if mode == "pushdown" and not gc:
         assert causes["gc_roots"] == 0
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_root_growth_wakes_only_the_collections_waiting_on_it(mode):
+    # a pointer that joins an activation's root set, under an address a
+    # node's last collection left pending, is handed to that node and
+    # queues it once with the engine's root cause, and its next
+    # collection keeps that address; a pointer nothing waits on queues
+    # nothing
+    lp = named_program("chain7")
+    eng = ENGINES[mode](lp, Policy(mode=mode), Budget())
+    dsg = eng.run()
+    assert not eng.work and not eng.roots.grown
+    s, key, p = min(((s, key, p) for key, waiting in eng.waiting.items()
+                     for p, ss in waiting.items() for s in ss
+                     if p in eng.stepped[s].collection.pending),
+                    key=lambda t: state_key(t[0]))
+    assert p not in eng.roots.ptrs[key]
+    waiting = {t for t in eng.waiting[key][p]
+               if p in eng.stepped[t].collection.pending}
+    unkept = set(eng.stepped[s].collection.pending[p])
+    assert unkept and not unkept & set(dsg.node_stores[s])
+    causes = dict(eng.work.causes)
+
+    eng.roots.add(key, {p})
+    eng.wake()
+    assert eng.work.queued == waiting and s in waiting
+    assert p in eng.stepped[s].roots
+    causes[eng.root_cause] += len(waiting)
+    assert eng.work.causes == causes and not eng.roots.grown
+    eng.roots.add(key, {p})            # no growth, no second wake
+    eng.wake()
+    assert len(eng.work) == len(waiting) and eng.work.causes == causes
+
+    eng.run()
+    assert unkept <= set(dsg.node_stores[s])
+
+    causes = dict(eng.work.causes)
+    eng.roots.add(key, {FramePtr(None, ("nowhere",))})
+    eng.wake()
+    assert not eng.work and eng.work.causes == causes
+    assert not eng.roots.grown
 
 
 # -- budget ---------------------------------------------------------------------
@@ -635,17 +684,16 @@ def test_summaries_match_bounded_explorer(name):
                            stores=lambda q: visible_on.get(q, {}))
     assert not g_on.truncated
     for q, frames in g_on.stack_frames().items():
-        assert call_fps(frames) <= on.iecg.stack(q)
+        assert call_fps(frames) <= stack_roots(on, q)
 
 
 @pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
 def test_gc_off_keeps_no_stack_summary(name):
-    # the stack summaries' one reader is the collection: with GC off
-    # the pushdown engine builds none, and indexes no pending pointer
+    # the root graph's one reader is the collection: with GC off
+    # neither engine builds one, and none indexes a pending pointer
     lp = named_program(name)
-    for policy in [p for p in POLICIES
-                   if p.mode == "pushdown" and not p.gc]:
-        eng = _PushdownEngine(lp, policy, Budget())
-        iecg = eng.run().iecg
-        assert not (iecg.psf or iecg.psf_deps or iecg.held
-                    or iecg.held_deps or iecg.dirty_psf or eng.waiting)
+    for policy in [p for p in POLICIES if not p.gc]:
+        eng = ENGINES[policy.mode](lp, policy, Budget())
+        dsg = eng.run()
+        assert eng.roots is None and dsg.iecg.roots is None, policy
+        assert not eng.waiting, policy

@@ -3,7 +3,7 @@
 import pytest
 
 from anfj.domain import EPSILON, Policy
-from anfj.engine import Budget, BudgetExceeded, activation, analyze
+from anfj.engine import Budget, BudgetExceeded, analyze
 from anfj.finite import _FiniteEngine
 from anfj.machine import Addr
 from anfj.metrics import metric_ec_links
@@ -11,6 +11,7 @@ from anfj.syntax import Assign, Invoke, Return, Throw, load_program
 
 from helpers import (
     CHAINS, all_labels, corpus_names, corpus_program, named_program,
+    stack_roots,
 )
 from oracles import (
     finite_stack_fps, frames_beneath, reference_analysis, store_leq,
@@ -218,6 +219,6 @@ def test_level_root_sets_are_the_call_records_they_reach(name):
         eng = _FiniteEngine(lp, Policy(mode="finite", k=k), Budget())
         eng.run()
         for q, node in eng.stepped.items():
-            roots = eng.root_sets[activation(lp, q.stmt, q.fp)]
+            roots = stack_roots(eng.dsg, q)
             assert roots == finite_stack_fps(lp, eng.table, q), (k, q)
             assert node.collection.stack is roots
