@@ -3,7 +3,8 @@
 Three subcommands: `run` executes a program on the concrete machine,
 `analyze` builds the abstract state graph and prints a metrics report,
 `compare` runs two policies side by side. Exit codes: 0 success, 1 bad
-input (a bad flag or flag value included), 2 analysis budget exhausted.
+input (a bad flag or flag value included) or a standard output closed
+before all was written, 2 analysis budget exhausted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import export as exportmod
@@ -122,19 +124,37 @@ def _write_export(dsg, fmt: str, path: str) -> None:
 
 def _write_trace(trace, out) -> None:
     """One JSON line per state, in the layout json.dumps(sort_keys=True)
-    gives: {"fp": [site, time], "kontDepth": n, "label": l, "step": i},
-    where time is the frame's call history. Each frame pointer's text is
-    rendered once per run, from the text of the nearest older history
-    already rendered (`Time.json_body`), and each continuation's depth
-    is counted once, from the depth of the one below it."""
-    fp_text: dict = {}
+    gives: {"fp": [site, id], "kontDepth": n, "label": l, "step": i}.
+    The id names the frame's call history: 0 the empty one, any other
+    its parent's id and newest label, interned, so that a trace prints
+    each history once. The first line naming an id adds "history":
+    [[id, parent, label], ...], defining it and its undefined ancestors,
+    oldest first. Each continuation's depth is counted once, from the
+    depth of the one below it."""
+    hid: dict = {}                # history cell -> id
+    interned: dict = {}           # (parent id, label) -> id
+    fp_text: dict = {}            # frame pointer -> its "fp" text
     depth: dict = {}              # id(continuation) -> depth; all are alive
     for i, st in enumerate(trace):
         fp = st.fp
         text = fp_text.get(fp)
         if text is None:
-            text = fp_text[fp] = (f"[{json.dumps(fp.site)}, "
-                                  f"[{fp.time.json_body()}]]")
+            t, above = fp.time, []
+            while t and t not in hid:
+                above.append(t)
+                t = t.rest
+            h = hid[t] if t else 0
+            new = []
+            for cell in reversed(above):
+                key = (h, cell.label)
+                parent, h = h, interned.get(key)
+                if h is None:
+                    h = interned[key] = len(interned) + 1
+                    new.append(f"[{h}, {parent}, {cell.label}]")
+                hid[cell] = h
+            text = fp_text[fp] = f'"fp": [{json.dumps(fp.site)}, {h}], '
+            if new:
+                text += f'"history": [{", ".join(new)}], '
         k = st.kont
         d = depth.get(id(k))
         if d is None:
@@ -147,7 +167,7 @@ def _write_trace(trace, out) -> None:
             for frame in reversed(above):
                 d += 1
                 depth[id(frame)] = d
-        out.write(f'{{"fp": {text}, "kontDepth": {d}, '
+        out.write(f'{{{text}"kontDepth": {d}, '
                   f'"label": {st.stmt.label}, "step": {i}}}\n')
 
 
@@ -276,7 +296,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()        # a reader gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the flush at exit must not fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        return 1
     except SideBudgetExceeded as err:
         print(f"budget exceeded on side {err.side}: {err.exc}",
               file=sys.stderr)

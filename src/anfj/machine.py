@@ -18,7 +18,8 @@ pop count is forgotten.
 
 A history is a linked `Time` cell that a call extends and successive
 states share, so a tick, a pointer hash and an equality test of a fresh
-pointer cost O(1) rather than O(calls so far). The store maps
+pointer cost O(1) rather than O(calls so far), and a `--trace` prints
+each history once (`cli._write_trace`). The store maps
 (name, pointer) addresses to class/object-pointer values and is updated
 strongly. The analyzer shares the pointer, address and value records,
 and the store type. Stores are immutable `Store` mappings that
@@ -50,8 +51,7 @@ class Time:
     over the empty history T0, with `pops`, the number of call frames
     popped so far. Histories are immutable and shared, so a tick makes
     one cell and copies nothing. Each cell caches its hash and length
-    when it is made, and the text of its labels once asked for
-    (`json_body`). Equality is structural, so separate runs compare
+    when it is made. Equality is structural, so separate runs compare
     equal: two histories are equal when their labels and pop counts
     are. Histories that differ in hash, length or pops are unequal at
     once; otherwise a walk down both stops at the first labels that
@@ -62,7 +62,7 @@ class Time:
     for all of them would make every store probe walk through them all.
     Iteration gives the labels, most recent first."""
 
-    __slots__ = ("label", "rest", "pops", "_len", "_lhash", "_hash", "_text")
+    __slots__ = ("label", "rest", "pops", "_len", "_lhash", "_hash")
 
     def __init__(self, label: int, rest: Time):
         self.label = label
@@ -71,7 +71,6 @@ class Time:
         self._len = rest._len + 1
         self._lhash = lhash = hash((label, rest._lhash))
         self._hash = hash((lhash, self.pops))
-        self._text = None
 
     def __len__(self):
         return self._len
@@ -98,20 +97,6 @@ class Time:
             a, b = a.rest, b.rest
         return True
 
-    def json_body(self) -> str:
-        """The labels as json.dumps prints the body of a list of them,
-        "3, 2, 1" for the history 3, 2, 1. Kept on the cell; a first call
-        joins only the labels above the nearest cell already rendered."""
-        above = []
-        t = self
-        while t._text is None:
-            above.append(str(t.label))
-            t = t.rest
-        if t._text:
-            above.append(t._text)
-        self._text = ", ".join(above)
-        return self._text
-
     def __repr__(self):
         pops = f", pops={self.pops}" if self.pops else ""
         return f"Time({', '.join(map(str, self))}{pops})"
@@ -119,7 +104,7 @@ class Time:
 
 # the empty history: the one cell with no label and no rest
 T0 = object.__new__(Time)
-T0.label, T0.rest, T0.pops, T0._len, T0._text = None, None, 0, 0, ""
+T0.label, T0.rest, T0.pops, T0._len = None, None, 0, 0
 T0._lhash = hash(())
 T0._hash = hash((T0._lhash, 0))
 
@@ -132,8 +117,8 @@ def tick(label: int, t: Time) -> Time:
 def _popped(t: Time) -> Time:
     """The history after a call frame is popped: t's calls, one more pop."""
     out = object.__new__(Time)
-    out.label, out.rest, out._len, out._lhash, out._text = (
-        t.label, t.rest, t._len, t._lhash, t._text)
+    out.label, out.rest, out._len, out._lhash = (
+        t.label, t.rest, t._len, t._lhash)
     out.pops = pops = t.pops + 1
     out._hash = hash((t._lhash, pops))
     return out

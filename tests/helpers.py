@@ -1,6 +1,7 @@
 """Shared test utilities: corpus loading and generated programs."""
 
 import importlib.util
+import json
 import pathlib
 import random
 import sys
@@ -36,6 +37,29 @@ def kont_frames(k) -> list:
     while not isinstance(k, Halt):
         out.append(k)
         k = k.next
+    return out
+
+
+def trace_histories(lines) -> list[list[int]]:
+    """The call history of each `anfj run --trace` line, newest label
+    first, decoded from the "history" definitions on and above it.
+    Checks as it goes that each id is defined once, on or before the
+    first line that names it, over a parent defined before it."""
+    defined = {0: None}            # id -> (label, parent id)
+    out = []
+    for line in lines:
+        rec = json.loads(line)
+        for h, parent, label in rec.get("history", ()):
+            assert h not in defined, f"id {h} defined twice"
+            assert parent in defined, f"id {h} defined before its parent"
+            defined[h] = (label, parent)
+        h = rec["fp"][1]
+        assert h in defined, f"id {h} used before it is defined"
+        labels = []
+        while h:
+            label, h = defined[h]
+            labels.append(label)
+        out.append(labels)
     return out
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: flags, outputs, exit codes."""
 
+import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -8,12 +10,16 @@ import sys
 
 import pytest
 
-from anfj.cli import build_parser, main, parse_policy_spec
+from anfj.cli import _write_trace, build_parser, main, parse_policy_spec
 from anfj.domain import Policy
+from anfj.machine import FuelExhausted, run
 from anfj.metrics import POPULATION_NOTE
-from anfj.syntax import AnfjError
+from anfj.syntax import AnfjError, load_program
 
-from helpers import CORPUS_DIR, deep_try_source, perfbench_module
+from helpers import (
+    CHAINS, CORPUS_DIR, chain_source, corpus_names, deep_try_source,
+    named_program, perfbench_module, trace_histories,
+)
 
 MINIMAL = str(CORPUS_DIR / "minimal.anfj")
 UNCAUGHT = str(CORPUS_DIR / "uncaught.anfj")
@@ -61,17 +67,101 @@ def test_run_json_outcome(capsys):
 
 
 def test_run_trace_lines_are_json(capsys):
-    assert main(["run", MINIMAL, "--trace", "--json"]) == 0
+    assert main(["run", RECURSIVE, "--fuel", "50", "--trace", "--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
     trace, outcome = lines[:-1], json.loads(lines[-1])
     assert len(trace) == outcome["steps"]
     first = json.loads(trace[0])
     assert first == {"step": 0, "label": first["label"],
-                     "fp": [None, []], "kontDepth": 0}
+                     "fp": [None, 0], "kontDepth": 0}
+    keys = {"step", "label", "fp", "kontDepth"}
+    defining = 0
     for i, line in enumerate(trace):
         rec = json.loads(line)
         assert rec["step"] == i
-        assert set(rec) == {"step", "label", "fp", "kontDepth"}
+        if "history" in rec:       # only on lines that define an id
+            assert rec["history"]
+            defining += 1
+            assert set(rec) == keys | {"history"}
+        else:
+            assert set(rec) == keys
+        assert line == json.dumps(rec, sort_keys=True)
+    assert defining > 1
+
+
+def test_run_exits_quietly_when_the_reader_closes():
+    # the reader takes one line and goes; the trace's next writes hit a
+    # closed pipe, which must end the run with exit 1 and no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "anfj.cli", "run",
+                             RECURSIVE, "--trace", "--fuel", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert json.loads(first)["step"] == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", MINIMAL], ["analyze", MINIMAL],
+    ["compare", MINIMAL, "--a", "k=0", "--b", "k=1"]])
+def test_every_command_exits_quietly_on_a_closed_output(argv):
+    # the reader is gone before the command starts, and its one short
+    # report is still buffered when the command returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "anfj.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _trace(lp, fuel: int) -> tuple:
+    """(outcome, states, trace text) of a run of lp."""
+    outcome, states = run(lp, fuel=fuel)
+    out = io.StringIO()
+    _write_trace(states, out)
+    return outcome, states, out.getvalue()
+
+
+def _assert_trace_matches(states, text):
+    lines = text.splitlines()
+    assert len(lines) == len(states)
+    for i, (st, line, labels) in enumerate(
+            zip(states, lines, trace_histories(lines))):
+        rec = json.loads(line)
+        assert (rec["step"], rec["label"], rec["fp"][0]) == (
+            i, st.stmt.label, st.fp.site)
+        assert labels == list(st.fp.time)
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), *CHAINS])
+def test_trace_histories_are_the_machine_times(name):
+    _, states, text = _trace(named_program(name), 2000)
+    _assert_trace_matches(states, text)
+
+
+def test_trace_histories_of_a_run_out_of_fuel():
+    outcome, states, text = _trace(load_program(chain_source(16)), 2000)
+    assert isinstance(outcome, FuelExhausted)
+    _assert_trace_matches(states, text)
+
+
+@pytest.mark.parametrize("source", [
+    pathlib.Path(RECURSIVE).read_text(), chain_source(16)],
+    ids=["infinite_recursion", "chain16"])
+def test_trace_grows_linearly_with_fuel(source):
+    # a line names its history by id, so four times the states make
+    # about four times the bytes; whole histories per line made 15x
+    lp = load_program(source)
+    small, large = (len(_trace(lp, fuel)[2].encode())
+                    for fuel in (2000, 8000))
+    assert large <= 5 * small
 
 
 def test_run_fuel_cap(capsys):

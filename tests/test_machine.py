@@ -6,15 +6,18 @@ determinism, time evolution, pointer freshness, stack discipline, handler
 matching, and store-domain growth; a state's time is the calls before
 it, and two programs check that allocations after a return or a throw
 stay fresh. The shared-store tests replay every trace against plain
-dicts copied and written at each step. The history tests check `Time`
-against the label lists it stands for.
+dicts copied and written at each step. The history tests check `Time`,
+and the ids a `--trace` names histories by, against the label lists
+they stand for.
 """
 
+import io
 import json
 
 import pytest
 from hypothesis import given, strategies
 
+from anfj.cli import _write_trace
 from anfj.machine import (
     FP0, T0, Addr, ConcreteState, FramePtr, Fun, FuelExhausted, Halt,
     Halted, Handle, ObjPtr, Store, Stuck, Time, Uncaught, Value,
@@ -26,6 +29,7 @@ from anfj.syntax import (
 
 from helpers import (
     CHAINS, corpus_names, corpus_program, kont_frames, named_program,
+    trace_histories,
 )
 
 # name -> (outcome class, class name of the result value or None)
@@ -641,16 +645,29 @@ def test_history_differs_on_one_label(labels, data):
     assert t != fewer and fewer != t
 
 
+def _trace_lines(*times) -> list[str]:
+    """The `--trace` lines of states whose frames have these histories."""
+    stmt = corpus_program("minimal").stmt_by_label[1]
+    states = [ConcreteState(stmt, FramePtr(0, t), {}, Halt(), t)
+              for t in times]
+    out = io.StringIO()
+    _write_trace(states, out)
+    return out.getvalue().splitlines()
+
+
 @given(LABELS, strategies.data())
-def test_history_renders_its_json_list_body(labels, data):
+def test_history_renders_once_in_a_trace(labels, data):
     cells = [T0]                   # cells[k]: the k oldest labels
     for label in reversed(labels):
         cells.append(tick(label, cells[-1]))
-    # an older cell rendered first is where the newest one's walk stops
+    # an older cell rendered first defines the newest one's ancestors,
+    # and a popped copy of a history renders as the same id
     k = data.draw(strategies.integers(0, len(labels)))
-    assert cells[k].json_body() == json.dumps(labels[len(labels) - k:])[1:-1]
-    for _ in range(2):             # the second call reads the kept text
-        assert cells[-1].json_body() == json.dumps(labels)[1:-1]
+    lines = _trace_lines(cells[k], cells[-1], _popped(cells[-1]))
+    assert trace_histories(lines) == [labels[len(labels) - k:], labels,
+                                      labels]
+    assert sum(len(json.loads(line).get("history", ()))
+               for line in lines) == len(labels)
 
 
 @given(LABELS, strategies.integers(0, 60))
@@ -667,5 +684,5 @@ def test_long_histories_compare_render_and_free():
     labels = list(range(200_000))
     a, b = hist(*labels), hist(*labels)
     assert a == b and len(a) == len(labels)
-    assert a.json_body() == json.dumps(labels)[1:-1]
+    assert trace_histories(_trace_lines(a)) == [labels]
     del a, b
