@@ -15,22 +15,28 @@ The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
 frames (TF), and balanced push/pop paths are collapsed into summary
 epsilon edges as they are discovered (Earl et al.'s epsilon-closure
-graph). The bookkeeping lives in three maps:
+graph). The bookkeeping lives in two maps:
 
   eps_next              each node's direct epsilon successors
-  top_frames (TF)       every frame observed on top of the stack at a node
-  pfp                   (node, frame) -> push sources: who pushed that
-                        frame onto a balanced path reaching the node
+  closure               node -> top frame -> (push sources, pop targets):
+                        the frames on top of the stack at the node (TF),
+                        the nodes that pushed each onto a balanced path
+                        reaching the node, and the targets of the node's
+                        pop edges of it
 
-A pop edge (s1, pop g, s2) turns each push source w in pfp[(s1, g)] into
-a summary edge (w, eps, s2): the push and the pop cancel, so anything
-that held before the push holds after the pop. Summaries feed the same
-closure, so deeper cancellations cascade.
+BOTTOM, the empty stack, is the one top frame that nothing pushed. A
+pop edge (s1, pop g, s2) turns each push source w of g at s1 into a
+summary edge (w, eps, s2): the push and the pop cancel, so anything
+that held before the push holds after the pop; a push source new
+behind a recorded pop does the same. Summaries feed the same closure,
+so deeper cancellations cascade. A call or a try only pushes, so its
+epsilon successors are exactly its summary targets.
 
 A top frame or push source new at a node is passed along its direct
-epsilon edges, and on from each node where it is new (semi-naive), so
-TF(p) <= TF(n) and pfp(p, f) <= pfp(n, f) for every epsilon edge
-(p, n), and a new epsilon edge need read them at its source only.
+epsilon edges, and on from each node where it is new (semi-naive, in
+one walk, IECG.add), so every epsilon edge (p, n) has TF(p) <= TF(n)
+and each frame's push sources at p among those at n, and a new epsilon
+edge need read them at its source only.
 
 Stores are split between the frames of the stack, as in CFA2
 (Vardoulakis & Shivers), on the pushdown system with abstract GC of
@@ -57,15 +63,16 @@ and the objects bound in the frames beneath. Every node of an
 activation (a method and a frame pointer) is epsilon-reachable from its
 entry and has the same stack beneath it, so the activation keeps one
 set. A call frame on top at one of its nodes adds its frame pointer
-(add_tf); each push edge, and each summary edge into a throw, between
+(IECG.add); each push edge, and each summary edge into a throw, between
 activations puts the source's stack beneath the target's (propagate,
 process_push), one graph edge per pair; and a call site is a key of its
-own, holding the objects its own frame binds, beneath each activation
-it pushed a call frame to. Handler frames and the empty-stack marker
-own no bindings and never enter it. The graph passes each new pointer
-on by deltas and records it, and drain hands it, through the core's
-wake, only to the nodes whose last collection left out an address
-under it. With GC off nothing reads it, so no graph is built.
+own, holding the objects its own frame binds from its first collection
+on, beneath each activation it pushed a call frame to. Handler frames
+and the empty-stack marker own no bindings and never enter it. The
+graph passes each new pointer on by deltas and records it, and drain
+hands it, through the core's wake, only to the nodes whose last
+collection left out an address under it. With GC off nothing reads
+it, so no graph is built.
 
 The analysis keeps two stores per node. The full store is the
 monotone join of everything ever flowed into the node; growth of it or
@@ -82,10 +89,10 @@ each base once. A join reads the whole store it joins in: the engine's
 joins almost never meet two stores over one base.
 A node's visible store adds the bindings of the frames beneath it.
 Those are bindings its push sources' stepped stores hold already, so
-the result keeps each node's push sources (DSG.sources, pfp flattened
-over frames) instead of copies, and builds no visible store. The finite
-baseline has no push/pop matching and carries every binding along
-every edge, so it has no push sources.
+the result keeps each node's push sources (DSG.sources, the closure's
+push sources over all the node's frames) instead of copies, and builds
+no visible store. The finite baseline has no push/pop matching and
+carries every binding along every edge, so it has no push sources.
 
 A re-enqueue is not a re-step. At each dequeue the core extends the
 node's collection (gc.Collection) from the addresses that grew in its
@@ -143,7 +150,7 @@ from .domain import (
 )
 from .gc import Collection, eagc
 from .machine import EMPTY, ObjPtr, Store
-from .syntax import LabeledProgram, Stmt
+from .syntax import Assign, Invoke, LabeledProgram, Stmt, TryCatch
 
 
 def activation(lp: LabeledProgram, stmt: Stmt, fp) -> tuple:
@@ -264,17 +271,22 @@ class RootGraph:
 
 
 class IECG:
-    """The three closure maps plus change bookkeeping for the engine.
+    """The epsilon-closure graph, as one record per (node, top frame),
+    plus change bookkeeping for the engine.
 
-    Map mutations funnel through the add_* helpers so growth is recorded
-    in the dirty_* lists; the engine drains those to schedule re-steps
-    and summary creation. add_tf and add_pfp walk eps_next on their own
-    stack, never by recursion.
+    closure maps a node to its top frames, and each to its record: the
+    push sources of the frame (the nodes that pushed it on a balanced
+    path reaching the node) and the pop targets of the node's pop edges
+    of it. BOTTOM, the empty stack, is the one frame nothing pushed.
+    Records grow through add alone, which writes the growth down in
+    the dirty_* lists; the engine drains those to schedule re-steps and
+    summary creation. add walks eps_next on its own stack, never by
+    recursion.
 
     act maps a node to the key of the activation it runs in; a node it
     does not map is an activation of its own. roots is the core's root
     graph, in either mode, None when nothing collects (GC off): a call
-    frame on top at a node is on the stack of its activation (add_tf),
+    frame on top at a node is on the stack of its activation (add),
     and each push or epsilon edge between activations puts the source's
     stack beneath the target's (propagate and process_push). A call
     site is a key of its own, whose pointers are the objects its own
@@ -283,55 +295,50 @@ class IECG:
     def __init__(self, roots: RootGraph | None = None):
         self.roots = roots
         self.eps_next: dict = {}       # node -> direct epsilon successors
-        self.top_frames: dict = {}
-        self.pfp: dict = {}
+        self.closure: dict = {}        # node -> top frame ->
+                                       # (push sources, pop targets)
         self.act: dict = {}            # node -> its activation's key
         self.dirty_tf: list = []       # nodes whose TF grew, once per frame
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
-    def tf(self, s) -> set:
-        return self.top_frames.get(s, set())
+    def tf(self, s):
+        """The top frames of s."""
+        return self.closure.get(s, {}).keys()
 
-    def add_tf(self, s, frame) -> None:
-        """frame is on top at s and at everything epsilon-after s."""
+    def add(self, s, frame, src=None) -> None:
+        """frame is on top at s and at everything epsilon-after s,
+        pushed by src (None for BOTTOM, which nothing pushed)."""
+        closure, eps_next = self.closure, self.eps_next
         roots = self.roots if isinstance(frame, CallFrame) else None
         work = [s]
         while work:
             s = work.pop()
-            have = self.top_frames.setdefault(s, set())
-            if frame in have:
+            tops = closure.setdefault(s, {})
+            rec = tops.get(frame)
+            if rec is None:
+                rec = tops[frame] = (set(), set())
+                self.dirty_tf.append(s)
+                if roots is not None:
+                    roots.add(self.act.get(s, s), {frame.fp})
+            elif src is None or src in rec[0]:
                 continue
-            have.add(frame)
-            self.dirty_tf.append(s)
-            if roots is not None:
-                roots.add(self.act.get(s, s), {frame.fp})
-            work.extend(self.eps_next.get(s, ()))
-
-    def add_pfp(self, s, frame, src) -> None:
-        """src pushed frame on a path to s and all epsilon-after s."""
-        work = [s]
-        while work:
-            s = work.pop()
-            have = self.pfp.setdefault((s, frame), set())
-            if src in have:
-                continue
-            have.add(src)
-            self.dirty_pfp.append((s, frame, src))
-            work.extend(self.eps_next.get(s, ()))
+            if src is not None:
+                rec[0].add(src)
+                self.dirty_pfp.append((s, frame, src))
+            work.extend(eps_next.get(s, ()))
 
 
 def propagate(s1, s2, iecg: IECG) -> IECG:
-    """Record an epsilon edge s1 -> s2 and close the maps over it.
+    """Record an epsilon edge s1 -> s2 and close the records over it.
 
-    s2 takes s1's top frames and push sources, which add_tf and add_pfp
-    pass on to everything epsilon-after s2; those of s1's epsilon
-    predecessors are already at s1. When the edge leaves s1's activation
-    (a summary edge into a throw), s1's stack is beneath s2's."""
+    s2 takes s1's top frames and push sources, which add passes on to
+    everything epsilon-after s2; those of s1's epsilon predecessors are
+    already at s1. When the edge leaves s1's activation (a summary edge
+    into a throw), s1's stack is beneath s2's."""
     iecg.eps_next.setdefault(s1, set()).add(s2)
-    for f in list(iecg.tf(s1)):
-        iecg.add_tf(s2, f)
-        for w in list(iecg.pfp.get((s1, f), ())):
-            iecg.add_pfp(s2, f, w)
+    for f, (srcs, _) in list(iecg.closure.get(s1, {}).items()):
+        for w in list(srcs) or (None,):
+            iecg.add(s2, f, w)
     if iecg.roots is not None:
         iecg.roots.beneath(iecg.act.get(s1, s1), iecg.act.get(s2, s2))
     return iecg
@@ -348,18 +355,20 @@ def process_push(s1, frame, s2, iecg: IECG) -> IECG:
         roots.beneath(iecg.act.get(s1, s1), key)
         if isinstance(frame, CallFrame):
             roots.beneath(s1, key)
-    iecg.add_tf(s2, frame)
-    iecg.add_pfp(s2, frame, s1)
+    iecg.add(s2, frame, s1)
     return iecg
 
 
 def process_pop(s1, frame, s2, iecg: IECG) -> list:
-    """A pop edge (s1, pop frame, s2) cancels against every recorded
-    push of that frame reaching s1: each push source w yields a summary
-    epsilon edge (w, s2), propagated here and returned for the caller to
-    record in the graph."""
+    """A pop edge (s1, pop frame, s2), recorded as a pop target of
+    frame at s1, cancels against every recorded push of that frame
+    reaching s1: each push source w yields a summary epsilon edge (w,
+    s2), propagated here and returned for the caller to record in the
+    graph."""
+    srcs, pops = iecg.closure[s1][frame]
+    pops.add(s2)
     pairs = []
-    for w in sorted(iecg.pfp.get((s1, frame), ()), key=state_key):
+    for w in sorted(srcs, key=state_key):
         propagate(w, s2, iecg)
         pairs.append((w, s2))
     return pairs
@@ -368,7 +377,7 @@ def process_pop(s1, frame, s2, iecg: IECG) -> list:
 @dataclass
 class DSG:
     """Analysis result: the explored graph, per-node stores, the closure
-    maps, and run metadata. node_stores holds the stepped (collected)
+    records, and run metadata. node_stores holds the stepped (collected)
     stores, which export and metrics read; full_stores the raw monotone
     joins behind them; sources each node's push sources, none in the
     finite baseline. A node's visible store follows from the stepped
@@ -403,13 +412,12 @@ class DSG:
         return self._order
 
 
-def push_sources(pfp: dict) -> dict:
+def push_sources(closure: dict) -> dict:
     """Node -> the frozenset of its push sources, over all its top
     frames, for the nodes that have any."""
-    srcs: dict = {}
-    for (s, _), ws in pfp.items():
-        srcs.setdefault(s, set()).update(ws)
-    return {s: frozenset(ws) for s, ws in srcs.items()}
+    srcs = {s: frozenset().union(*(ws for ws, _ in tops.values()))
+            for s, tops in closure.items()}
+    return {s: ws for s, ws in srcs.items() if ws}
 
 
 def _objects(sigma: Mapping) -> set:
@@ -674,7 +682,7 @@ class _Engine:
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
-        self.dsg.sources = push_sources(self.dsg.iecg.pfp)
+        self.dsg.sources = push_sources(self.dsg.iecg.closure)
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
             for node in self.stepped.values()
@@ -693,9 +701,10 @@ class _Engine:
 
 
 class _PushdownEngine(_Engine):
-    """The pushdown stack abstraction: top frames, push sources and
-    summary edges, kept in the IECG and closed by drain after each
-    step, which also grows the root graph under GC. A node's contexts
+    """The pushdown stack abstraction: one closure record per (node, top
+    frame), of its push sources and pop targets, kept in the IECG and
+    closed by drain after each step, which creates the summary edges
+    and also grows the root graph under GC. A node's contexts
     are its top frames, its stack roots are the call frames on top at
     its activation's nodes and everything beneath them, and its
     stepped store holds its own frame and the heap."""
@@ -706,11 +715,9 @@ class _PushdownEngine(_Engine):
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
-        self.iecg.top_frames[self.dsg.initial] = {BOTTOM}
         q0 = self.dsg.initial
+        self.iecg.closure[q0] = {BOTTOM: (set(), set())}
         self.iecg.act[q0] = activation(lp, q0.stmt, q0.fp)
-        self.pop_targets: dict = {}    # (node, frame) -> set of pop dests
-        self.summaries: dict = {}      # push source -> its summary targets
         self.pending_edges: deque = deque()
 
     def contexts(self, s):
@@ -733,12 +740,16 @@ class _PushdownEngine(_Engine):
 
     def stepped_store(self, s, node: _Stepped):
         """The core's collection. After it, the part of the delta on s's
-        own frame goes on along s's summary edges and, once s has pushed
-        a call frame under GC, the objects it binds join the root set of
-        s as a call site."""
+        own frame goes on along s's summary edges and, when s is a call
+        under GC, the objects it binds join the root set of s as a call
+        site. A call or a try only pushes, so its epsilon successors are
+        its summary targets; any other node reads no own frame here."""
         sigma, delta = super().stepped_store(s, node)
-        targets = self.summaries.get(s)
-        site = self.roots is not None and s in self.roots.ptrs
+        stmt = s.stmt
+        call = isinstance(stmt, Assign) and isinstance(stmt.exp, Invoke)
+        targets = (self.iecg.eps_next.get(s)
+                   if call or isinstance(stmt, TryCatch) else None)
+        site = call and self.roots is not None
         if targets or site:
             own = own_frame(sigma if delta is None else delta, s.fp)
             if own:
@@ -750,8 +761,8 @@ class _PushdownEngine(_Engine):
 
     def add_summary(self, w, s2) -> None:
         """A new summary edge (w, eps, s2) carries w's own-frame bindings
-        into s2, now and, by stepped_store, after each growth."""
-        self.summaries.setdefault(w, set()).add(s2)
+        into s2, now and, by stepped_store, after each growth: s2 is one
+        of w's epsilon successors, which are all summary targets."""
         own = own_frame(self.dsg.node_stores[w], w.fp)
         if own:
             self.join_store(s2, own)
@@ -760,11 +771,11 @@ class _PushdownEngine(_Engine):
         self.drain()
 
     def drain(self) -> None:
-        """Dispatch pending edges into the closure maps and chase every
+        """Dispatch pending edges into the closure records and chase every
         consequence (summaries, re-enqueues, root growth) to a fixpoint.
         The time budget is checked on every round, since one step's
         edges can start a long chase."""
-        iecg, roots = self.iecg, self.roots
+        iecg = self.iecg
         clock, deadline = _time.monotonic, self.deadline
         while True:
             if clock() > deadline:
@@ -774,14 +785,8 @@ class _PushdownEngine(_Engine):
                 if isinstance(act, Epsilon):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
-                    if (roots is not None and isinstance(act.frame, CallFrame)
-                            and s1 not in roots.ptrs):
-                        roots.add(s1, _objects(
-                            own_frame(self.dsg.node_stores[s1], s1.fp)))
                     process_push(s1, act.frame, s2, iecg)
                 else:
-                    key = (s1, act.frame)
-                    self.pop_targets.setdefault(key, set()).add(s2)
                     for w, dst in process_pop(s1, act.frame, s2, iecg):
                         if self.add_edge(w, EPSILON, dst):
                             self.add_summary(w, dst)
@@ -790,8 +795,7 @@ class _PushdownEngine(_Engine):
                 s, f, w = iecg.dirty_pfp.pop()
                 # a new push source behind an already-seen pop edge
                 # yields summaries the pop itself could not have known
-                for dst in sorted(self.pop_targets.get((s, f), ()),
-                                  key=state_key):
+                for dst in sorted(iecg.closure[s][f][1], key=state_key):
                     if self.add_edge(w, EPSILON, dst):
                         propagate(w, dst, iecg)
                         self.add_summary(w, dst)

@@ -26,8 +26,8 @@ worklist or hash order reaches it. Each node also writes the sorted ids
 of its push sources ("sources", empty in the finite baseline). Its
 visible store, the stepped one plus the frames beneath it, is not
 written: a reader rebuilds it from the stepped stores and the edges
-alone, as tests/oracles.py does (the push sources are pfp flattened
-over frames).
+alone, as tests/oracles.py does (the push sources are those of the
+node's closure records, over all its top frames).
 
 The JSON text is what json.dumps(..., sort_keys=True, separators=(",",
 ":")) gives for the whole document, but it is spliced together from

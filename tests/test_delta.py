@@ -18,6 +18,8 @@ from anfj import finite as finite_module
 from anfj.domain import CallFrame, EPSILON, ObjPtr, Policy, Push
 from anfj.engine import _Engine, _PushdownEngine, analyze
 from anfj.finite import _FiniteEngine
+from anfj.gc import Collection
+from anfj.machine import Halted, run
 from anfj.syntax import load_program
 
 from helpers import (
@@ -53,6 +55,47 @@ def test_engine_equals_reference_with_obj_sens_and_without_liveness(mode, k):
     for policy in (Policy(k=k, mode=mode, obj_sensitivity=True),
                    Policy(k=k, mode=mode, liveness=False)):
         assert_equals_reference(lp, policy)
+
+
+# M.m's second call puts the Box that B.mk returned on C.c's stack,
+# after C.c's return point left out the field the Box binds: a root
+# pointer new in a root set the pushdown engine must hand to a waiting
+# collection
+ROOT_GROWTH_WAKE = """
+class Box extends Object { Object f; Box(Object f) { super(); this.f = f; } }
+class B extends Object { B() { super(); }
+  Object mk() { Object x; Box o; x = new Object(); o = new Box(x); return o; } }
+class C extends Object { C() { super(); }
+  Object c(B b) { Object t; Object u; t = b.mk(); u = new Object(); return u; } }
+class M extends Object { M() { super(); }
+  Object m(C c, B b, Object hold) { Object r; r = c.c(b); return hold; } }
+class Main extends Object { Main() { super(); }
+  Object main() { B b; C c; M m; Object x1; Object r1; Object h; Object r2;
+    b = new B(); c = new C(); m = new M(); x1 = new Object();
+    r1 = m.m(c, b, x1); h = b.mk(); r2 = m.m(c, b, h); return r2; } }
+"""
+
+
+def test_pushdown_root_growth_wakes_a_waiting_collection(monkeypatch):
+    lp = load_program(ROOT_GROWTH_WAKE)
+    outcome, _ = run(lp)
+    assert isinstance(outcome, Halted)
+    assert outcome.value.class_name == "Box"
+    for policy in POLICIES:
+        assert_equals_reference(lp, policy)
+    handed = []
+    extend = Collection.extend
+
+    def spy(self, sigma, grown, fps):
+        handed.extend(fps)
+        return extend(self, sigma, grown, fps)
+    monkeypatch.setattr(Collection, "extend", spy)
+    stats = analyze(lp, Policy()).stats
+    assert len(handed) == 1 and isinstance(handed[0], ObjPtr), handed
+    assert lp.stmt(handed[0].site).exp.class_name == "Box"
+    # the waiting node is already queued when the pointer arrives, so
+    # the wake queues nothing and no step counts it as a cause
+    assert stats["step_causes"]["gc_roots"] == 0
 
 
 SPY_POLICIES = [Policy(k=k, mode=mode, liveness=live, obj_sensitivity=obj)

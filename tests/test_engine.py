@@ -294,12 +294,19 @@ def _states(lp, n):
     return [ControlState(lp.stmt(l), FP0A, ()) for l in labels]
 
 
+def _records(iecg, part):
+    """(node, top frame) -> a copy of its push sources (part 0) or its
+    pop targets (part 1)."""
+    return {(s, f): set(rec[part]) for s, tops in iecg.closure.items()
+            for f, rec in tops.items()}
+
+
 def test_propagate_base_case():
     lp = corpus_program("var_chain")
     s1, s2 = _states(lp, 2)
     f = CallFrame("r", lp.stmt(1), FP0A)
     iecg = IECG()
-    iecg.top_frames[s1] = {f}
+    iecg.add(s1, f)
     propagate(s1, s2, iecg)
     assert iecg.eps_next == {s1: {s2}}
     assert f in iecg.tf(s2)
@@ -318,7 +325,7 @@ def test_propagate_closes_transitively():
     assert iecg.eps_next == {a: {b}, b: {c}}
     for s in (a, b, c):
         assert iecg.tf(s) == {g}
-        assert iecg.pfp[(s, g)] == {w}
+        assert iecg.closure[s][g] == ({w}, set())
 
 
 def test_update_psf_examples():
@@ -360,6 +367,7 @@ def test_psf_is_the_least_solution_of_its_spec(name):
             if isinstance(act, Push) and isinstance(act.frame, CallFrame):
                 pushed_objs.setdefault(s2, set()).update(held.get(s1, ()))
         nodes = sorted(dsg.nodes, key=state_key)
+        tops = {s: set(iecg.tf(s)) for s in nodes}
         # the summary is kept per activation, the spec is per node
         psf = {s: stack_roots(dsg, s) for s in nodes}
         for s in nodes:
@@ -371,8 +379,8 @@ def test_psf_is_the_least_solution_of_its_spec(name):
                     v.op for vals in own_frame(sigma, s.fp).values()
                     for v in vals}
             assert psf[s] == update_psf(
-                s, iecg.top_frames, psf, push_preds, eps_preds, pushed_objs)
-        least = least_psf(nodes, iecg.top_frames, push_preds, eps_preds,
+                s, tops, psf, push_preds, eps_preds, pushed_objs)
+        least = least_psf(nodes, tops, push_preds, eps_preds,
                           pushed_objs)
         assert {s: fps for s, fps in psf.items() if fps} == \
             {s: fps for s, fps in least.items() if fps}
@@ -387,12 +395,10 @@ def test_process_push_reaches_epsilon_successors_and_is_idempotent():
     process_push(s1, g, s2, iecg)
     for s in (s2, s3):
         assert g in iecg.tf(s)
-        assert iecg.pfp[(s, g)] == {s1}
-    snap = ({k: set(v) for k, v in iecg.top_frames.items()},
-            {k: set(v) for k, v in iecg.pfp.items()})
+        assert iecg.closure[s][g] == ({s1}, set())
+    snap = (_records(iecg, 0), _records(iecg, 1))
     process_push(s1, g, s2, iecg)
-    assert snap == ({k: set(v) for k, v in iecg.top_frames.items()},
-                    {k: set(v) for k, v in iecg.pfp.items()})
+    assert snap == (_records(iecg, 0), _records(iecg, 1))
 
 
 def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
@@ -414,12 +420,15 @@ def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
 
 
 def test_process_pop_empty_pfp_is_inert():
+    # the pop is recorded, but no push cancels it
     lp = corpus_program("var_chain")
     s1, s2 = _states(lp, 2)
     g = CallFrame("r", lp.stmt(1), FP0A)
     iecg = IECG()
+    iecg.add(s1, g)
     assert process_pop(s1, g, s2, iecg) == []
     assert not iecg.eps_next
+    assert iecg.closure == {s1: {g: (set(), {s2})}}
 
 
 def test_process_pop_single_source_behaves_as_propagate():
@@ -428,17 +437,17 @@ def test_process_pop_single_source_behaves_as_propagate():
     g = CallFrame("r", lp.stmt(1), FP0A)
 
     popped = IECG(RootGraph())
-    popped.top_frames[s1] = {g}
-    popped.pfp[(s1, g)] = {q0}
+    popped.add(s1, g, q0)
     pairs = process_pop(s1, g, s2, popped)
     assert pairs == [(q0, s2)]
 
     plain = IECG(RootGraph())
-    plain.top_frames[s1] = {g}
-    plain.pfp[(s1, g)] = {q0}
+    plain.add(s1, g, q0)
     propagate(q0, s2, plain)
     assert popped.eps_next == plain.eps_next
-    assert popped.top_frames == plain.top_frames
+    assert _records(popped, 0) == _records(plain, 0)
+    assert _records(popped, 1) == {(s1, g): {s2}}
+    assert _records(plain, 1) == {(s1, g): set()}
     assert popped.roots.ptrs == plain.roots.ptrs
 
 
@@ -493,8 +502,9 @@ def test_iecg_invariants(name, policy):
     on = dsg if policy.gc else analyze(lp, replace(policy, gc=True))
     for s in on.nodes:
         assert call_fps(on.iecg.tf(s)) <= stack_roots(on, s)
-    for (s, f) in iecg.pfp:
-        assert f in iecg.tf(s)
+    # a frame has a push source exactly when it is not BOTTOM
+    for (s, f), srcs in _records(iecg, 0).items():
+        assert bool(srcs) == (f is not BOTTOM), (s, f)
     assert BOTTOM in iecg.tf(dsg.initial)
 
 
@@ -516,8 +526,7 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
             tf = iecg.tf(p)
             assert tf <= iecg.tf(n)
             for f in tf:
-                assert (iecg.pfp.get((p, f), set())
-                        <= iecg.pfp.get((n, f), set()))
+                assert iecg.closure[p][f][0] <= iecg.closure[n][f][0]
         if not policy.gc:              # no root graph to follow
             continue
         deps = {(p, s) for p, ss in iecg.roots.above.items() for s in ss}
@@ -527,6 +536,45 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
         assert deps <= sites | {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
                                 if not isinstance(a, Pop)
                                 and act[s1] != act[s2]}
+
+
+def _pushes_only(stmt) -> bool:
+    return isinstance(stmt, TryCatch) or (
+        isinstance(stmt, Assign) and isinstance(stmt.exp, Invoke))
+
+
+@pytest.mark.parametrize("name", corpus_names() + list(CHAINS))
+def test_closure_records_are_the_pushes_and_pops_of_the_graph(name):
+    # the facts the engine's one record per (node, top frame) relies on:
+    # BOTTOM is the one top frame that no node pushed; a record's pop
+    # targets are those of the node's pop edges of its frame; and the
+    # epsilon successors of a call or a try, which only push, are its
+    # summary targets, each a push source cancelled by a recorded pop
+    lp = named_program(name)
+    for policy in [p for p in POLICIES if p.mode == "pushdown"]:
+        dsg = analyze(lp, policy)
+        iecg = dsg.iecg
+        assert set(iecg.closure) == dsg.nodes, policy
+        pops: dict = {}
+        for s1, act, s2 in dsg.edges:
+            if isinstance(act, Pop):
+                pops.setdefault((s1, act.frame), set()).add(s2)
+        records = _records(iecg, 0)
+        assert pops.keys() <= records.keys(), policy
+        summaries: dict = {}
+        for (s, f), srcs in records.items():
+            assert bool(srcs) == (f is not BOTTOM), (policy, s, f)
+            assert iecg.closure[s][f][1] == pops.get((s, f), set()), \
+                (policy, s, f)
+            for w in srcs:
+                summaries.setdefault(w, set()).update(iecg.closure[s][f][1])
+        for w, dsts in summaries.items():
+            assert _pushes_only(w.stmt), (policy, w)
+            assert {(w, EPSILON, d) for d in dsts} <= dsg.edges, (policy, w)
+        for s in dsg.nodes:
+            if _pushes_only(s.stmt):
+                assert iecg.eps_next.get(s, set()) == \
+                    summaries.get(s, set()), (policy, s)
 
 
 def test_long_shared_method_closes_without_recursion():
