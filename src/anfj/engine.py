@@ -6,10 +6,11 @@ before each step, the memo of each step and the delta passes it allows,
 the fixpoint diagnostics, DSG.stats and, under GC, the root graph of
 the stacks (RootGraph): one live set per activation of the GC-root
 pointers of its stack. A stack abstraction supplies the same two
-things to it: the top frames a node is stepped under, and the edges
-and pointers that grow the root graph. _PushdownEngine below is the
-pushdown abstraction; finite._FiniteEngine is the finite-state
-baseline, which differs from it in stack handling alone.
+things to it: the top frames a node is stepped under, and the frames
+it pushes, which grow the root graph by one rule of the core.
+_PushdownEngine below is the pushdown abstraction; finite._FiniteEngine
+is the finite-state baseline, which differs from it in stack handling
+alone.
 
 The pushdown analysis explores abstract control states, but the
 stack is never materialized: each node carries a set of possible top
@@ -62,17 +63,20 @@ of Might & Shivers' Gamma-CFA): the frame pointers of the call frames,
 and the objects bound in the frames beneath. Every node of an
 activation (a method and a frame pointer) is epsilon-reachable from its
 entry and has the same stack beneath it, so the activation keeps one
-set. A call frame on top at one of its nodes adds its frame pointer
-(IECG.add); each push edge, and each summary edge into a throw, between
-activations puts the source's stack beneath the target's (propagate,
-process_push), one graph edge per pair; and a call site is a key of its
-own, holding the objects its own frame binds from its first collection
-on, beneath each activation it pushed a call frame to. Handler frames
-and the empty-stack marker own no bindings and never enter it. The
-graph passes each new pointer on by deltas and records it, and drain
-hands it, through the core's wake, only to the nodes whose last
-collection left out an address under it. With GC off nothing reads
-it, so no graph is built.
+set. The closure records know nothing of it: the graph grows from
+stack actions, by one rule both engines share (_Engine.pushed). A call
+frame pushed onto an activation's stack adds its frame pointer, and
+puts the stack of the activation it returns to beneath, and so does
+its call site, a key of its own holding the objects its own frame
+binds from its first collection on. A call frame is on top at a node
+only when it was pushed into the node's activation or came along a
+summary edge into a throw in another activation, which puts its
+source's stack beneath the throw's (add_summary); so these give the
+least sets. Handler frames and the empty-stack marker own no bindings
+and never enter it. The graph passes each new pointer on by deltas and
+records it, and the core's wake hands it, after each step, only to the
+nodes whose last collection left out an address under it. With GC off
+nothing reads it, so no graph is built.
 
 The analysis keeps two stores per node. The full store is the
 monotone join of everything ever flowed into the node; growth of it or
@@ -281,23 +285,13 @@ class IECG:
     Records grow through add alone, which writes the growth down in
     the dirty_* lists; the engine drains those to schedule re-steps and
     summary creation. add walks eps_next on its own stack, never by
-    recursion.
+    recursion. The closure knows nothing of GC: the stack roots grow
+    from the engine's stack actions (_Engine.pushed, add_summary)."""
 
-    act maps a node to the key of the activation it runs in; a node it
-    does not map is an activation of its own. roots is the core's root
-    graph, in either mode, None when nothing collects (GC off): a call
-    frame on top at a node is on the stack of its activation (add),
-    and each push or epsilon edge between activations puts the source's
-    stack beneath the target's (propagate and process_push). A call
-    site is a key of its own, whose pointers are the objects its own
-    frame holds, beneath every activation it pushed a call frame to."""
-
-    def __init__(self, roots: RootGraph | None = None):
-        self.roots = roots
+    def __init__(self):
         self.eps_next: dict = {}       # node -> direct epsilon successors
         self.closure: dict = {}        # node -> top frame ->
                                        # (push sources, pop targets)
-        self.act: dict = {}            # node -> its activation's key
         self.dirty_tf: list = []       # nodes whose TF grew, once per frame
         self.dirty_pfp: list = []      # (node, frame, new push source)
 
@@ -309,7 +303,6 @@ class IECG:
         """frame is on top at s and at everything epsilon-after s,
         pushed by src (None for BOTTOM, which nothing pushed)."""
         closure, eps_next = self.closure, self.eps_next
-        roots = self.roots if isinstance(frame, CallFrame) else None
         work = [s]
         while work:
             s = work.pop()
@@ -318,8 +311,6 @@ class IECG:
             if rec is None:
                 rec = tops[frame] = (set(), set())
                 self.dirty_tf.append(s)
-                if roots is not None:
-                    roots.add(self.act.get(s, s), {frame.fp})
             elif src is None or src in rec[0]:
                 continue
             if src is not None:
@@ -328,61 +319,45 @@ class IECG:
             work.extend(eps_next.get(s, ()))
 
 
-def propagate(s1, s2, iecg: IECG) -> IECG:
+def propagate(s1, s2, iecg: IECG) -> None:
     """Record an epsilon edge s1 -> s2 and close the records over it.
 
     s2 takes s1's top frames and push sources, which add passes on to
     everything epsilon-after s2; those of s1's epsilon predecessors are
-    already at s1. When the edge leaves s1's activation (a summary edge
-    into a throw), s1's stack is beneath s2's."""
+    already at s1."""
     iecg.eps_next.setdefault(s1, set()).add(s2)
     for f, (srcs, _) in list(iecg.closure.get(s1, {}).items()):
         for w in list(srcs) or (None,):
             iecg.add(s2, f, w)
-    if iecg.roots is not None:
-        iecg.roots.beneath(iecg.act.get(s1, s1), iecg.act.get(s2, s2))
-    return iecg
 
 
-def process_push(s1, frame, s2, iecg: IECG) -> IECG:
+def process_push(s1, frame, s2, iecg: IECG) -> None:
     """A push edge (s1, push frame, s2): the frame is now on top at s2
-    and at everything epsilon-reachable from s2, pushed from s1. s1's
-    stack is beneath s2's, as in propagate, and a call frame also puts
-    the call site, the objects s1's own frame holds, beneath it."""
-    roots = iecg.roots
-    if roots is not None:
-        key = iecg.act.get(s2, s2)
-        roots.beneath(iecg.act.get(s1, s1), key)
-        if isinstance(frame, CallFrame):
-            roots.beneath(s1, key)
+    and at everything epsilon-reachable from s2, pushed from s1."""
     iecg.add(s2, frame, s1)
-    return iecg
 
 
 def process_pop(s1, frame, s2, iecg: IECG) -> list:
     """A pop edge (s1, pop frame, s2), recorded as a pop target of
     frame at s1, cancels against every recorded push of that frame
     reaching s1: each push source w yields a summary epsilon edge (w,
-    s2), propagated here and returned for the caller to record in the
-    graph."""
+    s2), which the caller adds. Returns the push sources, in state_key
+    order."""
     srcs, pops = iecg.closure[s1][frame]
     pops.add(s2)
-    pairs = []
-    for w in sorted(srcs, key=state_key):
-        propagate(w, s2, iecg)
-        pairs.append((w, s2))
-    return pairs
+    return sorted(srcs, key=state_key)
 
 
 @dataclass
 class DSG:
     """Analysis result: the explored graph, per-node stores, the closure
-    records, and run metadata. node_stores holds the stepped (collected)
-    stores, which export and metrics read; full_stores the raw monotone
-    joins behind them; sources each node's push sources, none in the
-    finite baseline. A node's visible store follows from the stepped
-    stores and the edges, and is not built. Stores are shared between
-    nodes and must not be mutated."""
+    records, the root graph of the stacks, and run metadata.
+    node_stores holds the stepped (collected) stores, which export and
+    metrics read; full_stores the raw monotone joins behind them;
+    sources each node's push sources, none in the finite baseline;
+    roots the root graph, None with GC off. A node's visible store
+    follows from the stepped stores and the edges, and is not built.
+    Stores are shared between nodes and must not be mutated."""
 
     lp: LabeledProgram
     policy: Policy
@@ -393,6 +368,7 @@ class DSG:
     full_stores: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     iecg: IECG = field(default_factory=IECG)
+    roots: RootGraph | None = None
     diagnostics: set = field(default_factory=set)
     stats: dict = field(default_factory=dict)
     _order: tuple | None = field(default=None, init=False, repr=False,
@@ -464,23 +440,25 @@ class _Engine:
     subclasses it and supplies `causes`, its step causes beyond
     new_node and store; `contexts(s)`, the frames that may be on top
     of the stack at s, in order (BOTTOM for the empty stack, None for
-    a statement whose step needs no top frame); `step(s, top, sigma,
-    reads, diags)`, s's (state, action, store) successors under top
-    (None for BOTTOM) and sigma, the stepped store, with the addresses
-    read added to reads;
-    `new_edge(s, act, s2)`, called once per new edge; `after_step()`,
-    the work a step leaves behind; and `root_cause`, the step cause of
-    root growth.
+    a statement whose step needs no top frame); `new_edge(s, act,
+    s2)`, called once per new edge; `after_step()`, the work a step
+    leaves behind; and `root_cause`, the step cause of root growth. It
+    may also override `step(s, top, sigma, reads, diags)`, s's (state,
+    action, store) successors under top (None for BOTTOM) and sigma,
+    the stepped store, with the addresses read added to reads, which
+    is domain.next's by default.
 
     Under GC the core owns the root graph of the stacks (RootGraph,
-    which the result keeps as iecg.roots), keyed by activation, and
-    every collection of an activation's nodes reads the activation's
-    set by membership. The stack abstraction grows the graph and calls
-    `wake`, the one path by which new roots reach a collection: a node
-    whose last collection left out an address under a new pointer is
-    handed the pointer for its next collection (Collection.extend) and
-    woken; any other keeps its stepped store, and reads the pointer in
-    the set later. With GC off no graph is built.
+    which the result keeps as DSG.roots), keyed by activation (act),
+    and every collection of an activation's nodes reads the
+    activation's set by membership. The stack abstraction grows the
+    graph through `pushed`, the one rule for a call frame pushed onto
+    a stack, and the core calls `wake` after each step, the one path
+    by which new roots reach a collection: a node whose last
+    collection left out an address under a new pointer is handed the
+    pointer for its next collection (Collection.extend) and woken; any
+    other keeps its stepped store, and reads the pointer in the set
+    later. With GC off no graph is built.
 
     A dequeued node is stepped in full under a context only when the
     context is new to it or the stepped store changed at an address the
@@ -501,10 +479,11 @@ class _Engine:
         self.budget = budget
         q0 = inject_abstract(lp)
         self.roots = RootGraph() if policy.gc else None
-        self.dsg = DSG(lp=lp, policy=policy, initial=q0,
-                       iecg=IECG(self.roots))
+        self.dsg = DSG(lp=lp, policy=policy, initial=q0, roots=self.roots)
         self.dsg.nodes.add(q0)
         self.dsg.node_stores[q0] = EMPTY
+        # node -> its activation's key, built once and read at each use
+        self.act: dict = {q0: activation(lp, q0.stmt, q0.fp)}
         self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
         self.stepped: dict = {}        # node -> _Stepped
@@ -522,8 +501,9 @@ class _Engine:
         new since s's last step."""
         return [ctx for ctx in self.contexts(s) if ctx not in memo]
 
-    def step(self, s, ctx, sigma: Mapping, reads: set, diags: list):
-        raise NotImplementedError
+    def step(self, s, top, sigma: Mapping, reads: set, diags: list):
+        return abstract_next(self.lp, s, sigma, top, self.policy, diags,
+                             reads)
 
     def new_edge(self, s1, act, s2) -> None:
         pass
@@ -549,7 +529,8 @@ class _Engine:
             self.work.push(s, "store")
 
     def add_node(self, s) -> bool:
-        """Record the node; True when it is new."""
+        """Record the node, and the key of the activation it runs in;
+        True when it is new."""
         if s in self.dsg.nodes:
             return False
         if len(self.dsg.nodes) >= self.budget.max_nodes:
@@ -558,8 +539,25 @@ class _Engine:
         self.dsg.nodes.add(s)
         self.dsg.node_stores.setdefault(s, EMPTY)
         self.dsg.full_stores.setdefault(s, EMPTY)
+        self.act[s] = activation(self.lp, s.stmt, s.fp)
         self.work.push(s, "new_node")
         return True
+
+    def pushed(self, frame, key, site=None) -> None:
+        """frame was pushed onto the stack of the activation key. A
+        call frame's pointer joins key's root set, and the stack of
+        the activation it returns to goes beneath key's, and so does
+        site, the call site, when given; a handler frame owns no
+        root."""
+        roots = self.roots
+        if roots is None or not isinstance(frame, CallFrame):
+            return
+        roots.add(key, {frame.fp})
+        if site is None:
+            roots.beneath(activation(self.lp, frame.target, frame.fp), key)
+        else:                          # the frame returns to site's activation
+            roots.beneath(self.act[site], key)
+            roots.beneath(site, key)
 
     def wake(self) -> None:
         """Drain the root graph's growth: each pointer that joined the
@@ -615,8 +613,7 @@ class _Engine:
         collection = node.collection
         if grown is None:
             collection = node.collection = Collection(s, lp, self.policy)
-            stack = self.roots.ptrs.setdefault(activation(lp, s.stmt, s.fp),
-                                               set())
+            stack = self.roots.ptrs.setdefault(self.act[s], set())
             sigma = eagc(s, full, stack, lp, self.policy, state=collection)
             delta = None
         else:
@@ -627,8 +624,7 @@ class _Engine:
             sigma = collection.visible
         self.dsg.node_stores[s] = sigma
         if collection.fresh:
-            waiting = self.waiting.setdefault(activation(lp, s.stmt, s.fp),
-                                              {})
+            waiting = self.waiting.setdefault(self.act[s], {})
             for p in collection.fresh:
                 waiting.setdefault(p, set()).add(s)
         return sigma, delta
@@ -682,6 +678,7 @@ class _Engine:
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
+            self.wake()
         self.dsg.sources = push_sources(self.dsg.iecg.closure)
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
@@ -703,11 +700,12 @@ class _Engine:
 class _PushdownEngine(_Engine):
     """The pushdown stack abstraction: one closure record per (node, top
     frame), of its push sources and pop targets, kept in the IECG and
-    closed by drain after each step, which creates the summary edges
-    and also grows the root graph under GC. A node's contexts
-    are its top frames, its stack roots are the call frames on top at
-    its activation's nodes and everything beneath them, and its
-    stepped store holds its own frame and the heap."""
+    closed by drain after each step, which creates the summary edges.
+    A node's contexts are its top frames, and its stepped store holds
+    its own frame and the heap. Under GC a call frame pushed into an
+    activation is on its stack, with the caller's stack and the call
+    site beneath (pushed), and a summary edge into a throw puts its
+    source's stack beneath the throw's (add_summary)."""
 
     causes = ("top_frames", "gc_roots")
     root_cause = "gc_roots"
@@ -715,28 +713,14 @@ class _PushdownEngine(_Engine):
     def __init__(self, lp: LabeledProgram, policy: Policy, budget: Budget):
         super().__init__(lp, policy, budget)
         self.iecg = self.dsg.iecg
-        q0 = self.dsg.initial
-        self.iecg.closure[q0] = {BOTTOM: (set(), set())}
-        self.iecg.act[q0] = activation(lp, q0.stmt, q0.fp)
+        self.iecg.closure[self.dsg.initial] = {BOTTOM: (set(), set())}
         self.pending_edges: deque = deque()
 
     def contexts(self, s):
         return sorted(self.iecg.tf(s), key=frame_key)
 
-    def step(self, s, top, sigma, reads, diags):
-        return abstract_next(self.lp, s, sigma, top, self.policy, diags,
-                             reads)
-
     def new_edge(self, s1, act, s2) -> None:
         self.pending_edges.append((s1, act, s2))
-
-    def add_node(self, s) -> bool:
-        """The core's, which also records the key of the activation s
-        runs in: its method and frame pointer."""
-        if super().add_node(s):
-            self.iecg.act[s] = activation(self.lp, s.stmt, s.fp)
-            return True
-        return False
 
     def stepped_store(self, s, node: _Stepped):
         """The core's collection. After it, the part of the delta on s's
@@ -760,9 +744,17 @@ class _PushdownEngine(_Engine):
         return sigma, delta
 
     def add_summary(self, w, s2) -> None:
-        """A new summary edge (w, eps, s2) carries w's own-frame bindings
-        into s2, now and, by stepped_store, after each growth: s2 is one
-        of w's epsilon successors, which are all summary targets."""
+        """The summary edge (w, eps, s2), when new: it joins the graph
+        and the closure, w's stack goes beneath s2's (a new pair only
+        for a summary into a throw, in another activation), and it
+        carries w's own-frame bindings into s2, now and, by
+        stepped_store, after each growth: s2 is one of w's epsilon
+        successors, which are all summary targets."""
+        if not self.add_edge(w, EPSILON, s2):
+            return
+        propagate(w, s2, self.iecg)
+        if self.roots is not None:
+            self.roots.beneath(self.act[w], self.act[s2])
         own = own_frame(self.dsg.node_stores[w], w.fp)
         if own:
             self.join_store(s2, own)
@@ -772,9 +764,9 @@ class _PushdownEngine(_Engine):
 
     def drain(self) -> None:
         """Dispatch pending edges into the closure records and chase every
-        consequence (summaries, re-enqueues, root growth) to a fixpoint.
-        The time budget is checked on every round, since one step's
-        edges can start a long chase."""
+        consequence (summaries, re-enqueues) to a fixpoint. The time
+        budget is checked on every round, since one step's edges can
+        start a long chase."""
         iecg = self.iecg
         clock, deadline = _time.monotonic, self.deadline
         while True:
@@ -786,24 +778,21 @@ class _PushdownEngine(_Engine):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
                     process_push(s1, act.frame, s2, iecg)
+                    self.pushed(act.frame, self.act[s2], s1)
                 else:
-                    for w, dst in process_pop(s1, act.frame, s2, iecg):
-                        if self.add_edge(w, EPSILON, dst):
-                            self.add_summary(w, dst)
+                    for w in process_pop(s1, act.frame, s2, iecg):
+                        self.add_summary(w, s2)
                 continue
             if iecg.dirty_pfp:
                 s, f, w = iecg.dirty_pfp.pop()
                 # a new push source behind an already-seen pop edge
                 # yields summaries the pop itself could not have known
                 for dst in sorted(iecg.closure[s][f][1], key=state_key):
-                    if self.add_edge(w, EPSILON, dst):
-                        propagate(w, dst, iecg)
-                        self.add_summary(w, dst)
+                    self.add_summary(w, dst)
                 continue
             if iecg.dirty_tf:
                 self.work.push(iecg.dirty_tf.pop(), "top_frames")
                 continue
-            self.wake()
             return
 
 

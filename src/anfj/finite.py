@@ -26,12 +26,15 @@ its own handler, or a call whose callee starts with the same call.
 
 The stack roots of a node's collection are the pointers of the call
 records at every level its activation can return through: the level's
-set in the core's root graph, the one the pushdown engine grows,
-which every collection at the level reads by membership. A call
-record adds its frame pointer to its level's set and puts the stack of
-the level it returns to beneath its level's, and the core wakes only
-the collections that left out an address under a new pointer. A new
-record at a level a step consulted is a new context, stepped in full.
+set in the core's root graph, which every collection at the level
+reads by membership. A call record is a call frame pushed onto its
+level's stack, so it grows the graph by the core's one rule
+(_Engine.pushed), as a pushdown call push does: its frame pointer joins
+the level's set, and the stack of the level it returns to goes
+beneath. The table keeps no call sites, so none goes beneath. After
+each step the core wakes only the collections that left out an address
+under a new pointer. A new record at a level a step consulted is a new
+context, stepped in full.
 Time is the pushdown engine's own: only calls tick it. So the two
 analyses differ in stack handling alone.
 """
@@ -51,37 +54,31 @@ from .syntax import PopHandler, Return, Throw
 
 class _FiniteEngine(_Engine):
     """The finite stack abstraction. A node whose contexts came from a
-    table level is stepped again when the level grows. Under GC a call
-    record at a level puts its frame pointer in the level's root set
-    and the stack of the level it returns to beneath the level's, in
-    the core's root graph, which hands the new pointers to the
-    collections that left an address under them. A handler record owns
-    no bindings, so it grows no root set, as a handler frame owns no
-    root in the pushdown engine."""
+    table level is stepped again when the level grows. Each new record
+    is a frame pushed onto its level's stack, handed to the core's
+    pushed: under GC a call record grows the root graph as a pushdown
+    call push does, and a handler record, which owns no bindings,
+    grows nothing."""
 
     causes = ("table",)
     root_cause = "table"
 
     def __init__(self, lp, policy, budget):
         super().__init__(lp, policy, budget)
-        q0 = self.dsg.initial
-        self.table: dict = {activation(lp, q0.stmt, q0.fp): {BOTTOM}}
+        self.table: dict = {self.act[self.dsg.initial]: {BOTTOM}}
         self.step_deps: dict = {}      # level -> nodes whose contexts read it
 
     def record(self, level, entry):
         """Table write; growth wakes every node whose contexts came
-        from the level, and a call record grows the root graph."""
+        from the level, and a new entry is a frame pushed onto the
+        level's stack (the core's pushed)."""
         have = self.table.setdefault(level, set())
         if entry in have:
             return
         have.add(entry)
         for n in self.step_deps.get(level, ()):
             self.work.push(n, "table")
-        if self.roots is not None and isinstance(entry, CallFrame):
-            self.roots.add(level, {entry.fp})
-            self.roots.beneath(activation(self.lp, entry.target, entry.fp),
-                               level)
-            self.wake()
+        self.pushed(entry, level)
 
     # -- level walks ------------------------------------------------------
 
@@ -104,7 +101,7 @@ class _FiniteEngine(_Engine):
         s = q.stmt
         if not isinstance(s, (Return, Throw, PopHandler)):
             return (None,)
-        levels = [activation(self.lp, s, q.fp)]
+        levels = [self.act[q]]
         if isinstance(s, Throw):
             levels = self.reachable_levels(levels[0])
         tops: set = set()

@@ -25,7 +25,7 @@ def stack_roots(dsg, s) -> set:
     """The root set of the activation node s runs in, in either mode:
     the live set its collections read, or an empty set when the
     analysis kept no root graph (GC off)."""
-    roots = dsg.iecg.roots
+    roots = dsg.roots
     if roots is None:
         return set()
     return roots.ptrs.get(activation(dsg.lp, s.stmt, s.fp), set())

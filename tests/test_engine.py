@@ -13,7 +13,7 @@ from anfj.domain import (
     ObjPtr, Policy, Pop, Push, next as abstract_next, state_key, store_join,
 )
 from anfj.engine import (
-    Budget, BudgetExceeded, IECG, RootGraph, Worklist, _PushdownEngine,
+    Budget, BudgetExceeded, IECG, Worklist, _PushdownEngine, activation,
     analyze, process_pop, process_push, propagate,
 )
 from anfj.finite import _FiniteEngine
@@ -354,7 +354,7 @@ def test_psf_is_the_least_solution_of_its_spec(name):
     for policy in [p for p in POLICIES if p.mode == "pushdown" and p.gc]:
         dsg = analyze(lp, policy)
         iecg = dsg.iecg
-        held = iecg.roots.ptrs
+        held = dsg.roots.ptrs
         push_preds: dict = {}
         eps_preds: dict = {}
         for s1, act, s2 in dsg.edges:
@@ -374,7 +374,7 @@ def test_psf_is_the_least_solution_of_its_spec(name):
             # a call site's root set: the objects bound in its own
             # frame, once collected
             sigma = eagc(s, dsg.full_stores.get(s, {}), psf[s], lp, policy)
-            if s in iecg.roots.above:
+            if s in dsg.roots.above:
                 assert held[s] == {
                     v.op for vals in own_frame(sigma, s.fp).values()
                     for v in vals}
@@ -402,21 +402,31 @@ def test_process_push_reaches_epsilon_successors_and_is_idempotent():
 
 
 def test_psf_growth_marks_root_growth_only_for_new_call_frame_pointers():
+    # the one rule both engines grow the root graph by: a call frame
+    # pushed onto key's stack puts its pointer in key's set, and the
+    # activation it returns to beneath key, with the call site in
+    # pushdown mode, which knows it
     lp = corpus_program("var_chain")
-    s1, s2 = _states(lp, 2)
-    fp1 = FramePtr(1, ())
-    roots = RootGraph()
-    iecg = IECG(roots)
-    h = HandlerFrame("E", "e", lp.stmt(1), fp1)
-    r = CallFrame("r", lp.stmt(1), fp1)
-    q = CallFrame("q", lp.stmt(2), fp1)
-    process_push(s1, h, s2, iecg)
-    assert roots.grown == [] and not roots.ptrs.get(s2)  # owns no root
-    process_push(s1, r, s2, iecg)
-    assert roots.grown == [(s2, {fp1})]
-    process_push(s1, q, s2, iecg)
-    assert roots.grown == [(s2, {fp1})]       # same pointer, same roots
-    assert roots.ptrs[s2] == {fp1}
+    for mode in ("pushdown", "finite"):
+        eng = ENGINES[mode](lp, Policy(mode=mode), Budget())
+        roots = eng.roots
+        q0 = eng.dsg.initial
+        site = q0 if mode == "pushdown" else None
+        fp1 = q0.fp                    # the frames return into q0's activation
+        key = activation(lp, lp.stmt(2), FramePtr(2, ()))
+        h = HandlerFrame("E", "e", lp.stmt(1), fp1)
+        r = CallFrame("r", lp.stmt(1), fp1)
+        q = CallFrame("q", lp.stmt(2), fp1)
+        eng.pushed(h, key, site)
+        assert roots.grown == [] and not roots.ptrs.get(key)  # owns no root
+        assert not roots.above, mode
+        eng.pushed(r, key, site)
+        assert roots.grown == [(key, {fp1})]
+        below = {eng.act[q0]} | ({site} - {None})
+        assert {p for p, ups in roots.above.items() if key in ups} == below
+        eng.pushed(q, key, site)
+        assert roots.grown == [(key, {fp1})]  # same pointer, same roots
+        assert roots.ptrs[key] == {fp1}
 
 
 def test_process_pop_empty_pfp_is_inert():
@@ -436,19 +446,23 @@ def test_process_pop_single_source_behaves_as_propagate():
     q0, s1, s2 = _states(lp, 3)
     g = CallFrame("r", lp.stmt(1), FP0A)
 
-    popped = IECG(RootGraph())
+    # process_pop records the pop target and returns the push sources;
+    # the summary edge's propagate, the caller's, then closes as a
+    # plain one does
+    popped = IECG()
     popped.add(s1, g, q0)
-    pairs = process_pop(s1, g, s2, popped)
-    assert pairs == [(q0, s2)]
+    assert process_pop(s1, g, s2, popped) == [q0]
+    assert not popped.eps_next
+    assert _records(popped, 1) == {(s1, g): {s2}}
+    propagate(q0, s2, popped)
 
-    plain = IECG(RootGraph())
+    plain = IECG()
     plain.add(s1, g, q0)
     propagate(q0, s2, plain)
     assert popped.eps_next == plain.eps_next
     assert _records(popped, 0) == _records(plain, 0)
     assert _records(popped, 1) == {(s1, g): {s2}}
     assert _records(plain, 1) == {(s1, g): set()}
-    assert popped.roots.ptrs == plain.roots.ptrs
 
 
 def test_pop_self_edge_exposes_the_frame_beneath():
@@ -512,10 +526,11 @@ def test_iecg_invariants(name, policy):
 def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
     # propagate reads top frames and push sources at an edge's source
     # alone, which holds only if every epsilon edge's target already has
-    # those of its source; and an edge of the root graph is recorded
-    # per push or epsilon edge between two activations, and per call
-    # site and activation it pushed a call frame to, not per reachable
-    # pair
+    # those of its source; and the root graph's edges are the push
+    # rule's and nothing else: per call push edge, the caller's
+    # activation and the call site beneath the callee's, and per
+    # epsilon edge between two activations (a summary into a throw)
+    # its source's beneath its target's, never per reachable pair
     lp = named_program(name)
     for policy in [p for p in POLICIES if p.mode == "pushdown"]:
         dsg = analyze(lp, policy)
@@ -529,13 +544,15 @@ def test_closure_is_monotone_along_epsilon_and_psf_follows_edges(name):
                 assert iecg.closure[p][f][0] <= iecg.closure[n][f][0]
         if not policy.gc:              # no root graph to follow
             continue
-        deps = {(p, s) for p, ss in iecg.roots.above.items() for s in ss}
-        act = iecg.act
-        sites = {(s1, act[s2]) for s1, a, s2 in dsg.edges
-                 if isinstance(a, Push) and isinstance(a.frame, CallFrame)}
-        assert deps <= sites | {(act[s1], act[s2]) for s1, a, s2 in dsg.edges
-                                if not isinstance(a, Pop)
-                                and act[s1] != act[s2]}
+        deps = {(p, s) for p, ss in dsg.roots.above.items() for s in ss}
+        act = {s: activation(lp, s.stmt, s.fp) for s in dsg.nodes}
+        rule = set()
+        for s1, a, s2 in dsg.edges:
+            if isinstance(a, Push) and isinstance(a.frame, CallFrame):
+                rule |= {(act[s1], act[s2]), (s1, act[s2])}
+            elif a == EPSILON:
+                rule.add((act[s1], act[s2]))
+        assert deps == {(p, s) for p, s in rule if p != s}, policy
 
 
 def _pushes_only(stmt) -> bool:
@@ -743,5 +760,5 @@ def test_gc_off_keeps_no_stack_summary(name):
     for policy in [p for p in POLICIES if not p.gc]:
         eng = ENGINES[policy.mode](lp, policy, Budget())
         dsg = eng.run()
-        assert eng.roots is None and dsg.iecg.roots is None, policy
+        assert eng.roots is None and dsg.roots is None, policy
         assert not eng.waiting, policy

@@ -4,8 +4,12 @@ root, stack_root and reachable are the from-scratch specification in
 oracles.py; eagc and its incremental Collection are checked against it.
 """
 
+import json
 import random
 
+import pytest
+
+from anfj.cli import main
 from anfj.domain import (
     CallFrame, ControlState, FP0A, FramePtr, HandlerFrame, ObjPtr, Policy,
     store_join,
@@ -13,13 +17,17 @@ from anfj.domain import (
 from anfj.engine import analyze
 from anfj.gc import Collection, eagc
 from anfj.machine import Addr, Value
-from anfj.syntax import Invoke, Assign
+from anfj.metrics import metric_ec_links
+from anfj.syntax import Invoke, Assign, load_program
 
 from helpers import all_labels, corpus_program
 from oracles import (
     brute_reachable_addrs, call_fps, collect, frames_beneath, reachable,
     root, stack_root,
 )
+from test_byte_identity import POLICIES
+from test_delta import assert_equals_reference
+from test_soundness import replay_violations
 
 FP1 = FramePtr(1, ())
 OP = [ObjPtr(i, ()) for i in range(8)]
@@ -262,3 +270,60 @@ def test_collection_extension_matches_from_scratch_on_random_growth():
                 assert set(delta) == {a for a in want
                                       if visible.get(a) != want[a]}
                 visible = state.visible
+
+
+# -- the paper's central claim: GC with pushdown prunes an E-C link -----------
+
+# Each call of mk gets its own frame pointer, but at k=0 both calls
+# allocate the same abstract Box. The first Box is dead by the second
+# call, and only a collection at main's second call site drops its item
+# field; only then does the second throw (label 3) see E2 alone, and so
+# no link to the second try's catch (E1 y) (label 14), which no run
+# reaches. Kept here, not in tests/corpus/, which feeds the benchmark.
+BOX_MK = """\
+class Exc extends Object { Exc() { super(); } }
+class E1 extends Exc { E1() { super(); } }
+class E2 extends Exc { E2() { super(); } }
+class Box extends Object { Exc item; Box(Exc item) { super(); this.item = item; } }
+class Mk extends Object { Mk() { super(); }
+  Object mk(Exc v) { Box b; Exc e; b = new Box(v); e = b.item; throw e; } }
+class Main extends Object { Main() { super(); }
+  Object main() { Mk m; E1 a; E2 bb; Object r1; Object r2; Exc got;
+    m = new Mk(); a = new E1(); bb = new E2();
+    try { r1 = m.mk(a); } catch (Exc x) { got = x; }
+    try { r2 = m.mk(bb); } catch (E1 y) { got = y; }
+    return got; } }
+"""
+
+
+@pytest.mark.parametrize("policy, links", [
+    (Policy(), {(3, 10)}),
+    (Policy(liveness=False), {(3, 10)}),
+    (Policy(k=1, gc=False), {(3, 10)}),     # the Box pointer holds the site
+    (Policy(gc=False), {(3, 10), (3, 14)}),
+    (Policy(mode="finite"), {(3, 10), (3, 14)}),
+    (Policy(mode="finite", gc=False), {(3, 10), (3, 14)}),
+    (Policy(obj_sensitivity=True, gc=False), {(3, 10), (3, 14)}),
+], ids=["gc", "gc-noliveness", "k1-nogc", "nogc", "finite-gc",
+        "finite-nogc", "objsens-nogc"])
+def test_pushdown_gc_prunes_an_ec_link(policy, links):
+    # it takes both prunings: with GC off, or with the finite stack,
+    # the dead Box's E1 reaches the second throw
+    lp = load_program(BOX_MK)
+    assert metric_ec_links(analyze(lp, policy))[0] == links
+
+
+def test_pushdown_gc_prune_is_sound(tmp_path, capsys):
+    # the one run throws E2 past both tries, and it replays inside the
+    # graph of every policy, the pruning one included
+    path = tmp_path / "box_mk.anfj"
+    path.write_text(BOX_MK)
+    assert main(["run", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "class": "E2", "outcome": "uncaught", "steps": 17}
+    lp = load_program(BOX_MK)
+    for policy in (Policy(), Policy(k=1), Policy(gc=False)):
+        assert replay_violations(lp, policy) == [], policy
+    for policy in POLICIES + [Policy(liveness=False),
+                              Policy(obj_sensitivity=True, gc=False)]:
+        assert_equals_reference(lp, policy)
