@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -293,6 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. CPython's cyclic
+    collector is paused for the whole command: the analyzer and the
+    machine make millions of containers and free them all by reference
+    counting (a test checks that no command leaves a cycle), so the
+    collector's passes find nothing. The caller's setting is restored
+    on every exit; library callers of analyze and run keep theirs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -482,8 +482,10 @@ class _Engine:
         self.dsg = DSG(lp=lp, policy=policy, initial=q0, roots=self.roots)
         self.dsg.nodes.add(q0)
         self.dsg.node_stores[q0] = EMPTY
-        # node -> its activation's key, built once and read at each use
-        self.act: dict = {q0: activation(lp, q0.stmt, q0.fp)}
+        # node -> its activation's key under GC, built once and read at
+        # each use; with GC off nothing reads it
+        self.act: dict = ({q0: activation(lp, q0.stmt, q0.fp)}
+                          if policy.gc else {})
         self.work = Worklist(("new_node", "store") + self.causes)
         self.work.push(q0)
         self.stepped: dict = {}        # node -> _Stepped
@@ -529,8 +531,8 @@ class _Engine:
             self.work.push(s, "store")
 
     def add_node(self, s) -> bool:
-        """Record the node, and the key of the activation it runs in;
-        True when it is new."""
+        """Record the node, and under GC the key of the activation it
+        runs in; True when it is new."""
         if s in self.dsg.nodes:
             return False
         if len(self.dsg.nodes) >= self.budget.max_nodes:
@@ -539,7 +541,8 @@ class _Engine:
         self.dsg.nodes.add(s)
         self.dsg.node_stores.setdefault(s, EMPTY)
         self.dsg.full_stores.setdefault(s, EMPTY)
-        self.act[s] = activation(self.lp, s.stmt, s.fp)
+        if self.roots is not None:
+            self.act[s] = activation(self.lp, s.stmt, s.fp)
         self.work.push(s, "new_node")
         return True
 
@@ -548,9 +551,9 @@ class _Engine:
         call frame's pointer joins key's root set, and the stack of
         the activation it returns to goes beneath key's, and so does
         site, the call site, when given; a handler frame owns no
-        root."""
+        root. Called under GC only, where a root graph exists."""
         roots = self.roots
-        if roots is None or not isinstance(frame, CallFrame):
+        if not isinstance(frame, CallFrame):
             return
         roots.add(key, {frame.fp})
         if site is None:
@@ -564,10 +567,8 @@ class _Engine:
         root set of an activation goes to the nodes whose last
         collection left out an address under it, for their next
         collection, and wakes them. The others' stepped stores stay the
-        same."""
+        same. Called under GC only, where a root graph exists."""
         roots = self.roots
-        if roots is None:
-            return
         waiting_at, stepped = self.waiting, self.stepped
         for key, ptrs in roots.grown:
             waiting = waiting_at.get(key)
@@ -678,7 +679,8 @@ class _Engine:
                 for q2 in last[3]:
                     join_store(q2, heap_and_frame(passed, q2.fp))
             self.after_step()
-            self.wake()
+            if self.roots is not None:
+                self.wake()
         self.dsg.sources = push_sources(self.dsg.iecg.closure)
         self.dsg.diagnostics = {
             (q.stmt.label, reason)
@@ -778,7 +780,8 @@ class _PushdownEngine(_Engine):
                     propagate(s1, s2, iecg)
                 elif isinstance(act, Push):
                     process_push(s1, act.frame, s2, iecg)
-                    self.pushed(act.frame, self.act[s2], s1)
+                    if self.roots is not None:
+                        self.pushed(act.frame, self.act[s2], s1)
                 else:
                     for w in process_pop(s1, act.frame, s2, iecg):
                         self.add_summary(w, s2)

@@ -65,20 +65,22 @@ class _FiniteEngine(_Engine):
 
     def __init__(self, lp, policy, budget):
         super().__init__(lp, policy, budget)
-        self.table: dict = {self.act[self.dsg.initial]: {BOTTOM}}
+        q0 = self.dsg.initial
+        self.table: dict = {activation(lp, q0.stmt, q0.fp): {BOTTOM}}
         self.step_deps: dict = {}      # level -> nodes whose contexts read it
 
     def record(self, level, entry):
         """Table write; growth wakes every node whose contexts came
         from the level, and a new entry is a frame pushed onto the
-        level's stack (the core's pushed)."""
+        level's stack (the core's pushed, under GC)."""
         have = self.table.setdefault(level, set())
         if entry in have:
             return
         have.add(entry)
         for n in self.step_deps.get(level, ()):
             self.work.push(n, "table")
-        self.pushed(entry, level)
+        if self.roots is not None:
+            self.pushed(entry, level)
 
     # -- level walks ------------------------------------------------------
 
@@ -101,7 +103,7 @@ class _FiniteEngine(_Engine):
         s = q.stmt
         if not isinstance(s, (Return, Throw, PopHandler)):
             return (None,)
-        levels = [self.act[q]]
+        levels = [activation(self.lp, s, q.fp)]
         if isinstance(s, Throw):
             levels = self.reachable_levels(levels[0])
         tops: set = set()
