@@ -320,6 +320,7 @@ def _main(argv) -> int:
         # the reader is gone; the flush at exit must not fail again
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return 1
     except SideBudgetExceeded as err:
         print(f"budget exceeded on side {err.side}: {err.exc}",

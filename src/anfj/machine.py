@@ -126,7 +126,8 @@ def _popped(t: Time) -> Time:
 
 # Pointers, addresses and values are tuple records, as are the
 # analyzer's states, frames and stack actions: each hashes as its field
-# tuple, in C, and equals only a record of its own type, never one of
+# tuple, in C all the way down, since a statement field hashes by
+# identity, and equals only a record of its own type, never one of
 # another type with the same fields, nor a plain tuple.
 _tuple_eq = tuple.__eq__
 

@@ -13,6 +13,8 @@ ParseError's line and column are worked out from the source only when
 it is raised, so parsing a valid program computes none. The parser
 gives each statement an integer label as it reads it, in program order,
 and appends the synthetic PopHandler statement to every try body. It
+makes one object per label, and a statement equals only itself: two
+parses of one source give unequal statements with equal labels. It
 then derives the static tables the interpreters need: statement
 successors, the flattened class table, subtyping, and per-label
 live-variable sets (a statement inside a try body also flows to the
@@ -91,20 +93,14 @@ Exp = VarRef | FieldRef | Invoke | New | Cast
 # ---------------------------------------------------------------------------
 # Statements
 #
-# Statement identity is the label: the parser gives every statement a
-# label unique program-wide, so equality and hashing go through it.
+# A statement is its own identity, as a class, method or constructor
+# is: the parser makes one object per label, so statements compare and
+# hash by identity, in C, and the states and frames that hold them hash
+# as plain field tuples.
 
 class Stmt:
     __slots__ = ()
     label: int
-
-    def __eq__(self, other):
-        if not isinstance(other, Stmt):
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self):
-        return hash(self.label)
 
 
 @dataclass(frozen=True, eq=False)

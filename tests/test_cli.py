@@ -121,6 +121,21 @@ def test_every_command_exits_quietly_on_a_closed_output(argv):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_a_closed_output_leaves_no_descriptor_open(monkeypatch):
+    # in process, so any descriptor the closed-pipe exit leaves open
+    # stays open here, one more per call
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["run", MINIMAL]) == 1
+            monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def _trace(lp, fuel: int) -> tuple:
     """(outcome, states, trace text) of a run of lp."""
     outcome, states = run(lp, fuel=fuel)

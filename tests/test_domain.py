@@ -2,13 +2,14 @@
 
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies
 
 from anfj.domain import (
     BOTTOM, CallFrame, ControlState, EPSILON, FP0A, FramePtr, HandlerFrame,
-    ObjPtr, Policy, Pop, Push, frame_key, inject_abstract,
+    ObjPtr, Policy, Pop, Push, action_key, frame_key, inject_abstract,
     next as abstract_next, sorted_values, state_key, store_join, tick,
 )
 from anfj.engine import analyze
@@ -133,6 +134,14 @@ def test_store_join_lattice_laws():
     assert shared > 20
 
 
+def _labels(record):
+    if isinstance(record, ControlState):
+        return state_key(record)
+    if isinstance(record, (Push, Pop)):
+        return action_key(record)
+    return frame_key(record)
+
+
 def test_records_hash_as_their_fields_and_equal_only_their_own_type():
     fp, op = FramePtr(1, (2,)), ObjPtr(1, (2,))
     lp = corpus_program("var_chain")
@@ -147,7 +156,13 @@ def test_records_hash_as_their_fields_and_equal_only_their_own_type():
         assert not obj == tuple(obj) and not tuple(obj) == obj
         clone = pickle.loads(pickle.dumps(obj))
         assert type(clone) is type(obj)
-        assert clone == obj and hash(clone) == hash(obj)
+        if isinstance(obj, (ControlState, CallFrame, HandlerFrame, Push, Pop)):
+            # a statement is its own identity and unpickles as a copy:
+            # the clone keeps the labels but is another node
+            assert _labels(clone) == _labels(obj)
+            assert clone != obj and not clone == obj
+        else:
+            assert clone == obj and hash(clone) == hash(obj)
     assert fp != op and op != fp and not fp == op
     assert Addr("x", fp) != Addr("x", op)
     # same fields, same hash, different types
@@ -159,6 +174,33 @@ def test_records_hash_as_their_fields_and_equal_only_their_own_type():
     assert len({Push(f), Pop(f), (f,)}) == 3
     assert op.recv is None and ObjPtr(3, (), 4).recv == 4
     assert (fp.site, fp.time) == (1, (2,))
+
+
+@pytest.mark.parametrize("mode", ["pushdown", "finite"])
+def test_nodes_frames_and_actions_hash_without_python_code(mode):
+    # every node-keyed dict and set of the engine, the closure, the root
+    # graph, the export and the metrics hashes these records: a statement
+    # hashes by identity, so the whole hash runs in C
+    dsg = analyze(corpus_program("throw_across_call"), Policy(mode=mode))
+    actions = [act for _, act, _ in dsg.edges]
+    frames = [act.frame for act in actions if act is not EPSILON]
+    # the finite baseline keeps its frames in a table: its edges are epsilon
+    assert {type(f) for f in frames} == (
+        {CallFrame, HandlerFrame} if mode == "pushdown" else set())
+    keys = [*dsg.nodes, *actions, *frames, *dsg.roots.ptrs]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for key in keys:
+            hash(key)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def test_store_join_returns_first_store_unless_it_grows():

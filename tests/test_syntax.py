@@ -267,6 +267,16 @@ def test_labels_are_program_ordered_and_dense():
     assert kinds == ["TryCatch", "Assign", "Throw", "PopHandler", "Assign", "Return"]
 
 
+def test_a_statement_equals_only_itself():
+    # one object per label: two parses of one source share the labels,
+    # not the statements
+    lp1, lp2 = load_program(TRYPROG), load_program(TRYPROG)
+    for ell in all_labels(lp1):
+        s1, s2 = lp1.stmt(ell), lp2.stmt(ell)
+        assert s1.label == s2.label and lp1.stmt(ell) is s1
+        assert s1 != s2 and not s1 == s2
+
+
 def test_pophandler_inserted_only_by_the_parser():
     main = parse_program(TRYPROG).classes[1].methods[0]
     tc = main.body[0]
